@@ -40,6 +40,18 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _directions(n: int):
+    """(phi, cos phi, sin phi) for n directions evenly spaced over [0, pi/2], exact at both ends."""
+    for k in range(n):
+        if k == 0:
+            yield 0.0, 1.0, 0.0
+        elif k == n - 1:
+            yield np.pi / 2, 0.0, 1.0
+        else:
+            phi = k * (np.pi / 2) / (n - 1)
+            yield phi, float(np.cos(phi)), float(np.sin(phi))
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         seed=args.seed,
@@ -90,15 +102,20 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound_sweep(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
     print(f"bound sweep  n_phi={args.n_phi}  seed={args.seed}  budget={args.budget}  "
           f"psd_tol={args.psd_tol:g}  radius_tol={args.radius_tol:g}", file=sys.stderr)
     rows = []
-    for k in range(args.n_phi):
-        phi = k * (np.pi / 2) / (args.n_phi - 1)
+    for phi, cos_phi, sin_phi in _directions(args.n_phi):
+        verdicts = []
         found = max_radius(phi, radius_tol=args.radius_tol, budget=args.budget,
-                           psd_tol=args.psd_tol, rng=rng)
-        rows.append([phi, found * np.cos(phi), found * np.sin(phi), found, 1.0, abs(found - 1.0)])
+                           psd_tol=args.psd_tol, verdicts=verdicts)
+        infeasible = [report for report in verdicts if not report.feasible]
+        bracket = (f"[{infeasible[-1].best_min_eigenvalue:.3e}, {infeasible[-1].upper_bound:.3e}]"
+                   if infeasible else "none")
+        print(f"phi={phi:.6f}  radius={found:.6f}  verdicts={len(verdicts)}  "
+              f"iterations={sum(report.evaluations for report in verdicts)}  "
+              f"last infeasible bracket {bracket}", file=sys.stderr)
+        rows.append([phi, found * cos_phi, found * sin_phi, found, 1.0, abs(found - 1.0)])
     _write_csv(args.out, BOUND_SWEEP_HEADER, rows)
     return 0
 
@@ -106,9 +123,8 @@ def _cmd_bound_sweep(args: argparse.Namespace) -> int:
 def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     rows = []
     probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
-    for k in range(args.n_points):
-        phi = k * (np.pi / 2) / (args.n_points - 1)
-        etas = (float(np.cos(phi)), float(np.sin(phi)))
+    for phi, cos_phi, sin_phi in _directions(args.n_points):
+        etas = (cos_phi, sin_phi)
         report = clone_report(probe_theta, etas)
         residual = isotropy_scan(etas, args.samples)
         rows.append([phi, etas[0], etas[1], report.fidelity_o, report.fidelity_b,
@@ -117,8 +133,37 @@ def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as one line on stderr and exits with code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _checked(convert, accept, requirement: str):
+    """Argument type: ``convert`` the text, then reject it unless ``accept(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+# One rule per kind of value, shared by every command that takes it.
+FINITE = _checked(float, math.isfinite, "finite")
+POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "positive and finite")
+UNIT_INTERVAL = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+POSITIVE_COUNT = _checked(int, lambda n: n > 0, "positive")
+AT_LEAST_TWO = _checked(int, lambda n: n >= 2, "at least 2")
+SAMPLE_OVERRIDE = _checked(int, lambda n: n == 0 or n >= 2, "0 (per-check defaults) or at least 2")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circleclone",
         description="Asymmetric 1-to-2 cloning of great-circle qubits: "
                     "optimal machine simulation and no-signalling feasibility bound.",
@@ -127,33 +172,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--psd-tol", type=float, default=DEFAULT_PSD_TOL, dest="psd_tol")
-    verify.add_argument("--radius-tol", type=float, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
-    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify.add_argument("--samples", type=int, default=0,
+    verify.add_argument("--psd-tol", type=POSITIVE, default=DEFAULT_PSD_TOL, dest="psd_tol")
+    verify.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
+    verify.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
+    verify.add_argument("--samples", type=SAMPLE_OVERRIDE, default=0,
                         help="override every check's sample count (0 = per-check defaults)")
     verify.set_defaults(func=_cmd_verify)
 
     clone_cmd = sub.add_parser("clone", help="one cloning run with full diagnostics")
-    clone_cmd.add_argument("--theta", type=float, required=True, help="input angle on the x-z circle")
-    clone_cmd.add_argument("--eta1", type=float, required=True)
-    clone_cmd.add_argument("--eta2", type=float, required=True)
+    clone_cmd.add_argument("--theta", type=FINITE, required=True, help="input angle on the x-z circle")
+    clone_cmd.add_argument("--eta1", type=UNIT_INTERVAL, required=True)
+    clone_cmd.add_argument("--eta2", type=UNIT_INTERVAL, required=True)
     clone_cmd.add_argument("--degrees", action="store_true", help="interpret --theta in degrees")
     clone_cmd.set_defaults(func=_cmd_clone)
 
     bound = sub.add_parser("bound-sweep", help="recover the attainable boundary radius over directions")
-    bound.add_argument("--n-phi", type=int, required=True, dest="n_phi")
+    bound.add_argument("--n-phi", type=AT_LEAST_TWO, required=True, dest="n_phi")
     bound.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
-    bound.add_argument("--seed", type=int, default=0)
-    bound.add_argument("--psd-tol", type=float, default=DEFAULT_PSD_TOL, dest="psd_tol")
-    bound.add_argument("--radius-tol", type=float, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
-    bound.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    bound.add_argument("--seed", type=int, default=0, help="accepted for compatibility; the sweep is deterministic")
+    bound.add_argument("--psd-tol", type=POSITIVE, default=DEFAULT_PSD_TOL, dest="psd_tol")
+    bound.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
+    bound.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET,
+                       help="solver iterations allowed per feasibility verdict")
     bound.set_defaults(func=_cmd_bound_sweep)
 
     fidelity = sub.add_parser("fidelity-sweep", help="fidelities and separability along the optimal circle")
-    fidelity.add_argument("--n-points", type=int, required=True, dest="n_points")
+    fidelity.add_argument("--n-points", type=AT_LEAST_TWO, required=True, dest="n_points")
     fidelity.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
-    fidelity.add_argument("--samples", type=int, default=64,
+    fidelity.add_argument("--samples", type=AT_LEAST_TWO, default=64,
                           help="angles sampled by the per-point isotropy scan")
     fidelity.set_defaults(func=_cmd_fidelity_sweep)
 
@@ -161,25 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "clone":
-        if not (0.0 <= args.eta1 <= 1.0 and 0.0 <= args.eta2 <= 1.0):
-            parser.error("--eta1 and --eta2 must lie in [0, 1]")
-    if args.command == "bound-sweep" and args.n_phi < 2:
-        parser.error("--n-phi must be at least 2")
-    if args.command == "fidelity-sweep":
-        if args.n_points < 2:
-            parser.error("--n-points must be at least 2")
-        if args.samples < 2:
-            parser.error("--samples must be at least 2")
-    if args.command == "verify":
-        if args.psd_tol <= 0 or args.radius_tol <= 0 or args.budget <= 0:
-            parser.error("tolerances and budget must be positive")
-        if args.samples < 0 or args.samples == 1:
-            parser.error("--samples must be 0 (per-check defaults) or at least 2")
-
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as error:

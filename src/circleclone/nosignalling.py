@@ -4,9 +4,10 @@ The two-clone output of a universal great-circle cloner is parametrized by the
 pair of reduction factors (eta1, eta2) and a real 3x3 correlation tensor.
 Requiring that antipodal input ensembles produce identical average outputs
 forces t_xx = t_zz and t_xz = -t_zx, leaving seven free tensor entries.
-Positivity of the north-pole output then bounds eta1^2 + eta2^2; a numerical
-search over the free entries recovers the attainable boundary, the unit
-circle in the (eta1, eta2) plane.
+Positivity of the north-pole output then bounds eta1^2 + eta2^2; a barrier
+solve over the free entries, bracketing the best minimum eigenvalue between a
+primal witness and a dual certificate, recovers the attainable boundary, the
+unit circle in the (eta1, eta2) plane.
 """
 
 from __future__ import annotations
@@ -14,25 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .cloner import clone, coefficients, reduced_clones
 from .linalg import kron
-from .pauli import (
-    PAULI_LEFT,
-    PAULI_PAIRS,
-    PAULI_RIGHT,
-    pauli_decompose,
-    rotate_bloch,
-    rotation_unitary,
-)
+from .pauli import PAULI_LEFT, PAULI_PAIRS, PAULI_RIGHT, rotate_bloch, rotation_unitary
 
 GREAT_CIRCLE_ATOL = 1e-12
 CONSTRAINT_ATOL = 1e-12
 DEFAULT_PSD_TOL = 1e-9
 DEFAULT_BUDGET = 5000
-DEFAULT_RESTARTS = 20
 DEFAULT_RADIUS_TOL = 1e-3
+GAP_TOL = 1e-10
+# Barrier schedule: s grows by this factor at every iterate whose Newton
+# decrement is below CENTRED_DECREMENT.
+BARRIER_GROWTH = 10.0
+CENTRED_DECREMENT = 0.5
 
 # Order of the free correlation-tensor entries once the no-signalling
 # constraints t_zz = t_xx and t_zx = -t_xz are imposed.
@@ -195,118 +191,149 @@ def bound_rhs(t: np.ndarray) -> float:
 
 
 def machine_witness_tensor(etas) -> np.ndarray:
-    """Exact positivity witness for any point of the closed unit disk.
+    """Exact positivity witness for any point of the closed unit disk: diag(c, 0, c), c = eta1*eta2/r.
 
-    Radially project (eta1, eta2) onto the unit circle, take the correlation
-    tensor of the cloning machine's north-pole output there, and shrink it
-    back by the radius.  The result describes the convex blend of that
-    machine output with the maximally mixed state, hence is always realizable
-    by a positive semidefinite output.
+    With r = hypot(eta1, eta2), this is r times the correlation tensor of the
+    cloning machine's north-pole output at (eta1/r, eta2/r) on the unit
+    circle.  It describes the convex blend of that machine output with the
+    maximally mixed state, hence is always realizable by a positive
+    semidefinite output.
     """
     eta1, eta2 = _validate_etas(etas)
     radius = float(np.hypot(eta1, eta2))
-    if radius == 0.0:
-        return np.zeros((3, 3))
     if radius > 1.0 + 1e-9:
         raise ValueError(f"no mixture witness outside the unit disk: radius {radius:.6f}")
-    state = clone(0.0, coefficients((eta1 / radius, eta2 / radius)))
-    machine_t = pauli_decompose(reduced_clones(state)[2]).t
-    return constrain_tensor(np.clip(free_parameters(min(radius, 1.0) * machine_t), -1.0, 1.0))
+    c = eta1 * eta2 / radius if radius > 0.0 else 0.0
+    return np.diag([c, 0.0, c])
+
+
+# The north-pole output is affine in the free entries, A0 + sum_i f_i A_i; the
+# slopes A_i do not depend on the reduction factors, which enter A0 alone.
+UP_SLOPES = (np.array([_up_matrix(0.0, 0.0, unit) for unit in np.eye(len(FREE_PARAMETERS))])
+             - _up_matrix(0.0, 0.0, np.zeros(len(FREE_PARAMETERS))))
+
+
+def minimize(a0: np.ndarray, slopes: np.ndarray, budget: int, psd_tol: float):
+    """Barrier (Newton) solve of  max t  s.t.  A0 + sum_i f_i A_i - t I >= 0,  |f_i| <= 1.
+
+    Minimizes  -s t - log det S - sum_i log(1 - f_i^2),  S = A0 + sum_i f_i A_i - t I,
+    by damped Newton steps from f = 0, multiplying s by BARRIER_GROWTH at every
+    centred iterate.  Each iterate gives two bounds on the optimum: the lower
+    bound lambda_min(A0 + sum_i f_i A_i), and the dual upper bound
+    Tr(W A0) + sum_i |Tr(W A_i)| of the certificate W = S^-1 / Tr S^-1.  The
+    upper bound holds because W is positive semidefinite with unit trace, so
+    lambda_min(X) <= Tr(W X), and every |f_i| <= 1.  The solve stops once the
+    best lower bound reaches -psd_tol, the best upper bound falls below
+    -psd_tol, the gap closes below GAP_TOL (certified, or on the central path,
+    where it is at most degree / s), or after ``budget`` iterates.
+
+    Returns (free entries of the best iterate, its lambda_min, the best upper
+    bound, its certificate W, iterates evaluated).
+    """
+    size, count = len(a0), len(slopes)
+    degree = size + 2 * count  # self-concordance parameter of the barrier
+    free = best_free = np.zeros(count)
+    lower, upper, certificate = -np.inf, np.inf, None
+    t = s = None
+    for iterate in range(1, budget + 1):
+        eigenvalues, vectors = np.linalg.eigh(a0 + np.tensordot(free, slopes, axes=1))
+        if eigenvalues[0] > lower:
+            lower, best_free = float(eigenvalues[0]), free
+        if t is None:
+            t = eigenvalues[0] - 1.0
+        slack = eigenvalues - t
+        if slack[0] <= 0.0:
+            break  # rounding carried t past lambda_min; S is no longer positive definite
+        inverse = 1.0 / slack
+        total = inverse.sum()
+        if s is None:
+            s = total  # the start is centred in t
+        w = (vectors * (inverse / total)) @ vectors.conj().T
+        traces = np.einsum("ab,iba->i", w, slopes).real
+        bound = float(np.einsum("ab,ba->", w, a0).real + np.abs(traces).sum())
+        if bound < upper:
+            upper, certificate = bound, w
+        if lower >= -psd_tol or upper < -psd_tol or upper - lower < GAP_TOL or s * GAP_TOL > degree:
+            break
+
+        # Newton step in (f, t); Hessian blocks Tr(S^-1 B_j S^-1 B_k) in the eigenbasis of S.
+        rotated = vectors.conj().T @ slopes @ vectors
+        root = np.sqrt(inverse)
+        blocks = np.concatenate([rotated, -np.eye(size)[None]]) * np.outer(root, root)
+        flat = blocks.reshape(count + 1, -1)
+        hessian = (flat @ flat.conj().T).real
+        gradient = np.append(-total * traces, total - s)
+        gradient[:count] += 2 * free / (1 - free**2)
+        hessian[np.arange(count), np.arange(count)] += 2 * (1 + free**2) / (1 - free**2) ** 2
+        try:
+            step = -np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError:
+            break  # the Newton system is singular in floating point
+        decrement = float(np.sqrt(max(-gradient @ step, 0.0)))
+        damping = 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)
+        candidate = free + damping * step[:count]
+        if not (np.all(np.isfinite(step)) and np.all(np.abs(candidate) < 1.0)):
+            break  # the Newton system has lost its precision
+        free, t = candidate, t + damping * step[count]
+        if decrement < CENTRED_DECREMENT:
+            s *= BARRIER_GROWTH
+    return best_free, lower, upper, certificate, iterate
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Outcome of a positivity search at fixed reduction factors."""
+    """Outcome of the positivity solve at fixed reduction factors.
+
+    ``best_min_eigenvalue``, attained by ``witness``, and ``upper_bound``,
+    proved by the positive semidefinite unit-trace ``certificate`` W (see
+    minimize), bracket the largest minimum eigenvalue of the north-pole
+    output over the seven free entries.
+    """
 
     feasible: bool
     best_min_eigenvalue: float
     witness: np.ndarray
     evaluations: int
+    upper_bound: float
+    certificate: np.ndarray
 
 
-def feasibility(etas, budget: int = DEFAULT_BUDGET, psd_tol: float = DEFAULT_PSD_TOL,
-                restarts: int = DEFAULT_RESTARTS, rng=None) -> FeasibilityReport:
-    """Search the seven free tensor entries for a positive semidefinite output.
+def feasibility(etas, budget: int = DEFAULT_BUDGET, psd_tol: float = DEFAULT_PSD_TOL) -> FeasibilityReport:
+    """Decide whether some choice of the seven free entries makes the north-pole output PSD.
 
-    Maximizes the minimum eigenvalue of the north-pole output with a
-    multi-start simplex search: one start at the zero tensor, one at the
-    machine-derived witness (inside the unit disk, where it certifies
-    feasibility outright) and the rest drawn uniformly from [-1, 1]^7.
-    ``budget`` caps the number of eigenvalue evaluations across all starts.
-    The verdict is one-sided by construction: a reported feasible point comes
-    with an explicit witness, and an infeasible verdict means no evaluated
-    tensor reached -psd_tol.
+    Runs the barrier solve (see minimize); ``budget`` caps its iterates, one
+    eigen-decomposition each.  A feasible verdict comes with a witness whose
+    minimum eigenvalue is at least -psd_tol.  An infeasible verdict is
+    certified by upper_bound < -psd_tol unless the optimum lies within the
+    solver's resolution of -psd_tol, where the verdict rests on the best
+    iterate alone.
     """
     eta1, eta2 = _validate_etas(etas)
-    rng = np.random.default_rng(rng)
-
-    if eta1 == 0.0 and eta2 == 0.0:
-        witness = np.zeros((3, 3))
-        lam = float(np.linalg.eigvalsh(_up_matrix(0.0, 0.0, np.zeros(7)))[0])
-        return FeasibilityReport(feasible=True, best_min_eigenvalue=lam, witness=witness, evaluations=1)
-
-    evaluations = 0
-    best_value = -np.inf
-    best_free = np.zeros(7)
-
-    def min_eigenvalue(free: np.ndarray) -> float:
-        nonlocal evaluations, best_value, best_free
-        free = np.clip(free, -1.0, 1.0)
-        evaluations += 1
-        lam = float(np.linalg.eigvalsh(_up_matrix(eta1, eta2, free))[0])
-        if lam > best_value:
-            best_value = lam
-            best_free = free.copy()
-        return lam
-
-    starts = [np.zeros(7)]
-    if eta1**2 + eta2**2 <= 1.0 + 1e-12:
-        starts.append(free_parameters(machine_witness_tensor(etas)))
-    while len(starts) < restarts:
-        starts.append(rng.uniform(-1.0, 1.0, size=7))
-
-    for index, start in enumerate(starts):
-        if index >= 2 and evaluations >= budget:
-            break  # the zero and witness starts always run; they carry the verdict
-        min_eigenvalue(start)
-        if best_value >= -psd_tol:
-            break
-
-    if best_value < -psd_tol:
-        per_restart = max(8, (budget - evaluations) // max(1, restarts))
-        for start in starts:
-            remaining = budget - evaluations
-            if remaining <= 0:
-                break
-            minimize(
-                lambda free: -min_eigenvalue(free),
-                start,
-                method="Nelder-Mead",
-                bounds=[(-1.0, 1.0)] * 7,
-                options={"maxfev": min(per_restart, remaining), "xatol": 1e-5, "fatol": 1e-12},
-            )
-            if best_value >= -psd_tol:
-                break
-
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    free, lower, upper, certificate, iterates = minimize(
+        _up_matrix(eta1, eta2, np.zeros(len(FREE_PARAMETERS))), UP_SLOPES, budget, psd_tol)
     return FeasibilityReport(
-        feasible=best_value >= -psd_tol,
-        best_min_eigenvalue=best_value,
-        witness=constrain_tensor(best_free),
-        evaluations=evaluations,
+        feasible=lower >= -psd_tol,
+        best_min_eigenvalue=lower,
+        witness=constrain_tensor(free),
+        evaluations=iterates,
+        upper_bound=upper,
+        certificate=certificate,
     )
 
 
 def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET,
-               psd_tol: float = DEFAULT_PSD_TOL, rng=None, max_iterations: int = 20) -> float:
+               psd_tol: float = DEFAULT_PSD_TOL, max_iterations: int = 20, verdicts: list | None = None) -> float:
     """Largest feasible radius along the ray (r cos(phi), r sin(phi)) of the unit square.
 
-    Bisects between a certified feasible radius and an infeasible one; the
-    attainable boundary is the unit circle, so the result is 1 within
-    ``radius_tol`` for every direction.
+    Bisects between a feasible radius and an infeasible one; the attainable
+    boundary is the unit circle, so the result is 1 within ``radius_tol`` for
+    every direction.  Every FeasibilityReport of the search is appended to
+    ``verdicts`` when one is given.
     """
     if not (0.0 <= phi <= np.pi / 2):
         raise ValueError(f"direction must lie in [0, pi/2], got {phi}")
-    rng = np.random.default_rng(rng)
     cos_phi, sin_phi = float(np.cos(phi)), float(np.sin(phi))
 
     caps = [np.sqrt(2.0)]
@@ -318,7 +345,10 @@ def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int =
 
     def is_feasible(radius: float) -> bool:
         etas = (min(radius * cos_phi, 1.0), min(radius * sin_phi, 1.0))
-        return feasibility(etas, budget=budget, psd_tol=psd_tol, rng=rng).feasible
+        report = feasibility(etas, budget=budget, psd_tol=psd_tol)
+        if verdicts is not None:
+            verdicts.append(report)
+        return report.feasible
 
     if is_feasible(cap):
         return cap

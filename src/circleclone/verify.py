@@ -289,7 +289,7 @@ def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
     lowest = np.inf
     for phi in (0.0, np.pi / 4, np.pi / 3):
         etas = (np.cos(phi), np.sin(phi))
-        report = nosignalling.feasibility(etas, budget=config.budget, psd_tol=config.psd_tol, rng=rng)
+        report = nosignalling.feasibility(etas, budget=config.budget, psd_tol=config.psd_tol)
         lowest = min(lowest, report.best_min_eigenvalue)
     return CheckResult("on_circle_feasibility", lowest, -config.psd_tol, direction=">=")
 
@@ -298,7 +298,7 @@ def check_circle_recovery(config: RunConfig, rng) -> CheckResult:
     worst = 0.0
     for phi in (0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2):
         found = nosignalling.max_radius(phi, radius_tol=config.radius_tol,
-                                        budget=config.budget, psd_tol=config.psd_tol, rng=rng)
+                                        budget=config.budget, psd_tol=config.psd_tol)
         worst = max(worst, abs(found - 1.0))
     return CheckResult("circle_recovery", worst, 2e-3)
 

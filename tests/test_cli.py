@@ -15,6 +15,10 @@ def read_csv(path):
     return header, rows
 
 
+def assert_one_line_error(err):
+    assert err.count("\n") == 1 and "error" in err and "Traceback" not in err, err
+
+
 def parse_report_value(output, label):
     match = re.search(rf"^{re.escape(label)}\s*:\s*([-0-9.]+)", output, re.MULTILINE)
     assert match, f"no '{label}' line in output:\n{output}"
@@ -76,6 +80,15 @@ class TestCloneCommand:
             main(["clone", "--theta", "0", "--eta1", "0.5", "--eta2", "0.5", "--nonsense"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("values", [("nan", "0.5", "0.5"), ("inf", "0.5", "0.5"),
+                                        ("0", "nan", "0.5"), ("0", "0.5", "inf")])
+    def test_non_finite_input_exits_2_with_one_line(self, values, capsys):
+        theta, eta1, eta2 = values
+        with pytest.raises(SystemExit) as excinfo:
+            main(["clone", "--theta", theta, "--eta1", eta1, "--eta2", eta2])
+        assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -102,6 +115,27 @@ class TestBoundSweepCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["bound-sweep", "--n-phi", "1", "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("option", [["--psd-tol", "-1"], ["--budget", "0"], ["--radius-tol", "0"]])
+    def test_bad_setting_exits_2_with_one_line(self, option, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bound-sweep", "--n-phi", "2", *option])
+        assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
+
+    def test_endpoint_cells_are_exact(self, tmp_path):
+        out = tmp_path / "bound.csv"
+        assert main(["bound-sweep", "--n-phi", "2", "--out", str(out), "--budget", "600"]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[-1].split(",")[1] == "0.000000000"
+
+    def test_one_progress_line_per_direction(self, capsys):
+        assert main(["bound-sweep", "--n-phi", "3", "--budget", "400"]) == 0
+        captured = capsys.readouterr()
+        progress = captured.err.splitlines()[1:]
+        assert len(progress) == 3
+        assert progress[0].startswith("phi=0.000000  radius=1.000000  verdicts=1  iterations=1")
+        assert re.search(r"last infeasible bracket \[-[0-9.e+-]+, -[0-9.e+-]+\]$", progress[1])
+        assert captured.out.startswith(BOUND_SWEEP_HEADER + "\n")
 
     def test_unwritable_path_exits_2(self, capsys):
         assert main(["bound-sweep", "--n-phi", "2", "--budget", "400",
@@ -145,6 +179,11 @@ class TestFidelitySweepCommand:
         assert main(["fidelity-sweep", "--n-points", "3", "--out", str(out)]) == 0
         body = out.read_text(encoding="utf-8").split("\n", 1)[1]
         assert "e" not in body and "E" not in body
+
+    def test_endpoint_cells_are_exact(self, tmp_path):
+        out = tmp_path / "fid.csv"
+        assert main(["fidelity-sweep", "--n-points", "3", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines()[-1].split(",")[1] == "0.000000000"
 
     def test_bad_count_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
