@@ -73,10 +73,12 @@ def _basis_images(coeffs: CloneCoefficients) -> np.ndarray:
     return v
 
 
-def clone(theta: float, coeffs: CloneCoefficients) -> np.ndarray:
-    """Normalized 8-component output state for the circle input at angle ``theta``."""
-    ket = great_circle_ket(theta)
-    return _basis_images(coeffs) @ ket
+def clone(theta: float | np.ndarray, coeffs: CloneCoefficients) -> np.ndarray:
+    """Normalized 8-component output state for the circle input at angle ``theta``.
+
+    An array of angles gives one output state per angle: shape (..., 8).
+    """
+    return great_circle_ket(theta) @ _basis_images(coeffs).T
 
 
 def isometry_check(coeffs: CloneCoefficients) -> float:
@@ -87,9 +89,13 @@ def isometry_check(coeffs: CloneCoefficients) -> float:
 
 
 def reduced_clones(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho_o, rho_b, rho_ob) reduced from the rank-1 projector of an 8-dim output state."""
-    state = np.asarray(state, dtype=complex).reshape(8)
-    rho = np.outer(state, state.conj())
+    """(rho_o, rho_b, rho_ob) reduced from the rank-1 projector of an 8-dim output state.
+
+    Leading axes are batch axes: states of shape (..., 8) give clones of shape
+    (..., 2, 2), (..., 2, 2) and (..., 4, 4).
+    """
+    state = np.asarray(state, dtype=complex)
+    rho = state[..., :, None] * state[..., None, :].conj()
     dims = [2, 2, 2]
     return (
         partial_trace(rho, 0, dims),
@@ -104,13 +110,16 @@ def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
-def _isotropy_residual(rho: np.ndarray, ket: np.ndarray) -> tuple[float, float]:
-    """Best-fit shrink s = 2<psi|rho|psi> - 1 and the max-norm residual of the isotropic form."""
-    fidelity = float(np.real(ket.conj() @ rho @ ket))
-    s = 2 * fidelity - 1
-    projector = np.outer(ket, ket.conj())
-    residual = float(np.max(np.abs(rho - s * projector - (1 - s) * np.eye(2) / 2)))
-    return s, residual
+def _shrink(rho: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Best-fit shrink s = 2<psi|rho|psi> - 1 of each clone (..., 2, 2) toward its input ket (..., 2)."""
+    return 2 * np.einsum("...i,...ij,...j->...", ket.conj(), rho, ket).real - 1
+
+
+def _isotropy_residual(rho: np.ndarray, ket: np.ndarray, s) -> np.ndarray:
+    """Max-norm residual of each clone from the isotropic form s|psi><psi| + (1 - s) I / 2."""
+    s = np.asarray(s)[..., None, None]
+    projector = ket[..., :, None] * ket[..., None, :].conj()
+    return np.max(np.abs(rho - s * projector - (1 - s) * np.eye(2) / 2), axis=(-2, -1))
 
 
 def _axis_shrink(axis: int, bloch: np.ndarray, m: np.ndarray, probe_bloch: np.ndarray) -> float:
@@ -153,38 +162,22 @@ def clone_report(theta: float, etas) -> CloneReport:
     partial transpose (non-negative exactly when the output is separable).
     """
     coeffs = coefficients(etas)
-    state = clone(theta, coeffs)
-    rho_o, rho_b, rho_ob = reduced_clones(state)
-    ket = great_circle_ket(theta)
+    # The requested input, then the cardinal probes for z (theta = 0) and x (theta = pi/2).
+    thetas = np.array([theta, 0.0, np.pi / 2])
+    kets = great_circle_ket(thetas)
     m = great_circle_bloch(theta)
+    rho_o, rho_b, rho_ob = reduced_clones(clone(thetas, coeffs))
 
-    probes = {}
-    for probe_theta in (0.0, np.pi / 2):
-        probe_state = clone(probe_theta, coeffs)
-        probe_rho = np.outer(probe_state, probe_state.conj())
-        probes[probe_theta] = (
-            partial_trace(probe_rho, 0, [2, 2, 2]),
-            partial_trace(probe_rho, 1, [2, 2, 2]),
-        )
+    def diagnose(rho):
+        """(z shrink, x shrink, fidelity, isotropy residual) of one clone over the three inputs."""
+        s = float(_shrink(rho[0], kets[0]))
+        bloch, pole, equator = map(density_to_bloch, rho)
+        return (_axis_shrink(2, bloch, m, pole), _axis_shrink(0, bloch, m, equator),
+                (1 + s) / 2, float(np.max(_isotropy_residual(rho, kets, s))))
 
-    bloch_o = density_to_bloch(rho_o)
-    bloch_b = density_to_bloch(rho_b)
-    bloch_pole = (density_to_bloch(probes[0.0][0]), density_to_bloch(probes[0.0][1]))
-    bloch_equator = (density_to_bloch(probes[np.pi / 2][0]), density_to_bloch(probes[np.pi / 2][1]))
-
-    residuals = []
-    fidelities = []
-    for subsystem, rho in ((0, rho_o), (1, rho_b)):
-        s, residual = _isotropy_residual(rho, ket)
-        for probe_theta, reduced in probes.items():
-            probe_ket = great_circle_ket(probe_theta)
-            projector = np.outer(probe_ket, probe_ket.conj())
-            gap = reduced[subsystem] - s * projector - (1 - s) * np.eye(2) / 2
-            residual = max(residual, float(np.max(np.abs(gap))))
-        residuals.append(residual)
-        fidelities.append((1 + s) / 2)
-
-    ppt_min = float(hermitian_eigenvalues(partial_transpose_second(rho_ob))[0])
+    shrink_o_z, shrink_o_x, fidelity_o, residual_o = diagnose(rho_o)
+    shrink_b_z, shrink_b_x, fidelity_b, residual_b = diagnose(rho_b)
+    ppt_min = float(hermitian_eigenvalues(partial_transpose_second(rho_ob[0]))[0])
     on_circle = abs(coeffs.eta1**2 + coeffs.eta2**2 - 1.0) <= ON_CIRCLE_ATOL
 
     return CloneReport(
@@ -192,15 +185,15 @@ def clone_report(theta: float, etas) -> CloneReport:
         eta1=coeffs.eta1,
         eta2=coeffs.eta2,
         on_circle=on_circle,
-        shrink_o_z=_axis_shrink(2, bloch_o, m, bloch_pole[0]),
-        shrink_o_x=_axis_shrink(0, bloch_o, m, bloch_equator[0]),
-        shrink_b_z=_axis_shrink(2, bloch_b, m, bloch_pole[1]),
-        shrink_b_x=_axis_shrink(0, bloch_b, m, bloch_equator[1]),
-        fidelity_o=fidelities[0],
-        fidelity_b=fidelities[1],
-        isotropy_residual_o=residuals[0],
-        isotropy_residual_b=residuals[1],
-        correlation=pauli_decompose(rho_ob).t,
+        shrink_o_z=shrink_o_z,
+        shrink_o_x=shrink_o_x,
+        shrink_b_z=shrink_b_z,
+        shrink_b_x=shrink_b_x,
+        fidelity_o=fidelity_o,
+        fidelity_b=fidelity_b,
+        isotropy_residual_o=residual_o,
+        isotropy_residual_b=residual_b,
+        correlation=pauli_decompose(rho_ob[0]).t,
         ppt_min_eigenvalue=ppt_min,
     )
 
@@ -209,17 +202,11 @@ def isotropy_scan(etas, samples: int) -> float:
     """Worst isotropy residual of either clone over ``samples`` angles uniform in [0, 2*pi)."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    coeffs = coefficients(etas)
-    images = _basis_images(coeffs)
-    worst = 0.0
-    for theta in np.linspace(0.0, 2 * np.pi, samples, endpoint=False):
-        ket = great_circle_ket(theta)
-        state = images @ ket
-        rho = np.outer(state, state.conj())
-        for subsystem in (0, 1):
-            reduced = partial_trace(rho, subsystem, [2, 2, 2])
-            worst = max(worst, _isotropy_residual(reduced, ket)[1])
-    return worst
+    thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    kets = great_circle_ket(thetas)
+    rho_o, rho_b, _ = reduced_clones(clone(thetas, coefficients(etas)))
+    clones = np.stack([rho_o, rho_b])  # (2, samples, 2, 2); the kets broadcast over the first axis
+    return float(np.max(_isotropy_residual(clones, kets, _shrink(clones, kets))))
 
 
 def covariance_check_machine(etas, theta: float, beta: float) -> float:
@@ -231,8 +218,6 @@ def covariance_check_machine(etas, theta: float, beta: float) -> float:
     eta1, eta2 = float(etas[0]), float(etas[1])
     if abs(eta1**2 + eta2**2 - 1.0) > ON_CIRCLE_ATOL:
         raise ValueError(f"({eta1}, {eta2}) is not on the curve eta1^2 + eta2^2 = 1")
-    coeffs = coefficients(etas)
-    rho_rotated = reduced_clones(clone(theta + beta, coeffs))[2]
+    rho_rotated, rho = reduced_clones(clone(np.array([theta + beta, theta]), coefficients(etas)))[2]
     u2 = kron(rotation_unitary(beta), rotation_unitary(beta))
-    rho_conjugated = u2 @ reduced_clones(clone(theta, coeffs))[2] @ u2.conj().T
-    return float(np.max(np.abs(rho_rotated - rho_conjugated)))
+    return float(np.max(np.abs(rho_rotated - u2 @ rho @ u2.conj().T)))

@@ -42,12 +42,13 @@ def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int
     ``rho`` acts on the tensor product of subsystems with dimensions ``dims``
     (first subsystem most significant, matching C-order kets); ``keep`` names
     one subsystem index or a sequence of them.  The entries of all remaining
-    subsystems are summed out.
+    subsystems are summed out.  Leading axes are batch axes: a stack of shape
+    (..., D, D) gives one reduced matrix per entry.
     """
     rho = np.asarray(rho, dtype=complex)
     dims = [int(d) for d in dims]
     total = int(np.prod(dims))
-    if rho.ndim != 2 or rho.shape != (total, total):
+    if rho.ndim < 2 or rho.shape[-2:] != (total, total):
         raise ValueError(f"bad factorization: dims {dims} do not tile a matrix of shape {rho.shape}")
     if isinstance(keep, (int, np.integer)):
         keep = [int(keep)]
@@ -56,13 +57,14 @@ def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int
     if len(set(keep)) != len(keep) or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"bad factorization: keep={keep} is not a subset of the {n} subsystems")
 
-    tensor = rho.reshape(dims + dims)
+    batch = rho.shape[:-2]
+    tensor = rho.reshape(batch + tuple(dims + dims))
     row = [chr(ord("a") + i) for i in range(n)]
     col = [chr(ord("a") + n + i) if i in keep else row[i] for i in range(n)]
     out = [row[i] for i in keep] + [col[i] for i in keep]
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), tensor)
+    reduced = np.einsum("..." + "".join(row + col) + "->..." + "".join(out), tensor)
     kept_dim = int(np.prod([dims[k] for k in keep]))
-    return reduced.reshape(kept_dim, kept_dim)
+    return reduced.reshape(batch + (kept_dim, kept_dim))
 
 
 def hermitian_eigenvalues(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:

@@ -27,9 +27,13 @@ def great_circle_bloch(theta: float) -> np.ndarray:
     return np.array([np.sin(theta), 0.0, np.cos(theta)])
 
 
-def great_circle_ket(theta: float) -> np.ndarray:
-    """Real-amplitude ket cos(t/2)|0> + sin(t/2)|1> whose Bloch vector is great_circle_bloch(t)."""
-    return np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
+def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
+    """Real-amplitude ket cos(t/2)|0> + sin(t/2)|1> whose Bloch vector is great_circle_bloch(t).
+
+    An array of angles gives one ket per angle, stacked on the last axis: shape (..., 2).
+    """
+    half = np.asarray(theta, dtype=float) / 2
+    return np.stack([np.cos(half), np.sin(half)], axis=-1).astype(complex)
 
 
 def bloch_to_density(m) -> np.ndarray:

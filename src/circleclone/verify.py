@@ -9,6 +9,8 @@ closed forms) so that agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -28,10 +30,15 @@ class RunConfig:
     samples: int = 0  # 0 = every check uses its own documented sample count
 
     def __post_init__(self) -> None:
-        if self.psd_tol <= 0 or self.radius_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        # The same rules as the CLI's argument types.
+        for name in ("psd_tol", "radius_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (isinstance(self.budget, numbers.Integral) and self.budget > 0):
+            raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
+        if not (isinstance(self.samples, numbers.Integral) and (self.samples == 0 or self.samples >= 2)):
+            raise ValueError(f"samples must be 0 (per-check defaults) or an integer of at least 2, got {self.samples!r}")
 
 
 @dataclass
@@ -255,11 +262,13 @@ def check_bound_soundness(config: RunConfig, rng) -> CheckResult:
     while accepted < target and attempts < 50 * target:
         attempts += 1
         if rng.uniform() < 0.5:
-            radius = rng.uniform(0, 1)
+            # Just inside the circle, where the bound is tight, with the witness
+            # perturbed in proportion to the distance from the circle.
+            gap = 10 ** rng.uniform(-8, -1)
             phi = rng.uniform(0, np.pi / 2)
-            etas = (radius * np.cos(phi), radius * np.sin(phi))
+            etas = ((1 - gap) * np.cos(phi), (1 - gap) * np.sin(phi))
             free = nosignalling.free_parameters(nosignalling.machine_witness_tensor(etas))
-            free = np.clip(free + rng.uniform(-0.1, 0.1, 7), -1, 1)
+            free = np.clip(free + gap * rng.uniform(-0.1, 0.1, 7), -1, 1)
         else:
             etas = rng.uniform(0, 0.45, 2)
             free = rng.uniform(-0.3, 0.3, 7)
@@ -325,13 +334,11 @@ def check_isometry(config: RunConfig, rng) -> CheckResult:
 
 def check_machine_no_signalling(config: RunConfig, rng) -> CheckResult:
     worst = 0.0
+    cardinal = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     for _ in range(_count(config, 200)):
         coeffs = cloner.coefficients(_random_circle_etas(rng))
-        outputs = {}
-        for name, theta in (("up", 0.0), ("right", np.pi / 2), ("down", np.pi), ("left", 3 * np.pi / 2)):
-            outputs[name] = cloner.reduced_clones(cloner.clone(theta, coeffs))[2]
-        gap = outputs["up"] + outputs["down"] - outputs["right"] - outputs["left"]
-        worst = max(worst, float(np.max(np.abs(gap))))
+        up, right, down, left = cloner.reduced_clones(cloner.clone(cardinal, coeffs))[2]
+        worst = max(worst, float(np.max(np.abs(up + down - right - left))))
     return CheckResult("machine_no_signalling", worst, 1e-12)
 
 

@@ -11,7 +11,7 @@ from circleclone.cloner import (
     partial_transpose_second,
     reduced_clones,
 )
-from circleclone.pauli import SIGMA_X, pauli_decompose
+from circleclone.pauli import SIGMA_X, great_circle_ket, pauli_decompose
 from circleclone.verify import reference_partial_trace
 
 RNG = np.random.default_rng(99)
@@ -92,6 +92,14 @@ class TestClone:
             state = clone(RNG.uniform(0, 2 * np.pi), c)
             assert abs(np.linalg.norm(state) - 1) < 1e-12
 
+    def test_array_of_angles(self):
+        c = coefficients((0.6, 0.8))
+        thetas = RNG.uniform(0, 2 * np.pi, (3, 4))
+        states = clone(thetas, c)
+        assert states.shape == (3, 4, 8)
+        for k in np.ndindex(thetas.shape):
+            assert np.max(np.abs(states[k] - clone(thetas[k], c))) <= 1e-15
+
 
 class TestIsometry:
     @pytest.mark.parametrize("etas", [(SYMMETRIC_ETA, SYMMETRIC_ETA), (1, 0), (0, 0)])
@@ -123,6 +131,17 @@ class TestReducedClones:
             assert np.max(np.abs(rho_o - reference_partial_trace(rho, 0, [2, 2, 2]))) < 1e-12
             assert np.max(np.abs(rho_b - reference_partial_trace(rho, 1, [2, 2, 2]))) < 1e-12
             assert np.max(np.abs(rho_ob - reference_partial_trace(rho, (0, 1), [2, 2, 2]))) < 1e-12
+
+    def test_batch_matches_oracle_row_by_row(self):
+        thetas = RNG.uniform(0, 2 * np.pi, 20)
+        states = clone(thetas, coefficients((0.2, 0.9)))
+        rho_o, rho_b, rho_ob = reduced_clones(states)
+        assert (rho_o.shape, rho_b.shape, rho_ob.shape) == ((20, 2, 2), (20, 2, 2), (20, 4, 4))
+        for k, state in enumerate(states):
+            rho = np.outer(state, state.conj())
+            assert np.max(np.abs(rho_o[k] - reference_partial_trace(rho, 0, [2, 2, 2]))) < 1e-12
+            assert np.max(np.abs(rho_b[k] - reference_partial_trace(rho, 1, [2, 2, 2]))) < 1e-12
+            assert np.max(np.abs(rho_ob[k] - reference_partial_trace(rho, (0, 1), [2, 2, 2]))) < 1e-12
 
     def test_states_are_physical(self):
         for _ in range(50):
@@ -223,6 +242,21 @@ class TestIsotropyScan:
                 scale = np.sqrt(1 + sign * delta)
                 etas = (scale * np.cos(phi), scale * np.sin(phi))
                 assert isotropy_scan(etas, 64) > 1e-10
+
+    @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.5, 0.5)])
+    def test_matches_per_angle_oracle_loop(self, etas):
+        coeffs = coefficients(etas)
+        worst = 0.0
+        for theta in np.linspace(0.0, 2 * np.pi, 50, endpoint=False):
+            ket = great_circle_ket(theta)
+            state = clone(theta, coeffs)
+            rho = np.outer(state, state.conj())
+            for subsystem in (0, 1):
+                reduced = reference_partial_trace(rho, subsystem, [2, 2, 2])
+                s = 2 * np.real(ket.conj() @ reduced @ ket) - 1
+                isotropic = s * np.outer(ket, ket.conj()) + (1 - s) * np.eye(2) / 2
+                worst = max(worst, np.max(np.abs(reduced - isotropic)))
+        assert abs(isotropy_scan(etas, 50) - worst) <= 1e-14
 
     def test_exactly_on_circle_is_flat(self):
         for phi in (0.2, np.pi / 4, 1.3):

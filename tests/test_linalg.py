@@ -61,6 +61,15 @@ class TestPartialTrace:
     def test_bad_factorization(self):
         with pytest.raises(ValueError, match="bad factorization"):
             partial_trace(np.eye(4), 0, [2, 3])
+        with pytest.raises(ValueError, match="bad factorization"):
+            partial_trace(np.stack([np.eye(4)] * 5), 0, [2, 3])
+
+    def test_stack_matches_each_matrix(self):
+        stack = np.stack([random_hermitian(RNG, 8) for _ in range(6)])
+        for keep in (0, 1, 2, (0, 1), (1, 2), (0, 2), (0, 1, 2)):
+            batched = partial_trace(stack, keep, [2, 2, 2])
+            for m, reduced in zip(stack, batched):
+                assert np.max(np.abs(reduced - partial_trace(m, keep, [2, 2, 2]))) <= 1e-14
 
     def test_matches_brute_force_sum(self):
         m = random_hermitian(RNG, 8)
