@@ -121,14 +121,13 @@ def _cmd_bound_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
-    rows = []
+    directions = list(_directions(args.n_points))
     probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
-    for phi, cos_phi, sin_phi in _directions(args.n_points):
-        etas = (cos_phi, sin_phi)
-        report = clone_report(probe_theta, etas)
-        residual = isotropy_scan(etas, args.samples)
-        rows.append([phi, etas[0], etas[1], report.fidelity_o, report.fidelity_b,
-                     report.ppt_min_eigenvalue, residual])
+    report = clone_report(probe_theta, [(cos_phi, sin_phi) for _, cos_phi, sin_phi in directions])
+    rows = []
+    for k, (phi, cos_phi, sin_phi) in enumerate(directions):
+        rows.append([phi, cos_phi, sin_phi, report.fidelity_o[k], report.fidelity_b[k],
+                     report.ppt_min_eigenvalue[k], isotropy_scan((cos_phi, sin_phi), args.samples)])
     _write_csv(args.out, FIDELITY_SWEEP_HEADER, rows)
     return 0
 
@@ -160,6 +159,7 @@ UNIT_INTERVAL = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 POSITIVE_COUNT = _checked(int, lambda n: n > 0, "positive")
 AT_LEAST_TWO = _checked(int, lambda n: n >= 2, "at least 2")
 SAMPLE_OVERRIDE = _checked(int, lambda n: n == 0 or n >= 2, "0 (per-check defaults) or at least 2")
+SEED = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=SEED, default=0)
     verify.add_argument("--psd-tol", type=POSITIVE, default=DEFAULT_PSD_TOL, dest="psd_tol")
     verify.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
     verify.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound-sweep", help="recover the attainable boundary radius over directions")
     bound.add_argument("--n-phi", type=AT_LEAST_TWO, required=True, dest="n_phi")
     bound.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
-    bound.add_argument("--seed", type=int, default=0, help="accepted for compatibility; the sweep is deterministic")
+    bound.add_argument("--seed", type=SEED, default=0, help="accepted for compatibility; the sweep is deterministic")
     bound.add_argument("--psd-tol", type=POSITIVE, default=DEFAULT_PSD_TOL, dest="psd_tol")
     bound.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
     bound.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET,

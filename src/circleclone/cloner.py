@@ -8,12 +8,12 @@ the input with reduction factors eta1 and eta2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, kron, partial_trace
+from .linalg import _first_where, hermitian_eigenvalues, kron, partial_trace
+from .nosignalling import _validate_etas
 from .pauli import (
     density_to_bloch,
     great_circle_bloch,
@@ -31,61 +31,64 @@ _AXIS_COMPONENT_FLOOR = 0.1
 
 @dataclass(frozen=True)
 class CloneCoefficients:
-    """Amplitudes (a, b, c, d) of the cloning isometry for reduction factors (eta1, eta2)."""
+    """Amplitudes (a, b, c, d) of the cloning isometry for reduction factors (eta1, eta2).
 
-    a: float
-    b: float
-    c: float
-    d: float
-    eta1: float
-    eta2: float
+    Each field has the batch shape of the reduction factors it was built from.
+    """
+
+    a: float | np.ndarray
+    b: float | np.ndarray
+    c: float | np.ndarray
+    d: float | np.ndarray
+    eta1: float | np.ndarray
+    eta2: float | np.ndarray
 
 
 def coefficients(etas) -> CloneCoefficients:
     """Closed-form isometry amplitudes for reduction factors ``etas = (eta1, eta2)``.
 
     They satisfy a^2 + b^2 + c^2 + d^2 = 1, a*d = b*c and a >= b, c >= d >= 0.
+    Leading axes of ``etas`` (..., 2) are batch axes; every field then has shape (...).
     """
-    eta1, eta2 = float(etas[0]), float(etas[1])
-    if not (0.0 <= eta1 <= 1.0 and 0.0 <= eta2 <= 1.0):
-        raise ValueError(f"reduction factors must lie in [0, 1], got ({eta1}, {eta2})")
-    a = 0.5 * math.sqrt((1 + eta1) * (1 + eta2))
-    b = 0.5 * math.sqrt((1 + eta1) * (1 - eta2))
-    c = 0.5 * math.sqrt((1 - eta1) * (1 + eta2))
-    d = 0.5 * math.sqrt((1 - eta1) * (1 - eta2))
+    eta1, eta2 = _validate_etas(etas)
+    a = 0.5 * np.sqrt((1 + eta1) * (1 + eta2))
+    b = 0.5 * np.sqrt((1 + eta1) * (1 - eta2))
+    c = 0.5 * np.sqrt((1 - eta1) * (1 + eta2))
+    d = 0.5 * np.sqrt((1 - eta1) * (1 - eta2))
     return CloneCoefficients(a=a, b=b, c=c, d=d, eta1=eta1, eta2=eta2)
 
 
 def _basis_images(coeffs: CloneCoefficients) -> np.ndarray:
-    """The 8x2 isometry matrix: columns are the images of |0> and |1>."""
+    """The 8x2 isometry matrix: columns are the images of |0> and |1>; batched coefficients give (..., 8, 2)."""
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    v = np.zeros((8, 2), dtype=complex)
+    v = np.zeros(np.shape(a) + (8, 2), dtype=complex)
     # |0>_o -> (a|00> + d|11>)|0>_M + (b|01> + c|10>)|1>_M
-    v[0b000, 0] = a
-    v[0b110, 0] = d
-    v[0b011, 0] = b
-    v[0b101, 0] = c
+    v[..., 0b000, 0] = a
+    v[..., 0b110, 0] = d
+    v[..., 0b011, 0] = b
+    v[..., 0b101, 0] = c
     # |1>_o -> (a|11> + d|00>)|1>_M + (b|10> + c|01>)|0>_M
-    v[0b111, 1] = a
-    v[0b001, 1] = d
-    v[0b100, 1] = b
-    v[0b010, 1] = c
+    v[..., 0b111, 1] = a
+    v[..., 0b001, 1] = d
+    v[..., 0b100, 1] = b
+    v[..., 0b010, 1] = c
     return v
 
 
 def clone(theta: float | np.ndarray, coeffs: CloneCoefficients) -> np.ndarray:
     """Normalized 8-component output state for the circle input at angle ``theta``.
 
-    An array of angles gives one output state per angle: shape (..., 8).
+    Angles (...) and batched coefficients broadcast to one output state per
+    entry: shape (..., 8).
     """
-    return great_circle_ket(theta) @ _basis_images(coeffs).T
+    return (_basis_images(coeffs) @ great_circle_ket(theta)[..., None])[..., 0]
 
 
-def isometry_check(coeffs: CloneCoefficients) -> float:
-    """Max deviation of the Gram matrix of the two basis images from the 2x2 identity."""
+def isometry_check(coeffs: CloneCoefficients):
+    """Max deviation of the Gram matrix of the two basis images from the 2x2 identity, per batch entry."""
     v = _basis_images(coeffs)
-    gram = v.conj().T @ v
-    return float(np.max(np.abs(gram - np.eye(2))))
+    gram = v.conj().swapaxes(-2, -1) @ v
+    return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
 
 
 def reduced_clones(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,9 +108,10 @@ def reduced_clones(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
-    """Partial transpose of a two-qubit matrix on its second subsystem."""
+    """Partial transpose of a two-qubit matrix on its second subsystem; a (..., 4, 4) stack transposes per entry."""
     rho = np.asarray(rho, dtype=complex)
-    return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    batch = rho.shape[:-2]
+    return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))
 
 
 def _shrink(rho: np.ndarray, ket: np.ndarray) -> np.ndarray:
@@ -122,34 +126,37 @@ def _isotropy_residual(rho: np.ndarray, ket: np.ndarray, s) -> np.ndarray:
     return np.max(np.abs(rho - s * projector - (1 - s) * np.eye(2) / 2), axis=(-2, -1))
 
 
-def _axis_shrink(axis: int, bloch: np.ndarray, m: np.ndarray, probe_bloch: np.ndarray) -> float:
-    """Per-axis Bloch shrink ratio, read off a cardinal probe when |m_axis| is small."""
-    if abs(m[axis]) > _AXIS_COMPONENT_FLOOR:
-        return float(bloch[axis] / m[axis])
-    return float(probe_bloch[axis])
+def _axis_shrink(axis: int, bloch: np.ndarray, m: np.ndarray, probe_bloch: np.ndarray) -> np.ndarray:
+    """Per-axis Bloch shrink ratio, read off a cardinal probe where |m_axis| is small."""
+    component = m[..., axis]
+    large = np.abs(component) > _AXIS_COMPONENT_FLOOR
+    return np.where(large, bloch[..., axis] / np.where(large, component, 1.0), probe_bloch[..., axis])
 
 
 @dataclass(frozen=True)
 class CloneReport:
-    """Diagnostics of one cloning run: shrinks, fidelities, correlations and separability."""
+    """Diagnostics of one cloning run: shrinks, fidelities, correlations and separability.
 
-    theta: float
-    eta1: float
-    eta2: float
-    on_circle: bool
-    shrink_o_z: float
-    shrink_o_x: float
-    shrink_b_z: float
-    shrink_b_x: float
-    fidelity_o: float
-    fidelity_b: float
-    isotropy_residual_o: float
-    isotropy_residual_b: float
+    From a batched call every field is an array with the batch shape (see clone_report).
+    """
+
+    theta: float | np.ndarray
+    eta1: float | np.ndarray
+    eta2: float | np.ndarray
+    on_circle: bool | np.ndarray
+    shrink_o_z: float | np.ndarray
+    shrink_o_x: float | np.ndarray
+    shrink_b_z: float | np.ndarray
+    shrink_b_x: float | np.ndarray
+    fidelity_o: float | np.ndarray
+    fidelity_b: float | np.ndarray
+    isotropy_residual_o: float | np.ndarray
+    isotropy_residual_b: float | np.ndarray
     correlation: np.ndarray
-    ppt_min_eigenvalue: float
+    ppt_min_eigenvalue: float | np.ndarray
 
 
-def clone_report(theta: float, etas) -> CloneReport:
+def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     """Run the machine at one input and extract every reported diagnostic.
 
     Per-axis shrinks are Bloch component ratios, falling back to the cardinal
@@ -160,41 +167,49 @@ def clone_report(theta: float, etas) -> CloneReport:
     both cardinal inputs, so anisotropy is visible from any single run.
     ``ppt_min_eigenvalue`` is the minimum eigenvalue of the joint output's
     partial transpose (non-negative exactly when the output is separable).
+
+    Angles (...) broadcast with reduction factors (..., 2) to one report of
+    arrays: every field takes the broadcast shape (``correlation`` adds two
+    axes of 3).  A single input gives numpy scalars.
     """
-    coeffs = coefficients(etas)
-    # The requested input, then the cardinal probes for z (theta = 0) and x (theta = pi/2).
-    thetas = np.array([theta, 0.0, np.pi / 2])
+    # One axis of three inputs: the requested one, then the cardinal probes
+    # for z (theta = 0) and x (theta = pi/2); the coefficients broadcast over it.
+    coeffs = coefficients(np.expand_dims(np.asarray(etas, dtype=float), -2))
+    shape = np.broadcast_shapes(np.shape(theta), coeffs.eta1.shape[:-1])
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), shape)
+    thetas = np.stack([theta, np.zeros(shape), np.full(shape, np.pi / 2)], axis=-1)
     kets = great_circle_ket(thetas)
     m = great_circle_bloch(theta)
     rho_o, rho_b, rho_ob = reduced_clones(clone(thetas, coeffs))
 
     def diagnose(rho):
         """(z shrink, x shrink, fidelity, isotropy residual) of one clone over the three inputs."""
-        s = float(_shrink(rho[0], kets[0]))
-        bloch, pole, equator = map(density_to_bloch, rho)
-        return (_axis_shrink(2, bloch, m, pole), _axis_shrink(0, bloch, m, equator),
-                (1 + s) / 2, float(np.max(_isotropy_residual(rho, kets, s))))
+        s = _shrink(rho[..., 0, :, :], kets[..., 0, :])
+        bloch = density_to_bloch(rho)
+        requested, pole, equator = bloch[..., 0, :], bloch[..., 1, :], bloch[..., 2, :]
+        residual = np.max(_isotropy_residual(rho, kets, s[..., None]), axis=-1)
+        return _axis_shrink(2, requested, m, pole), _axis_shrink(0, requested, m, equator), (1 + s) / 2, residual
 
     shrink_o_z, shrink_o_x, fidelity_o, residual_o = diagnose(rho_o)
     shrink_b_z, shrink_b_x, fidelity_b, residual_b = diagnose(rho_b)
-    ppt_min = float(hermitian_eigenvalues(partial_transpose_second(rho_ob[0]))[0])
-    on_circle = abs(coeffs.eta1**2 + coeffs.eta2**2 - 1.0) <= ON_CIRCLE_ATOL
+    joint = rho_ob[..., 0, :, :]
+    eta1, eta2 = (np.broadcast_to(eta[..., 0], shape)[()] for eta in (coeffs.eta1, coeffs.eta2))
 
     return CloneReport(
-        theta=float(theta),
-        eta1=coeffs.eta1,
-        eta2=coeffs.eta2,
-        on_circle=on_circle,
-        shrink_o_z=shrink_o_z,
-        shrink_o_x=shrink_o_x,
-        shrink_b_z=shrink_b_z,
-        shrink_b_x=shrink_b_x,
-        fidelity_o=fidelity_o,
-        fidelity_b=fidelity_b,
-        isotropy_residual_o=residual_o,
-        isotropy_residual_b=residual_b,
-        correlation=pauli_decompose(rho_ob[0]).t,
-        ppt_min_eigenvalue=ppt_min,
+        theta=theta[()],
+        eta1=eta1,
+        eta2=eta2,
+        on_circle=np.abs(eta1**2 + eta2**2 - 1.0) <= ON_CIRCLE_ATOL,
+        shrink_o_z=shrink_o_z[()],
+        shrink_o_x=shrink_o_x[()],
+        shrink_b_z=shrink_b_z[()],
+        shrink_b_x=shrink_b_x[()],
+        fidelity_o=fidelity_o[()],
+        fidelity_b=fidelity_b[()],
+        isotropy_residual_o=residual_o[()],
+        isotropy_residual_b=residual_b[()],
+        correlation=pauli_decompose(joint).t,
+        ppt_min_eigenvalue=hermitian_eigenvalues(partial_transpose_second(joint))[..., 0][()],
     )
 
 
@@ -209,15 +224,21 @@ def isotropy_scan(etas, samples: int) -> float:
     return float(np.max(_isotropy_residual(clones, kets, _shrink(clones, kets))))
 
 
-def covariance_check_machine(etas, theta: float, beta: float) -> float:
+def covariance_check_machine(etas, theta, beta):
     """Max-norm deviation of rho_ob(theta + beta) from the y-rotated rho_ob(theta).
 
     Only defined on the optimal curve, where the machine output transforms
-    covariantly under simultaneous rotation of both clones.
+    covariantly under simultaneous rotation of both clones.  Reduction
+    factors (..., 2) and angles (...) broadcast to one deviation per entry.
     """
-    eta1, eta2 = float(etas[0]), float(etas[1])
-    if abs(eta1**2 + eta2**2 - 1.0) > ON_CIRCLE_ATOL:
+    etas = np.asarray(etas, dtype=float)
+    off = np.abs(etas[..., 0] ** 2 + etas[..., 1] ** 2 - 1.0) > ON_CIRCLE_ATOL
+    if off.any():
+        eta1, eta2 = _first_where(off, etas)
         raise ValueError(f"({eta1}, {eta2}) is not on the curve eta1^2 + eta2^2 = 1")
-    rho_rotated, rho = reduced_clones(clone(np.array([theta + beta, theta]), coefficients(etas)))[2]
-    u2 = kron(rotation_unitary(beta), rotation_unitary(beta))
-    return float(np.max(np.abs(rho_rotated - u2 @ rho @ u2.conj().T)))
+    theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
+    rho = reduced_clones(clone(np.stack([theta + beta, theta], axis=-1), coefficients(etas[..., None, :])))[2]
+    u = rotation_unitary(beta)
+    u2 = kron(u, u)
+    rotated = u2 @ rho[..., 1, :, :] @ u2.conj().swapaxes(-2, -1)
+    return np.max(np.abs(rho[..., 0, :, :] - rotated), axis=(-2, -1))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
+from .linalg import _components, _first_where, _stack_last, kron
 from .pauli import PAULI_LEFT, PAULI_PAIRS, PAULI_RIGHT, rotate_bloch, rotation_unitary
 
 GREAT_CIRCLE_ATOL = 1e-12
@@ -44,78 +44,82 @@ def constrain_tensor(free) -> np.ndarray:
     """Correlation tensor built from the seven free entries (see FREE_PARAMETERS).
 
     The returned 3x3 tensor satisfies the no-signalling equalities exactly:
-    t_zz = t_xx and t_zx = -t_xz.
+    t_zz = t_xx and t_zx = -t_xz.  Leading axes of ``free`` (..., 7) are
+    batch axes: the result is (..., 3, 3).
     """
     free = np.asarray(free, dtype=float)
-    if free.shape != (7,):
+    if free.ndim < 1 or free.shape[-1] != len(FREE_PARAMETERS):
         raise ValueError(f"expected the {len(FREE_PARAMETERS)} free entries {FREE_PARAMETERS}, got shape {free.shape}")
-    if np.any(np.abs(free) > 1 + 1e-12):
+    if (np.abs(free) > 1 + 1e-12).any():
         raise ValueError("free correlation entries must lie in [-1, 1]")
-    t_xx, t_xz, t_yy, t_xy, t_yx, t_yz, t_zy = free
-    return np.array([
+    t_xx, t_xz, t_yy, t_xy, t_yx, t_yz, t_zy = _components(free)
+    return _stack_last([
         [t_xx, t_xy, t_xz],
         [t_yx, t_yy, t_yz],
         [-t_xz, t_zy, t_xx],
-    ])
+    ], 2)
 
 
 def free_parameters(t: np.ndarray) -> np.ndarray:
-    """Project a tensor onto the seven free entries (averaging the constrained pairs)."""
+    """Project a tensor onto the seven free entries (averaging the constrained pairs); (..., 3, 3) gives (..., 7)."""
     t = np.asarray(t, dtype=float)
-    return np.array([
-        (t[0, 0] + t[2, 2]) / 2,
-        (t[0, 2] - t[2, 0]) / 2,
-        t[1, 1],
-        t[0, 1],
-        t[1, 0],
-        t[1, 2],
-        t[2, 1],
-    ])
+    t_xx, t_xy, t_xz, t_yx, t_yy, t_yz, t_zx, t_zy, t_zz = _components(t.reshape(t.shape[:-2] + (9,)))
+    return _stack_last([(t_xx + t_zz) / 2, (t_xz - t_zx) / 2, t_yy, t_xy, t_yx, t_yz, t_zy], 1)
 
 
-def _validate_etas(etas) -> tuple[float, float]:
-    eta1, eta2 = float(etas[0]), float(etas[1])
-    if not (0.0 <= eta1 <= 1.0 and 0.0 <= eta2 <= 1.0):
+def _validate_etas(etas) -> tuple[np.ndarray, np.ndarray]:
+    """(eta1, eta2) of reduction factors (..., 2), rejected if any pair leaves [0, 1]."""
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim < 1 or etas.shape[-1] != 2:
+        raise ValueError(f"expected reduction factors (eta1, eta2), got shape {etas.shape}")
+    inside = (etas >= 0.0) & (etas <= 1.0)
+    if not inside.all():
+        eta1, eta2 = _first_where(~inside.all(axis=-1), etas)
         raise ValueError(f"reduction factors must lie in [0, 1], got ({eta1}, {eta2})")
-    return eta1, eta2
+    return tuple(_components(etas))
 
 
 def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     """Two-qubit output with marginals eta1*m and eta2*m and correlation tensor ``t``.
 
     The input Bloch vector must be a unit vector on the x-z great circle.
-    Hermiticity and unit trace are guaranteed; positivity is not.
+    Hermiticity and unit trace are guaranteed; positivity is not.  Vectors
+    (..., 3), reduction factors (..., 2) and tensors (..., 3, 3) broadcast to
+    one (..., 4, 4) output per entry.
     """
     m = np.asarray(m, dtype=float)
-    if abs(m[1]) > GREAT_CIRCLE_ATOL:
-        raise ValueError(f"off great circle: m_y = {m[1]:.3e}")
-    if abs(np.linalg.norm(m) - 1.0) > 1e-9:
-        raise ValueError(f"input Bloch vector must be a unit vector, got |m| = {np.linalg.norm(m):.12f}")
+    off_circle = np.abs(m[..., 1]) > GREAT_CIRCLE_ATOL
+    if off_circle.any():
+        raise ValueError(f"off great circle: m_y = {_first_where(off_circle, m[..., 1]):.3e}")
+    norms = np.linalg.norm(m, axis=-1)
+    not_unit = np.abs(norms - 1.0) > 1e-9
+    if not_unit.any():
+        raise ValueError(f"input Bloch vector must be a unit vector, got |m| = {_first_where(not_unit, norms):.12f}")
     eta1, eta2 = _validate_etas(etas)
     t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
+    if t.shape[-2:] != (3, 3):
         raise ValueError(f"correlation tensor must be 3x3, got shape {t.shape}")
 
     rho = np.eye(4, dtype=complex)
-    rho += eta1 * np.tensordot(m, PAULI_LEFT, axes=1)
-    rho += eta2 * np.tensordot(m, PAULI_RIGHT, axes=1)
-    rho += np.tensordot(t, PAULI_PAIRS, axes=([0, 1], [0, 1]))
+    rho = rho + eta1[..., None, None] * np.tensordot(m, PAULI_LEFT, axes=1)
+    rho = rho + eta2[..., None, None] * np.tensordot(m, PAULI_RIGHT, axes=1)
+    rho = rho + np.tensordot(t, PAULI_PAIRS, axes=([-2, -1], [0, 1]))
     return rho / 4
 
 
-def rotate_correlations(t: np.ndarray, beta: float) -> np.ndarray:
+def rotate_correlations(t: np.ndarray, beta) -> np.ndarray:
     """Correlation tensor after rotating the input Bloch vector about y by ``beta``.
 
     The nine closed-form relations below make the output of build_joint_output
     covariant under simultaneous rotation of both clones (see
     covariance_residual, which verifies them against the unitary route).
+    Tensors (..., 3, 3) and angles (...) broadcast to one tensor per entry.
     """
     t = np.asarray(t, dtype=float)
     c, s = np.cos(beta), np.sin(beta)
-    t_xx, t_xy, t_xz = t[0]
-    t_yx, t_yy, t_yz = t[1]
-    t_zx, t_zy, t_zz = t[2]
-    return np.array([
+    t_xx, t_xy, t_xz, t_yx, t_yy, t_yz, t_zx, t_zy, t_zz = _components(t.reshape(t.shape[:-2] + (9,)))
+    t_yy = np.broadcast_to(t_yy, np.shape(c * t_xx))  # the one entry the angles do not touch
+    return _stack_last([
         [c * c * t_xx + s * s * t_zz + s * c * (t_xz + t_zx),
          c * t_xy + s * t_zy,
          s * c * (t_zz - t_xx) + c * c * t_xz - s * s * t_zx],
@@ -125,33 +129,42 @@ def rotate_correlations(t: np.ndarray, beta: float) -> np.ndarray:
         [s * c * (t_zz - t_xx) - s * s * t_xz + c * c * t_zx,
          -s * t_xy + c * t_zy,
          -s * c * (t_xz + t_zx) + c * c * t_zz + s * s * t_xx],
-    ])
+    ], 2)
 
 
-def covariance_residual(m, etas, t: np.ndarray, beta: float) -> float:
-    """Entrywise gap between the rotated-parameter output and the unitarily rotated output."""
+def covariance_residual(m, etas, t: np.ndarray, beta):
+    """Entrywise gap between the rotated-parameter output and the unitarily rotated output.
+
+    Arguments broadcast as in build_joint_output, with angles (...); one gap per entry.
+    """
     direct = build_joint_output(rotate_bloch(m, beta), etas, rotate_correlations(t, beta))
-    u2 = kron(rotation_unitary(beta), rotation_unitary(beta))
-    conjugated = u2 @ build_joint_output(m, etas, t) @ u2.conj().T
-    return float(np.max(np.abs(direct - conjugated)))
+    u = rotation_unitary(beta)
+    u2 = kron(u, u)
+    conjugated = u2 @ build_joint_output(m, etas, t) @ u2.conj().swapaxes(-2, -1)
+    return np.max(np.abs(direct - conjugated), axis=(-2, -1))
 
 
-def no_signalling_residual(etas, t: np.ndarray) -> float:
+def no_signalling_residual(etas, t: np.ndarray):
     """Max-norm of [rho(up) + rho(down)] - [rho(right) + rho(left)].
 
     Vanishes exactly when t_xx = t_zz and t_xz = -t_zx; otherwise reports the
     magnitude by which the two antipodal ensembles could be told apart.
+    Reduction factors (..., 2) and tensors (..., 3, 3) give one residual per entry.
     """
     lhs = build_joint_output(UP, etas, t) + build_joint_output(DOWN, etas, rotate_correlations(t, np.pi))
     rhs = (build_joint_output(RIGHT, etas, rotate_correlations(t, np.pi / 2))
            + build_joint_output(LEFT, etas, rotate_correlations(t, 3 * np.pi / 2)))
-    return float(np.max(np.abs(lhs - rhs)))
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
-def _up_matrix(eta1: float, eta2: float, free: np.ndarray) -> np.ndarray:
-    """North-pole output assembled entrywise from the seven free tensor entries."""
-    t_xx, t_xz, t_yy, t_xy, t_yx, t_yz, t_zy = free
-    return 0.25 * np.array([
+def _up_matrix(eta1, eta2, free: np.ndarray) -> np.ndarray:
+    """North-pole output assembled entrywise from the seven free tensor entries.
+
+    Free entries (..., 7) give (..., 4, 4); the reduction factors must
+    broadcast to the batch shape of the free entries.
+    """
+    t_xx, t_xz, t_yy, t_xy, t_yx, t_yz, t_zy = _components(np.asarray(free))
+    return 0.25 * _stack_last([
         [1 + eta1 + eta2 + t_xx,
          -(t_xz + 1j * t_zy),
          t_xz - 1j * t_yz,
@@ -168,7 +181,7 @@ def _up_matrix(eta1: float, eta2: float, free: np.ndarray) -> np.ndarray:
          -(t_xz + 1j * t_yz),
          t_xz - 1j * t_zy,
          1 - eta1 - eta2 + t_xx],
-    ])
+    ], 2)
 
 
 def positivity_matrix_up(etas, t: np.ndarray) -> np.ndarray:
@@ -176,12 +189,17 @@ def positivity_matrix_up(etas, t: np.ndarray) -> np.ndarray:
 
     Assembled entry by entry; identical (to machine precision) to
     ``build_joint_output(UP, etas, t)``, which serves as the cross-check.
+    Reduction factors (..., 2) and tensors (..., 3, 3) give (..., 4, 4).
     """
     eta1, eta2 = _validate_etas(etas)
     t = np.asarray(t, dtype=float)
-    if abs(t[0, 0] - t[2, 2]) > CONSTRAINT_ATOL or abs(t[0, 2] + t[2, 0]) > CONSTRAINT_ATOL:
+    violated = ((np.abs(t[..., 0, 0] - t[..., 2, 2]) > CONSTRAINT_ATOL)
+                | (np.abs(t[..., 0, 2] + t[..., 2, 0]) > CONSTRAINT_ATOL))
+    if violated.any():
         raise ValueError("correlation tensor violates the no-signalling constraints t_xx = t_zz, t_xz = -t_zx")
-    return _up_matrix(eta1, eta2, free_parameters(t))
+    free = free_parameters(t)
+    shape = np.broadcast_shapes(np.shape(eta1), free.shape[:-1])
+    return _up_matrix(eta1, eta2, np.broadcast_to(free, shape + free.shape[-1:]))
 
 
 def bound_rhs(t: np.ndarray) -> float:

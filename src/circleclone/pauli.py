@@ -6,13 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_ATOL, _require_hermitian, kron
+from .linalg import HERMITIAN_ATOL, _components, _first_where, _require_hermitian, _stack_last, kron
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULI_STACK = np.stack(PAULIS)
 
 # Two-qubit expansion operators, built once: sigma_j (x) I, I (x) sigma_k, sigma_j (x) sigma_k.
 PAULI_LEFT = np.stack([kron(s, IDENTITY_2) for s in PAULIS])
@@ -22,9 +23,13 @@ PAULI_PAIRS = np.stack([np.stack([kron(sj, sk) for sk in PAULIS]) for sj in PAUL
 BLOCH_NORM_ATOL = 1e-12
 
 
-def great_circle_bloch(theta: float) -> np.ndarray:
-    """Bloch vector (sin t, 0, cos t) of the x-z circle state at angle ``theta``; t=0 is (0,0,1)."""
-    return np.array([np.sin(theta), 0.0, np.cos(theta)])
+def great_circle_bloch(theta: float | np.ndarray) -> np.ndarray:
+    """Bloch vector (sin t, 0, cos t) of the x-z circle state at angle ``theta``; t=0 is (0,0,1).
+
+    An array of angles gives one vector per angle, stacked on the last axis: shape (..., 3).
+    """
+    theta = np.asarray(theta, dtype=float)
+    return _stack_last([np.sin(theta), np.zeros_like(theta), np.cos(theta)], 1)
 
 
 def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
@@ -48,27 +53,38 @@ def bloch_to_density(m) -> np.ndarray:
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector m_j = Tr(rho sigma_j) of a unit-trace Hermitian 2x2 matrix."""
+    """Bloch vector m_j = Tr(rho sigma_j) of a unit-trace Hermitian 2x2 matrix.
+
+    A (..., 2, 2) stack gives (..., 3); it is rejected if any matrix is not
+    Hermitian or not of unit trace.
+    """
     rho = _require_hermitian(rho, HERMITIAN_ATOL)
-    if rho.shape != (2, 2):
+    if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    trace = complex(np.trace(rho))
-    if abs(trace - 1) > HERMITIAN_ATOL:
-        raise ValueError(f"trace {trace} is not 1 within {HERMITIAN_ATOL:.1e}")
-    return np.array([float(np.trace(rho @ s).real) for s in PAULIS])
+    traces = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1) > HERMITIAN_ATOL
+    if off.any():
+        raise ValueError(f"trace {complex(_first_where(off, traces))} is not 1 within {HERMITIAN_ATOL:.1e}")
+    return np.einsum("jab,...ba->...j", PAULI_STACK, rho).real
 
 
-def rotation_unitary(beta: float) -> np.ndarray:
-    """SU(2) rotation exp(-i beta/2 sigma_y) about the y axis."""
-    c, s = np.cos(beta / 2), np.sin(beta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:
+    """SU(2) rotation exp(-i beta/2 sigma_y) about the y axis; an array of angles gives (..., 2, 2)."""
+    half = np.asarray(beta, dtype=float) / 2
+    c, s = np.cos(half), np.sin(half)
+    return _stack_last([[c, -s], [s, c]], 2).astype(complex)
 
 
-def rotate_bloch(m, beta: float) -> np.ndarray:
-    """SO(3) rotation of a Bloch vector about the y axis; beta=pi/2 sends (0,0,1) to (1,0,0)."""
+def rotate_bloch(m, beta: float | np.ndarray) -> np.ndarray:
+    """SO(3) rotation of a Bloch vector about the y axis; beta=pi/2 sends (0,0,1) to (1,0,0).
+
+    Vectors (..., 3) and angles (...) broadcast to one rotated vector per entry.
+    """
     m = np.asarray(m, dtype=float)
     c, s = np.cos(beta), np.sin(beta)
-    return np.array([m[0] * c + m[2] * s, m[1], -m[0] * s + m[2] * c])
+    x, y, z = _components(m)
+    x_rotated = x * c + z * s
+    return _stack_last([x_rotated, np.broadcast_to(y, np.shape(x_rotated)), -x * s + z * c], 1)
 
 
 @dataclass(frozen=True)
@@ -78,28 +94,36 @@ class PauliDecomposition:
     ``a`` multiplies sigma_j (x) I, ``b`` multiplies I (x) sigma_k and ``t``
     is the 3x3 correlation matrix multiplying sigma_j (x) sigma_k.  ``unit``
     multiplies I (x) I; it equals the trace of the source, so 1 for states.
+    Every field may carry leading batch axes, one entry per source matrix.
     """
 
     a: np.ndarray
     b: np.ndarray
     t: np.ndarray
-    unit: float = 1.0
+    unit: float | np.ndarray = 1.0
 
     def reconstruct(self) -> np.ndarray:
-        """The 4x4 matrix [unit I(x)I + sum_j a_j sigma_j(x)I + sum_k b_k I(x)sigma_k + sum_jk t_jk sigma_j(x)sigma_k] / 4."""
-        rho = self.unit * np.eye(4, dtype=complex)
-        rho += np.tensordot(self.a, PAULI_LEFT, axes=1)
-        rho += np.tensordot(self.b, PAULI_RIGHT, axes=1)
-        rho += np.tensordot(self.t, PAULI_PAIRS, axes=([0, 1], [0, 1]))
+        """The 4x4 matrix [unit I(x)I + sum_j a_j sigma_j(x)I + sum_k b_k I(x)sigma_k + sum_jk t_jk sigma_j(x)sigma_k] / 4.
+
+        Coefficients with leading batch axes give one matrix per entry: (..., 4, 4).
+        """
+        rho = np.asarray(self.unit)[..., None, None] * np.eye(4, dtype=complex)
+        rho = rho + np.tensordot(self.a, PAULI_LEFT, axes=1)
+        rho = rho + np.tensordot(self.b, PAULI_RIGHT, axes=1)
+        rho = rho + np.tensordot(self.t, PAULI_PAIRS, axes=([-2, -1], [0, 1]))
         return rho / 4
 
 
 def pauli_decompose(rho: np.ndarray) -> PauliDecomposition:
-    """Pauli-product coefficients a_j = Tr(rho sigma_j(x)I), b_k = Tr(rho I(x)sigma_k), t_jk = Tr(rho sigma_j(x)sigma_k)."""
+    """Pauli-product coefficients a_j = Tr(rho sigma_j(x)I), b_k = Tr(rho I(x)sigma_k), t_jk = Tr(rho sigma_j(x)sigma_k).
+
+    A (..., 4, 4) stack gives coefficients with the same leading axes: a and b
+    (..., 3), t (..., 3, 3) and unit (...).
+    """
     rho = _require_hermitian(rho, HERMITIAN_ATOL)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    a = np.einsum("jab,ba->j", PAULI_LEFT, rho).real
-    b = np.einsum("kab,ba->k", PAULI_RIGHT, rho).real
-    t = np.einsum("jkab,ba->jk", PAULI_PAIRS, rho).real
-    return PauliDecomposition(a=a, b=b, t=t, unit=float(np.trace(rho).real))
+    a = np.einsum("jab,...ba->...j", PAULI_LEFT, rho).real
+    b = np.einsum("kab,...ba->...k", PAULI_RIGHT, rho).real
+    t = np.einsum("jkab,...ba->...jk", PAULI_PAIRS, rho).real
+    return PauliDecomposition(a=a, b=b, t=t, unit=np.trace(rho, axis1=-2, axis2=-1).real)

@@ -31,6 +31,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # The same rules as the CLI's argument types.
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("psd_tol", "radius_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -116,9 +118,26 @@ def _random_density(rng, n: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _random_circle_etas(rng) -> tuple[float, float]:
-    phi = rng.uniform(0, np.pi / 2)
-    return float(np.cos(phi)), float(np.sin(phi))
+# Ranges of the sampled quantities, as (low, high) for _uniform.
+UNIT = (0.0, 1.0)
+ENTRY = (-1.0, 1.0)
+ANGLE = (0.0, 2 * np.pi)
+QUARTER = (0.0, np.pi / 2)
+
+
+def _uniform(rng, n: int, *ranges) -> np.ndarray:
+    """n rows of uniform draws, one column per (low, high) range, from one generator call.
+
+    Row by row and column by column these are the doubles that n iterations of
+    ``rng.uniform(low, high)``, one call per range in turn, would draw.
+    """
+    low, high = np.array(ranges, dtype=float).T
+    return rng.uniform(low, high, (n, len(ranges)))
+
+
+def _circle_etas(phi) -> np.ndarray:
+    """Reduction factors (cos phi, sin phi) on the optimal circle, stacked on the last axis."""
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,45 +231,35 @@ def check_rotation_composition(config: RunConfig, rng) -> CheckResult:
 
 
 def check_covariance_relations(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 500)):
-        etas = rng.uniform(0, 1, 2)
-        t = nosignalling.constrain_tensor(rng.uniform(-1, 1, 7))
-        theta = rng.uniform(0, 2 * np.pi)
-        beta = rng.uniform(0, 2 * np.pi)
-        m = pauli.great_circle_bloch(theta)
-        worst = max(worst, nosignalling.covariance_residual(m, etas, t, beta))
-    return CheckResult("covariance_relations", worst, 1e-12)
+    draws = _uniform(rng, _count(config, 500), UNIT, UNIT, *[ENTRY] * 7, ANGLE, ANGLE)
+    etas, t = draws[:, :2], nosignalling.constrain_tensor(draws[:, 2:9])
+    theta, beta = draws[:, 9], draws[:, 10]
+    residuals = nosignalling.covariance_residual(pauli.great_circle_bloch(theta), etas, t, beta)
+    return CheckResult("covariance_relations", float(np.max(residuals)), 1e-12)
 
 
 def check_transcription_identity(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 500)):
-        etas = rng.uniform(0, 1, 2)
-        t = nosignalling.constrain_tensor(rng.uniform(-1, 1, 7))
-        explicit = nosignalling.positivity_matrix_up(etas, t)
-        rebuilt = nosignalling.build_joint_output(nosignalling.UP, etas, t)
-        worst = max(worst, float(np.max(np.abs(explicit - rebuilt))))
-    return CheckResult("transcription_identity", worst, 1e-14)
+    draws = _uniform(rng, _count(config, 500), UNIT, UNIT, *[ENTRY] * 7)
+    etas, t = draws[:, :2], nosignalling.constrain_tensor(draws[:, 2:])
+    explicit = nosignalling.positivity_matrix_up(etas, t)
+    rebuilt = nosignalling.build_joint_output(nosignalling.UP, etas, t)
+    return CheckResult("transcription_identity", float(np.max(np.abs(explicit - rebuilt))), 1e-14)
 
 
 def check_no_signalling_constraint(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        etas = rng.uniform(0, 1, 2)
-        t = nosignalling.constrain_tensor(rng.uniform(-1, 1, 7))
-        worst = max(worst, nosignalling.no_signalling_residual(etas, t))
-    return CheckResult("no_signalling_constraint", worst, 1e-12)
+    draws = _uniform(rng, _count(config, 200), UNIT, UNIT, *[ENTRY] * 7)
+    residuals = nosignalling.no_signalling_residual(draws[:, :2], nosignalling.constrain_tensor(draws[:, 2:]))
+    return CheckResult("no_signalling_constraint", float(np.max(residuals)), 1e-12)
 
 
 def check_no_signalling_violation(config: RunConfig, rng) -> CheckResult:
-    smallest = np.inf
-    for _ in range(_count(config, 200)):
-        etas = rng.uniform(0, 1, 2)
-        t = rng.uniform(-1, 1, (3, 3))
-        if abs(t[0, 0] - t[2, 2]) < 0.01:
-            t[2, 2] = t[0, 0] + (0.01 if t[0, 0] <= 0.99 else -0.01)
-        smallest = min(smallest, nosignalling.no_signalling_residual(etas, t))
+    draws = _uniform(rng, _count(config, 200), UNIT, UNIT, *[ENTRY] * 9)
+    etas, t = draws[:, :2], draws[:, 2:].reshape(-1, 3, 3)
+    # Keep t_xx and t_zz at least 0.01 apart, so every tensor signals.
+    t_xx = t[:, 0, 0]
+    close = np.abs(t_xx - t[:, 2, 2]) < 0.01
+    t[:, 2, 2] = np.where(close, t_xx + np.where(t_xx <= 0.99, 0.01, -0.01), t[:, 2, 2])
+    smallest = float(np.min(nosignalling.no_signalling_residual(etas, t)))
     return CheckResult("no_signalling_violation", smallest, 1e-12, direction=">=")
 
 
@@ -284,14 +293,11 @@ def check_bound_soundness(config: RunConfig, rng) -> CheckResult:
 
 
 def check_correlation_rotation_group(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        t = rng.uniform(-1, 1, (3, 3))
-        b1, b2 = rng.uniform(0, 2 * np.pi, 2)
-        two_step = nosignalling.rotate_correlations(nosignalling.rotate_correlations(t, b1), b2)
-        one_step = nosignalling.rotate_correlations(t, b1 + b2)
-        worst = max(worst, float(np.max(np.abs(two_step - one_step))))
-    return CheckResult("correlation_rotation_group", worst, 1e-12)
+    draws = _uniform(rng, _count(config, 200), *[ENTRY] * 9, ANGLE, ANGLE)
+    t, b1, b2 = draws[:, :9].reshape(-1, 3, 3), draws[:, 9], draws[:, 10]
+    two_step = nosignalling.rotate_correlations(nosignalling.rotate_correlations(t, b1), b2)
+    one_step = nosignalling.rotate_correlations(t, b1 + b2)
+    return CheckResult("correlation_rotation_group", float(np.max(np.abs(two_step - one_step))), 1e-12)
 
 
 def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
@@ -317,74 +323,59 @@ def check_circle_recovery(config: RunConfig, rng) -> CheckResult:
 
 
 def check_clone_normalization(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 1000)):
-        coeffs = cloner.coefficients(rng.uniform(0, 1, 2))
-        state = cloner.clone(rng.uniform(0, 2 * np.pi), coeffs)
-        worst = max(worst, abs(float(np.linalg.norm(state)) - 1.0))
+    draws = _uniform(rng, _count(config, 1000), UNIT, UNIT, ANGLE)
+    states = cloner.clone(draws[:, 2], cloner.coefficients(draws[:, :2]))
+    worst = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
     return CheckResult("clone_normalization", worst, 1e-12)
 
 
 def check_isometry(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 400)):
-        worst = max(worst, cloner.isometry_check(cloner.coefficients(rng.uniform(0, 1, 2))))
-    return CheckResult("isometry", worst, 1e-12)
+    etas = _uniform(rng, _count(config, 400), UNIT, UNIT)
+    return CheckResult("isometry", float(np.max(cloner.isometry_check(cloner.coefficients(etas)))), 1e-12)
 
 
 def check_machine_no_signalling(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
+    etas = _circle_etas(_uniform(rng, _count(config, 200), QUARTER)[:, 0])
     cardinal = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    for _ in range(_count(config, 200)):
-        coeffs = cloner.coefficients(_random_circle_etas(rng))
-        up, right, down, left = cloner.reduced_clones(cloner.clone(cardinal, coeffs))[2]
-        worst = max(worst, float(np.max(np.abs(up + down - right - left))))
-    return CheckResult("machine_no_signalling", worst, 1e-12)
+    rho_ob = cloner.reduced_clones(cloner.clone(cardinal, cloner.coefficients(etas[:, None, :])))[2]
+    up, right, down, left = np.moveaxis(rho_ob, 1, 0)
+    return CheckResult("machine_no_signalling", float(np.max(np.abs(up + down - right - left))), 1e-12)
 
 
 def check_machine_tensor_constraints(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        coeffs = cloner.coefficients(_random_circle_etas(rng))
-        rho_ob = cloner.reduced_clones(cloner.clone(rng.uniform(0, 2 * np.pi), coeffs))[2]
-        t = pauli.pauli_decompose(rho_ob).t
-        worst = max(worst, abs(t[0, 0] - t[2, 2]), abs(t[0, 2] + t[2, 0]))
-    return CheckResult("machine_tensor_constraints", worst, 1e-12)
+    phi, theta = _uniform(rng, _count(config, 200), QUARTER, ANGLE).T
+    rho_ob = cloner.reduced_clones(cloner.clone(theta, cloner.coefficients(_circle_etas(phi))))[2]
+    t = pauli.pauli_decompose(rho_ob).t
+    worst = max(np.max(np.abs(t[:, 0, 0] - t[:, 2, 2])), np.max(np.abs(t[:, 0, 2] + t[:, 2, 0])))
+    return CheckResult("machine_tensor_constraints", float(worst), 1e-12)
 
 
 def check_fidelity_law(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        eta1, eta2 = _random_circle_etas(rng)
-        report = cloner.clone_report(rng.uniform(0, 2 * np.pi), (eta1, eta2))
-        worst = max(worst, abs(report.fidelity_o - (1 + eta1) / 2))
-        worst = max(worst, abs(report.fidelity_b - (1 + eta2) / 2))
-    return CheckResult("fidelity_law", worst, 1e-10)
+    phi, theta = _uniform(rng, _count(config, 200), QUARTER, ANGLE).T
+    etas = _circle_etas(phi)
+    report = cloner.clone_report(theta, etas)
+    worst = max(np.max(np.abs(report.fidelity_o - (1 + etas[:, 0]) / 2)),
+                np.max(np.abs(report.fidelity_b - (1 + etas[:, 1]) / 2)))
+    return CheckResult("fidelity_law", float(worst), 1e-10)
 
 
 def check_separability_ppt(config: RunConfig, rng) -> CheckResult:
-    lowest = np.inf
-    for _ in range(_count(config, 500)):
-        report = cloner.clone_report(rng.uniform(0, 2 * np.pi), _random_circle_etas(rng))
-        lowest = min(lowest, report.ppt_min_eigenvalue)
-    return CheckResult("separability_ppt", lowest, -1e-10, direction=">=")
+    theta, phi = _uniform(rng, _count(config, 500), ANGLE, QUARTER).T
+    report = cloner.clone_report(theta, _circle_etas(phi))
+    return CheckResult("separability_ppt", float(np.min(report.ppt_min_eigenvalue)), -1e-10, direction=">=")
 
 
 def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        report = cloner.clone_report(rng.uniform(0, 2 * np.pi), _random_circle_etas(rng))
-        s1 = 2 * report.fidelity_o - 1
-        s2 = 2 * report.fidelity_b - 1
-        worst = max(worst, abs(s1**2 + s2**2 - 1.0))
-    return CheckResult("bound_attainment", worst, 1e-10)
+    theta, phi = _uniform(rng, _count(config, 200), ANGLE, QUARTER).T
+    report = cloner.clone_report(theta, _circle_etas(phi))
+    s1 = 2 * report.fidelity_o - 1
+    s2 = 2 * report.fidelity_b - 1
+    return CheckResult("bound_attainment", float(np.max(np.abs(s1**2 + s2**2 - 1.0))), 1e-10)
 
 
 def check_machine_covariance(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        worst = max(worst, cloner.covariance_check_machine(
-            _random_circle_etas(rng), rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)))
+    phi, theta, beta = _uniform(rng, _count(config, 200), QUARTER, ANGLE, ANGLE).T
+    worst = float(np.max(cloner.covariance_check_machine(_circle_etas(phi), theta, beta)))
     return CheckResult("machine_covariance", worst, 1e-10)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circleclone.cli import BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, format_number, main
+from circleclone.cloner import clone_report, isotropy_scan
 
 SYMMETRIC_ETA = repr(2**-0.5)
 
@@ -190,6 +191,17 @@ class TestFidelitySweepCommand:
             main(["fidelity-sweep", "--n-points", "1"])
         assert excinfo.value.code == 2
 
+    def test_cells_match_one_report_per_direction(self, tmp_path):
+        out = tmp_path / "fid.csv"
+        assert main(["fidelity-sweep", "--n-points", "6", "--samples", "16", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()[1:]
+        for k, line in enumerate(lines):
+            phi = k * (np.pi / 2) / 5
+            etas = (1.0, 0.0) if k == 0 else (0.0, 1.0) if k == 5 else (np.cos(phi), np.sin(phi))
+            report = clone_report(0.9, etas)
+            expected = [report.fidelity_o, report.fidelity_b, report.ppt_min_eigenvalue, isotropy_scan(etas, 16)]
+            assert line.split(",")[3:] == [format_number(value) for value in expected]
+
     def test_deterministic_output(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -223,3 +235,11 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--samples", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [["verify"], ["bound-sweep", "--n-phi", "2"]])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_exits_2_with_one_line(self, command, seed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--seed", seed])
+        assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
