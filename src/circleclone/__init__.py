@@ -20,14 +20,11 @@ from .linalg import hermitian_eigenvalues, is_psd, kron, partial_trace
 from .nosignalling import (
     FeasibilityReport,
     bound_rhs,
-    build_joint_output,
     constrain_tensor,
     covariance_residual,
     feasibility,
-    machine_witness_tensor,
     max_radius,
     no_signalling_residual,
-    positivity_matrix_up,
     rotate_correlations,
 )
 from .pauli import (
@@ -52,7 +49,6 @@ __all__ = [
     "RunConfig",
     "bloch_to_density",
     "bound_rhs",
-    "build_joint_output",
     "clone",
     "clone_report",
     "coefficients",
@@ -68,12 +64,10 @@ __all__ = [
     "isometry_check",
     "isotropy_scan",
     "kron",
-    "machine_witness_tensor",
     "max_radius",
     "no_signalling_residual",
     "partial_trace",
     "pauli_decompose",
-    "positivity_matrix_up",
     "reduced_clones",
     "rotate_bloch",
     "rotate_correlations",

@@ -103,18 +103,12 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 def _cmd_bound_sweep(args: argparse.Namespace) -> int:
     print(f"bound sweep  n_phi={args.n_phi}  seed={args.seed}  budget={args.budget}  "
-          f"psd_tol={args.psd_tol:g}  radius_tol={args.radius_tol:g}", file=sys.stderr)
-    rows = []
+          f"radius_tol={args.radius_tol:g}", file=sys.stderr)
+    rows, brackets = [], []
     for phi, cos_phi, sin_phi in _directions(args.n_phi):
-        verdicts = []
-        found = max_radius(phi, radius_tol=args.radius_tol, budget=args.budget,
-                           psd_tol=args.psd_tol, verdicts=verdicts)
-        infeasible = [report for report in verdicts if not report.feasible]
-        bracket = (f"[{infeasible[-1].best_min_eigenvalue:.3e}, {infeasible[-1].upper_bound:.3e}]"
-                   if infeasible else "none")
-        print(f"phi={phi:.6f}  radius={found:.6f}  verdicts={len(verdicts)}  "
-              f"iterations={sum(report.evaluations for report in verdicts)}  "
-              f"last infeasible bracket {bracket}", file=sys.stderr)
+        found = max_radius(phi, radius_tol=args.radius_tol, budget=args.budget, brackets=brackets)
+        print(f"phi={phi:.6f}  radius=[{found:.9f}, {brackets[-1].upper:.9f}]  "
+              f"iterations={brackets[-1].iterations}", file=sys.stderr)
         rows.append([phi, found * cos_phi, found * sin_phi, found, 1.0, abs(found - 1.0)])
     _write_csv(args.out, BOUND_SWEEP_HEADER, rows)
     return 0
@@ -190,10 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--n-phi", type=AT_LEAST_TWO, required=True, dest="n_phi")
     bound.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
     bound.add_argument("--seed", type=SEED, default=0, help="accepted for compatibility; the sweep is deterministic")
-    bound.add_argument("--psd-tol", type=POSITIVE, default=DEFAULT_PSD_TOL, dest="psd_tol")
     bound.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
     bound.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET,
-                       help="solver iterations allowed per feasibility verdict")
+                       help="solver iterations allowed per direction")
     bound.set_defaults(func=_cmd_bound_sweep)
 
     fidelity = sub.add_parser("fidelity-sweep", help="fidelities and separability along the optimal circle")

@@ -4,10 +4,10 @@ The two-clone output of a universal great-circle cloner is parametrized by the
 pair of reduction factors (eta1, eta2) and a real 3x3 correlation tensor.
 Requiring that antipodal input ensembles produce identical average outputs
 forces t_xx = t_zz and t_xz = -t_zx, leaving seven free tensor entries.
-Positivity of the north-pole output then bounds eta1^2 + eta2^2; a barrier
-solve over the free entries, bracketing the best minimum eigenvalue between a
-primal witness and a dual certificate, recovers the attainable boundary, the
-unit circle in the (eta1, eta2) plane.
+Positivity of the north-pole output then bounds eta1^2 + eta2^2.  One barrier
+solve over the free entries, bracketing its optimum between a primal witness
+and a dual certificate, decides feasibility at a point and finds the largest
+feasible radius along a ray: the unit circle in the (eta1, eta2) plane.
 """
 
 from __future__ import annotations
@@ -225,62 +225,82 @@ def machine_witness_tensor(etas) -> np.ndarray:
     return np.diag([c, 0.0, c])
 
 
-# The north-pole output is affine in the free entries, A0 + sum_i f_i A_i; the
-# slopes A_i do not depend on the reduction factors, which enter A0 alone.
-UP_SLOPES = (np.array([_up_matrix(0.0, 0.0, unit) for unit in np.eye(len(FREE_PARAMETERS))])
-             - _up_matrix(0.0, 0.0, np.zeros(len(FREE_PARAMETERS))))
+# The north-pole output is affine in the reduction factors and the free
+# entries, A00 + eta1 E1 + eta2 E2 + sum_i f_i A_i, with A00 = I/4 and diagonal
+# E1, E2; the slopes E1, E2 and A_i are constants.
+ORIGIN = _up_matrix(0.0, 0.0, np.zeros(len(FREE_PARAMETERS)))
+UP_SLOPES = np.array([_up_matrix(0.0, 0.0, unit) for unit in np.eye(len(FREE_PARAMETERS))]) - ORIGIN
+ETA_SLOPES = np.array([_up_matrix(*unit, np.zeros(len(FREE_PARAMETERS))) for unit in np.eye(2)]) - ORIGIN
 
 
-def minimize(a0: np.ndarray, slopes: np.ndarray, budget: int, psd_tol: float):
-    """Barrier (Newton) solve of  max t  s.t.  A0 + sum_i f_i A_i - t I >= 0,  |f_i| <= 1.
+@dataclass(frozen=True)
+class Bracket:
+    """Outcome of one barrier solve (see minimize): lower <= optimum <= upper.
 
-    Minimizes  -s t - log det S - sum_i log(1 - f_i^2),  S = A0 + sum_i f_i A_i - t I,
-    by damped Newton steps from f = 0, multiplying s by BARRIER_GROWTH at every
-    centred iterate.  Each iterate gives two bounds on the optimum: the lower
-    bound lambda_min(A0 + sum_i f_i A_i), and the dual upper bound
-    Tr(W A0) + sum_i |Tr(W A_i)| of the certificate W = S^-1 / Tr S^-1.  The
-    upper bound holds because W is positive semidefinite with unit trace, so
-    lambda_min(X) <= Tr(W X), and every |f_i| <= 1.  The solve stops once the
-    best lower bound reaches -psd_tol, the best upper bound falls below
-    -psd_tol, the gap closes below GAP_TOL (certified, or on the central path,
-    where it is at most degree / s), or after ``budget`` iterates.
-
-    Returns (free entries of the best iterate, its lambda_min, the best upper
-    bound, its certificate W, iterates evaluated).
+    ``lower`` is attained at the free entries ``free``; ``upper`` is proved
+    by the positive semidefinite unit-trace ``certificate`` W.
     """
-    size, count = len(a0), len(slopes)
+
+    lower: float
+    upper: float
+    free: np.ndarray
+    certificate: np.ndarray | None
+    iterations: int
+
+
+def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0: float, budget: int, tol: float,
+             target: float | None = None) -> Bracket:
+    """Barrier (Newton) solve of  max x  s.t.  S = F0 + sum_i f_i A_i + x G >= 0,  |f_i| <= 1.
+
+    Minimizes  -s x - log det S - sum_i log(1 - f_i^2)  by damped Newton steps
+    from f = 0 and x = x0; s starts at Tr S^-1 (centred in x when G = -I) and
+    grows by BARRIER_GROWTH at every centred iterate.  Each iterate brackets
+    the optimum: below by the best x at its entries,
+    x + 1 / lambda_max(-S^-1/2 G S^-1/2); above, when Tr(W G) < 0, by
+    (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) for W = S^-1 / Tr S^-1, since W
+    is positive semidefinite, Tr(W S) >= 0 at every feasible point and every
+    |f_i| <= 1.  The solve stops once upper - lower <= tol (certified, or on
+    the central path, where the gap is at most degree / s), once the bracket
+    lies on one side of ``target`` when one is given, or after ``budget``
+    iterates.
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    size, count = len(f0), len(slopes)
     degree = size + 2 * count  # self-concordance parameter of the barrier
+    terms = np.concatenate([slopes, g[None]])
     free = best_free = np.zeros(count)
+    x, s = x0, None
     lower, upper, certificate = -np.inf, np.inf, None
-    t = s = None
     for iterate in range(1, budget + 1):
-        eigenvalues, vectors = np.linalg.eigh(a0 + np.tensordot(free, slopes, axes=1))
-        if eigenvalues[0] > lower:
-            lower, best_free = float(eigenvalues[0]), free
-        if t is None:
-            t = eigenvalues[0] - 1.0
-        slack = eigenvalues - t
+        slack, vectors = np.linalg.eigh(f0 + np.tensordot(free, slopes, axes=1) + x * g)
         if slack[0] <= 0.0:
-            break  # rounding carried t past lambda_min; S is no longer positive definite
+            break  # rounding carried x past the boundary; S is no longer positive definite
         inverse = 1.0 / slack
         total = inverse.sum()
         if s is None:
-            s = total  # the start is centred in t
+            s = total
+        # S^-1/2 B S^-1/2 for every B of (A_1, ..., G), in the eigenbasis of S.
+        root = np.sqrt(inverse)
+        blocks = (vectors.conj().T @ terms @ vectors) * np.outer(root, root)
+        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[-1])[0]
+        if best_x > lower:
+            lower, best_free = float(best_x), free
         w = (vectors * (inverse / total)) @ vectors.conj().T
-        traces = np.einsum("ab,iba->i", w, slopes).real
-        bound = float(np.einsum("ab,ba->", w, a0).real + np.abs(traces).sum())
-        if bound < upper:
-            upper, certificate = bound, w
-        if lower >= -psd_tol or upper < -psd_tol or upper - lower < GAP_TOL or s * GAP_TOL > degree:
+        traces = np.einsum("ab,iba->i", w, terms).real
+        if traces[-1] < 0.0:
+            bound = float((np.einsum("ab,ba->", w, f0).real + np.abs(traces[:-1]).sum()) / -traces[-1])
+            if bound < upper:
+                upper, certificate = bound, w
+        if (upper - lower <= tol or s * tol > degree
+                or target is not None and (lower >= target or upper < target)):
             break
 
-        # Newton step in (f, t); Hessian blocks Tr(S^-1 B_j S^-1 B_k) in the eigenbasis of S.
-        rotated = vectors.conj().T @ slopes @ vectors
-        root = np.sqrt(inverse)
-        blocks = np.concatenate([rotated, -np.eye(size)[None]]) * np.outer(root, root)
+        # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
         flat = blocks.reshape(count + 1, -1)
         hessian = (flat @ flat.conj().T).real
-        gradient = np.append(-total * traces, total - s)
+        gradient = -total * traces
+        gradient[count] -= s
         gradient[:count] += 2 * free / (1 - free**2)
         hessian[np.arange(count), np.arange(count)] += 2 * (1 + free**2) / (1 - free**2) ** 2
         try:
@@ -292,10 +312,21 @@ def minimize(a0: np.ndarray, slopes: np.ndarray, budget: int, psd_tol: float):
         candidate = free + damping * step[:count]
         if not (np.all(np.isfinite(step)) and np.all(np.abs(candidate) < 1.0)):
             break  # the Newton system has lost its precision
-        free, t = candidate, t + damping * step[count]
+        free, x = candidate, x + damping * step[count]
         if decrement < CENTRED_DECREMENT:
             s *= BARRIER_GROWTH
-    return best_free, lower, upper, certificate, iterate
+    return Bracket(lower, upper, best_free, certificate, iterate)
+
+
+def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET, target: float | None = None) -> Bracket:
+    """Bracket the largest minimum eigenvalue of the north-pole output over the seven free entries.
+
+    The solve of minimize with G = -I from x = lambda_min(A0) - 1, to a gap of
+    GAP_TOL or, given a ``target``, until the bracket lies on one side of it.
+    """
+    eta1, eta2 = _validate_etas(etas)
+    a0 = _up_matrix(eta1, eta2, np.zeros(len(FREE_PARAMETERS)))
+    return minimize(a0, UP_SLOPES, -np.eye(len(a0)), np.linalg.eigvalsh(a0)[0] - 1.0, budget, GAP_TOL, target)
 
 
 @dataclass(frozen=True)
@@ -319,64 +350,38 @@ class FeasibilityReport:
 def feasibility(etas, budget: int = DEFAULT_BUDGET, psd_tol: float = DEFAULT_PSD_TOL) -> FeasibilityReport:
     """Decide whether some choice of the seven free entries makes the north-pole output PSD.
 
-    Runs the barrier solve (see minimize); ``budget`` caps its iterates, one
-    eigen-decomposition each.  A feasible verdict comes with a witness whose
-    minimum eigenvalue is at least -psd_tol.  An infeasible verdict is
-    certified by upper_bound < -psd_tol unless the optimum lies within the
-    solver's resolution of -psd_tol, where the verdict rests on the best
-    iterate alone.
+    Runs the barrier solve (see eigenvalue_bracket) with the target -psd_tol;
+    ``budget`` caps its iterates, one eigen-decomposition each.  A feasible
+    verdict comes with a witness whose minimum eigenvalue is at least
+    -psd_tol.  An infeasible verdict is certified by upper_bound < -psd_tol
+    unless the optimum lies within the solver's resolution of -psd_tol, where
+    the verdict rests on the best iterate alone.
     """
-    eta1, eta2 = _validate_etas(etas)
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    free, lower, upper, certificate, iterates = minimize(
-        _up_matrix(eta1, eta2, np.zeros(len(FREE_PARAMETERS))), UP_SLOPES, budget, psd_tol)
+    solve = eigenvalue_bracket(etas, budget, target=-psd_tol)
     return FeasibilityReport(
-        feasible=lower >= -psd_tol,
-        best_min_eigenvalue=lower,
-        witness=constrain_tensor(free),
-        evaluations=iterates,
-        upper_bound=upper,
-        certificate=certificate,
+        feasible=solve.lower >= -psd_tol,
+        best_min_eigenvalue=solve.lower,
+        witness=constrain_tensor(solve.free),
+        evaluations=solve.iterations,
+        upper_bound=solve.upper,
+        certificate=solve.certificate,
     )
 
 
 def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET,
-               psd_tol: float = DEFAULT_PSD_TOL, max_iterations: int = 20, verdicts: list | None = None) -> float:
-    """Largest feasible radius along the ray (r cos(phi), r sin(phi)) of the unit square.
+               brackets: list | None = None) -> float:
+    """Largest feasible radius along the ray (r cos(phi), r sin(phi)), from one barrier solve.
 
-    Bisects between a feasible radius and an infeasible one; the attainable
-    boundary is the unit circle, so the result is 1 within ``radius_tol`` for
-    every direction.  Every FeasibilityReport of the search is appended to
-    ``verdicts`` when one is given.
+    Along the ray the north-pole output is A00 + r B(phi) + sum_i f_i A_i, with
+    B(phi) = cos(phi) E1 + sin(phi) E2: minimize with G = B(phi), from r = 0
+    until the certified bracket is at most ``radius_tol`` wide.  Returns its
+    lower end, attained by its free entries, and appends the Bracket to
+    ``brackets`` when a list is given.  The boundary is the unit circle.
     """
     if not (0.0 <= phi <= np.pi / 2):
         raise ValueError(f"direction must lie in [0, pi/2], got {phi}")
-    cos_phi, sin_phi = float(np.cos(phi)), float(np.sin(phi))
-
-    caps = [np.sqrt(2.0)]
-    if cos_phi > 1e-12:
-        caps.append(1.0 / cos_phi)
-    if sin_phi > 1e-12:
-        caps.append(1.0 / sin_phi)
-    cap = min(caps)
-
-    def is_feasible(radius: float) -> bool:
-        etas = (min(radius * cos_phi, 1.0), min(radius * sin_phi, 1.0))
-        report = feasibility(etas, budget=budget, psd_tol=psd_tol)
-        if verdicts is not None:
-            verdicts.append(report)
-        return report.feasible
-
-    if is_feasible(cap):
-        return cap
-    lo, hi = 0.0, cap
-    for _ in range(max_iterations):
-        if hi - lo <= radius_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if is_feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    direction = np.cos(phi) * ETA_SLOPES[0] + np.sin(phi) * ETA_SLOPES[1]
+    bracket = minimize(ORIGIN, UP_SLOPES, direction, 0.0, budget, radius_tol)
+    if brackets is not None:
+        brackets.append(bracket)
+    return bracket.lower

@@ -134,8 +134,12 @@ class TestBoundSweepCommand:
         captured = capsys.readouterr()
         progress = captured.err.splitlines()[1:]
         assert len(progress) == 3
-        assert progress[0].startswith("phi=0.000000  radius=1.000000  verdicts=1  iterations=1")
-        assert re.search(r"last infeasible bracket \[-[0-9.e+-]+, -[0-9.e+-]+\]$", progress[1])
+        for line, phi in zip(progress, ("0.000000", "0.785398", "1.570796")):
+            match = re.fullmatch(rf"phi={phi}  radius=\[([0-9.]+), ([0-9.]+)\]  iterations=([0-9]+)", line)
+            assert match, line
+            lower, upper, iterations = float(match[1]), float(match[2]), int(match[3])
+            assert lower <= 1.0 <= upper and upper - lower <= 1e-3, line
+            assert 1 <= iterations <= 20, line
         assert captured.out.startswith(BOUND_SWEEP_HEADER + "\n")
 
     def test_unwritable_path_exits_2(self, capsys):

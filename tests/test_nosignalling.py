@@ -11,11 +11,13 @@ import circleclone
 from circleclone.cloner import clone, coefficients, reduced_clones
 from circleclone.linalg import is_psd
 from circleclone.nosignalling import (
+    DEFAULT_RADIUS_TOL,
     DOWN,
     LEFT,
     RIGHT,
     UP,
     FeasibilityReport,
+    _up_matrix,
     bound_rhs,
     build_joint_output,
     constrain_tensor,
@@ -375,6 +377,25 @@ class TestMaxRadius:
     def test_diagonal_direction(self):
         found = max_radius(np.pi / 4, budget=800)
         assert abs(found - 1.0) <= 2e-3
+
+    @pytest.mark.parametrize("phi", np.linspace(0, np.pi / 2, 9))  # the directions of bound-sweep --n-phi 9
+    def test_certified_bracket_holds_the_circle(self, phi):
+        brackets = []
+        found = max_radius(phi, brackets=brackets)
+        (bracket,) = brackets
+        assert found == bracket.lower
+        assert bracket.lower <= 1 + 1e-12 and 1 <= bracket.upper
+        assert bracket.upper - bracket.lower <= DEFAULT_RADIUS_TOL
+        # _up_matrix, not positivity_matrix_up: on the axes the lower end is 1 + 2.2e-16.
+        witness = _up_matrix(bracket.lower * np.cos(phi), bracket.lower * np.sin(phi), bracket.free)
+        assert np.linalg.eigvalsh(witness)[0] >= -1e-12
+        w = bracket.certificate
+        assert np.linalg.eigvalsh(w)[0] >= 0.0
+        a0, slopes = north_pole_terms((0.0, 0.0))
+        direction = positivity_matrix_up((np.cos(phi), np.sin(phi)), np.zeros((3, 3))) - a0
+        bound = ((np.trace(w @ a0).real + sum(abs(np.trace(w @ a).real) for a in slopes))
+                 / -np.trace(w @ direction).real)
+        assert abs(bound - bracket.upper) <= 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -8,9 +8,11 @@ from circleclone.verify import (
     RunConfig,
     check_bound_attainment,
     check_bound_soundness,
+    check_circle_recovery,
     check_covariance_relations,
     check_fidelity_law,
     check_no_signalling_violation,
+    check_on_circle_feasibility,
     check_separability_ppt,
 )
 
@@ -50,6 +52,18 @@ class TestBoundSoundness:
         true_rhs = nosignalling.bound_rhs
         monkeypatch.setattr(nosignalling, "bound_rhs", lambda t: true_rhs(t) - 1e-7)
         assert not check_bound_soundness(RunConfig(), np.random.default_rng(0)).passed
+
+
+class TestSolverChecks:
+    def test_on_circle_feasibility_measures_the_solve(self):
+        # Solved to the gap, the on-circle optimum 0 is met far inside psd_tol.
+        result = check_on_circle_feasibility(RunConfig(), np.random.default_rng(0))
+        assert result.passed
+        assert abs(result.measured) <= 1e-10
+
+    def test_circle_recovery_reads_both_ends_of_each_bracket(self):
+        # At radius_tol 5e-3 every lower end lies within 1e-3 of 1, but some upper ends do not lie within 2e-3.
+        assert not check_circle_recovery(RunConfig(radius_tol=5e-3), np.random.default_rng(0)).passed
 
 
 class TestSampleStream:
