@@ -214,10 +214,15 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
 
 
 def isotropy_scan(etas, samples: int) -> float:
-    """Worst isotropy residual of either clone over ``samples`` angles uniform in [0, 2*pi)."""
+    """Worst isotropy residual of either clone over ``samples`` evenly spaced angles.
+
+    The angles (k + 1/4) 2 pi / samples sit a quarter step off the cardinal
+    ones, so every grid holds an angle off both axes: at the cardinal inputs
+    alone the shrink fitted at each angle would hide the anisotropy.
+    """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    thetas = (np.arange(samples) + 0.25) * (2 * np.pi / samples)
     kets = great_circle_ket(thetas)
     rho_o, rho_b, _ = reduced_clones(clone(thetas, coefficients(etas)))
     clones = np.stack([rho_o, rho_b])  # (2, samples, 2, 2); the kets broadcast over the first axis

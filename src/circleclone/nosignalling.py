@@ -202,10 +202,14 @@ def positivity_matrix_up(etas, t: np.ndarray) -> np.ndarray:
     return _up_matrix(eta1, eta2, np.broadcast_to(free, shape + free.shape[-1:]))
 
 
-def bound_rhs(t: np.ndarray) -> float:
-    """Upper bound on eta1^2 + eta2^2 implied by positivity: 1 - t_yy^2 - t_xy^2 - t_yx^2 - t_yz^2 - t_zy^2."""
+def bound_rhs(t: np.ndarray):
+    """Upper bound on eta1^2 + eta2^2 implied by positivity: 1 - t_yy^2 - t_xy^2 - t_yx^2 - t_yz^2 - t_zy^2.
+
+    A (..., 3, 3) stack of tensors gives one bound per tensor.
+    """
     t = np.asarray(t, dtype=float)
-    return float(1.0 - t[1, 1] ** 2 - t[0, 1] ** 2 - t[1, 0] ** 2 - t[1, 2] ** 2 - t[2, 1] ** 2)
+    return (1.0 - t[..., 1, 1] ** 2 - t[..., 0, 1] ** 2 - t[..., 1, 0] ** 2
+            - t[..., 1, 2] ** 2 - t[..., 2, 1] ** 2)[()]
 
 
 def machine_witness_tensor(etas) -> np.ndarray:
@@ -215,14 +219,18 @@ def machine_witness_tensor(etas) -> np.ndarray:
     cloning machine's north-pole output at (eta1/r, eta2/r) on the unit
     circle.  It describes the convex blend of that machine output with the
     maximally mixed state, hence is always realizable by a positive
-    semidefinite output.
+    semidefinite output.  Reduction factors (..., 2) give (..., 3, 3); they
+    are rejected if any point lies outside the disk.
     """
     eta1, eta2 = _validate_etas(etas)
-    radius = float(np.hypot(eta1, eta2))
-    if radius > 1.0 + 1e-9:
-        raise ValueError(f"no mixture witness outside the unit disk: radius {radius:.6f}")
-    c = eta1 * eta2 / radius if radius > 0.0 else 0.0
-    return np.diag([c, 0.0, c])
+    radius = np.hypot(eta1, eta2)
+    outside = radius > 1.0 + 1e-9
+    if np.any(outside):
+        raise ValueError(f"no mixture witness outside the unit disk: radius {float(_first_where(outside, radius)):.6f}")
+    inside = radius > 0.0
+    c = np.where(inside, eta1 * eta2 / np.where(inside, radius, 1.0), 0.0)
+    zero = np.zeros_like(c)
+    return _stack_last([[c, zero, zero], [zero, zero, zero], [zero, zero, c]], 2)
 
 
 # The north-pole output is affine in the reduction factors and the free

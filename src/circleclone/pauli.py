@@ -42,14 +42,20 @@ def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
 
 
 def bloch_to_density(m) -> np.ndarray:
-    """Single-qubit density matrix (I + m . sigma) / 2."""
+    """Single-qubit density matrix (I + m . sigma) / 2.
+
+    A (..., 3) stack of Bloch vectors gives (..., 2, 2); it is rejected if any
+    vector is longer than 1.
+    """
     m = np.asarray(m, dtype=float)
-    if m.shape != (3,):
+    if m.ndim < 1 or m.shape[-1] != 3:
         raise ValueError(f"Bloch vector must have 3 real components, got shape {m.shape}")
-    norm = float(np.linalg.norm(m))
-    if norm > 1 + BLOCH_NORM_ATOL:
-        raise ValueError(f"unphysical Bloch vector: |m| = {norm:.12f} exceeds 1")
-    return 0.5 * (IDENTITY_2 + m[0] * SIGMA_X + m[1] * SIGMA_Y + m[2] * SIGMA_Z)
+    norms = np.linalg.norm(m, axis=-1)
+    unphysical = norms > 1 + BLOCH_NORM_ATOL
+    if unphysical.any():
+        raise ValueError(f"unphysical Bloch vector: |m| = {float(_first_where(unphysical, norms)):.12f} exceeds 1")
+    x, y, z = (m[..., i, None, None] for i in range(3))
+    return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:

@@ -67,6 +67,8 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
 
     Kept separate from linalg.partial_trace on purpose; the two routes share
     no code and are compared against each other by the oracle checks.
+    Leading axes are batch axes: each index sum adds whole columns
+    rho[..., row, col] of a (..., D, D) stack, so the loops run once per call.
     """
     rho = np.asarray(rho, dtype=complex)
     if isinstance(keep, (int, np.integer)):
@@ -82,7 +84,7 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
         return value
 
     kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    out = np.zeros((kept_dim, kept_dim), dtype=complex)
+    out = np.zeros(rho.shape[:-2] + (kept_dim, kept_dim), dtype=complex)
     kept_ranges = [range(dims[k]) for k in keep]
     traced_ranges = [range(dims[i]) for i in traced]
     for row_kept in itertools.product(*kept_ranges):
@@ -97,25 +99,31 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
                 for position, subsystem in enumerate(traced):
                     row[subsystem] = traced_index[position]
                     col[subsystem] = traced_index[position]
-                total += rho[flat(row), flat(col)]
+                total += rho[..., flat(row), flat(col)]
             row_out = 0
             col_out = 0
             for position, subsystem in enumerate(keep):
                 row_out = row_out * dims[subsystem] + row_kept[position]
                 col_out = col_out * dims[subsystem] + col_kept[position]
-            out[row_out, col_out] = total
+            out[..., row_out, col_out] = total
     return out
 
 
-def _random_hermitian(rng, n: int) -> np.ndarray:
-    m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-    return (m + m.conj().T) / 2
+def _random_matrices(draws: np.ndarray, n: int) -> np.ndarray:
+    """Complex n x n matrices from rows of 2 n^2 draws: the real parts, then the imaginary parts, row-major."""
+    parts = draws.reshape(draws.shape[:-1] + (2, n, n))
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
 
 
-def _random_density(rng, n: int) -> np.ndarray:
-    m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
-    rho = m @ m.conj().T
-    return rho / np.trace(rho).real
+def _random_hermitian(draws: np.ndarray, n: int) -> np.ndarray:
+    m = _random_matrices(draws, n)
+    return (m + m.conj().swapaxes(-2, -1)) / 2
+
+
+def _random_density(draws: np.ndarray, n: int) -> np.ndarray:
+    m = _random_matrices(draws, n)
+    rho = m @ m.conj().swapaxes(-2, -1)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 # Ranges of the sampled quantities, as (low, high) for _uniform.
@@ -145,47 +153,36 @@ def _circle_etas(phi) -> np.ndarray:
 
 
 def check_kron_associativity(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 50)):
-        a, b, c = (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) for _ in range(3))
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        worst = max(worst, float(np.max(np.abs(left - right))))
-    return CheckResult("kron_associativity", worst, 1e-14)
+    draws = rng.uniform(-1, 1, (_count(config, 50), 3, 2 * 2 * 2))
+    a, b, c = np.moveaxis(_random_matrices(draws, 2), 1, 0)
+    left = linalg.kron(linalg.kron(a, b), c)
+    right = linalg.kron(a, linalg.kron(b, c))
+    return CheckResult("kron_associativity", float(np.max(np.abs(left - right))), 1e-14)
 
 
 def check_eigenvalue_rotation_invariance(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        m = _random_hermitian(rng, 4)
-        u = linalg.kron(pauli.rotation_unitary(rng.uniform(0, 2 * np.pi)),
-                        pauli.rotation_unitary(rng.uniform(0, 2 * np.pi)))
-        before = linalg.hermitian_eigenvalues(m)
-        after = linalg.hermitian_eigenvalues(u @ m @ u.conj().T)
-        worst = max(worst, float(np.max(np.abs(before - after))))
-    return CheckResult("eigenvalue_rotation_invariance", worst, 1e-9)
+    draws = _uniform(rng, _count(config, 200), *[ENTRY] * 32, ANGLE, ANGLE)
+    m = _random_hermitian(draws[:, :32], 4)
+    u = linalg.kron(pauli.rotation_unitary(draws[:, 32]), pauli.rotation_unitary(draws[:, 33]))
+    before = linalg.hermitian_eigenvalues(m)
+    after = linalg.hermitian_eigenvalues(u @ m @ u.conj().swapaxes(-2, -1))
+    return CheckResult("eigenvalue_rotation_invariance", float(np.max(np.abs(before - after))), 1e-9)
 
 
 def check_partial_trace_state_contract(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        rho = _random_density(rng, 4)
-        for keep in (0, 1):
-            reduced = linalg.partial_trace(rho, keep, [2, 2])
-            worst = max(worst, linalg.hermiticity_defect(reduced))
-            worst = max(worst, abs(float(np.trace(reduced).real) - 1.0))
-    return CheckResult("partial_trace_state_contract", worst, 1e-12)
+    rho = _random_density(_uniform(rng, _count(config, 200), *[ENTRY] * 32), 4)
+    reduced = np.stack([linalg.partial_trace(rho, keep, [2, 2]) for keep in (0, 1)])
+    worst = max(np.max(linalg.hermiticity_defect(reduced)),
+                np.max(np.abs(np.trace(reduced, axis1=-2, axis2=-1).real - 1.0)))
+    return CheckResult("partial_trace_state_contract", float(worst), 1e-12)
 
 
 def check_oracle_partial_trace(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 100)):
-        rho = _random_hermitian(rng, 8)
-        for keep in (0, 1, 2, (0, 1), (0, 2), (1, 2)):
-            fast = linalg.partial_trace(rho, keep, [2, 2, 2])
-            slow = reference_partial_trace(rho, keep, [2, 2, 2])
-            worst = max(worst, float(np.max(np.abs(fast - slow))))
-    return CheckResult("oracle_partial_trace", worst, 1e-12)
+    rho = _random_hermitian(_uniform(rng, _count(config, 100), *[ENTRY] * 128), 8)
+    worst = max(np.max(np.abs(linalg.partial_trace(rho, keep, [2, 2, 2])
+                              - reference_partial_trace(rho, keep, [2, 2, 2])))
+                for keep in (0, 1, 2, (0, 1), (0, 2), (1, 2)))
+    return CheckResult("oracle_partial_trace", float(worst), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -193,37 +190,35 @@ def check_oracle_partial_trace(config: RunConfig, rng) -> CheckResult:
 
 
 def check_bloch_conjugation_consistency(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        m = rng.uniform(-1, 1, 3)
-        m *= rng.uniform(0, 1) / max(np.linalg.norm(m), 1e-12)
-        beta = rng.uniform(0, 2 * np.pi)
-        u = pauli.rotation_unitary(beta)
-        conjugated = pauli.density_to_bloch(u @ pauli.bloch_to_density(m) @ u.conj().T)
-        worst = max(worst, float(np.max(np.abs(conjugated - pauli.rotate_bloch(m, beta)))))
+    draws = _uniform(rng, _count(config, 200), ENTRY, ENTRY, ENTRY, UNIT, ANGLE)
+    m, length, beta = draws[:, :3], draws[:, 3], draws[:, 4]
+    # Each norm by matmul, whose vector-by-vector case is the dot product that
+    # np.linalg.norm takes for a single vector, so every row scales as one vector does.
+    norms = np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
+    m = m * (length / np.maximum(norms, 1e-12))[:, None]
+    u = pauli.rotation_unitary(beta)
+    conjugated = pauli.density_to_bloch(u @ pauli.bloch_to_density(m) @ u.conj().swapaxes(-2, -1))
+    worst = float(np.max(np.abs(conjugated - pauli.rotate_bloch(m, beta))))
     return CheckResult("bloch_conjugation_consistency", worst, 1e-12)
 
 
 def check_pauli_roundtrip(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        m = _random_hermitian(rng, 4)
-        worst = max(worst, float(np.max(np.abs(pauli.pauli_decompose(m).reconstruct() - m))))
+    m = _random_hermitian(_uniform(rng, _count(config, 200), *[ENTRY] * 32), 4)
+    worst = float(np.max(np.abs(pauli.pauli_decompose(m).reconstruct() - m)))
     return CheckResult("pauli_roundtrip", worst, 1e-12)
 
 
 def check_rotation_composition(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        b1, b2 = rng.uniform(0, 2 * np.pi, 2)
-        product = pauli.rotation_unitary(b1) @ pauli.rotation_unitary(b2)
-        total = pauli.rotation_unitary(b1 + b2)
-        worst = max(worst, min(float(np.max(np.abs(product - total))),
-                               float(np.max(np.abs(product + total)))))
-        m = rng.uniform(-1, 1, 3)
-        two_step = pauli.rotate_bloch(pauli.rotate_bloch(m, b1), b2)
-        worst = max(worst, float(np.max(np.abs(two_step - pauli.rotate_bloch(m, b1 + b2)))))
-    return CheckResult("rotation_composition", worst, 1e-12)
+    draws = _uniform(rng, _count(config, 200), ANGLE, ANGLE, ENTRY, ENTRY, ENTRY)
+    b1, b2, m = draws[:, 0], draws[:, 1], draws[:, 2:]
+    product = pauli.rotation_unitary(b1) @ pauli.rotation_unitary(b2)
+    total = pauli.rotation_unitary(b1 + b2)
+    # SU(2) covers SO(3) twice: the composed unitary may differ from the total one by a sign.
+    unitary = np.minimum(np.max(np.abs(product - total), axis=(-2, -1)),
+                         np.max(np.abs(product + total), axis=(-2, -1)))
+    two_step = pauli.rotate_bloch(pauli.rotate_bloch(m, b1), b2)
+    worst = max(np.max(unitary), np.max(np.abs(two_step - pauli.rotate_bloch(m, b1 + b2))))
+    return CheckResult("rotation_composition", float(worst), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -263,32 +258,51 @@ def check_no_signalling_violation(config: RunConfig, rng) -> CheckResult:
     return CheckResult("no_signalling_violation", smallest, 1e-12, direction=">=")
 
 
+def _soundness_attempts(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eta1^2 + eta2^2 - bound_rhs(t), whether the north-pole output is PSD) of each row of 10 uniform draws.
+
+    Column 0 is a coin between the two samplers, columns 1-2 place the point
+    and columns 3-9 give the seven free entries.  Each column is mapped as
+    ``low + (high - low) * u``, the arithmetic of ``rng.uniform(low, high)``.
+    """
+    def scaled(columns, low, high):
+        return low + (high - low) * columns
+
+    # Just inside the circle, where the bound is tight, with the witness
+    # perturbed in proportion to the distance from the circle.
+    gap = 10 ** scaled(u[:, 1], -8, -1)
+    near = (1 - gap)[:, None] * _circle_etas(scaled(u[:, 2], 0, np.pi / 2))
+    witness = nosignalling.free_parameters(nosignalling.machine_witness_tensor(near))
+    perturbed = np.clip(witness + gap[:, None] * scaled(u[:, 3:], -0.1, 0.1), -1, 1)
+    # Or anywhere in a box well inside the disk.
+    tight = u[:, :1] < 0.5
+    etas = np.where(tight, near, scaled(u[:, 1:3], 0, 0.45))
+    t = nosignalling.constrain_tensor(np.where(tight, perturbed, scaled(u[:, 3:], -0.3, 0.3)))
+    lowest = linalg.hermitian_eigenvalues(nosignalling.positivity_matrix_up(etas, t))[:, 0]
+    return etas[:, 0] ** 2 + etas[:, 1] ** 2 - nosignalling.bound_rhs(t), lowest >= -1e-10
+
+
 def check_bound_soundness(config: RunConfig, rng) -> CheckResult:
-    worst = -np.inf
-    accepted = 0
+    # A rejection sampler: attempts run until `target` are accepted, or give
+    # up after `limit`.  Attempts are evaluated in doubling blocks from one
+    # snapshot of the generator, which is then left where the attempt-by-
+    # attempt loop stops: just after the target-th accepted attempt.
     target = _count(config, 200)
-    attempts = 0
-    while accepted < target and attempts < 50 * target:
-        attempts += 1
-        if rng.uniform() < 0.5:
-            # Just inside the circle, where the bound is tight, with the witness
-            # perturbed in proportion to the distance from the circle.
-            gap = 10 ** rng.uniform(-8, -1)
-            phi = rng.uniform(0, np.pi / 2)
-            etas = ((1 - gap) * np.cos(phi), (1 - gap) * np.sin(phi))
-            free = nosignalling.free_parameters(nosignalling.machine_witness_tensor(etas))
-            free = np.clip(free + gap * rng.uniform(-0.1, 0.1, 7), -1, 1)
-        else:
-            etas = rng.uniform(0, 0.45, 2)
-            free = rng.uniform(-0.3, 0.3, 7)
-        t = nosignalling.constrain_tensor(free)
-        psd, _ = linalg.is_psd(nosignalling.positivity_matrix_up(etas, t), tol=1e-10)
-        if not psd:
-            continue
-        accepted += 1
-        worst = max(worst, etas[0] ** 2 + etas[1] ** 2 - nosignalling.bound_rhs(t))
-    if accepted < target:
-        worst = np.inf  # sampler starved; surface it as a failure
+    limit = 50 * target
+    start = rng.bit_generator.state
+    rows = 2 * target
+    while True:
+        excess, accepted = _soundness_attempts(rng.random((rows, 10)))
+        starved = np.count_nonzero(accepted) < target
+        if not starved or rows == limit:
+            break
+        rng.bit_generator.state = start
+        rows = min(2 * rows, limit)
+    used = limit if starved else int(np.flatnonzero(accepted)[target - 1]) + 1
+    rng.bit_generator.state = start
+    rng.random((used, 10))
+    # A starved sampler surfaces as a failure.
+    worst = np.inf if starved else float(np.max(excess[:used][accepted[:used]]))
     return CheckResult("bound_soundness", worst, 1e-8)
 
 
@@ -378,16 +392,13 @@ def check_machine_covariance(config: RunConfig, rng) -> CheckResult:
 
 
 def check_reduced_clone_oracle(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(_count(config, 200)):
-        coeffs = cloner.coefficients(rng.uniform(0, 1, 2))
-        state = cloner.clone(rng.uniform(0, 2 * np.pi), coeffs)
-        rho = np.outer(state, state.conj())
-        rho_o, rho_b, rho_ob = cloner.reduced_clones(state)
-        worst = max(worst, float(np.max(np.abs(rho_o - reference_partial_trace(rho, 0, [2, 2, 2])))))
-        worst = max(worst, float(np.max(np.abs(rho_b - reference_partial_trace(rho, 1, [2, 2, 2])))))
-        worst = max(worst, float(np.max(np.abs(rho_ob - reference_partial_trace(rho, (0, 1), [2, 2, 2])))))
-    return CheckResult("reduced_clone_oracle", worst, 1e-12)
+    draws = _uniform(rng, _count(config, 200), UNIT, UNIT, ANGLE)
+    state = cloner.clone(draws[:, 2], cloner.coefficients(draws[:, :2]))
+    rho = state[:, :, None] * state[:, None, :].conj()
+    reduced = cloner.reduced_clones(state)
+    worst = max(np.max(np.abs(clone - reference_partial_trace(rho, keep, [2, 2, 2])))
+                for clone, keep in zip(reduced, (0, 1, (0, 1))))
+    return CheckResult("reduced_clone_oracle", float(worst), 1e-12)
 
 
 def check_isotropy_on_circle(config: RunConfig, rng) -> CheckResult:

@@ -18,21 +18,25 @@ from circleclone.cloner import (
 from circleclone.linalg import hermiticity_defect, hermitian_eigenvalues, kron
 from circleclone.nosignalling import (
     UP,
+    bound_rhs,
     build_joint_output,
     constrain_tensor,
     covariance_residual,
     free_parameters,
+    machine_witness_tensor,
     no_signalling_residual,
     positivity_matrix_up,
     rotate_correlations,
 )
 from circleclone.pauli import (
+    bloch_to_density,
     density_to_bloch,
     great_circle_bloch,
     pauli_decompose,
     rotate_bloch,
     rotation_unitary,
 )
+from circleclone.verify import reference_partial_trace
 
 RNG = np.random.default_rng(2026)
 N = 7
@@ -109,6 +113,17 @@ class TestLinalg:
 
 
 class TestPauli:
+    def test_bloch_to_density(self):
+        vectors = RNG.uniform(-1, 1, (N, 3)) / 2
+        batched = bloch_to_density(vectors)
+        assert batched.shape == (N, 2, 2)
+        assert_rows_match(batched, [bloch_to_density(m) for m in vectors], tol=0.0)
+
+    def test_bloch_to_density_unphysical_row(self):
+        bad = np.array([1.0, 0.0, 0.1])
+        stack = with_bad_row(RNG.uniform(-1, 1, (N, 3)) / 2, bad)
+        assert_same_error(lambda: bloch_to_density(bad), lambda: bloch_to_density(stack))
+
     def test_density_to_bloch(self):
         stack = random_density(N, 2)
         batched = density_to_bloch(stack)
@@ -318,8 +333,34 @@ class TestNoSignalling:
         etas, t = RNG.uniform(0, 1, (N, 2)), random_constrained(1)[0]
         assert_rows_match(positivity_matrix_up(etas, t), [positivity_matrix_up(e, t) for e in etas], tol=0.0)
 
+    def test_bound_rhs(self):
+        t = RNG.uniform(-1, 1, (N, 3, 3))
+        batched = bound_rhs(t)
+        assert batched.shape == (N,)
+        assert_rows_match(batched, [bound_rhs(x) for x in t], tol=0.0)
+
+    def test_machine_witness_tensor(self):
+        etas = with_bad_row(RNG.uniform(0, 0.7, (N, 2)), (0.0, 0.0))  # the centre takes the c = 0 branch
+        batched = machine_witness_tensor(etas)
+        assert batched.shape == (N, 3, 3)
+        assert_rows_match(batched, [machine_witness_tensor(e) for e in etas], tol=0.0)
+
+    def test_machine_witness_tensor_outside_row(self):
+        bad = np.array([0.9, 0.9])
+        stack = with_bad_row(RNG.uniform(0, 0.7, (N, 2)), bad)
+        assert_same_error(lambda: machine_witness_tensor(bad), lambda: machine_witness_tensor(stack))
+
     def test_positivity_matrix_up_unconstrained_row(self):
         bad = np.zeros((3, 3))
         bad[0, 0] = 0.5  # t_zz left at 0
         etas, t = RNG.uniform(0, 1, (N, 2)), with_bad_row(random_constrained(N), bad)
         assert_same_error(lambda: positivity_matrix_up(etas[3], bad), lambda: positivity_matrix_up(etas, t))
+
+
+class TestVerify:
+    @pytest.mark.parametrize("keep", [0, 1, 2, (0, 1), (0, 2), (1, 2), (0, 1, 2)], ids=str)
+    def test_reference_partial_trace(self, keep):
+        stack = random_matrices(5, 8)
+        batched = reference_partial_trace(stack, keep, [2, 2, 2])
+        assert batched.shape[0] == 5
+        assert_rows_match(batched, [reference_partial_trace(rho, keep, [2, 2, 2]) for rho in stack], tol=0.0)

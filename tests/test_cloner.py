@@ -247,7 +247,7 @@ class TestIsotropyScan:
     def test_matches_per_angle_oracle_loop(self, etas):
         coeffs = coefficients(etas)
         worst = 0.0
-        for theta in np.linspace(0.0, 2 * np.pi, 50, endpoint=False):
+        for theta in (np.arange(50) + 0.25) * (2 * np.pi / 50):
             ket = great_circle_ket(theta)
             state = clone(theta, coeffs)
             rho = np.outer(state, state.conj())

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
 
-from circleclone import nosignalling
+from circleclone import cloner, linalg, nosignalling, pauli
 from circleclone.cloner import clone_report
 from circleclone.pauli import great_circle_bloch
 from circleclone.verify import (
     RunConfig,
+    check_bloch_conjugation_consistency,
     check_bound_attainment,
     check_bound_soundness,
     check_circle_recovery,
     check_covariance_relations,
+    check_eigenvalue_rotation_invariance,
     check_fidelity_law,
+    check_isotropy_off_circle,
+    check_kron_associativity,
     check_no_signalling_violation,
     check_on_circle_feasibility,
+    check_oracle_partial_trace,
+    check_partial_trace_state_contract,
+    check_pauli_roundtrip,
+    check_reduced_clone_oracle,
+    check_rotation_composition,
     check_separability_ppt,
+    reference_partial_trace,
 )
 
 
@@ -53,6 +63,15 @@ class TestBoundSoundness:
         monkeypatch.setattr(nosignalling, "bound_rhs", lambda t: true_rhs(t) - 1e-7)
         assert not check_bound_soundness(RunConfig(), np.random.default_rng(0)).passed
 
+    def test_starved_sampler_fails_after_every_attempt(self, monkeypatch):
+        # No attempt is accepted: the check reports inf once all 50 * 2 attempts are drawn.
+        monkeypatch.setattr(nosignalling, "positivity_matrix_up",
+                            lambda etas, t: np.broadcast_to(-np.eye(4), np.shape(etas)[:-1] + (4, 4)))
+        batched, looped = np.random.default_rng(3), np.random.default_rng(3)
+        assert check_bound_soundness(RunConfig(samples=2), batched).measured == np.inf
+        assert TestSampleStream.loop_bound_soundness(looped, target=2) == np.inf
+        assert batched.random() == looped.random()
+
 
 class TestSolverChecks:
     def test_on_circle_feasibility_measures_the_solve(self):
@@ -64,6 +83,24 @@ class TestSolverChecks:
     def test_circle_recovery_reads_both_ends_of_each_bracket(self):
         # At radius_tol 5e-3 every lower end lies within 1e-3 of 1, but some upper ends do not lie within 2e-3.
         assert not check_circle_recovery(RunConfig(radius_tol=5e-3), np.random.default_rng(0)).passed
+
+
+class TestIsotropyChecks:
+    @pytest.mark.parametrize("samples", [2, 3, 4])
+    def test_off_circle_anisotropy_shows_on_small_grids(self, samples):
+        result = check_isotropy_off_circle(RunConfig(samples=samples), np.random.default_rng(0))
+        assert result.passed
+
+
+def scalar_hermitian(rng, n):
+    m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    return (m + m.conj().T) / 2
+
+
+def scalar_density(rng, n):
+    m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+    rho = m @ m.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestSampleStream:
@@ -130,6 +167,138 @@ class TestSampleStream:
             smallest = min(smallest, nosignalling.no_signalling_residual(etas, t))
         return smallest
 
+    @staticmethod
+    def loop_kron_associativity(rng):
+        worst = 0.0
+        for _ in range(50):
+            a, b, c = (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) for _ in range(3))
+            left = linalg.kron(linalg.kron(a, b), c)
+            right = linalg.kron(a, linalg.kron(b, c))
+            worst = max(worst, float(np.max(np.abs(left - right))))
+        return worst
+
+    @staticmethod
+    def loop_eigenvalue_rotation_invariance(rng):
+        worst = 0.0
+        for _ in range(200):
+            m = scalar_hermitian(rng, 4)
+            u = linalg.kron(pauli.rotation_unitary(rng.uniform(0, 2 * np.pi)),
+                            pauli.rotation_unitary(rng.uniform(0, 2 * np.pi)))
+            before = linalg.hermitian_eigenvalues(m)
+            after = linalg.hermitian_eigenvalues(u @ m @ u.conj().T)
+            worst = max(worst, float(np.max(np.abs(before - after))))
+        return worst
+
+    @staticmethod
+    def loop_partial_trace_state_contract(rng):
+        worst = 0.0
+        for _ in range(200):
+            rho = scalar_density(rng, 4)
+            for keep in (0, 1):
+                reduced = linalg.partial_trace(rho, keep, [2, 2])
+                worst = max(worst, linalg.hermiticity_defect(reduced))
+                worst = max(worst, abs(float(np.trace(reduced).real) - 1.0))
+        return worst
+
+    @staticmethod
+    def loop_oracle_partial_trace(rng):
+        worst = 0.0
+        for _ in range(100):
+            rho = scalar_hermitian(rng, 8)
+            for keep in (0, 1, 2, (0, 1), (0, 2), (1, 2)):
+                fast = linalg.partial_trace(rho, keep, [2, 2, 2])
+                slow = reference_partial_trace(rho, keep, [2, 2, 2])
+                worst = max(worst, float(np.max(np.abs(fast - slow))))
+        return worst
+
+    @staticmethod
+    def loop_bloch_conjugation_consistency(rng):
+        worst = 0.0
+        for _ in range(200):
+            m = rng.uniform(-1, 1, 3)
+            m *= rng.uniform(0, 1) / max(np.linalg.norm(m), 1e-12)
+            beta = rng.uniform(0, 2 * np.pi)
+            u = pauli.rotation_unitary(beta)
+            conjugated = pauli.density_to_bloch(u @ pauli.bloch_to_density(m) @ u.conj().T)
+            worst = max(worst, float(np.max(np.abs(conjugated - pauli.rotate_bloch(m, beta)))))
+        return worst
+
+    @staticmethod
+    def loop_pauli_roundtrip(rng):
+        worst = 0.0
+        for _ in range(200):
+            m = scalar_hermitian(rng, 4)
+            worst = max(worst, float(np.max(np.abs(pauli.pauli_decompose(m).reconstruct() - m))))
+        return worst
+
+    @staticmethod
+    def loop_rotation_composition(rng):
+        worst = 0.0
+        for _ in range(200):
+            b1, b2 = rng.uniform(0, 2 * np.pi, 2)
+            product = pauli.rotation_unitary(b1) @ pauli.rotation_unitary(b2)
+            total = pauli.rotation_unitary(b1 + b2)
+            worst = max(worst, min(float(np.max(np.abs(product - total))),
+                                   float(np.max(np.abs(product + total)))))
+            m = rng.uniform(-1, 1, 3)
+            two_step = pauli.rotate_bloch(pauli.rotate_bloch(m, b1), b2)
+            worst = max(worst, float(np.max(np.abs(two_step - pauli.rotate_bloch(m, b1 + b2)))))
+        return worst
+
+    @staticmethod
+    def loop_bound_soundness(rng, target=200):
+        worst = -np.inf
+        accepted = 0
+        attempts = 0
+        while accepted < target and attempts < 50 * target:
+            attempts += 1
+            if rng.uniform() < 0.5:
+                gap = 10 ** rng.uniform(-8, -1)
+                phi = rng.uniform(0, np.pi / 2)
+                etas = ((1 - gap) * np.cos(phi), (1 - gap) * np.sin(phi))
+                free = nosignalling.free_parameters(nosignalling.machine_witness_tensor(etas))
+                free = np.clip(free + gap * rng.uniform(-0.1, 0.1, 7), -1, 1)
+            else:
+                etas = rng.uniform(0, 0.45, 2)
+                free = rng.uniform(-0.3, 0.3, 7)
+            t = nosignalling.constrain_tensor(free)
+            psd, _ = linalg.is_psd(nosignalling.positivity_matrix_up(etas, t), tol=1e-10)
+            if not psd:
+                continue
+            accepted += 1
+            worst = max(worst, etas[0] ** 2 + etas[1] ** 2 - nosignalling.bound_rhs(t))
+        if accepted < target:
+            worst = np.inf
+        return worst
+
+    @staticmethod
+    def loop_reduced_clone_oracle(rng):
+        worst = 0.0
+        for _ in range(200):
+            coeffs = cloner.coefficients(rng.uniform(0, 1, 2))
+            state = cloner.clone(rng.uniform(0, 2 * np.pi), coeffs)
+            rho = np.outer(state, state.conj())
+            rho_o, rho_b, rho_ob = cloner.reduced_clones(state)
+            worst = max(worst, float(np.max(np.abs(rho_o - reference_partial_trace(rho, 0, [2, 2, 2])))))
+            worst = max(worst, float(np.max(np.abs(rho_b - reference_partial_trace(rho, 1, [2, 2, 2])))))
+            worst = max(worst, float(np.max(np.abs(rho_ob - reference_partial_trace(rho, (0, 1), [2, 2, 2])))))
+        return worst
+
+    # Checks whose every sample goes through the loop's elementwise arithmetic
+    # and kernels, so the two must agree bit for bit.  bound_soundness squares
+    # with np.square and raises 10 to a power with the array ufunc, where the
+    # loop takes the scalar pow: the two may differ in the last bit.
+    SAME_ARITHMETIC = (
+        check_kron_associativity,
+        check_eigenvalue_rotation_invariance,
+        check_partial_trace_state_contract,
+        check_oracle_partial_trace,
+        check_bloch_conjugation_consistency,
+        check_pauli_roundtrip,
+        check_rotation_composition,
+        check_reduced_clone_oracle,
+    )
+
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("check, loop", [
         (check_fidelity_law, loop_fidelity_law),
@@ -137,7 +306,23 @@ class TestSampleStream:
         (check_bound_attainment, loop_bound_attainment),
         (check_covariance_relations, loop_covariance_relations),
         (check_no_signalling_violation, loop_no_signalling_violation),
+        (check_kron_associativity, loop_kron_associativity),
+        (check_eigenvalue_rotation_invariance, loop_eigenvalue_rotation_invariance),
+        (check_partial_trace_state_contract, loop_partial_trace_state_contract),
+        (check_oracle_partial_trace, loop_oracle_partial_trace),
+        (check_bloch_conjugation_consistency, loop_bloch_conjugation_consistency),
+        (check_pauli_roundtrip, loop_pauli_roundtrip),
+        (check_rotation_composition, loop_rotation_composition),
+        (check_bound_soundness, loop_bound_soundness),
+        (check_reduced_clone_oracle, loop_reduced_clone_oracle),
     ], ids=lambda value: getattr(value, "__name__", "").removeprefix("check_"))
     def test_batched_check_matches_per_sample_loop(self, check, loop, seed):
-        measured = check(RunConfig(), np.random.default_rng(seed)).measured
-        assert abs(measured - loop.__func__(np.random.default_rng(seed))) <= 1e-15
+        batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+        measured = check(RunConfig(), batched).measured
+        expected = loop.__func__(looped)
+        if check in self.SAME_ARITHMETIC:
+            assert measured == expected
+        else:
+            assert abs(measured - expected) <= 1e-15
+        # Both leave the generator at the same point of its stream.
+        assert batched.random() == looped.random()
