@@ -25,6 +25,7 @@ from .nosignalling import (
     feasibility,
     max_radius,
     no_signalling_residual,
+    radius_bracket,
     rotate_correlations,
 )
 from .pauli import (
@@ -68,6 +69,7 @@ __all__ = [
     "no_signalling_residual",
     "partial_trace",
     "pauli_decompose",
+    "radius_bracket",
     "reduced_clones",
     "rotate_bloch",
     "rotate_correlations",

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .cloner import clone_report, isotropy_scan
-from .nosignalling import DEFAULT_BUDGET, DEFAULT_PSD_TOL, DEFAULT_RADIUS_TOL, max_radius
+from .nosignalling import DEFAULT_BUDGET, DEFAULT_PSD_TOL, DEFAULT_RADIUS_TOL, radius_bracket
 from .verify import RunConfig, run_verification
 
 BOUND_SWEEP_HEADER = "phi,eta1,eta2,max_radius_found,circle_radius,deviation"
@@ -104,11 +104,13 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 def _cmd_bound_sweep(args: argparse.Namespace) -> int:
     print(f"bound sweep  n_phi={args.n_phi}  seed={args.seed}  budget={args.budget}  "
           f"radius_tol={args.radius_tol:g}", file=sys.stderr)
-    rows, brackets = [], []
-    for phi, cos_phi, sin_phi in _directions(args.n_phi):
-        found = max_radius(phi, radius_tol=args.radius_tol, budget=args.budget, brackets=brackets)
-        print(f"phi={phi:.6f}  radius=[{found:.9f}, {brackets[-1].upper:.9f}]  "
-              f"iterations={brackets[-1].iterations}", file=sys.stderr)
+    directions = list(_directions(args.n_phi))
+    bracket = radius_bracket([phi for phi, _, _ in directions], radius_tol=args.radius_tol, budget=args.budget)
+    rows = []
+    for k, (phi, cos_phi, sin_phi) in enumerate(directions):
+        found = float(bracket.lower[k])
+        print(f"phi={phi:.6f}  radius=[{found:.9f}, {bracket.upper[k]:.9f}]  "
+              f"iterations={bracket.iterations[k]}", file=sys.stderr)
         rows.append([phi, found * cos_phi, found * sin_phi, found, 1.0, abs(found - 1.0)])
     _write_csv(args.out, BOUND_SWEEP_HEADER, rows)
     return 0

@@ -243,21 +243,25 @@ ETA_SLOPES = np.array([_up_matrix(*unit, np.zeros(len(FREE_PARAMETERS))) for uni
 
 @dataclass(frozen=True)
 class Bracket:
-    """Outcome of one barrier solve (see minimize): lower <= optimum <= upper.
+    """Outcome of a stack of barrier solves (see minimize): lower <= optimum <= upper, row by row.
 
     ``lower`` is attained at the free entries ``free``; ``upper`` is proved
-    by the positive semidefinite unit-trace ``certificate`` W.
+    by the positive semidefinite unit-trace ``certificate`` W, which is NaN
+    in a row that certified no bound (there ``upper`` is inf).  Fields take
+    the batch shape: ``lower``, ``upper`` and ``iterations`` (...), ``free``
+    (..., 7), ``certificate`` (..., n, n); a single problem gives numpy
+    scalars.
     """
 
-    lower: float
-    upper: float
+    lower: np.ndarray
+    upper: np.ndarray
     free: np.ndarray
-    certificate: np.ndarray | None
-    iterations: int
+    certificate: np.ndarray
+    iterations: np.ndarray
 
 
-def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0: float, budget: int, tol: float,
-             target: float | None = None) -> Bracket:
+def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int, tol: float,
+             target=None) -> Bracket:
     """Barrier (Newton) solve of  max x  s.t.  S = F0 + sum_i f_i A_i + x G >= 0,  |f_i| <= 1.
 
     Minimizes  -s x - log det S - sum_i log(1 - f_i^2)  by damped Newton steps
@@ -270,71 +274,133 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0: float, budge
     |f_i| <= 1.  The solve stops once upper - lower <= tol (certified, or on
     the central path, where the gap is at most degree / s), once the bracket
     lies on one side of ``target`` when one is given, or after ``budget``
-    iterates.
+    iterates; it also stops where S is no longer positive definite or the
+    Newton step is singular, not finite or leaves the box.
+
+    A stack of problems F0 (..., n, n), G (..., n, n), x0 (...) and targets
+    (...), which broadcast to one batch shape, shares the slopes A_i (k, n, n)
+    and runs in lockstep: every iterate makes one eigen-decomposition of all
+    the S, one of all the S^-1/2 G S^-1/2 and one solve of all the Newton
+    systems.  Each row stops on its own by the rules above and leaves the
+    stack; row by row, the arithmetic is that of the solve of its problem
+    alone.  A row whose target is NaN has none.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    size, count = len(f0), len(slopes)
+    f0, g, x0 = np.asarray(f0), np.asarray(g), np.asarray(x0, dtype=float)
+    target = np.asarray(np.nan if target is None else target, dtype=float)
+    shape = np.broadcast_shapes(f0.shape[:-2], g.shape[:-2], x0.shape, target.shape)
+    size, count = f0.shape[-1], len(slopes)
     degree = size + 2 * count  # self-concordance parameter of the barrier
-    terms = np.concatenate([slopes, g[None]])
-    free = best_free = np.zeros(count)
-    x, s = x0, None
-    lower, upper, certificate = -np.inf, np.inf, None
+    problems = int(np.prod(shape))
+    # The live stack: one row per problem still iterating; `rows` are their
+    # positions in the results, written as each row stops.
+    rows = np.arange(problems)
+    f0 = np.broadcast_to(f0, shape + (size, size)).reshape(problems, size, size)
+    g = np.broadcast_to(g, shape + (size, size)).reshape(problems, size, size)
+    terms = np.concatenate([np.broadcast_to(slopes, (problems,) + slopes.shape), g[:, None]], axis=1)
+    x = np.broadcast_to(x0, shape).reshape(problems)
+    target = np.broadcast_to(target, shape).reshape(problems)
+    free = best_free = np.zeros((problems, count))
+    lower, upper = np.full(problems, -np.inf), np.full(problems, np.inf)
+    certificate = np.full((problems, size, size), np.nan, dtype=complex)
+    results = Bracket(lower.copy(), upper.copy(), best_free.copy(), certificate.copy(),
+                      np.zeros(problems, dtype=int))
+    flat_slopes, diagonal = slopes.reshape(count, -1), np.arange(count)
     for iterate in range(1, budget + 1):
-        slack, vectors = np.linalg.eigh(f0 + np.tensordot(free, slopes, axes=1) + x * g)
-        if slack[0] <= 0.0:
-            break  # rounding carried x past the boundary; S is no longer positive definite
-        inverse = 1.0 / slack
-        total = inverse.sum()
-        if s is None:
+        if not len(rows):
+            break
+        slack, vectors = np.linalg.eigh(f0 + (free @ flat_slopes).reshape(-1, size, size) + x[:, None, None] * g)
+        # Where rounding carried x past the boundary, S is no longer positive
+        # definite: that row stops, and a stand-in slack keeps its arithmetic finite.
+        definite = slack[:, 0] > 0.0
+        inverse = 1.0 / np.where(definite[:, None], slack, 1.0)
+        total = inverse.sum(axis=-1)
+        if iterate == 1:
             s = total
         # S^-1/2 B S^-1/2 for every B of (A_1, ..., G), in the eigenbasis of S.
         root = np.sqrt(inverse)
-        blocks = (vectors.conj().T @ terms @ vectors) * np.outer(root, root)
-        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[-1])[0]
-        if best_x > lower:
-            lower, best_free = float(best_x), free
-        w = (vectors * (inverse / total)) @ vectors.conj().T
-        traces = np.einsum("ab,iba->i", w, terms).real
-        if traces[-1] < 0.0:
-            bound = float((np.einsum("ab,ba->", w, f0).real + np.abs(traces[:-1]).sum()) / -traces[-1])
-            if bound < upper:
-                upper, certificate = bound, w
-        if (upper - lower <= tol or s * tol > degree
-                or target is not None and (lower >= target or upper < target)):
-            break
+        adjoint = vectors.conj().swapaxes(-2, -1)
+        blocks = (adjoint[:, None] @ terms @ vectors[:, None]) * (root[:, :, None] * root[:, None, :])[:, None]
+        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -1])[:, 0]
+        better = definite & (best_x > lower)
+        lower = np.where(better, best_x, lower)
+        best_free = np.where(better[:, None], free, best_free)
+        w = (vectors * (inverse / total[:, None])[:, None, :]) @ adjoint
+        traces = _traces(w, terms)
+        certified = definite & (traces[:, -1] < 0.0)
+        bound = ((_traces(w, f0[:, None])[:, 0] + np.abs(traces[:, :-1]).sum(axis=-1))
+                 / np.where(certified, -traces[:, -1], 1.0))
+        better = certified & (bound < upper)
+        upper = np.where(better, bound, upper)
+        certificate = np.where(better[:, None, None], w, certificate)
+        stop = (~definite | (upper - lower <= tol) | (s * tol > degree)
+                | (lower >= target) | (upper < target))
 
         # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
-        flat = blocks.reshape(count + 1, -1)
-        hessian = (flat @ flat.conj().T).real
-        gradient = -total * traces
-        gradient[count] -= s
-        gradient[:count] += 2 * free / (1 - free**2)
-        hessian[np.arange(count), np.arange(count)] += 2 * (1 + free**2) / (1 - free**2) ** 2
-        try:
-            step = -np.linalg.solve(hessian, gradient)
-        except np.linalg.LinAlgError:
-            break  # the Newton system is singular in floating point
-        decrement = float(np.sqrt(max(-gradient @ step, 0.0)))
-        damping = 1.0 if decrement < 0.25 else 1.0 / (1.0 + decrement)
-        candidate = free + damping * step[:count]
-        if not (np.all(np.isfinite(step)) and np.all(np.abs(candidate) < 1.0)):
-            break  # the Newton system has lost its precision
-        free, x = candidate, x + damping * step[count]
-        if decrement < CENTRED_DECREMENT:
-            s *= BARRIER_GROWTH
-    return Bracket(lower, upper, best_free, certificate, iterate)
+        flat = blocks.reshape(len(rows), count + 1, -1)
+        hessian = (flat @ flat.conj().swapaxes(-2, -1)).real
+        gradient = -total[:, None] * traces
+        gradient[:, count] -= s
+        gradient[:, :count] += 2 * free / (1 - free**2)
+        hessian[:, diagonal, diagonal] += 2 * (1 + free**2) / (1 - free**2) ** 2
+        step = -_newton_solve(hessian, gradient)
+        decrement = np.sqrt(np.maximum(-np.einsum("li,li->l", gradient, step), 0.0))
+        damping = np.where(decrement < 0.25, 1.0, 1.0 / (1.0 + decrement))
+        candidate = free + damping[:, None] * step[:, :count]
+        # A step that is not finite or leaves the box: the Newton system has lost its precision.
+        stop |= ~(np.isfinite(step).all(axis=-1) & (np.abs(candidate) < 1.0).all(axis=-1))
+        free, x = candidate, x + damping * step[:, count]
+        s = np.where(decrement < CENTRED_DECREMENT, s * BARRIER_GROWTH, s)
+        if iterate == budget:
+            stop[:] = True
+        if stop.any():
+            done = rows[stop]
+            results.lower[done], results.upper[done], results.iterations[done] = lower[stop], upper[stop], iterate
+            results.free[done], results.certificate[done] = best_free[stop], certificate[stop]
+            keep = ~stop
+            rows, f0, g, terms, x, target, free, s, lower, upper, best_free, certificate = (
+                part[keep] for part in (rows, f0, g, terms, x, target, free, s, lower, upper, best_free, certificate))
+    return Bracket(results.lower.reshape(shape)[()], results.upper.reshape(shape)[()],
+                   results.free.reshape(shape + (count,)), results.certificate.reshape(shape + (size, size)),
+                   results.iterations.reshape(shape)[()])
 
 
-def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET, target: float | None = None) -> Bracket:
+def _traces(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(W B) for every B of a stack b (..., k, n, n), with W (..., n, n); (..., k).
+
+    A matmul of the flattened matrices: its sums for one row do not depend on
+    how many rows the stack holds (einsum's do, in the last bit).
+    """
+    return (b.reshape(b.shape[:-2] + (-1,)) @ w.swapaxes(-2, -1).reshape(w.shape[:-2] + (-1, 1)))[..., 0].real
+
+
+def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
+    """Solutions of a stack of Newton systems; NaN in a row whose system is singular in floating point."""
+    try:
+        return np.linalg.solve(hessian, gradient[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = np.full_like(gradient, np.nan)
+        for row, (h, v) in enumerate(zip(hessian, gradient)):
+            try:
+                steps[row] = np.linalg.solve(h, v)
+            except np.linalg.LinAlgError:
+                pass
+        return steps
+
+
+def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET, target=None) -> Bracket:
     """Bracket the largest minimum eigenvalue of the north-pole output over the seven free entries.
 
     The solve of minimize with G = -I from x = lambda_min(A0) - 1, to a gap of
     GAP_TOL or, given a ``target``, until the bracket lies on one side of it.
+    Reduction factors (..., 2) and targets (...) give one solve of the stack,
+    one row per pair.
     """
     eta1, eta2 = _validate_etas(etas)
-    a0 = _up_matrix(eta1, eta2, np.zeros(len(FREE_PARAMETERS)))
-    return minimize(a0, UP_SLOPES, -np.eye(len(a0)), np.linalg.eigvalsh(a0)[0] - 1.0, budget, GAP_TOL, target)
+    a0 = _up_matrix(eta1, eta2, np.zeros(np.shape(eta1) + (len(FREE_PARAMETERS),)))
+    x0 = np.linalg.eigvalsh(a0)[..., 0] - 1.0
+    return minimize(a0, UP_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL, target)
 
 
 @dataclass(frozen=True)
@@ -367,29 +433,40 @@ def feasibility(etas, budget: int = DEFAULT_BUDGET, psd_tol: float = DEFAULT_PSD
     """
     solve = eigenvalue_bracket(etas, budget, target=-psd_tol)
     return FeasibilityReport(
-        feasible=solve.lower >= -psd_tol,
-        best_min_eigenvalue=solve.lower,
+        feasible=bool(solve.lower >= -psd_tol),
+        best_min_eigenvalue=float(solve.lower),
         witness=constrain_tensor(solve.free),
-        evaluations=solve.iterations,
-        upper_bound=solve.upper,
+        evaluations=int(solve.iterations),
+        upper_bound=float(solve.upper),
         certificate=solve.certificate,
     )
 
 
-def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET,
-               brackets: list | None = None) -> float:
-    """Largest feasible radius along the ray (r cos(phi), r sin(phi)), from one barrier solve.
+def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> Bracket:
+    """Bracket the largest feasible radius along each ray (r cos(phi), r sin(phi)), from one barrier solve.
 
     Along the ray the north-pole output is A00 + r B(phi) + sum_i f_i A_i, with
     B(phi) = cos(phi) E1 + sin(phi) E2: minimize with G = B(phi), from r = 0
-    until the certified bracket is at most ``radius_tol`` wide.  Returns its
-    lower end, attained by its free entries, and appends the Bracket to
-    ``brackets`` when a list is given.  The boundary is the unit circle.
+    until the certified bracket is at most ``radius_tol`` wide.  Its lower end
+    is attained by its free entries.  Directions (...) give one solve of the
+    stack, each row stopping on its own.  The boundary is the unit circle.
     """
-    if not (0.0 <= phi <= np.pi / 2):
-        raise ValueError(f"direction must lie in [0, pi/2], got {phi}")
-    direction = np.cos(phi) * ETA_SLOPES[0] + np.sin(phi) * ETA_SLOPES[1]
-    bracket = minimize(ORIGIN, UP_SLOPES, direction, 0.0, budget, radius_tol)
+    phi = np.asarray(phi, dtype=float)
+    outside = ~((phi >= 0.0) & (phi <= np.pi / 2))
+    if outside.any():
+        raise ValueError(f"direction must lie in [0, pi/2], got {_first_where(outside, phi)}")
+    direction = (np.cos(phi)[..., None, None] * ETA_SLOPES[0]
+                 + np.sin(phi)[..., None, None] * ETA_SLOPES[1])
+    return minimize(ORIGIN, UP_SLOPES, direction, 0.0, budget, radius_tol)
+
+
+def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET,
+               brackets: list | None = None) -> float:
+    """Largest feasible radius along one ray (r cos(phi), r sin(phi)): the lower end of its radius_bracket.
+
+    Appends the Bracket to ``brackets`` when a list is given.
+    """
+    bracket = radius_bracket(float(phi), radius_tol, budget)
     if brackets is not None:
         brackets.append(bracket)
-    return bracket.lower
+    return float(bracket.lower)

@@ -317,17 +317,16 @@ def check_correlation_rotation_group(config: RunConfig, rng) -> CheckResult:
 def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
     # Solved until the gap closes, with no decision target: the value is the
     # solve's estimate of the on-circle optimum 0, not a stopping rule's.
-    lowest = min(nosignalling.eigenvalue_bracket(etas, config.budget).lower
-                 for etas in _circle_etas(np.array([0.0, np.pi / 4, np.pi / 3])))
+    etas = _circle_etas(np.array([0.0, np.pi / 4, np.pi / 3]))
+    lowest = float(np.min(nosignalling.eigenvalue_bracket(etas, config.budget).lower))
     return CheckResult("on_circle_feasibility", lowest, -config.psd_tol, direction=">=")
 
 
 def check_circle_recovery(config: RunConfig, rng) -> CheckResult:
-    brackets = []
-    for phi in (0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2):
-        nosignalling.max_radius(phi, radius_tol=config.radius_tol, budget=config.budget, brackets=brackets)
-    worst = max(max(abs(bracket.lower - 1.0), abs(bracket.upper - 1.0)) for bracket in brackets)
-    return CheckResult("circle_recovery", worst, 2e-3)
+    phi = np.array([0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
+    bracket = nosignalling.radius_bracket(phi, radius_tol=config.radius_tol, budget=config.budget)
+    worst = np.max(np.maximum(np.abs(bracket.lower - 1.0), np.abs(bracket.upper - 1.0)))
+    return CheckResult("circle_recovery", float(worst), 2e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -166,12 +166,10 @@ def test_06_isotropy_iff_on_circle(capsys):
 
 def test_07_separability_of_joint_output(capsys):
     start = time.perf_counter()
-    rng = np.random.default_rng(7)
-    lowest = np.inf
-    for _ in range(500):
-        phi = rng.uniform(0, np.pi / 2)
-        result = clone_report(rng.uniform(0, 2 * np.pi), (np.cos(phi), np.sin(phi)))
-        lowest = min(lowest, result.ppt_min_eigenvalue)
+    # Row by row, the doubles of 500 draws of phi, then theta.
+    phi, theta = np.random.default_rng(7).uniform([0, 0], [np.pi / 2, 2 * np.pi], (500, 2)).T
+    result = clone_report(theta, np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+    lowest = float(np.min(result.ppt_min_eigenvalue))
     assert lowest >= -1e-10
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -180,13 +178,10 @@ def test_07_separability_of_joint_output(capsys):
 
 def test_08_transcription_identity(capsys):
     start = time.perf_counter()
-    rng = np.random.default_rng(8)
-    worst = 0.0
-    for _ in range(500):
-        etas = rng.uniform(0, 1, 2)
-        t = constrain_tensor(rng.uniform(-1, 1, 7))
-        gap = np.max(np.abs(positivity_matrix_up(etas, t) - build_joint_output(UP, etas, t)))
-        worst = max(worst, float(gap))
+    # Row by row, the doubles of 500 draws of two reduction factors, then seven free entries.
+    draws = np.random.default_rng(8).uniform([0] * 2 + [-1] * 7, [1] * 9, (500, 9))
+    etas, t = draws[:, :2], constrain_tensor(draws[:, 2:])
+    worst = float(np.max(np.abs(positivity_matrix_up(etas, t) - build_joint_output(UP, etas, t))))
     assert worst <= 1e-14
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -195,15 +190,12 @@ def test_08_transcription_identity(capsys):
 
 def test_09_oracle_equivalence(capsys):
     start = time.perf_counter()
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(500):
-        state = clone(rng.uniform(0, 2 * np.pi), coefficients(rng.uniform(0, 1, 2)))
-        rho = np.outer(state, state.conj())
-        rho_o, rho_b, rho_ob = reduced_clones(state)
-        worst = max(worst, float(np.max(np.abs(rho_o - reference_partial_trace(rho, 0, [2, 2, 2])))))
-        worst = max(worst, float(np.max(np.abs(rho_b - reference_partial_trace(rho, 1, [2, 2, 2])))))
-        worst = max(worst, float(np.max(np.abs(rho_ob - reference_partial_trace(rho, (0, 1), [2, 2, 2])))))
+    # Row by row, the doubles of 500 draws of theta, then two reduction factors.
+    draws = np.random.default_rng(9).uniform([0, 0, 0], [2 * np.pi, 1, 1], (500, 3))
+    state = clone(draws[:, 0], coefficients(draws[:, 1:]))
+    rho = state[:, :, None] * state[:, None, :].conj()
+    worst = max(float(np.max(np.abs(reduced - reference_partial_trace(rho, keep, [2, 2, 2]))))
+                for reduced, keep in zip(reduced_clones(state), (0, 1, (0, 1))))
     assert worst <= 1e-12
     elapsed = time.perf_counter() - start
     with capsys.disabled():

@@ -11,23 +11,30 @@ import circleclone
 from circleclone.cloner import clone, coefficients, reduced_clones
 from circleclone.linalg import is_psd
 from circleclone.nosignalling import (
+    DEFAULT_BUDGET,
     DEFAULT_RADIUS_TOL,
     DOWN,
+    GAP_TOL,
     LEFT,
     RIGHT,
     UP,
+    UP_SLOPES,
     FeasibilityReport,
+    _newton_solve,
     _up_matrix,
     bound_rhs,
     build_joint_output,
     constrain_tensor,
     covariance_residual,
+    eigenvalue_bracket,
     feasibility,
     free_parameters,
     machine_witness_tensor,
     max_radius,
+    minimize,
     no_signalling_residual,
     positivity_matrix_up,
+    radius_bracket,
     rotate_correlations,
 )
 from circleclone.pauli import great_circle_bloch, pauli_decompose
@@ -389,16 +396,89 @@ class TestMaxRadius:
         # _up_matrix, not positivity_matrix_up: on the axes the lower end is 1 + 2.2e-16.
         witness = _up_matrix(bracket.lower * np.cos(phi), bracket.lower * np.sin(phi), bracket.free)
         assert np.linalg.eigvalsh(witness)[0] >= -1e-12
-        w = bracket.certificate
-        assert np.linalg.eigvalsh(w)[0] >= 0.0
         a0, slopes = north_pole_terms((0.0, 0.0))
         direction = positivity_matrix_up((np.cos(phi), np.sin(phi)), np.zeros((3, 3))) - a0
-        bound = ((np.trace(w @ a0).real + sum(abs(np.trace(w @ a).real) for a in slopes))
-                 / -np.trace(w @ direction).real)
-        assert abs(bound - bracket.upper) <= 1e-12
+        assert_certified(bracket.upper, bracket.certificate, a0, slopes, direction)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             max_radius(-0.1)
         with pytest.raises(ValueError):
             max_radius(2.0)
+        with pytest.raises(ValueError, match="got 2.0"):
+            radius_bracket([0.0, 2.0, np.nan])
+
+    def test_one_stack_matches_one_solve_per_direction(self):
+        phi = np.linspace(0, np.pi / 2, 9)  # the directions of bound-sweep --n-phi 9
+        stacked = radius_bracket(phi)
+        assert stacked.lower.shape == stacked.iterations.shape == (9,)
+        assert stacked.free.shape == (9, 7) and stacked.certificate.shape == (9, 4, 4)
+        a0, slopes = north_pole_terms((0.0, 0.0))
+        for k, direction in enumerate(phi):
+            brackets = []
+            found = max_radius(direction, brackets=brackets)
+            assert type(found) is float
+            (alone,) = brackets
+            assert stacked.iterations[k] == alone.iterations
+            assert abs(stacked.lower[k] - alone.lower) <= 1e-15
+            g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
+            assert_certified(stacked.upper[k], stacked.certificate[k], a0, slopes, g)
+
+
+def assert_certified(upper, w, a0, slopes, g):
+    """``upper`` is the bound (Tr(W A0) + sum_i |Tr(W A_i)|) / -Tr(W G) of a PSD unit-trace W."""
+    assert np.isfinite(upper)
+    assert np.linalg.eigvalsh(w)[0] >= 0.0
+    assert abs(np.trace(w).real - 1.0) <= 1e-12
+    bound = ((np.trace(w @ a0).real + sum(abs(np.trace(w @ a).real) for a in slopes))
+             / -np.trace(w @ g).real)
+    assert abs(bound - upper) <= 1e-12
+
+
+class TestLockstep:
+    # A feasible point and (0.8, 0.8) decided against a target, an on-circle
+    # point solved to the gap, and a start above the boundary, where S is not
+    # positive definite: their solves stop at different iterates.
+    POINTS = np.array([(0.3, 0.4), (0.8, 0.8), (0.6, 0.8), (0.6, 0.8)])
+    TARGETS = np.array([-1e-9, -1e-9, np.nan, np.nan])
+
+    def stack(self):
+        a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))) for etas in self.POINTS])
+        x0 = np.linalg.eigvalsh(a0)[:, 0] - 1.0
+        x0[-1] += 1.5
+        return a0, x0
+
+    def test_each_row_is_its_own_solve(self):
+        a0, x0 = self.stack()
+        g = -np.eye(4)
+        stacked = minimize(a0, UP_SLOPES, g, x0, DEFAULT_BUDGET, GAP_TOL, self.TARGETS)
+        assert len(set(stacked.iterations.tolist())) >= 3, stacked.iterations
+        for k, target in enumerate(self.TARGETS):
+            alone = minimize(a0[k], UP_SLOPES, g, x0[k], DEFAULT_BUDGET, GAP_TOL,
+                             None if np.isnan(target) else target)
+            assert np.ndim(alone.lower) == 0 and alone.free.shape == (7,)
+            assert stacked.iterations[k] == alone.iterations
+            assert stacked.lower[k] == alone.lower or abs(stacked.lower[k] - alone.lower) <= 1e-15
+            if np.isfinite(alone.upper):
+                slopes = north_pole_terms(self.POINTS[k])[1]
+                assert_certified(stacked.upper[k], stacked.certificate[k], a0[k], slopes, g)
+        # The start above the boundary stops at once with nothing bracketed,
+        # and none of its stand-in arithmetic reaches the other rows.
+        assert stacked.iterations[-1] == 1
+        assert stacked.lower[-1] == -np.inf and stacked.upper[-1] == np.inf
+        assert np.isfinite(stacked.lower[:-1]).all() and np.isfinite(stacked.upper[:-1]).all()
+        assert np.isfinite(stacked.free).all() and np.isfinite(stacked.certificate[:-1]).all()
+
+    def test_singular_newton_system_stops_only_its_row(self):
+        hessian = np.array([np.eye(2), np.ones((2, 2)), 2 * np.eye(2)])
+        steps = _newton_solve(hessian, np.ones((3, 2)))
+        assert np.isnan(steps[1]).all()
+        np.testing.assert_array_equal(steps[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
+
+    def test_eigenvalue_bracket_takes_the_stack(self):
+        a0, x0 = self.stack()
+        stacked = minimize(a0[:3], UP_SLOPES, -np.eye(4), x0[:3], DEFAULT_BUDGET, GAP_TOL, self.TARGETS[:3])
+        brackets = eigenvalue_bracket(self.POINTS[:3], target=self.TARGETS[:3])
+        np.testing.assert_array_equal(brackets.iterations, stacked.iterations)
+        assert np.max(np.abs(brackets.lower - stacked.lower)) <= 1e-15
+        assert feasibility(self.POINTS[0]).feasible and not feasibility(self.POINTS[1]).feasible
