@@ -119,11 +119,13 @@ def _cmd_bound_sweep(args: argparse.Namespace) -> int:
 def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     directions = list(_directions(args.n_points))
     probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
-    report = clone_report(probe_theta, [(cos_phi, sin_phi) for _, cos_phi, sin_phi in directions])
+    etas = [(cos_phi, sin_phi) for _, cos_phi, sin_phi in directions]
+    report = clone_report(probe_theta, etas)
+    residual = isotropy_scan(etas, args.samples)
     rows = []
     for k, (phi, cos_phi, sin_phi) in enumerate(directions):
         rows.append([phi, cos_phi, sin_phi, report.fidelity_o[k], report.fidelity_b[k],
-                     report.ppt_min_eigenvalue[k], isotropy_scan((cos_phi, sin_phi), args.samples)])
+                     report.ppt_min_eigenvalue[k], residual[k]])
     _write_csv(args.out, FIDELITY_SWEEP_HEADER, rows)
     return 0
 

@@ -28,6 +28,10 @@ ON_CIRCLE_ATOL = 1e-8
 # input (theta = 0 for z, theta = pi/2 for x) instead of the requested theta.
 _AXIS_COMPONENT_FLOOR = 0.1
 
+# (angle, pair) entries that isotropy_scan evaluates at once: enough to spread
+# numpy's per-call cost, few enough that a block's temporaries stay under 1 MB.
+_SCAN_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class CloneCoefficients:
@@ -213,20 +217,50 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     )
 
 
-def isotropy_scan(etas, samples: int) -> float:
+def _clone_channels(coeffs: CloneCoefficients) -> np.ndarray:
+    """Each clone's reduced map as a matrix: (..., 2, 4, 4), first the original's, then the blank's.
+
+    A clone's reduced state is linear in the input, so it is fixed by the four
+    operators Tr_rest(V|i><j|V^dagger); row 2i + j holds that operator
+    flattened.  The flattened input |psi><psi| (4,) times the matrix is the
+    flattened reduced clone.
+    """
+    images = _basis_images(coeffs).swapaxes(-2, -1)  # (..., 2, 8): V|0>, V|1>
+    outer = images[..., :, None, :, None] * images.conj()[..., None, :, None, :]  # V|i><j|V^dagger
+    dims = [2, 2, 2]
+    channels = np.stack([partial_trace(outer, 0, dims), partial_trace(outer, 1, dims)], axis=-5)
+    return channels.reshape(channels.shape[:-4] + (4, 4))
+
+
+def isotropy_scan(etas, samples: int):
     """Worst isotropy residual of either clone over ``samples`` evenly spaced angles.
 
     The angles (k + 1/4) 2 pi / samples sit a quarter step off the cardinal
     ones, so every grid holds an angle off both axes: at the cardinal inputs
     alone the shrink fitted at each angle would hide the anisotropy.
+
+    Reduction factors (..., 2) give one worst residual per pair, shape (...);
+    a single pair gives a numpy scalar.  Each clone's reduced channel
+    (_clone_channels) is applied to the whole angle grid as one matmul, and
+    the pairs run in blocks of whole rows of about _SCAN_BLOCK (angle, pair)
+    entries, so memory stays bounded for any stack and grid.  Row by row the
+    arithmetic is that of the single-pair call.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
+    etas = np.asarray(etas, dtype=float)
+    _validate_etas(etas)  # the whole stack, before any block runs
     thetas = (np.arange(samples) + 0.25) * (2 * np.pi / samples)
     kets = great_circle_ket(thetas)
-    rho_o, rho_b, _ = reduced_clones(clone(thetas, coefficients(etas)))
-    clones = np.stack([rho_o, rho_b])  # (2, samples, 2, 2); the kets broadcast over the first axis
-    return float(np.max(_isotropy_residual(clones, kets, _shrink(clones, kets))))
+    inputs = (kets[:, :, None] * kets[:, None, :].conj()).reshape(samples, 4)
+    pairs = etas.reshape(-1, 2)
+    worst = np.empty(len(pairs))
+    rows = max(1, _SCAN_BLOCK // samples)
+    for start in range(0, len(pairs), rows):
+        block = slice(start, start + rows)
+        clones = (inputs @ _clone_channels(coefficients(pairs[block]))).reshape(-1, 2, samples, 2, 2)
+        worst[block] = np.max(_isotropy_residual(clones, kets, _shrink(clones, kets)), axis=(-2, -1))
+    return worst.reshape(etas.shape[:-1])[()]
 
 
 def covariance_check_machine(etas, theta, beta):

@@ -447,9 +447,12 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
 
     Along the ray the north-pole output is A00 + r B(phi) + sum_i f_i A_i, with
     B(phi) = cos(phi) E1 + sin(phi) E2: minimize with G = B(phi), from r = 0
-    until the certified bracket is at most ``radius_tol`` wide.  Its lower end
-    is attained by its free entries.  Directions (...) give one solve of the
-    stack, each row stopping on its own.  The boundary is the unit circle.
+    until the certified bracket is at most ``radius_tol`` wide, or until the
+    barrier weight s exceeds degree / ``radius_tol`` (degree / s bounds the
+    gap on the central path, not the certified bracket, which may then be a
+    few times wider than ``radius_tol``).  Its lower end is attained by its
+    free entries.  Directions (...) give one solve of the stack, each row
+    stopping on its own.  The boundary is the unit circle.
     """
     phi = np.asarray(phi, dtype=float)
     outside = ~((phi >= 0.0) & (phi <= np.pi / 2))

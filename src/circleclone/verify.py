@@ -401,18 +401,14 @@ def check_reduced_clone_oracle(config: RunConfig, rng) -> CheckResult:
 
 
 def check_isotropy_on_circle(config: RunConfig, rng) -> CheckResult:
-    worst = 0.0
-    theta_samples = _count(config, 200)
-    for phi in np.linspace(0, np.pi / 2, 20):
-        worst = max(worst, cloner.isotropy_scan((np.cos(phi), np.sin(phi)), theta_samples))
-    return CheckResult("isotropy_on_circle", worst, 1e-10)
+    phi = np.linspace(0, np.pi / 2, 20)
+    worst = np.max(cloner.isotropy_scan(np.stack([np.cos(phi), np.sin(phi)], axis=-1), _count(config, 200)))
+    return CheckResult("isotropy_on_circle", float(worst), 1e-10)
 
 
 def check_isotropy_off_circle(config: RunConfig, rng) -> CheckResult:
-    theta_samples = _count(config, 200)
-    smallest = min(cloner.isotropy_scan((0.7, 0.7), theta_samples),
-                   cloner.isotropy_scan((0.5, 0.5), theta_samples))
-    return CheckResult("isotropy_off_circle", smallest, 1e-3, direction=">=")
+    smallest = np.min(cloner.isotropy_scan([(0.7, 0.7), (0.5, 0.5)], _count(config, 200)))
+    return CheckResult("isotropy_off_circle", float(smallest), 1e-3, direction=">=")
 
 
 CHECKS = (

@@ -150,12 +150,10 @@ def test_05_rotation_relation_equivalence(capsys):
 
 def test_06_isotropy_iff_on_circle(capsys):
     start = time.perf_counter()
-    worst_on = 0.0
-    for phi in np.linspace(0, np.pi / 2, 20):
-        worst_on = max(worst_on, isotropy_scan((np.cos(phi), np.sin(phi)), 200))
+    phi = np.linspace(0, np.pi / 2, 20)
+    worst_on = float(np.max(isotropy_scan(np.stack([np.cos(phi), np.sin(phi)], axis=-1), 200)))
     assert worst_on <= 1e-10
-    off_a = isotropy_scan((0.7, 0.7), 200)
-    off_b = isotropy_scan((0.5, 0.5), 200)
+    off_a, off_b = isotropy_scan([(0.7, 0.7), (0.5, 0.5)], 200)
     assert off_a > 1e-3
     assert off_b > 1e-3
     elapsed = time.perf_counter() - start

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from circleclone import cloner
 from circleclone.cloner import (
+    _SCAN_BLOCK,
+    _clone_channels,
     clone,
     clone_report,
     coefficients,
@@ -261,6 +266,86 @@ class TestIsotropyScan:
     def test_exactly_on_circle_is_flat(self):
         for phi in (0.2, np.pi / 4, 1.3):
             assert isotropy_scan((np.cos(phi), np.sin(phi)), 64) <= 1e-10
+
+
+def circle_stack(n):
+    phi = np.linspace(0, np.pi / 2, n)
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+class TestBatchedIsotropyScan:
+    # (etas, samples): a single pair, small stacks, the 129-direction sweep at
+    # 200 angles (5 rows a block, so 26 blocks, the last one partial), 7 rows
+    # at 300 angles (blocks of 3, 3 and 1) and 3 rows of one block each.
+    CASES = {
+        "single": ((0.6, 0.8), 64),
+        "3x2": (np.random.default_rng(1).uniform(0, 1, (3, 2)), 64),
+        "2x3x2": (np.random.default_rng(2).uniform(0, 1, (2, 3, 2)), 64),
+        "sweep_129x200": (circle_stack(129), 200),
+        "partial_block_7x300": (np.random.default_rng(3).uniform(0, 1, (7, 2)), 300),
+        "grid_over_block": (np.random.default_rng(4).uniform(0, 1, (3, 2)), _SCAN_BLOCK + 7),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_row_equals_its_single_pair_call(self, case):
+        etas, samples = self.CASES[case]
+        etas = np.asarray(etas)
+        worst = isotropy_scan(etas, samples)
+        assert np.shape(worst) == etas.shape[:-1]
+        for index in np.ndindex(etas.shape[:-1]):
+            alone = isotropy_scan(tuple(etas[index]), samples)
+            assert isinstance(alone, np.floating) and np.ndim(alone) == 0
+            assert worst[index] == alone
+
+    def test_stacks_span_several_blocks(self):
+        rows = _SCAN_BLOCK // 200
+        assert 129 // rows > 1 and 129 % rows != 0
+        assert 7 % (_SCAN_BLOCK // 300) != 0
+
+    @pytest.mark.parametrize("on_circle", [True, False])
+    def test_channels_give_the_reduced_clones(self, on_circle):
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(0, 2 * np.pi, 40)
+        if on_circle:
+            phi = rng.uniform(0, np.pi / 2, 40)
+            etas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        else:
+            etas = rng.uniform(0, 1, (40, 2))
+        ket = great_circle_ket(theta)
+        flat_input = (ket[:, :, None] * ket[:, None, :].conj()).reshape(40, 1, 1, 4)
+        clones = (flat_input @ _clone_channels(coefficients(etas)))[..., 0, :].reshape(40, 2, 2, 2)
+        rho_o, rho_b, _ = reduced_clones(clone(theta, coefficients(etas)))
+        assert np.max(np.abs(clones[:, 0] - rho_o)) <= 1e-15
+        assert np.max(np.abs(clones[:, 1] - rho_b)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [(1.2, 0.3), (np.nan, 0.5)])
+    def test_bad_row_raises_before_any_block(self, bad, monkeypatch):
+        with pytest.raises(ValueError) as alone:
+            isotropy_scan(bad, 200)
+        etas = circle_stack(129)
+        etas[-1] = bad  # in the last block
+        blocks = []
+
+        def channels(coeffs):
+            blocks.append(coeffs)
+            return _clone_channels(coeffs)
+
+        monkeypatch.setattr(cloner, "_clone_channels", channels)
+        with pytest.raises(ValueError) as stacked:
+            isotropy_scan(etas, 200)
+        assert str(stacked.value) == str(alone.value)
+        assert blocks == []  # the whole stack was checked before the first block
+
+    def test_memory_stays_bounded_by_the_block(self):
+        etas = circle_stack(129)
+        isotropy_scan(etas, 200)  # warm numpy's caches outside the measurement
+        tracemalloc.start()
+        try:
+            isotropy_scan(etas, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestMachineCovariance:

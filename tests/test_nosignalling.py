@@ -424,6 +424,12 @@ class TestMaxRadius:
             g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
             assert_certified(stacked.upper[k], stacked.certificate[k], a0, slopes, g)
 
+    def test_tight_tolerance_brackets_still_hold_the_circle(self):
+        # bound-sweep --n-phi 33 --radius-tol 1e-8: the central-path rule may stop a
+        # direction with a bracket wider than the tolerance, but never one that misses 1.
+        bracket = radius_bracket(np.linspace(0, np.pi / 2, 33), radius_tol=1e-8)
+        assert np.all(bracket.lower <= 1 + 1e-15) and np.all(1 <= bracket.upper)
+
 
 def assert_certified(upper, w, a0, slopes, g):
     """``upper`` is the bound (Tr(W A0) + sum_i |Tr(W A_i)|) / -Tr(W G) of a PSD unit-trace W."""
