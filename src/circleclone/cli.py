@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .cloner import clone_report, isotropy_scan
-from .nosignalling import DEFAULT_BUDGET, DEFAULT_PSD_TOL, DEFAULT_RADIUS_TOL, radius_bracket
+from .nosignalling import DEFAULT_BUDGET, DEFAULT_RADIUS_TOL, radius_bracket
 from .verify import RunConfig, run_verification
 
 BOUND_SWEEP_HEADER = "phi,eta1,eta2,max_radius_found,circle_radius,deviation"
@@ -55,7 +55,6 @@ def _directions(n: int):
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         seed=args.seed,
-        psd_tol=args.psd_tol,
         radius_tol=args.radius_tol,
         budget=args.budget,
         samples=args.samples,
@@ -64,7 +63,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    print(f"verification suite  seed={config.seed}  psd_tol={config.psd_tol:g}  "
+    print(f"verification suite  seed={config.seed}  "
           f"radius_tol={config.radius_tol:g}  budget={config.budget}  samples={config.samples or 'default'}")
     results = run_verification(config)
     failures = 0
@@ -170,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
     verify.add_argument("--seed", type=SEED, default=0)
-    verify.add_argument("--psd-tol", type=POSITIVE, default=DEFAULT_PSD_TOL, dest="psd_tol")
     verify.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
     verify.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
     verify.add_argument("--samples", type=SAMPLE_OVERRIDE, default=0,

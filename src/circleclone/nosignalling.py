@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _components, _first_where, _stack_last, kron
-from .pauli import PAULI_LEFT, PAULI_PAIRS, PAULI_RIGHT, rotate_bloch, rotation_unitary
+from .linalg import PSD_TOL, _components, _first_where, _stack_last, kron
+from .pauli import PauliDecomposition, rotate_bloch, rotation_unitary
 
 GREAT_CIRCLE_ATOL = 1e-12
 CONSTRAINT_ATOL = 1e-12
-DEFAULT_PSD_TOL = 1e-9
 DEFAULT_BUDGET = 5000
 DEFAULT_RADIUS_TOL = 1e-3
 GAP_TOL = 1e-10
@@ -99,12 +98,7 @@ def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"correlation tensor must be 3x3, got shape {t.shape}")
-
-    rho = np.eye(4, dtype=complex)
-    rho = rho + eta1[..., None, None] * np.tensordot(m, PAULI_LEFT, axes=1)
-    rho = rho + eta2[..., None, None] * np.tensordot(m, PAULI_RIGHT, axes=1)
-    rho = rho + np.tensordot(t, PAULI_PAIRS, axes=([-2, -1], [0, 1]))
-    return rho / 4
+    return PauliDecomposition(eta1[..., None] * m, eta2[..., None] * m, t).reconstruct()
 
 
 def rotate_correlations(t: np.ndarray, beta) -> np.ndarray:
@@ -260,8 +254,7 @@ class Bracket:
     iterations: np.ndarray
 
 
-def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int, tol: float,
-             target=None) -> Bracket:
+def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int, tol: float) -> Bracket:
     """Barrier (Newton) solve of  max x  s.t.  S = F0 + sum_i f_i A_i + x G >= 0,  |f_i| <= 1.
 
     Minimizes  -s x - log det S - sum_i log(1 - f_i^2)  by damped Newton steps
@@ -272,24 +265,24 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) for W = S^-1 / Tr S^-1, since W
     is positive semidefinite, Tr(W S) >= 0 at every feasible point and every
     |f_i| <= 1.  The solve stops once upper - lower <= tol (certified, or on
-    the central path, where the gap is at most degree / s), once the bracket
-    lies on one side of ``target`` when one is given, or after ``budget``
+    the central path, where the gap is at most degree / s) or after ``budget``
     iterates; it also stops where S is no longer positive definite or the
-    Newton step is singular, not finite or leaves the box.
+    Newton step is singular, not finite or leaves the box.  ``tol`` must be
+    positive and finite.
 
-    A stack of problems F0 (..., n, n), G (..., n, n), x0 (...) and targets
-    (...), which broadcast to one batch shape, shares the slopes A_i (k, n, n)
-    and runs in lockstep: every iterate makes one eigen-decomposition of all
-    the S, one of all the S^-1/2 G S^-1/2 and one solve of all the Newton
-    systems.  Each row stops on its own by the rules above and leaves the
-    stack; row by row, the arithmetic is that of the solve of its problem
-    alone.  A row whose target is NaN has none.
+    A stack of problems F0 (..., n, n), G (..., n, n) and x0 (...), which
+    broadcast to one batch shape, shares the slopes A_i (k, n, n) and runs in
+    lockstep: every iterate makes one eigen-decomposition of all the S, one of
+    all the S^-1/2 G S^-1/2 and one solve of all the Newton systems.  Each row
+    stops on its own by the rules above and leaves the stack; row by row, the
+    arithmetic is that of the solve of its problem alone.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     f0, g, x0 = np.asarray(f0), np.asarray(g), np.asarray(x0, dtype=float)
-    target = np.asarray(np.nan if target is None else target, dtype=float)
-    shape = np.broadcast_shapes(f0.shape[:-2], g.shape[:-2], x0.shape, target.shape)
+    shape = np.broadcast_shapes(f0.shape[:-2], g.shape[:-2], x0.shape)
     size, count = f0.shape[-1], len(slopes)
     degree = size + 2 * count  # self-concordance parameter of the barrier
     problems = int(np.prod(shape))
@@ -300,7 +293,6 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     g = np.broadcast_to(g, shape + (size, size)).reshape(problems, size, size)
     terms = np.concatenate([np.broadcast_to(slopes, (problems,) + slopes.shape), g[:, None]], axis=1)
     x = np.broadcast_to(x0, shape).reshape(problems)
-    target = np.broadcast_to(target, shape).reshape(problems)
     free = best_free = np.zeros((problems, count))
     lower, upper = np.full(problems, -np.inf), np.full(problems, np.inf)
     certificate = np.full((problems, size, size), np.nan, dtype=complex)
@@ -334,8 +326,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         better = certified & (bound < upper)
         upper = np.where(better, bound, upper)
         certificate = np.where(better[:, None, None], w, certificate)
-        stop = (~definite | (upper - lower <= tol) | (s * tol > degree)
-                | (lower >= target) | (upper < target))
+        stop = ~definite | (upper - lower <= tol) | (s * tol > degree)
 
         # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
         flat = blocks.reshape(len(rows), count + 1, -1)
@@ -359,8 +350,8 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
             results.lower[done], results.upper[done], results.iterations[done] = lower[stop], upper[stop], iterate
             results.free[done], results.certificate[done] = best_free[stop], certificate[stop]
             keep = ~stop
-            rows, f0, g, terms, x, target, free, s, lower, upper, best_free, certificate = (
-                part[keep] for part in (rows, f0, g, terms, x, target, free, s, lower, upper, best_free, certificate))
+            rows, f0, g, terms, x, free, s, lower, upper, best_free, certificate = (
+                part[keep] for part in (rows, f0, g, terms, x, free, s, lower, upper, best_free, certificate))
     return Bracket(results.lower.reshape(shape)[()], results.upper.reshape(shape)[()],
                    results.free.reshape(shape + (count,)), results.certificate.reshape(shape + (size, size)),
                    results.iterations.reshape(shape)[()])
@@ -389,18 +380,17 @@ def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         return steps
 
 
-def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET, target=None) -> Bracket:
+def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     """Bracket the largest minimum eigenvalue of the north-pole output over the seven free entries.
 
     The solve of minimize with G = -I from x = lambda_min(A0) - 1, to a gap of
-    GAP_TOL or, given a ``target``, until the bracket lies on one side of it.
-    Reduction factors (..., 2) and targets (...) give one solve of the stack,
-    one row per pair.
+    GAP_TOL.  Reduction factors (..., 2) give one solve of the stack, one row
+    per pair.
     """
     eta1, eta2 = _validate_etas(etas)
     a0 = _up_matrix(eta1, eta2, np.zeros(np.shape(eta1) + (len(FREE_PARAMETERS),)))
     x0 = np.linalg.eigvalsh(a0)[..., 0] - 1.0
-    return minimize(a0, UP_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL, target)
+    return minimize(a0, UP_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL)
 
 
 @dataclass(frozen=True)
@@ -421,19 +411,19 @@ class FeasibilityReport:
     certificate: np.ndarray
 
 
-def feasibility(etas, budget: int = DEFAULT_BUDGET, psd_tol: float = DEFAULT_PSD_TOL) -> FeasibilityReport:
+def feasibility(etas, budget: int = DEFAULT_BUDGET) -> FeasibilityReport:
     """Decide whether some choice of the seven free entries makes the north-pole output PSD.
 
-    Runs the barrier solve (see eigenvalue_bracket) with the target -psd_tol;
-    ``budget`` caps its iterates, one eigen-decomposition each.  A feasible
-    verdict comes with a witness whose minimum eigenvalue is at least
-    -psd_tol.  An infeasible verdict is certified by upper_bound < -psd_tol
-    unless the optimum lies within the solver's resolution of -psd_tol, where
-    the verdict rests on the best iterate alone.
+    Reads the verdict off the barrier solve to the gap (see
+    eigenvalue_bracket); ``budget`` caps its iterates, one eigen-decomposition
+    each.  Feasible iff the lower end is at least -PSD_TOL, with a witness
+    that attains it.  An infeasible verdict is certified by
+    upper_bound < -PSD_TOL unless the optimum lies within the solver's
+    resolution of -PSD_TOL, where the verdict rests on the best iterate alone.
     """
-    solve = eigenvalue_bracket(etas, budget, target=-psd_tol)
+    solve = eigenvalue_bracket(etas, budget)
     return FeasibilityReport(
-        feasible=bool(solve.lower >= -psd_tol),
+        feasible=bool(solve.lower >= -PSD_TOL),
         best_min_eigenvalue=float(solve.lower),
         witness=constrain_tensor(solve.free),
         evaluations=int(solve.iterations),
@@ -463,13 +453,6 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
     return minimize(ORIGIN, UP_SLOPES, direction, 0.0, budget, radius_tol)
 
 
-def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET,
-               brackets: list | None = None) -> float:
-    """Largest feasible radius along one ray (r cos(phi), r sin(phi)): the lower end of its radius_bracket.
-
-    Appends the Bracket to ``brackets`` when a list is given.
-    """
-    bracket = radius_bracket(float(phi), radius_tol, budget)
-    if brackets is not None:
-        brackets.append(bracket)
-    return float(bracket.lower)
+def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> float:
+    """Largest feasible radius along one ray (r cos(phi), r sin(phi)): the lower end of its radius_bracket."""
+    return float(radius_bracket(float(phi), radius_tol, budget).lower)

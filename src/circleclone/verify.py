@@ -24,7 +24,6 @@ class RunConfig:
     """Reproducibility knobs shared by the CLI commands."""
 
     seed: int = 0
-    psd_tol: float = nosignalling.DEFAULT_PSD_TOL
     radius_tol: float = nosignalling.DEFAULT_RADIUS_TOL
     budget: int = nosignalling.DEFAULT_BUDGET
     samples: int = 0  # 0 = every check uses its own documented sample count
@@ -33,10 +32,8 @@ class RunConfig:
         # The same rules as the CLI's argument types.
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("psd_tol", "radius_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not (math.isfinite(self.radius_tol) and self.radius_tol > 0):
+            raise ValueError(f"radius_tol must be positive and finite, got {self.radius_tol!r}")
         if not (isinstance(self.budget, numbers.Integral) and self.budget > 0):
             raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
         if not (isinstance(self.samples, numbers.Integral) and (self.samples == 0 or self.samples >= 2)):
@@ -319,7 +316,7 @@ def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
     # solve's estimate of the on-circle optimum 0, not a stopping rule's.
     etas = _circle_etas(np.array([0.0, np.pi / 4, np.pi / 3]))
     lowest = float(np.min(nosignalling.eigenvalue_bracket(etas, config.budget).lower))
-    return CheckResult("on_circle_feasibility", lowest, -config.psd_tol, direction=">=")
+    return CheckResult("on_circle_feasibility", lowest, -linalg.PSD_TOL, direction=">=")
 
 
 def check_circle_recovery(config: RunConfig, rng) -> CheckResult:

@@ -19,18 +19,15 @@ from circleclone.cloner import (
     isotropy_scan,
     reduced_clones,
 )
-from circleclone.nosignalling import (
-    UP,
-    build_joint_output,
-    constrain_tensor,
-    covariance_residual,
-    feasibility,
-    no_signalling_residual,
-    positivity_matrix_up,
-    rotate_correlations,
-)
+from circleclone.nosignalling import covariance_residual, feasibility, rotate_correlations
 from circleclone.pauli import great_circle_bloch
-from circleclone.verify import reference_partial_trace
+from circleclone.verify import (
+    RunConfig,
+    check_no_signalling_constraint,
+    check_no_signalling_violation,
+    check_transcription_identity,
+    reference_partial_trace,
+)
 
 SYMMETRIC_ETA = 2**-0.5
 SYMMETRIC_FIDELITY = 0.5 + np.sqrt(0.125)  # 0.8535533906
@@ -86,20 +83,11 @@ def test_03_infeasibility_beyond_circle(capsys):
 
 def test_04_no_signalling_identity(capsys):
     start = time.perf_counter()
-    rng = np.random.default_rng(4)
-    worst_constrained = 0.0
-    for _ in range(200):
-        etas = rng.uniform(0, 1, 2)
-        t = constrain_tensor(rng.uniform(-1, 1, 7))
-        worst_constrained = max(worst_constrained, no_signalling_residual(etas, t))
+    rng, config = np.random.default_rng(4), RunConfig(samples=200)
+    worst_constrained = check_no_signalling_constraint(config, rng).measured
     assert worst_constrained <= 1e-12
-    smallest_violation = np.inf
-    for _ in range(200):
-        etas = rng.uniform(0, 1, 2)
-        t = rng.uniform(-1, 1, (3, 3))
-        if abs(t[0, 0] - t[2, 2]) < 0.01:
-            t[2, 2] = t[0, 0] + (0.01 if t[0, 0] <= 0.99 else -0.01)
-        smallest_violation = min(smallest_violation, no_signalling_residual(etas, t))
+    # 200 signalling tensors, each with t_xx and t_zz at least 0.01 apart.
+    smallest_violation = check_no_signalling_violation(config, rng).measured
     assert smallest_violation > 0
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -176,10 +164,7 @@ def test_07_separability_of_joint_output(capsys):
 
 def test_08_transcription_identity(capsys):
     start = time.perf_counter()
-    # Row by row, the doubles of 500 draws of two reduction factors, then seven free entries.
-    draws = np.random.default_rng(8).uniform([0] * 2 + [-1] * 7, [1] * 9, (500, 9))
-    etas, t = draws[:, :2], constrain_tensor(draws[:, 2:])
-    worst = float(np.max(np.abs(positivity_matrix_up(etas, t) - build_joint_output(UP, etas, t))))
+    worst = check_transcription_identity(RunConfig(samples=500), np.random.default_rng(8)).measured
     assert worst <= 1e-14
     elapsed = time.perf_counter() - start
     with capsys.disabled():

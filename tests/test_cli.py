@@ -117,7 +117,7 @@ class TestBoundSweepCommand:
             main(["bound-sweep", "--n-phi", "1", "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("option", [["--psd-tol", "-1"], ["--budget", "0"], ["--radius-tol", "0"]])
+    @pytest.mark.parametrize("option", [["--radius-tol", "nan"], ["--budget", "0"], ["--radius-tol", "0"]])
     def test_bad_setting_exits_2_with_one_line(self, option, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bound-sweep", "--n-phi", "2", *option])
@@ -223,16 +223,16 @@ class TestVerifyCommand:
         assert re.search(r"PASS\s+fidelity_law", output)
         assert re.search(r"PASS\s+circle_recovery", output)
 
-    def test_unattainable_tolerance_fails(self, capsys):
-        code = main(["verify", "--samples", "25", "--budget", "300",
-                     "--psd-tol", "1e-30", "--seed", "3"])
+    def test_starved_budget_fails(self, capsys):
+        code = main(["verify", "--samples", "25", "--budget", "5", "--seed", "3"])
         output = capsys.readouterr().out
         assert code == 1
         assert re.search(r"FAIL\s+on_circle_feasibility", output)
+        assert re.search(r"FAIL\s+circle_recovery", output)
 
     def test_bad_tolerance_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--psd-tol", "-1"])
+            main(["verify", "--radius-tol", "-1"])
         assert excinfo.value.code == 2
 
     def test_degenerate_samples_exits_2(self):

@@ -325,7 +325,7 @@ class TestFeasibility:
         assert report.witness[0, 2] == -report.witness[2, 0]
 
     def test_report_consistency(self):
-        report = feasibility((0.4, 0.7), budget=500, psd_tol=1e-9)
+        report = feasibility((0.4, 0.7), budget=500)
         assert isinstance(report, FeasibilityReport)
         assert report.feasible == (report.best_min_eigenvalue >= -1e-9)
         assert report.evaluations <= 500
@@ -387,10 +387,8 @@ class TestMaxRadius:
 
     @pytest.mark.parametrize("phi", np.linspace(0, np.pi / 2, 9))  # the directions of bound-sweep --n-phi 9
     def test_certified_bracket_holds_the_circle(self, phi):
-        brackets = []
-        found = max_radius(phi, brackets=brackets)
-        (bracket,) = brackets
-        assert found == bracket.lower
+        bracket = radius_bracket(phi)
+        assert max_radius(phi) == bracket.lower
         assert bracket.lower <= 1 + 1e-12 and 1 <= bracket.upper
         assert bracket.upper - bracket.lower <= DEFAULT_RADIUS_TOL
         # _up_matrix, not positivity_matrix_up: on the axes the lower end is 1 + 2.2e-16.
@@ -408,6 +406,11 @@ class TestMaxRadius:
         with pytest.raises(ValueError, match="got 2.0"):
             radius_bracket([0.0, 2.0, np.nan])
 
+    @pytest.mark.parametrize("radius_tol", [np.inf, -1.0, np.nan, 0.0])
+    def test_rejects_bad_tolerance(self, radius_tol):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            radius_bracket(0.3, radius_tol=radius_tol)
+
     def test_one_stack_matches_one_solve_per_direction(self):
         phi = np.linspace(0, np.pi / 2, 9)  # the directions of bound-sweep --n-phi 9
         stacked = radius_bracket(phi)
@@ -415,10 +418,9 @@ class TestMaxRadius:
         assert stacked.free.shape == (9, 7) and stacked.certificate.shape == (9, 4, 4)
         a0, slopes = north_pole_terms((0.0, 0.0))
         for k, direction in enumerate(phi):
-            brackets = []
-            found = max_radius(direction, brackets=brackets)
-            assert type(found) is float
-            (alone,) = brackets
+            alone = radius_bracket(direction)
+            found = max_radius(direction)
+            assert type(found) is float and found == alone.lower
             assert stacked.iterations[k] == alone.iterations
             assert abs(stacked.lower[k] - alone.lower) <= 1e-15
             g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
@@ -442,32 +444,37 @@ def assert_certified(upper, w, a0, slopes, g):
 
 
 class TestLockstep:
-    # A feasible point and (0.8, 0.8) decided against a target, an on-circle
-    # point solved to the gap, and a start above the boundary, where S is not
-    # positive definite: their solves stop at different iterates.
-    POINTS = np.array([(0.3, 0.4), (0.8, 0.8), (0.6, 0.8), (0.6, 0.8)])
-    TARGETS = np.array([-1e-9, -1e-9, np.nan, np.nan])
+    # Eigenvalue rows (G = -I) at a feasible point and at (0.8, 0.8), radius
+    # rows (G = B(phi)) along two rays, all solved to GAP_TOL, and an
+    # eigenvalue row started above the boundary, where S is not positive
+    # definite: their solves stop at iterates 43, 43, 45, 46 and 1.
+    POINTS = np.array([(0.3, 0.4), (0.8, 0.8), (0.6, 0.8)])
+    DIRECTIONS = np.array([np.pi / 8, np.pi / 4])
 
     def stack(self):
-        a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))) for etas in self.POINTS])
-        x0 = np.linalg.eigvalsh(a0)[:, 0] - 1.0
+        """F0, G and x0 of the rows: the first two points, the rays, then the last point."""
+        a0 = [positivity_matrix_up(etas, np.zeros((3, 3))) for etas in self.POINTS]
+        x0 = [np.linalg.eigvalsh(a)[0] - 1.0 for a in a0]
         x0[-1] += 1.5
-        return a0, x0
+        origin = positivity_matrix_up((0.0, 0.0), np.zeros((3, 3)))
+        rays = [positivity_matrix_up((np.cos(phi), np.sin(phi)), np.zeros((3, 3))) - origin
+                for phi in self.DIRECTIONS]
+        f0 = np.array(a0[:2] + [origin] * len(rays) + a0[2:])
+        g = np.array([-np.eye(4)] * 2 + rays + [-np.eye(4)])
+        return f0, g, np.array(x0[:2] + [0.0] * len(rays) + x0[2:])
 
     def test_each_row_is_its_own_solve(self):
-        a0, x0 = self.stack()
-        g = -np.eye(4)
-        stacked = minimize(a0, UP_SLOPES, g, x0, DEFAULT_BUDGET, GAP_TOL, self.TARGETS)
+        f0, g, x0 = self.stack()
+        slopes = north_pole_terms((0.0, 0.0))[1]  # the A_i are the same in every row
+        stacked = minimize(f0, UP_SLOPES, g, x0, DEFAULT_BUDGET, GAP_TOL)
         assert len(set(stacked.iterations.tolist())) >= 3, stacked.iterations
-        for k, target in enumerate(self.TARGETS):
-            alone = minimize(a0[k], UP_SLOPES, g, x0[k], DEFAULT_BUDGET, GAP_TOL,
-                             None if np.isnan(target) else target)
+        for k in range(len(x0)):
+            alone = minimize(f0[k], UP_SLOPES, g[k], x0[k], DEFAULT_BUDGET, GAP_TOL)
             assert np.ndim(alone.lower) == 0 and alone.free.shape == (7,)
             assert stacked.iterations[k] == alone.iterations
             assert stacked.lower[k] == alone.lower or abs(stacked.lower[k] - alone.lower) <= 1e-15
             if np.isfinite(alone.upper):
-                slopes = north_pole_terms(self.POINTS[k])[1]
-                assert_certified(stacked.upper[k], stacked.certificate[k], a0[k], slopes, g)
+                assert_certified(stacked.upper[k], stacked.certificate[k], f0[k], slopes, g[k])
         # The start above the boundary stops at once with nothing bracketed,
         # and none of its stand-in arithmetic reaches the other rows.
         assert stacked.iterations[-1] == 1
@@ -482,9 +489,9 @@ class TestLockstep:
         np.testing.assert_array_equal(steps[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
 
     def test_eigenvalue_bracket_takes_the_stack(self):
-        a0, x0 = self.stack()
-        stacked = minimize(a0[:3], UP_SLOPES, -np.eye(4), x0[:3], DEFAULT_BUDGET, GAP_TOL, self.TARGETS[:3])
-        brackets = eigenvalue_bracket(self.POINTS[:3], target=self.TARGETS[:3])
+        a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))) for etas in self.POINTS])
+        stacked = minimize(a0, UP_SLOPES, -np.eye(4), np.linalg.eigvalsh(a0)[:, 0] - 1.0, DEFAULT_BUDGET, GAP_TOL)
+        brackets = eigenvalue_bracket(self.POINTS)
         np.testing.assert_array_equal(brackets.iterations, stacked.iterations)
         assert np.max(np.abs(brackets.lower - stacked.lower)) <= 1e-15
         assert feasibility(self.POINTS[0]).feasible and not feasibility(self.POINTS[1]).feasible

@@ -29,10 +29,9 @@ from circleclone.verify import (
 
 class TestRunConfig:
     @pytest.mark.parametrize("settings", [
-        {"psd_tol": float("nan")},
-        {"psd_tol": float("inf")},
-        {"psd_tol": -1e-9},
         {"radius_tol": float("nan")},
+        {"radius_tol": float("inf")},
+        {"radius_tol": -1e-3},
         {"radius_tol": 0.0},
         {"budget": 0},
         {"budget": 2.5},
@@ -47,7 +46,7 @@ class TestRunConfig:
             RunConfig(**settings)
 
     def test_accepts_valid_settings(self):
-        RunConfig(psd_tol=1e-6, radius_tol=1e-2, budget=np.int64(10), samples=2)
+        RunConfig(radius_tol=1e-2, budget=np.int64(10), samples=2)
         RunConfig(samples=0)
 
 
@@ -75,7 +74,7 @@ class TestBoundSoundness:
 
 class TestSolverChecks:
     def test_on_circle_feasibility_measures_the_solve(self):
-        # Solved to the gap, the on-circle optimum 0 is met far inside psd_tol.
+        # Solved to the gap, the on-circle optimum 0 is met far inside PSD_TOL.
         result = check_on_circle_feasibility(RunConfig(), np.random.default_rng(0))
         assert result.passed
         assert abs(result.measured) <= 1e-10
