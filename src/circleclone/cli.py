@@ -53,18 +53,12 @@ def _directions(n: int):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        radius_tol=args.radius_tol,
-        budget=args.budget,
-        samples=args.samples,
-    )
+    return RunConfig(seed=args.seed, budget=args.budget, samples=args.samples)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    print(f"verification suite  seed={config.seed}  "
-          f"radius_tol={config.radius_tol:g}  budget={config.budget}  samples={config.samples or 'default'}")
+    print(f"verification suite  seed={config.seed}  budget={config.budget}  samples={config.samples or 'default'}")
     results = run_verification(config)
     failures = 0
     for result in results:
@@ -169,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
     verify.add_argument("--seed", type=SEED, default=0)
-    verify.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
     verify.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
     verify.add_argument("--samples", type=SAMPLE_OVERRIDE, default=0,
                         help="override every check's sample count (0 = per-check defaults)")

@@ -14,19 +14,9 @@ import numpy as np
 
 from .linalg import _first_where, hermitian_eigenvalues, kron, partial_trace
 from .nosignalling import _validate_etas
-from .pauli import (
-    density_to_bloch,
-    great_circle_bloch,
-    great_circle_ket,
-    pauli_decompose,
-    rotation_unitary,
-)
+from .pauli import density_to_bloch, great_circle_ket, pauli_decompose, rotation_unitary
 
 ON_CIRCLE_ATOL = 1e-8
-
-# Bloch component below which a per-axis shrink ratio is read off a cardinal
-# input (theta = 0 for z, theta = pi/2 for x) instead of the requested theta.
-_AXIS_COMPONENT_FLOOR = 0.1
 
 # (angle, pair) entries that isotropy_scan evaluates at once: enough to spread
 # numpy's per-call cost, few enough that a block's temporaries stay under 1 MB.
@@ -130,13 +120,6 @@ def _isotropy_residual(rho: np.ndarray, ket: np.ndarray, s) -> np.ndarray:
     return np.max(np.abs(rho - s * projector - (1 - s) * np.eye(2) / 2), axis=(-2, -1))
 
 
-def _axis_shrink(axis: int, bloch: np.ndarray, m: np.ndarray, probe_bloch: np.ndarray) -> np.ndarray:
-    """Per-axis Bloch shrink ratio, read off a cardinal probe where |m_axis| is small."""
-    component = m[..., axis]
-    large = np.abs(component) > _AXIS_COMPONENT_FLOOR
-    return np.where(large, bloch[..., axis] / np.where(large, component, 1.0), probe_bloch[..., axis])
-
-
 @dataclass(frozen=True)
 class CloneReport:
     """Diagnostics of one cloning run: shrinks, fidelities, correlations and separability.
@@ -163,10 +146,10 @@ class CloneReport:
 def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     """Run the machine at one input and extract every reported diagnostic.
 
-    Per-axis shrinks are Bloch component ratios, falling back to the cardinal
-    inputs (theta = 0 for z, pi/2 for x) when the requested input has no
-    component along an axis.  The isotropy residual of each clone holds the
-    shrink fitted at the requested angle fixed and measures the worst
+    Each clone's reduced channel is diagonal in x and z, so its per-axis
+    shrinks are read off the cardinal inputs: the z shrink at theta = 0 and
+    the x shrink at theta = pi/2.  The isotropy residual of each clone holds
+    the shrink fitted at the requested angle fixed and measures the worst
     deviation from the shrunk-copy-plus-noise form across the requested and
     both cardinal inputs, so anisotropy is visible from any single run.
     ``ppt_min_eigenvalue`` is the minimum eigenvalue of the joint output's
@@ -183,16 +166,14 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     theta = np.broadcast_to(np.asarray(theta, dtype=float), shape)
     thetas = np.stack([theta, np.zeros(shape), np.full(shape, np.pi / 2)], axis=-1)
     kets = great_circle_ket(thetas)
-    m = great_circle_bloch(theta)
     rho_o, rho_b, rho_ob = reduced_clones(clone(thetas, coeffs))
 
     def diagnose(rho):
         """(z shrink, x shrink, fidelity, isotropy residual) of one clone over the three inputs."""
         s = _shrink(rho[..., 0, :, :], kets[..., 0, :])
         bloch = density_to_bloch(rho)
-        requested, pole, equator = bloch[..., 0, :], bloch[..., 1, :], bloch[..., 2, :]
         residual = np.max(_isotropy_residual(rho, kets, s[..., None]), axis=-1)
-        return _axis_shrink(2, requested, m, pole), _axis_shrink(0, requested, m, equator), (1 + s) / 2, residual
+        return bloch[..., 1, 2], bloch[..., 2, 0], (1 + s) / 2, residual
 
     shrink_o_z, shrink_o_x, fidelity_o, residual_o = diagnose(rho_o)
     shrink_b_z, shrink_b_x, fidelity_b, residual_b = diagnose(rho_b)

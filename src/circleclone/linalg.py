@@ -34,14 +34,14 @@ def hermiticity_defect(m: np.ndarray):
     return np.max(np.abs(m - m.conj().swapaxes(-2, -1)), axis=(-2, -1))
 
 
-def _require_hermitian(m: np.ndarray, atol: float) -> np.ndarray:
-    """``m`` as a complex (..., n, n) stack, rejected if any matrix is not Hermitian within ``atol``."""
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
+    """``m`` as a complex (..., n, n) stack, rejected if any matrix is not Hermitian within HERMITIAN_ATOL."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"not Hermitian: expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m).max()
-    if defect > atol:
-        raise ValueError(f"not Hermitian: defect {defect:.3e} exceeds tolerance {atol:.1e}")
+    if defect > HERMITIAN_ATOL:
+        raise ValueError(f"not Hermitian: defect {defect:.3e} exceeds tolerance {HERMITIAN_ATOL:.1e}")
     return m
 
 
@@ -88,13 +88,13 @@ def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int
     return reduced.reshape(batch + (kept_dim, kept_dim))
 
 
-def hermitian_eigenvalues(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending; a (..., n, n) stack gives (..., n).
 
     The input is symmetrized as (M + M^dagger)/2 before solving; a stack in
-    which any matrix's hermiticity defect exceeds ``atol`` is rejected.
+    which any matrix's hermiticity defect exceeds HERMITIAN_ATOL is rejected.
     """
-    m = _require_hermitian(m, atol)
+    m = _require_hermitian(m)
     return np.linalg.eigvalsh((m + m.conj().swapaxes(-2, -1)) / 2)
 
 

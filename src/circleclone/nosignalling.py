@@ -400,10 +400,11 @@ class FeasibilityReport:
     ``best_min_eigenvalue``, attained by ``witness``, and ``upper_bound``,
     proved by the positive semidefinite unit-trace ``certificate`` W (see
     minimize), bracket the largest minimum eigenvalue of the north-pole
-    output over the seven free entries.
+    output over the seven free entries.  ``feasible`` is None where the
+    bracket decides neither way.
     """
 
-    feasible: bool
+    feasible: bool | None
     best_min_eigenvalue: float
     witness: np.ndarray
     evaluations: int
@@ -416,14 +417,21 @@ def feasibility(etas, budget: int = DEFAULT_BUDGET) -> FeasibilityReport:
 
     Reads the verdict off the barrier solve to the gap (see
     eigenvalue_bracket); ``budget`` caps its iterates, one eigen-decomposition
-    each.  Feasible iff the lower end is at least -PSD_TOL, with a witness
-    that attains it.  An infeasible verdict is certified by
-    upper_bound < -PSD_TOL unless the optimum lies within the solver's
-    resolution of -PSD_TOL, where the verdict rests on the best iterate alone.
+    each.  Feasible (True) iff the lower end is at least -PSD_TOL, with a
+    witness that attains it; infeasible (False) iff the upper end is below
+    -PSD_TOL, with the certificate as its proof.  Otherwise the bracket
+    straddles -PSD_TOL (the budget ran out, or the optimum lies within the
+    solver's resolution of it) and the verdict is None: undecided.
     """
     solve = eigenvalue_bracket(etas, budget)
+    if solve.lower >= -PSD_TOL:
+        feasible = True
+    elif solve.upper < -PSD_TOL:
+        feasible = False
+    else:
+        feasible = None
     return FeasibilityReport(
-        feasible=bool(solve.lower >= -PSD_TOL),
+        feasible=feasible,
         best_min_eigenvalue=float(solve.lower),
         witness=constrain_tensor(solve.free),
         evaluations=int(solve.iterations),

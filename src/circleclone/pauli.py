@@ -64,7 +64,7 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     A (..., 2, 2) stack gives (..., 3); it is rejected if any matrix is not
     Hermitian or not of unit trace.
     """
-    rho = _require_hermitian(rho, HERMITIAN_ATOL)
+    rho = _require_hermitian(rho)
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     traces = np.trace(rho, axis1=-2, axis2=-1)
@@ -126,7 +126,7 @@ def pauli_decompose(rho: np.ndarray) -> PauliDecomposition:
     A (..., 4, 4) stack gives coefficients with the same leading axes: a and b
     (..., 3), t (..., 3, 3) and unit (...).
     """
-    rho = _require_hermitian(rho, HERMITIAN_ATOL)
+    rho = _require_hermitian(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     a = np.einsum("jab,...ba->...j", PAULI_LEFT, rho).real

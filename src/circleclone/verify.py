@@ -9,7 +9,6 @@ closed forms) so that agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ class RunConfig:
     """Reproducibility knobs shared by the CLI commands."""
 
     seed: int = 0
-    radius_tol: float = nosignalling.DEFAULT_RADIUS_TOL
     budget: int = nosignalling.DEFAULT_BUDGET
     samples: int = 0  # 0 = every check uses its own documented sample count
 
@@ -32,8 +30,6 @@ class RunConfig:
         # The same rules as the CLI's argument types.
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (math.isfinite(self.radius_tol) and self.radius_tol > 0):
-            raise ValueError(f"radius_tol must be positive and finite, got {self.radius_tol!r}")
         if not (isinstance(self.budget, numbers.Integral) and self.budget > 0):
             raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
         if not (isinstance(self.samples, numbers.Integral) and (self.samples == 0 or self.samples >= 2)):
@@ -321,7 +317,7 @@ def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
 
 def check_circle_recovery(config: RunConfig, rng) -> CheckResult:
     phi = np.array([0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
-    bracket = nosignalling.radius_bracket(phi, radius_tol=config.radius_tol, budget=config.budget)
+    bracket = nosignalling.radius_bracket(phi, radius_tol=nosignalling.DEFAULT_RADIUS_TOL, budget=config.budget)
     worst = np.max(np.maximum(np.abs(bracket.lower - 1.0), np.abs(bracket.upper - 1.0)))
     return CheckResult("circle_recovery", float(worst), 2e-3)
 

@@ -73,7 +73,7 @@ def test_02_optimal_curve_recovery(capsys, tmp_path):
 def test_03_infeasibility_beyond_circle(capsys):
     start = time.perf_counter()
     result = feasibility((0.8, 0.8))
-    assert not result.feasible
+    assert result.feasible is False
     assert result.best_min_eigenvalue < -1e-4
     elapsed = time.perf_counter() - start
     with capsys.disabled():

@@ -181,7 +181,7 @@ class TestPauli:
         assert_rows_match(great_circle_bloch(thetas), [great_circle_bloch(t) for t in thetas], tol=0.0)
 
 
-# Angles where the per-axis shrink reads a cardinal probe, plus generic ones.
+# The cardinal angles, where the requested input is itself a probe, plus generic ones.
 CARDINAL_AND_GENERIC = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 0.05, 0.9, 2.1, 4.0])
 # On and off the circle eta1^2 + eta2^2 = 1, endpoints included.
 ETAS = np.array([(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.7, 0.7), (0.2, 0.9), (1.0, 1.0), (0.0, 0.0)])

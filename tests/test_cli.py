@@ -230,10 +230,12 @@ class TestVerifyCommand:
         assert re.search(r"FAIL\s+on_circle_feasibility", output)
         assert re.search(r"FAIL\s+circle_recovery", output)
 
-    def test_bad_tolerance_exits_2(self):
+    @pytest.mark.parametrize("budget", ["0", "2.5"])
+    def test_bad_budget_exits_2_with_one_line(self, budget, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--radius-tol", "-1"])
+            main(["verify", "--budget", budget])
         assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
     def test_degenerate_samples_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:

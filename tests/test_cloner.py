@@ -16,7 +16,7 @@ from circleclone.cloner import (
     partial_transpose_second,
     reduced_clones,
 )
-from circleclone.pauli import SIGMA_X, great_circle_ket, pauli_decompose
+from circleclone.pauli import SIGMA_X, density_to_bloch, great_circle_ket, pauli_decompose
 from circleclone.verify import reference_partial_trace
 
 RNG = np.random.default_rng(99)
@@ -178,6 +178,21 @@ class TestCloneReport:
         assert report.shrink_o_x == pytest.approx(np.sqrt(0.75), abs=1e-10)
         assert report.shrink_o_z == pytest.approx(0.5, abs=1e-10)  # probed at the pole
         assert max(report.isotropy_residual_o, report.isotropy_residual_b) > 1e-3
+
+    def test_probe_shrinks_reproduce_every_input(self):
+        # Each clone's reduced channel is diagonal in x and z, so the shrinks read off the pole and the
+        # equator give its Bloch vector at every angle: (shrink_x sin theta, 0, shrink_z cos theta).
+        cardinal = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        thetas = np.concatenate([np.repeat(cardinal, 25), RNG.uniform(0, 2 * np.pi, 900)])
+        etas = RNG.uniform(0, 1, (len(thetas), 2))
+        etas[:8] = [(0, 0), (1, 1), (1, 0), (0, 1), (0.6, 0.8), (0.5, 0.5), (0.7, 0.7), (0.2, 0.9)]
+        etas[100:200] = [random_circle_etas(RNG) for _ in range(100)]
+        report = clone_report(thetas, etas)
+        rho_o, rho_b, _ = reduced_clones(clone(thetas, coefficients(etas)))
+        for rho, shrink_z, shrink_x in [(rho_o, report.shrink_o_z, report.shrink_o_x),
+                                        (rho_b, report.shrink_b_z, report.shrink_b_x)]:
+            expected = np.stack([shrink_x * np.sin(thetas), np.zeros_like(thetas), shrink_z * np.cos(thetas)], -1)
+            assert np.max(np.abs(density_to_bloch(rho) - expected)) <= 1e-12
 
     def test_fidelity_law_on_circle(self):
         for _ in range(50):

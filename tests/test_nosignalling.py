@@ -307,18 +307,18 @@ class TestMachineWitness:
 class TestFeasibility:
     def test_origin_short_circuit(self):
         report = feasibility((0, 0))
-        assert report.feasible
+        assert report.feasible is True
         assert report.best_min_eigenvalue == pytest.approx(0.25, abs=1e-12)
         assert report.evaluations == 1
 
     def test_symmetric_boundary_point(self):
         report = feasibility((SYMMETRIC_ETA, SYMMETRIC_ETA))
-        assert report.feasible
+        assert report.feasible is True
         assert report.best_min_eigenvalue >= -1e-9
 
     def test_beyond_circle_infeasible(self):
         report = feasibility((0.8, 0.8), budget=800)
-        assert not report.feasible
+        assert report.feasible is False
         assert report.best_min_eigenvalue < -1e-4
         # reported witness always satisfies the no-signalling equalities exactly
         assert report.witness[0, 0] == report.witness[2, 2]
@@ -329,6 +329,23 @@ class TestFeasibility:
         assert isinstance(report, FeasibilityReport)
         assert report.feasible == (report.best_min_eigenvalue >= -1e-9)
         assert report.evaluations <= 500
+
+    def test_starved_budget_is_undecided(self):
+        # On the circle, so feasible: 30 iterates leave a bracket that straddles -1e-9 and proves neither verdict.
+        report = feasibility((0.6, 0.8), budget=30)
+        assert report.feasible is None
+        assert report.best_min_eigenvalue < -1e-9 <= report.upper_bound
+        assert feasibility((0.6, 0.8)).feasible is True
+
+    @pytest.mark.parametrize("budget", [1, 5, 10, 20, 30, 35, 40, DEFAULT_BUDGET])
+    def test_verdict_follows_the_bracket(self, budget):
+        # No budget makes an on-circle point infeasible; a verdict is given only where one end decides it.
+        for etas in [(0.6, 0.8), (SYMMETRIC_ETA, SYMMETRIC_ETA), (0.8, 0.8)]:
+            report = feasibility(etas, budget=budget)
+            expected = True if report.best_min_eigenvalue >= -1e-9 else False if report.upper_bound < -1e-9 else None
+            assert report.feasible is expected, (etas, budget)
+            if etas != (0.8, 0.8):
+                assert report.feasible is not False, (etas, budget)
 
 
 def north_pole_terms(etas):
@@ -341,7 +358,7 @@ class TestCertificates:
     @pytest.mark.parametrize("etas", [(0.8, 0.8), (0.7071, 0.7072)])
     def test_infeasible_verdict_is_dual_certified(self, etas):
         report = feasibility(etas)
-        assert not report.feasible
+        assert report.feasible is False
         assert report.upper_bound < -1e-9
         w = report.certificate
         assert np.max(np.abs(w - w.conj().T)) <= 1e-15
@@ -363,7 +380,7 @@ class TestCertificates:
             for radius in (0.5, 0.999, 1.0):
                 etas = (radius * np.cos(phi), radius * np.sin(phi))
                 report = feasibility(etas)
-                assert report.feasible, etas
+                assert report.feasible is True, etas
                 assert report.upper_bound >= -1e-9
                 assert np.linalg.eigvalsh(positivity_matrix_up(etas, report.witness))[0] >= -1e-9
 
@@ -494,4 +511,4 @@ class TestLockstep:
         brackets = eigenvalue_bracket(self.POINTS)
         np.testing.assert_array_equal(brackets.iterations, stacked.iterations)
         assert np.max(np.abs(brackets.lower - stacked.lower)) <= 1e-15
-        assert feasibility(self.POINTS[0]).feasible and not feasibility(self.POINTS[1]).feasible
+        assert feasibility(self.POINTS[0]).feasible is True and feasibility(self.POINTS[1]).feasible is False

@@ -29,10 +29,6 @@ from circleclone.verify import (
 
 class TestRunConfig:
     @pytest.mark.parametrize("settings", [
-        {"radius_tol": float("nan")},
-        {"radius_tol": float("inf")},
-        {"radius_tol": -1e-3},
-        {"radius_tol": 0.0},
         {"budget": 0},
         {"budget": 2.5},
         {"samples": 1},
@@ -46,7 +42,7 @@ class TestRunConfig:
             RunConfig(**settings)
 
     def test_accepts_valid_settings(self):
-        RunConfig(radius_tol=1e-2, budget=np.int64(10), samples=2)
+        RunConfig(budget=np.int64(10), samples=2)
         RunConfig(samples=0)
 
 
@@ -79,9 +75,10 @@ class TestSolverChecks:
         assert result.passed
         assert abs(result.measured) <= 1e-10
 
-    def test_circle_recovery_reads_both_ends_of_each_bracket(self):
+    def test_circle_recovery_reads_both_ends_of_each_bracket(self, monkeypatch):
         # At radius_tol 5e-3 every lower end lies within 1e-3 of 1, but some upper ends do not lie within 2e-3.
-        assert not check_circle_recovery(RunConfig(radius_tol=5e-3), np.random.default_rng(0)).passed
+        monkeypatch.setattr(nosignalling, "DEFAULT_RADIUS_TOL", 5e-3)
+        assert not check_circle_recovery(RunConfig(), np.random.default_rng(0)).passed
 
 
 class TestIsotropyChecks:
