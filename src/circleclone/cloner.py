@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _first_where, hermitian_eigenvalues, kron, partial_trace
+from .linalg import _require, hermitian_eigenvalues, kron, partial_trace
 from .nosignalling import _validate_etas
 from .pauli import density_to_bloch, great_circle_ket, pauli_decompose, rotation_unitary
 
@@ -252,10 +252,8 @@ def covariance_check_machine(etas, theta, beta):
     factors (..., 2) and angles (...) broadcast to one deviation per entry.
     """
     etas = np.asarray(etas, dtype=float)
-    off = np.abs(etas[..., 0] ** 2 + etas[..., 1] ** 2 - 1.0) > ON_CIRCLE_ATOL
-    if off.any():
-        eta1, eta2 = _first_where(off, etas)
-        raise ValueError(f"({eta1}, {eta2}) is not on the curve eta1^2 + eta2^2 = 1")
+    _require(np.abs(etas[..., 0] ** 2 + etas[..., 1] ** 2 - 1.0) <= ON_CIRCLE_ATOL, etas,
+             "({}, {}) is not on the curve eta1^2 + eta2^2 = 1")
     theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
     rho = reduced_clones(clone(np.stack([theta + beta, theta], axis=-1), coefficients(etas[..., None, :])))[2]
     u = rotation_unitary(beta)

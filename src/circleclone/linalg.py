@@ -10,11 +10,19 @@ HERMITIAN_ATOL = 1e-10
 PSD_TOL = 1e-9
 
 
-def _first_where(condition: np.ndarray, values: np.ndarray):
-    """The entry of ``values`` (batch shape of ``condition``, then any trailing axes) where ``condition`` first holds."""
-    condition = np.asarray(condition)
-    values = np.asarray(values)
-    return values.reshape((-1,) + values.shape[condition.ndim:])[np.argmax(condition.reshape(-1))]
+def _require(holds, values, message: str) -> None:
+    """Reject a stack unless ``holds`` is true for every entry: ValueError(``message``) from the first that fails.
+
+    ``holds`` has the batch shape of ``values``, whose trailing axes, if any,
+    make up one entry; ``message`` is formatted with that entry's fields.
+    The caller states what must hold, so a NaN, which satisfies no
+    comparison, fails it.
+    """
+    holds = np.asarray(holds)
+    if not holds.all():
+        values = np.asarray(values)
+        entry = values.reshape((-1,) + values.shape[holds.ndim:])[np.argmin(holds.reshape(-1))]
+        raise ValueError(message.format(*np.ravel(entry)))
 
 
 def _components(a: np.ndarray) -> list:
@@ -39,9 +47,8 @@ def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"not Hermitian: expected a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m).max()
-    if defect > HERMITIAN_ATOL:
-        raise ValueError(f"not Hermitian: defect {defect:.3e} exceeds tolerance {HERMITIAN_ATOL:.1e}")
+    defect = hermiticity_defect(m)
+    _require(defect <= HERMITIAN_ATOL, defect, f"not Hermitian: defect {{:.3e}} exceeds tolerance {HERMITIAN_ATOL:.1e}")
     return m
 
 
@@ -91,8 +98,8 @@ def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending; a (..., n, n) stack gives (..., n).
 
-    The input is symmetrized as (M + M^dagger)/2 before solving; a stack in
-    which any matrix's hermiticity defect exceeds HERMITIAN_ATOL is rejected.
+    The input is symmetrized as (M + M^dagger)/2 before solving; a stack is
+    rejected unless every matrix's hermiticity defect is within HERMITIAN_ATOL.
     """
     m = _require_hermitian(m)
     return np.linalg.eigvalsh((m + m.conj().swapaxes(-2, -1)) / 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_TOL, _components, _first_where, _stack_last, kron
+from .linalg import PSD_TOL, _components, _require, _stack_last, kron
 from .pauli import PauliDecomposition, rotate_bloch, rotation_unitary
 
 GREAT_CIRCLE_ATOL = 1e-12
@@ -49,8 +49,7 @@ def constrain_tensor(free) -> np.ndarray:
     free = np.asarray(free, dtype=float)
     if free.ndim < 1 or free.shape[-1] != len(FREE_PARAMETERS):
         raise ValueError(f"expected the {len(FREE_PARAMETERS)} free entries {FREE_PARAMETERS}, got shape {free.shape}")
-    if (np.abs(free) > 1 + 1e-12).any():
-        raise ValueError("free correlation entries must lie in [-1, 1]")
+    _require(np.abs(free) <= 1 + 1e-12, free, "free correlation entries must lie in [-1, 1]")
     t_xx, t_xz, t_yy, t_xy, t_yx, t_yz, t_zy = _components(free)
     return _stack_last([
         [t_xx, t_xy, t_xz],
@@ -71,10 +70,7 @@ def _validate_etas(etas) -> tuple[np.ndarray, np.ndarray]:
     etas = np.asarray(etas, dtype=float)
     if etas.ndim < 1 or etas.shape[-1] != 2:
         raise ValueError(f"expected reduction factors (eta1, eta2), got shape {etas.shape}")
-    inside = (etas >= 0.0) & (etas <= 1.0)
-    if not inside.all():
-        eta1, eta2 = _first_where(~inside.all(axis=-1), etas)
-        raise ValueError(f"reduction factors must lie in [0, 1], got ({eta1}, {eta2})")
+    _require(((etas >= 0.0) & (etas <= 1.0)).all(axis=-1), etas, "reduction factors must lie in [0, 1], got ({}, {})")
     return tuple(_components(etas))
 
 
@@ -87,13 +83,9 @@ def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     one (..., 4, 4) output per entry.
     """
     m = np.asarray(m, dtype=float)
-    off_circle = np.abs(m[..., 1]) > GREAT_CIRCLE_ATOL
-    if off_circle.any():
-        raise ValueError(f"off great circle: m_y = {_first_where(off_circle, m[..., 1]):.3e}")
+    _require(np.abs(m[..., 1]) <= GREAT_CIRCLE_ATOL, m[..., 1], "off great circle: m_y = {:.3e}")
     norms = np.linalg.norm(m, axis=-1)
-    not_unit = np.abs(norms - 1.0) > 1e-9
-    if not_unit.any():
-        raise ValueError(f"input Bloch vector must be a unit vector, got |m| = {_first_where(not_unit, norms):.12f}")
+    _require(np.abs(norms - 1.0) <= 1e-9, norms, "input Bloch vector must be a unit vector, got |m| = {:.12f}")
     eta1, eta2 = _validate_etas(etas)
     t = np.asarray(t, dtype=float)
     if t.shape[-2:] != (3, 3):
@@ -187,10 +179,9 @@ def positivity_matrix_up(etas, t: np.ndarray) -> np.ndarray:
     """
     eta1, eta2 = _validate_etas(etas)
     t = np.asarray(t, dtype=float)
-    violated = ((np.abs(t[..., 0, 0] - t[..., 2, 2]) > CONSTRAINT_ATOL)
-                | (np.abs(t[..., 0, 2] + t[..., 2, 0]) > CONSTRAINT_ATOL))
-    if violated.any():
-        raise ValueError("correlation tensor violates the no-signalling constraints t_xx = t_zz, t_xz = -t_zx")
+    _require((np.abs(t[..., 0, 0] - t[..., 2, 2]) <= CONSTRAINT_ATOL)
+             & (np.abs(t[..., 0, 2] + t[..., 2, 0]) <= CONSTRAINT_ATOL),
+             t, "correlation tensor violates the no-signalling constraints t_xx = t_zz, t_xz = -t_zx")
     free = free_parameters(t)
     shape = np.broadcast_shapes(np.shape(eta1), free.shape[:-1])
     return _up_matrix(eta1, eta2, np.broadcast_to(free, shape + free.shape[-1:]))
@@ -218,9 +209,7 @@ def machine_witness_tensor(etas) -> np.ndarray:
     """
     eta1, eta2 = _validate_etas(etas)
     radius = np.hypot(eta1, eta2)
-    outside = radius > 1.0 + 1e-9
-    if np.any(outside):
-        raise ValueError(f"no mixture witness outside the unit disk: radius {float(_first_where(outside, radius)):.6f}")
+    _require(radius <= 1.0 + 1e-9, radius, "no mixture witness outside the unit disk: radius {:.6f}")
     inside = radius > 0.0
     c = np.where(inside, eta1 * eta2 / np.where(inside, radius, 1.0), 0.0)
     zero = np.zeros_like(c)
@@ -453,9 +442,7 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
     stopping on its own.  The boundary is the unit circle.
     """
     phi = np.asarray(phi, dtype=float)
-    outside = ~((phi >= 0.0) & (phi <= np.pi / 2))
-    if outside.any():
-        raise ValueError(f"direction must lie in [0, pi/2], got {_first_where(outside, phi)}")
+    _require((phi >= 0.0) & (phi <= np.pi / 2), phi, "direction must lie in [0, pi/2], got {}")
     direction = (np.cos(phi)[..., None, None] * ETA_SLOPES[0]
                  + np.sin(phi)[..., None, None] * ETA_SLOPES[1])
     return minimize(ORIGIN, UP_SLOPES, direction, 0.0, budget, radius_tol)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_ATOL, _components, _first_where, _require_hermitian, _stack_last, kron
+from .linalg import HERMITIAN_ATOL, _components, _require, _require_hermitian, _stack_last, kron
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,10 +35,12 @@ def great_circle_bloch(theta: float | np.ndarray) -> np.ndarray:
 def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
     """Real-amplitude ket cos(t/2)|0> + sin(t/2)|1> whose Bloch vector is great_circle_bloch(t).
 
-    An array of angles gives one ket per angle, stacked on the last axis: shape (..., 2).
+    An array of angles gives one ket per angle, stacked on the last axis: shape
+    (..., 2); it is rejected if any angle is not finite.
     """
-    half = np.asarray(theta, dtype=float) / 2
-    return np.stack([np.cos(half), np.sin(half)], axis=-1).astype(complex)
+    theta = np.asarray(theta, dtype=float)
+    _require(np.isfinite(theta), theta, "angle must be finite, got {}")
+    return np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1).astype(complex)
 
 
 def bloch_to_density(m) -> np.ndarray:
@@ -51,9 +53,7 @@ def bloch_to_density(m) -> np.ndarray:
     if m.ndim < 1 or m.shape[-1] != 3:
         raise ValueError(f"Bloch vector must have 3 real components, got shape {m.shape}")
     norms = np.linalg.norm(m, axis=-1)
-    unphysical = norms > 1 + BLOCH_NORM_ATOL
-    if unphysical.any():
-        raise ValueError(f"unphysical Bloch vector: |m| = {float(_first_where(unphysical, norms)):.12f} exceeds 1")
+    _require(norms <= 1 + BLOCH_NORM_ATOL, norms, "unphysical Bloch vector: |m| = {:.12f} exceeds 1")
     x, y, z = (m[..., i, None, None] for i in range(3))
     return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
@@ -68,9 +68,7 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     if rho.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     traces = np.trace(rho, axis1=-2, axis2=-1)
-    off = np.abs(traces - 1) > HERMITIAN_ATOL
-    if off.any():
-        raise ValueError(f"trace {complex(_first_where(off, traces))} is not 1 within {HERMITIAN_ATOL:.1e}")
+    _require(np.abs(traces - 1) <= HERMITIAN_ATOL, traces, f"trace {{}} is not 1 within {HERMITIAN_ATOL:.1e}")
     return np.einsum("jab,...ba->...j", PAULI_STACK, rho).real
 
 

@@ -395,7 +395,7 @@ def check_reduced_clone_oracle(config: RunConfig, rng) -> CheckResult:
 
 def check_isotropy_on_circle(config: RunConfig, rng) -> CheckResult:
     phi = np.linspace(0, np.pi / 2, 20)
-    worst = np.max(cloner.isotropy_scan(np.stack([np.cos(phi), np.sin(phi)], axis=-1), _count(config, 200)))
+    worst = np.max(cloner.isotropy_scan(_circle_etas(phi), _count(config, 200)))
     return CheckResult("isotropy_on_circle", float(worst), 1e-10)
 
 

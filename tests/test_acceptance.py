@@ -11,22 +11,18 @@ import numpy as np
 import pytest
 
 from circleclone.cli import main
-from circleclone.cloner import (
-    clone,
-    clone_report,
-    coefficients,
-    isometry_check,
-    isotropy_scan,
-    reduced_clones,
-)
+from circleclone.cloner import clone, coefficients, isometry_check
 from circleclone.nosignalling import covariance_residual, feasibility, rotate_correlations
 from circleclone.pauli import great_circle_bloch
 from circleclone.verify import (
     RunConfig,
+    check_isotropy_off_circle,
+    check_isotropy_on_circle,
     check_no_signalling_constraint,
     check_no_signalling_violation,
+    check_reduced_clone_oracle,
+    check_separability_ppt,
     check_transcription_identity,
-    reference_partial_trace,
 )
 
 SYMMETRIC_ETA = 2**-0.5
@@ -138,24 +134,21 @@ def test_05_rotation_relation_equivalence(capsys):
 
 def test_06_isotropy_iff_on_circle(capsys):
     start = time.perf_counter()
-    phi = np.linspace(0, np.pi / 2, 20)
-    worst_on = float(np.max(isotropy_scan(np.stack([np.cos(phi), np.sin(phi)], axis=-1), 200)))
+    # 20 pairs on the circle, and (0.7, 0.7) and (0.5, 0.5) off it, each over 200 angles.
+    config, rng = RunConfig(samples=200), np.random.default_rng(6)
+    worst_on = check_isotropy_on_circle(config, rng).measured
     assert worst_on <= 1e-10
-    off_a, off_b = isotropy_scan([(0.7, 0.7), (0.5, 0.5)], 200)
-    assert off_a > 1e-3
-    assert off_b > 1e-3
+    smallest_off = check_isotropy_off_circle(config, rng).measured
+    assert smallest_off > 1e-3
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report(6, f"on-circle residual <= {worst_on:.2e}; off-circle residuals "
-                  f"{off_a:.2e} and {off_b:.2e}", elapsed, 10.0)
+                  f">= {smallest_off:.2e}", elapsed, 10.0)
 
 
 def test_07_separability_of_joint_output(capsys):
     start = time.perf_counter()
-    # Row by row, the doubles of 500 draws of phi, then theta.
-    phi, theta = np.random.default_rng(7).uniform([0, 0], [np.pi / 2, 2 * np.pi], (500, 2)).T
-    result = clone_report(theta, np.stack([np.cos(phi), np.sin(phi)], axis=-1))
-    lowest = float(np.min(result.ppt_min_eigenvalue))
+    lowest = check_separability_ppt(RunConfig(samples=500), np.random.default_rng(7)).measured
     assert lowest >= -1e-10
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -173,12 +166,7 @@ def test_08_transcription_identity(capsys):
 
 def test_09_oracle_equivalence(capsys):
     start = time.perf_counter()
-    # Row by row, the doubles of 500 draws of theta, then two reduction factors.
-    draws = np.random.default_rng(9).uniform([0, 0, 0], [2 * np.pi, 1, 1], (500, 3))
-    state = clone(draws[:, 0], coefficients(draws[:, 1:]))
-    rho = state[:, :, None] * state[:, None, :].conj()
-    worst = max(float(np.max(np.abs(reduced - reference_partial_trace(rho, keep, [2, 2, 2]))))
-                for reduced, keep in zip(reduced_clones(state), (0, 1, (0, 1))))
+    worst = check_reduced_clone_oracle(RunConfig(samples=500), np.random.default_rng(9)).measured
     assert worst <= 1e-12
     elapsed = time.perf_counter() - start
     with capsys.disabled():
@@ -187,15 +175,12 @@ def test_09_oracle_equivalence(capsys):
 
 def test_10_isometry_and_normalization(capsys):
     start = time.perf_counter()
-    worst_gram = 0.0
-    worst_norm = 0.0
+    # Grid point (i, j) holds (eta1, eta2) = (grid[i], grid[j]) and the angle 2 pi (50 i + j) / 2500.
     grid = np.linspace(0, 1, 50)
-    for i, eta1 in enumerate(grid):
-        for j, eta2 in enumerate(grid):
-            coeffs = coefficients((eta1, eta2))
-            worst_gram = max(worst_gram, isometry_check(coeffs))
-            theta = 2 * np.pi * (50 * i + j) / 2500
-            worst_norm = max(worst_norm, abs(float(np.linalg.norm(clone(theta, coeffs))) - 1))
+    coeffs = coefficients(np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1))
+    theta = 2 * np.pi * np.arange(2500).reshape(50, 50) / 2500
+    worst_gram = float(np.max(isometry_check(coeffs)))
+    worst_norm = float(np.max(np.abs(np.linalg.norm(clone(theta, coeffs), axis=-1) - 1)))
     assert worst_gram <= 1e-12
     assert worst_norm <= 1e-12
     elapsed = time.perf_counter() - start

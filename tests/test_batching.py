@@ -111,6 +111,11 @@ class TestLinalg:
         stack = with_bad_row(random_hermitian(N, 2), bad)
         assert_same_error(lambda: hermitian_eigenvalues(bad), lambda: hermitian_eigenvalues(stack))
 
+    def test_non_hermitian_rows_name_the_first(self):
+        # Defects 0, 1e-6 and 1e-3: the stack reports 1e-6, as the call on its first bad matrix does.
+        stack = np.eye(2) + np.array([0.0, 1e-6, 1e-3])[:, None, None] * np.array([[0, 1], [0, 0]])
+        assert_same_error(lambda: hermitian_eigenvalues(stack[1]), lambda: hermitian_eigenvalues(stack))
+
 
 class TestPauli:
     def test_bloch_to_density(self):
@@ -364,3 +369,28 @@ class TestVerify:
         batched = reference_partial_trace(stack, keep, [2, 2, 2])
         assert batched.shape[0] == 5
         assert_rows_match(batched, [reference_partial_trace(rho, keep, [2, 2, 2]) for rho in stack], tol=0.0)
+
+
+# Each range check states what must hold, so a NaN entry fails it: (call, a good entry, a NaN entry, message).
+NAN_ENTRIES = {
+    "constrain_tensor": (constrain_tensor, np.zeros(7), np.full(7, np.nan), "free correlation entries"),
+    "positivity_matrix_up": (lambda t: positivity_matrix_up((0.5, 0.5), t), np.zeros((3, 3)),
+                             np.full((3, 3), np.nan), "no-signalling constraints"),
+    "build_joint_output": (lambda m: build_joint_output(m, (0.5, 0.5), np.zeros((3, 3))), UP,
+                           [np.nan, 0.0, np.nan], "must be a unit vector"),
+    "bloch_to_density": (bloch_to_density, np.zeros(3), [np.nan, 0.0, 0.0], "unphysical Bloch vector"),
+    "hermitian_eigenvalues": (hermitian_eigenvalues, np.eye(2), np.full((2, 2), np.nan), "not Hermitian"),
+    "density_to_bloch": (density_to_bloch, np.eye(2) / 2, np.full((2, 2), np.nan), "not Hermitian"),
+    "pauli_decompose": (pauli_decompose, np.eye(4) / 4, np.full((4, 4), np.nan), "not Hermitian"),
+    "clone": (lambda theta: clone(theta, coefficients((0.6, 0.8))), 0.3, np.nan, "angle must be finite"),
+    "clone_report": (lambda theta: clone_report(theta, (0.6, 0.8)), 0.3, np.nan, "angle must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", NAN_ENTRIES)
+def test_nan_entry_is_rejected(name):
+    call, good, bad, message = NAN_ENTRIES[name]
+    with pytest.raises(ValueError, match=message):
+        call(np.array(bad))
+    stack = with_bad_row(np.broadcast_to(good, (N,) + np.shape(good)), bad)
+    assert_same_error(lambda: call(np.array(bad)), lambda: call(stack))

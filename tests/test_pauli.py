@@ -129,6 +129,12 @@ def test_great_circle_parametrization():
         assert np.allclose(density_to_bloch(rho), great_circle_bloch(theta), atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_great_circle_ket_rejects_non_finite_angle(theta):
+    with pytest.raises(ValueError, match=f"angle must be finite, got {theta}"):
+        great_circle_ket(theta)
+
+
 def test_conjugation_consistency():
     # U(beta) rho(m) U(beta)^dag carries the same Bloch action as the SO(3) rotation.
     for _ in range(200):
