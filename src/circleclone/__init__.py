@@ -18,10 +18,10 @@ from .cloner import (
 )
 from .linalg import hermitian_eigenvalues, is_psd, kron, partial_trace
 from .nosignalling import (
-    FeasibilityReport,
     bound_rhs,
     constrain_tensor,
     covariance_residual,
+    eigenvalue_bracket,
     feasibility,
     max_radius,
     no_signalling_residual,
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CloneCoefficients",
     "CloneReport",
-    "FeasibilityReport",
     "PauliDecomposition",
     "RunConfig",
     "bloch_to_density",
@@ -57,6 +56,7 @@ __all__ = [
     "covariance_check_machine",
     "covariance_residual",
     "density_to_bloch",
+    "eigenvalue_bracket",
     "feasibility",
     "great_circle_bloch",
     "great_circle_ket",

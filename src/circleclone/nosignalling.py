@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PSD_TOL, _components, _require, _stack_last, kron
-from .pauli import PauliDecomposition, rotate_bloch, rotation_unitary
+from .pauli import PauliDecomposition, _angles, rotate_bloch, rotation_unitary
 
 GREAT_CIRCLE_ATOL = 1e-12
 CONSTRAINT_ATOL = 1e-12
@@ -87,10 +87,16 @@ def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=-1)
     _require(np.abs(norms - 1.0) <= 1e-9, norms, "input Bloch vector must be a unit vector, got |m| = {:.12f}")
     eta1, eta2 = _validate_etas(etas)
+    return PauliDecomposition(eta1[..., None] * m, eta2[..., None] * m, _correlation_tensor(t)).reconstruct()
+
+
+def _correlation_tensor(t) -> np.ndarray:
+    """``t`` as a real (..., 3, 3) stack of correlation tensors, rejected if any entry is not finite."""
     t = np.asarray(t, dtype=float)
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"correlation tensor must be 3x3, got shape {t.shape}")
-    return PauliDecomposition(eta1[..., None] * m, eta2[..., None] * m, t).reconstruct()
+    _require(np.isfinite(t).all(axis=(-2, -1)), t, "correlation tensor entries must be finite")
+    return t
 
 
 def rotate_correlations(t: np.ndarray, beta) -> np.ndarray:
@@ -102,6 +108,7 @@ def rotate_correlations(t: np.ndarray, beta) -> np.ndarray:
     Tensors (..., 3, 3) and angles (...) broadcast to one tensor per entry.
     """
     t = np.asarray(t, dtype=float)
+    beta = _angles(beta)
     c, s = np.cos(beta), np.sin(beta)
     t_xx, t_xy, t_xz, t_yx, t_yy, t_yz, t_zx, t_zy, t_zz = _components(t.reshape(t.shape[:-2] + (9,)))
     t_yy = np.broadcast_to(t_yy, np.shape(c * t_xx))  # the one entry the angles do not touch
@@ -192,7 +199,7 @@ def bound_rhs(t: np.ndarray):
 
     A (..., 3, 3) stack of tensors gives one bound per tensor.
     """
-    t = np.asarray(t, dtype=float)
+    t = _correlation_tensor(t)
     return (1.0 - t[..., 1, 1] ** 2 - t[..., 0, 1] ** 2 - t[..., 1, 0] ** 2
             - t[..., 1, 2] ** 2 - t[..., 2, 1] ** 2)[()]
 
@@ -382,51 +389,26 @@ def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     return minimize(a0, UP_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of the positivity solve at fixed reduction factors.
+def feasibility(etas, budget: int = DEFAULT_BUDGET) -> bool | None:
+    """Decide whether some choice of the seven free entries makes the north-pole output PSD at one pair.
 
-    ``best_min_eigenvalue``, attained by ``witness``, and ``upper_bound``,
-    proved by the positive semidefinite unit-trace ``certificate`` W (see
-    minimize), bracket the largest minimum eigenvalue of the north-pole
-    output over the seven free entries.  ``feasible`` is None where the
-    bracket decides neither way.
+    The verdict read off eigenvalue_bracket(etas, budget): feasible (True) iff
+    its lower end is at least -PSD_TOL, infeasible (False) iff its upper end is
+    below -PSD_TOL, and None (undecided) where the bracket straddles -PSD_TOL
+    (the budget ran out, or the optimum lies within the solver's resolution of
+    it).  The numbers behind a verdict are the bracket's: ``lower``, attained
+    by the witness constrain_tensor(bracket.free); ``upper``, proved by
+    ``certificate``; and ``iterations``, one eigen-decomposition each.
     """
-
-    feasible: bool | None
-    best_min_eigenvalue: float
-    witness: np.ndarray
-    evaluations: int
-    upper_bound: float
-    certificate: np.ndarray
-
-
-def feasibility(etas, budget: int = DEFAULT_BUDGET) -> FeasibilityReport:
-    """Decide whether some choice of the seven free entries makes the north-pole output PSD.
-
-    Reads the verdict off the barrier solve to the gap (see
-    eigenvalue_bracket); ``budget`` caps its iterates, one eigen-decomposition
-    each.  Feasible (True) iff the lower end is at least -PSD_TOL, with a
-    witness that attains it; infeasible (False) iff the upper end is below
-    -PSD_TOL, with the certificate as its proof.  Otherwise the bracket
-    straddles -PSD_TOL (the budget ran out, or the optimum lies within the
-    solver's resolution of it) and the verdict is None: undecided.
-    """
-    solve = eigenvalue_bracket(etas, budget)
-    if solve.lower >= -PSD_TOL:
-        feasible = True
-    elif solve.upper < -PSD_TOL:
-        feasible = False
-    else:
-        feasible = None
-    return FeasibilityReport(
-        feasible=feasible,
-        best_min_eigenvalue=float(solve.lower),
-        witness=constrain_tensor(solve.free),
-        evaluations=int(solve.iterations),
-        upper_bound=float(solve.upper),
-        certificate=solve.certificate,
-    )
+    if np.ndim(etas) > 1:
+        raise ValueError(f"feasibility takes one pair (eta1, eta2), got shape {np.shape(etas)}; "
+                         "eigenvalue_bracket takes a stack")
+    bracket = eigenvalue_bracket(etas, budget)
+    if bracket.lower >= -PSD_TOL:
+        return True
+    if bracket.upper < -PSD_TOL:
+        return False
+    return None
 
 
 def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> Bracket:
@@ -450,4 +432,6 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
 
 def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> float:
     """Largest feasible radius along one ray (r cos(phi), r sin(phi)): the lower end of its radius_bracket."""
-    return float(radius_bracket(float(phi), radius_tol, budget).lower)
+    if np.ndim(phi) > 0:
+        raise ValueError(f"max_radius takes one direction, got shape {np.shape(phi)}; radius_bracket takes a stack")
+    return float(radius_bracket(phi, radius_tol, budget).lower)

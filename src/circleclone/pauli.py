@@ -23,12 +23,19 @@ PAULI_PAIRS = np.stack([np.stack([kron(sj, sk) for sk in PAULIS]) for sj in PAUL
 BLOCH_NORM_ATOL = 1e-12
 
 
+def _angles(theta) -> np.ndarray:
+    """``theta`` as a float array of angles, rejected if any angle is not finite."""
+    theta = np.asarray(theta, dtype=float)
+    _require(np.isfinite(theta), theta, "angle must be finite, got {}")
+    return theta
+
+
 def great_circle_bloch(theta: float | np.ndarray) -> np.ndarray:
     """Bloch vector (sin t, 0, cos t) of the x-z circle state at angle ``theta``; t=0 is (0,0,1).
 
     An array of angles gives one vector per angle, stacked on the last axis: shape (..., 3).
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _angles(theta)
     return _stack_last([np.sin(theta), np.zeros_like(theta), np.cos(theta)], 1)
 
 
@@ -36,10 +43,9 @@ def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
     """Real-amplitude ket cos(t/2)|0> + sin(t/2)|1> whose Bloch vector is great_circle_bloch(t).
 
     An array of angles gives one ket per angle, stacked on the last axis: shape
-    (..., 2); it is rejected if any angle is not finite.
+    (..., 2).
     """
-    theta = np.asarray(theta, dtype=float)
-    _require(np.isfinite(theta), theta, "angle must be finite, got {}")
+    theta = _angles(theta)
     return np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1).astype(complex)
 
 
@@ -74,7 +80,7 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
 
 def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:
     """SU(2) rotation exp(-i beta/2 sigma_y) about the y axis; an array of angles gives (..., 2, 2)."""
-    half = np.asarray(beta, dtype=float) / 2
+    half = _angles(beta) / 2
     c, s = np.cos(half), np.sin(half)
     return _stack_last([[c, -s], [s, c]], 2).astype(complex)
 
@@ -85,6 +91,7 @@ def rotate_bloch(m, beta: float | np.ndarray) -> np.ndarray:
     Vectors (..., 3) and angles (...) broadcast to one rotated vector per entry.
     """
     m = np.asarray(m, dtype=float)
+    beta = _angles(beta)
     c, s = np.cos(beta), np.sin(beta)
     x, y, z = _components(m)
     x_rotated = x * c + z * s

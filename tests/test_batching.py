@@ -384,6 +384,17 @@ NAN_ENTRIES = {
     "pauli_decompose": (pauli_decompose, np.eye(4) / 4, np.full((4, 4), np.nan), "not Hermitian"),
     "clone": (lambda theta: clone(theta, coefficients((0.6, 0.8))), 0.3, np.nan, "angle must be finite"),
     "clone_report": (lambda theta: clone_report(theta, (0.6, 0.8)), 0.3, np.nan, "angle must be finite"),
+    "great_circle_bloch": (great_circle_bloch, 0.3, np.nan, "angle must be finite"),
+    "rotation_unitary": (rotation_unitary, 0.3, np.nan, "angle must be finite"),
+    "rotate_bloch": (lambda beta: rotate_bloch(UP, beta), 0.3, np.nan, "angle must be finite"),
+    "rotate_correlations": (lambda beta: rotate_correlations(np.eye(3), beta), 0.3, np.nan, "angle must be finite"),
+    "covariance_residual": (lambda beta: covariance_residual(UP, (0.5, 0.5), np.zeros((3, 3)), beta), 0.3, np.nan,
+                            "angle must be finite"),
+    "build_joint_output_tensor": (lambda t: build_joint_output(UP, (0.5, 0.5), t), np.zeros((3, 3)),
+                                  np.full((3, 3), np.nan), "correlation tensor entries must be finite"),
+    "bound_rhs": (bound_rhs, np.zeros((3, 3)), np.full((3, 3), np.nan), "correlation tensor entries must be finite"),
+    "no_signalling_residual": (lambda t: no_signalling_residual((0.5, 0.5), t), np.zeros((3, 3)),
+                               np.full((3, 3), np.nan), "correlation tensor entries must be finite"),
 }
 
 

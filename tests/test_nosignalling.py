@@ -19,7 +19,6 @@ from circleclone.nosignalling import (
     RIGHT,
     UP,
     UP_SLOPES,
-    FeasibilityReport,
     _newton_solve,
     _up_matrix,
     bound_rhs,
@@ -306,46 +305,50 @@ class TestMachineWitness:
 
 class TestFeasibility:
     def test_origin_short_circuit(self):
-        report = feasibility((0, 0))
-        assert report.feasible is True
-        assert report.best_min_eigenvalue == pytest.approx(0.25, abs=1e-12)
-        assert report.evaluations == 1
+        assert feasibility((0, 0)) is True
+        bracket = eigenvalue_bracket((0, 0))
+        assert bracket.lower == pytest.approx(0.25, abs=1e-12)
+        assert bracket.iterations == 1
 
     def test_symmetric_boundary_point(self):
-        report = feasibility((SYMMETRIC_ETA, SYMMETRIC_ETA))
-        assert report.feasible is True
-        assert report.best_min_eigenvalue >= -1e-9
+        assert feasibility((SYMMETRIC_ETA, SYMMETRIC_ETA)) is True
+        assert eigenvalue_bracket((SYMMETRIC_ETA, SYMMETRIC_ETA)).lower >= -1e-9
 
     def test_beyond_circle_infeasible(self):
-        report = feasibility((0.8, 0.8), budget=800)
-        assert report.feasible is False
-        assert report.best_min_eigenvalue < -1e-4
-        # reported witness always satisfies the no-signalling equalities exactly
-        assert report.witness[0, 0] == report.witness[2, 2]
-        assert report.witness[0, 2] == -report.witness[2, 0]
+        assert feasibility((0.8, 0.8), budget=800) is False
+        bracket = eigenvalue_bracket((0.8, 0.8), budget=800)
+        assert bracket.lower < -1e-4
+        # the witness of the lower end always satisfies the no-signalling equalities exactly
+        witness = constrain_tensor(bracket.free)
+        assert witness[0, 0] == witness[2, 2]
+        assert witness[0, 2] == -witness[2, 0]
 
-    def test_report_consistency(self):
-        report = feasibility((0.4, 0.7), budget=500)
-        assert isinstance(report, FeasibilityReport)
-        assert report.feasible == (report.best_min_eigenvalue >= -1e-9)
-        assert report.evaluations <= 500
+    def test_verdict_consistency(self):
+        bracket = eigenvalue_bracket((0.4, 0.7), budget=500)
+        assert feasibility((0.4, 0.7), budget=500) is bool(bracket.lower >= -1e-9)
+        assert bracket.iterations <= 500
 
     def test_starved_budget_is_undecided(self):
         # On the circle, so feasible: 30 iterates leave a bracket that straddles -1e-9 and proves neither verdict.
-        report = feasibility((0.6, 0.8), budget=30)
-        assert report.feasible is None
-        assert report.best_min_eigenvalue < -1e-9 <= report.upper_bound
-        assert feasibility((0.6, 0.8)).feasible is True
+        assert feasibility((0.6, 0.8), budget=30) is None
+        bracket = eigenvalue_bracket((0.6, 0.8), budget=30)
+        assert bracket.lower < -1e-9 <= bracket.upper
+        assert feasibility((0.6, 0.8)) is True
 
     @pytest.mark.parametrize("budget", [1, 5, 10, 20, 30, 35, 40, DEFAULT_BUDGET])
     def test_verdict_follows_the_bracket(self, budget):
         # No budget makes an on-circle point infeasible; a verdict is given only where one end decides it.
         for etas in [(0.6, 0.8), (SYMMETRIC_ETA, SYMMETRIC_ETA), (0.8, 0.8)]:
-            report = feasibility(etas, budget=budget)
-            expected = True if report.best_min_eigenvalue >= -1e-9 else False if report.upper_bound < -1e-9 else None
-            assert report.feasible is expected, (etas, budget)
+            bracket = eigenvalue_bracket(etas, budget)
+            verdict = feasibility(etas, budget=budget)
+            expected = True if bracket.lower >= -1e-9 else False if bracket.upper < -1e-9 else None
+            assert verdict is expected, (etas, budget)
             if etas != (0.8, 0.8):
-                assert report.feasible is not False, (etas, budget)
+                assert verdict is not False, (etas, budget)
+
+    def test_takes_one_pair(self):
+        with pytest.raises(ValueError, match="one pair .*eigenvalue_bracket takes a stack"):
+            feasibility([(0.6, 0.8), (0.8, 0.8)])
 
 
 def north_pole_terms(etas):
@@ -357,32 +360,33 @@ def north_pole_terms(etas):
 class TestCertificates:
     @pytest.mark.parametrize("etas", [(0.8, 0.8), (0.7071, 0.7072)])
     def test_infeasible_verdict_is_dual_certified(self, etas):
-        report = feasibility(etas)
-        assert report.feasible is False
-        assert report.upper_bound < -1e-9
-        w = report.certificate
+        assert feasibility(etas) is False
+        bracket = eigenvalue_bracket(etas)
+        assert bracket.upper < -1e-9
+        w = bracket.certificate
         assert np.max(np.abs(w - w.conj().T)) <= 1e-15
         assert np.linalg.eigvalsh(w)[0] >= 0.0
         assert abs(np.trace(w).real - 1.0) <= 1e-12
         a0, slopes = north_pole_terms(etas)
         bound = np.trace(w @ a0).real + sum(abs(np.trace(w @ a).real) for a in slopes)
-        assert abs(bound - report.upper_bound) <= 1e-12
+        assert abs(bound - bracket.upper) <= 1e-12
 
     def test_bounds_bracket_every_verdict(self):
         points = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.6, 0.8), (0.8, 0.8)]
         points += [tuple(etas) for etas in RNG.uniform(0, 1, (30, 2))]
         for etas in points:
-            report = feasibility(etas)
-            assert report.best_min_eigenvalue <= report.upper_bound, etas
+            bracket = eigenvalue_bracket(etas)
+            assert bracket.lower <= bracket.upper, etas
 
     def test_feasible_witness_is_positive(self):
         for phi in np.linspace(0, np.pi / 2, 7):
             for radius in (0.5, 0.999, 1.0):
                 etas = (radius * np.cos(phi), radius * np.sin(phi))
-                report = feasibility(etas)
-                assert report.feasible is True, etas
-                assert report.upper_bound >= -1e-9
-                assert np.linalg.eigvalsh(positivity_matrix_up(etas, report.witness))[0] >= -1e-9
+                assert feasibility(etas) is True, etas
+                bracket = eigenvalue_bracket(etas)
+                assert bracket.upper >= -1e-9
+                witness = constrain_tensor(bracket.free)
+                assert np.linalg.eigvalsh(positivity_matrix_up(etas, witness))[0] >= -1e-9
 
 
 def test_import_leaves_scipy_out():
@@ -414,6 +418,10 @@ class TestMaxRadius:
         a0, slopes = north_pole_terms((0.0, 0.0))
         direction = positivity_matrix_up((np.cos(phi), np.sin(phi)), np.zeros((3, 3))) - a0
         assert_certified(bracket.upper, bracket.certificate, a0, slopes, direction)
+
+    def test_takes_one_direction(self):
+        with pytest.raises(ValueError, match="one direction.*radius_bracket takes a stack"):
+            max_radius(np.array([0.0, np.pi / 4]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -511,4 +519,4 @@ class TestLockstep:
         brackets = eigenvalue_bracket(self.POINTS)
         np.testing.assert_array_equal(brackets.iterations, stacked.iterations)
         assert np.max(np.abs(brackets.lower - stacked.lower)) <= 1e-15
-        assert feasibility(self.POINTS[0]).feasible is True and feasibility(self.POINTS[1]).feasible is False
+        assert feasibility(self.POINTS[0]) is True and feasibility(self.POINTS[1]) is False
