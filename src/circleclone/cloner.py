@@ -14,13 +14,13 @@ import numpy as np
 
 from .linalg import _require, hermitian_eigenvalues, kron, partial_trace
 from .nosignalling import _validate_etas
-from .pauli import density_to_bloch, great_circle_ket, pauli_decompose, rotation_unitary
+from .pauli import _pauli_readout, density_to_bloch, great_circle_ket, pauli_decompose, rotation_unitary
 
 ON_CIRCLE_ATOL = 1e-8
 
 # (angle, pair) entries that isotropy_scan evaluates at once: enough to spread
-# numpy's per-call cost, few enough that a block's temporaries stay under 1 MB.
-_SCAN_BLOCK = 1024
+# numpy's per-call cost, few enough that a block's real temporaries stay under 1 MB.
+_SCAN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,15 @@ def _shrink(rho: np.ndarray, ket: np.ndarray) -> np.ndarray:
     return 2 * np.einsum("...i,...ij,...j->...", ket.conj(), rho, ket).real - 1
 
 
-def _isotropy_residual(rho: np.ndarray, ket: np.ndarray, s) -> np.ndarray:
-    """Max-norm residual of each clone from the isotropic form s|psi><psi| + (1 - s) I / 2."""
-    s = np.asarray(s)[..., None, None]
-    projector = ket[..., :, None] * ket[..., None, :].conj()
-    return np.max(np.abs(rho - s * projector - (1 - s) * np.eye(2) / 2), axis=(-2, -1))
+def _isotropy_residual(x, y, z, sin, cos, s):
+    """Max-norm residual of clones with Bloch vectors r = (x, y, z) from the isotropic form s|psi><psi| + (1 - s) I / 2.
+
+    The inputs are the circle states m = (sin, 0, cos).  For a unit-trace
+    clone the difference is (d . sigma) / 2 with d = r - s m, whose largest
+    entry is max(|d_z|, |d_x + i d_y|) / 2.
+    """
+    d_x, d_z = x - s * sin, z - s * cos
+    return np.sqrt(np.maximum(d_z * d_z, d_x * d_x + y * y)) / 2
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,9 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     the x shrink at theta = pi/2.  The isotropy residual of each clone holds
     the shrink fitted at the requested angle fixed and measures the worst
     deviation from the shrunk-copy-plus-noise form across the requested and
-    both cardinal inputs, so anisotropy is visible from any single run.
+    both cardinal inputs, so anisotropy is visible from any single run.  It
+    is computed from the clones' Bloch vectors by the residual formula of
+    isotropy_scan (_isotropy_residual).
     ``ppt_min_eigenvalue`` is the minimum eigenvalue of the joint output's
     partial transpose (non-negative exactly when the output is separable).
 
@@ -166,14 +172,17 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     theta = np.broadcast_to(np.asarray(theta, dtype=float), shape)
     thetas = np.stack([theta, np.zeros(shape), np.full(shape, np.pi / 2)], axis=-1)
     kets = great_circle_ket(thetas)
+    sin, cos = np.sin(thetas), np.cos(thetas)
     rho_o, rho_b, rho_ob = reduced_clones(clone(thetas, coeffs))
 
     def diagnose(rho):
         """(z shrink, x shrink, fidelity, isotropy residual) of one clone over the three inputs."""
-        s = _shrink(rho[..., 0, :, :], kets[..., 0, :])
         bloch = density_to_bloch(rho)
-        residual = np.max(_isotropy_residual(rho, kets, s[..., None]), axis=-1)
-        return bloch[..., 1, 2], bloch[..., 2, 0], (1 + s) / 2, residual
+        x, y, z = (bloch[..., j] for j in range(3))
+        fitted = (x * sin + z * cos)[..., :1]  # the shrink at the requested input, held at all three
+        residual = np.max(_isotropy_residual(x, y, z, sin, cos, fitted), axis=-1)
+        fidelity = (1 + _shrink(rho[..., 0, :, :], kets[..., 0, :])) / 2
+        return bloch[..., 1, 2], bloch[..., 2, 0], fidelity, residual
 
     shrink_o_z, shrink_o_x, fidelity_o, residual_o = diagnose(rho_o)
     shrink_b_z, shrink_b_x, fidelity_b, residual_b = diagnose(rho_b)
@@ -221,26 +230,34 @@ def isotropy_scan(etas, samples: int):
     alone the shrink fitted at each angle would hide the anisotropy.
 
     Reduction factors (..., 2) give one worst residual per pair, shape (...);
-    a single pair gives a numpy scalar.  Each clone's reduced channel
-    (_clone_channels) is applied to the whole angle grid as one matmul, and
-    the pairs run in blocks of whole rows of about _SCAN_BLOCK (angle, pair)
-    entries, so memory stays bounded for any stack and grid.  Row by row the
-    arithmetic is that of the single-pair call.
+    a single pair gives a numpy scalar.  No output state is formed.  The
+    circle input is |psi><psi| = [I + cos(theta) Z + sin(theta) X] / 2 with
+    Z = |0><0| - |1><1| and X = |0><1| + |1><0|, and each clone's channel
+    (_clone_channels) sends |i><j| to C_ij, so the clone's Bloch vector is
+    the real affine map r(theta) = r0 + cos(theta) rz + sin(theta) rx of the
+    input angle: r0, rz and rx read out (C00 + C11) / 2, (C00 - C11) / 2 and
+    (C01 + C10) / 2.  At each angle of the grid the shrink is
+    s = x sin + z cos, and the residual is that of _isotropy_residual.  The
+    pairs run in blocks of whole rows of about _SCAN_BLOCK (angle, pair)
+    entries, so memory stays bounded for any stack and grid; every step is
+    elementwise per row, so each row equals its single-pair call bit for bit.
     """
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     etas = np.asarray(etas, dtype=float)
     _validate_etas(etas)  # the whole stack, before any block runs
     thetas = (np.arange(samples) + 0.25) * (2 * np.pi / samples)
-    kets = great_circle_ket(thetas)
-    inputs = (kets[:, :, None] * kets[:, None, :].conj()).reshape(samples, 4)
+    sin, cos = np.sin(thetas), np.cos(thetas)
     pairs = etas.reshape(-1, 2)
     worst = np.empty(len(pairs))
     rows = max(1, _SCAN_BLOCK // samples)
     for start in range(0, len(pairs), rows):
         block = slice(start, start + rows)
-        clones = (inputs @ _clone_channels(coefficients(pairs[block]))).reshape(-1, 2, samples, 2, 2)
-        worst[block] = np.max(_isotropy_residual(clones, kets, _shrink(clones, kets)), axis=(-2, -1))
+        c = _clone_channels(coefficients(pairs[block])).reshape(-1, 2, 2, 2, 2, 2)  # (row, clone, i, j, a, b)
+        maps = np.stack([c[:, :, 0, 0] + c[:, :, 1, 1], c[:, :, 0, 0] - c[:, :, 1, 1], c[:, :, 0, 1] + c[:, :, 1, 0]])
+        r0, rz, rx = _pauli_readout(maps / 2)[..., None]  # each (row, clone, 3, 1)
+        x, y, z = np.moveaxis(r0 + rz * cos + rx * sin, -2, 0)  # each (row, clone, angle)
+        worst[block] = np.max(_isotropy_residual(x, y, z, sin, cos, x * sin + z * cos), axis=(-2, -1))
     return worst.reshape(etas.shape[:-1])[()]
 
 

@@ -60,7 +60,7 @@ def constrain_tensor(free) -> np.ndarray:
 
 def free_parameters(t: np.ndarray) -> np.ndarray:
     """Project a tensor onto the seven free entries (averaging the constrained pairs); (..., 3, 3) gives (..., 7)."""
-    t = np.asarray(t, dtype=float)
+    t = _correlation_tensor(t)
     t_xx, t_xy, t_xz, t_yx, t_yy, t_yz, t_zx, t_zy, t_zz = _components(t.reshape(t.shape[:-2] + (9,)))
     return _stack_last([(t_xx + t_zz) / 2, (t_xz - t_zx) / 2, t_yy, t_xy, t_yx, t_yz, t_zy], 1)
 
@@ -107,7 +107,7 @@ def rotate_correlations(t: np.ndarray, beta) -> np.ndarray:
     covariance_residual, which verifies them against the unitary route).
     Tensors (..., 3, 3) and angles (...) broadcast to one tensor per entry.
     """
-    t = np.asarray(t, dtype=float)
+    t = _correlation_tensor(t)
     beta = _angles(beta)
     c, s = np.cos(beta), np.sin(beta)
     t_xx, t_xy, t_xz, t_yx, t_yy, t_yz, t_zx, t_zy, t_zz = _components(t.reshape(t.shape[:-2] + (9,)))

@@ -75,7 +75,12 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     traces = np.trace(rho, axis1=-2, axis2=-1)
     _require(np.abs(traces - 1) <= HERMITIAN_ATOL, traces, f"trace {{}} is not 1 within {HERMITIAN_ATOL:.1e}")
-    return np.einsum("jab,...ba->...j", PAULI_STACK, rho).real
+    return _pauli_readout(rho)
+
+
+def _pauli_readout(op: np.ndarray) -> np.ndarray:
+    """Re Tr(op sigma_j) of a (..., 2, 2) stack, (..., 3): linear, so it also reads traceless operators."""
+    return np.einsum("jab,...ba->...j", PAULI_STACK, op).real
 
 
 def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:

@@ -388,6 +388,10 @@ NAN_ENTRIES = {
     "rotation_unitary": (rotation_unitary, 0.3, np.nan, "angle must be finite"),
     "rotate_bloch": (lambda beta: rotate_bloch(UP, beta), 0.3, np.nan, "angle must be finite"),
     "rotate_correlations": (lambda beta: rotate_correlations(np.eye(3), beta), 0.3, np.nan, "angle must be finite"),
+    "rotate_correlations_tensor": (lambda t: rotate_correlations(t, 0.3), np.zeros((3, 3)), np.full((3, 3), np.nan),
+                                   "correlation tensor entries must be finite"),
+    "free_parameters": (free_parameters, np.zeros((3, 3)), np.full((3, 3), np.nan),
+                        "correlation tensor entries must be finite"),
     "covariance_residual": (lambda beta: covariance_residual(UP, (0.5, 0.5), np.zeros((3, 3)), beta), 0.3, np.nan,
                             "angle must be finite"),
     "build_joint_output_tensor": (lambda t: build_joint_output(UP, (0.5, 0.5), t), np.zeros((3, 3)),

@@ -16,7 +16,7 @@ from circleclone.cloner import (
     partial_transpose_second,
     reduced_clones,
 )
-from circleclone.pauli import SIGMA_X, density_to_bloch, great_circle_ket, pauli_decompose
+from circleclone.pauli import SIGMA_X, bloch_to_density, density_to_bloch, great_circle_ket, pauli_decompose
 from circleclone.verify import reference_partial_trace
 
 RNG = np.random.default_rng(99)
@@ -28,6 +28,25 @@ SYMMETRIC_FIDELITY = 0.5 + np.sqrt(0.125)
 def random_circle_etas(rng):
     phi = rng.uniform(0, np.pi / 2)
     return float(np.cos(phi)), float(np.sin(phi))
+
+
+def oracle_clones(etas, thetas):
+    """Both reduced clones (2, n, 2, 2) at the angles ``thetas`` (n,), by the brute-force partial trace, and the kets."""
+    state = clone(thetas, coefficients(etas))
+    rho = state[:, :, None] * state[:, None, :].conj()
+    return np.stack([reference_partial_trace(rho, k, [2, 2, 2]) for k in (0, 1)]), great_circle_ket(thetas)
+
+
+def oracle_shrinks(reduced, kets):
+    """s = 2<psi|rho|psi> - 1 of each clone toward its own input, (2, n)."""
+    return 2 * np.einsum("ni,knij,nj->kn", kets.conj(), reduced, kets).real - 1
+
+
+def oracle_residuals(reduced, kets, s):
+    """Worst max-norm distance of each clone (2,) from s|psi><psi| + (1 - s) I / 2, in matrix form."""
+    s = s[..., None, None]
+    isotropic = s * (kets[:, :, None] * kets[:, None, :].conj()) + (1 - s) * np.eye(2) / 2
+    return np.max(np.abs(reduced - isotropic), axis=(-3, -2, -1))
 
 
 class TestCoefficients:
@@ -213,6 +232,16 @@ class TestCloneReport:
             report = clone_report(RNG.uniform(0, 2 * np.pi), random_circle_etas(RNG))
             assert report.ppt_min_eigenvalue >= -1e-10
 
+    @pytest.mark.parametrize("theta, etas", [(2.1, (0.6, 0.8)), (np.pi / 2, (0.5, 0.5)), (0.4, (0.7, 0.7)),
+                                             (5.3, (0.2, 0.9)), (0.0, (0.3, 0.1))])
+    def test_residuals_match_the_oracle_at_the_three_inputs(self, theta, etas):
+        # The shrink is fitted at the requested input and held at the two cardinal probes.
+        reduced, kets = oracle_clones(etas, np.array([theta, 0.0, np.pi / 2]))
+        expected = oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)[:, :1])
+        report = clone_report(theta, etas)
+        assert abs(report.isotropy_residual_o - expected[0]) <= 1e-14
+        assert abs(report.isotropy_residual_b - expected[1]) <= 1e-14
+
     def test_correlation_tensor_constraints(self):
         for _ in range(50):
             report = clone_report(RNG.uniform(0, 2 * np.pi), random_circle_etas(RNG))
@@ -263,20 +292,26 @@ class TestIsotropyScan:
                 etas = (scale * np.cos(phi), scale * np.sin(phi))
                 assert isotropy_scan(etas, 64) > 1e-10
 
-    @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.5, 0.5)])
+    # Three fixed pairs, then seeded random ones off the circle; grids of a
+    # few angles up to one larger than a whole block.
+    @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.5, 0.5)]
+                             + [tuple(pair) for pair in np.random.default_rng(12).uniform(0, 1, (3, 2))])
     def test_matches_per_angle_oracle_loop(self, etas):
-        coeffs = coefficients(etas)
-        worst = 0.0
-        for theta in (np.arange(50) + 0.25) * (2 * np.pi / 50):
-            ket = great_circle_ket(theta)
-            state = clone(theta, coeffs)
-            rho = np.outer(state, state.conj())
-            for subsystem in (0, 1):
-                reduced = reference_partial_trace(rho, subsystem, [2, 2, 2])
-                s = 2 * np.real(ket.conj() @ reduced @ ket) - 1
-                isotropic = s * np.outer(ket, ket.conj()) + (1 - s) * np.eye(2) / 2
-                worst = max(worst, np.max(np.abs(reduced - isotropic)))
-        assert abs(isotropy_scan(etas, 50) - worst) <= 1e-14
+        for samples in (2, 3, 7, 50, _SCAN_BLOCK + 7):
+            reduced, kets = oracle_clones(etas, (np.arange(samples) + 0.25) * (2 * np.pi / samples))
+            worst = np.max(oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)))
+            assert abs(isotropy_scan(etas, samples) - worst) <= 1e-14, samples
+
+    def test_residual_formula_is_the_matrix_max_norm(self):
+        # The machine's clones have y = 0; random Bloch vectors exercise every term of the formula.
+        rng = np.random.default_rng(13)
+        r, theta, s = rng.uniform(-0.6, 0.6, (200, 3)), rng.uniform(0, 2 * np.pi, 200), rng.uniform(-1, 1, 200)
+        ket = great_circle_ket(theta)
+        weight = s[:, None, None]
+        isotropic = weight * (ket[:, :, None] * ket[:, None, :].conj()) + (1 - weight) * np.eye(2) / 2
+        expected = np.max(np.abs(bloch_to_density(r) - isotropic), axis=(-2, -1))
+        residual = cloner._isotropy_residual(*r.T, np.sin(theta), np.cos(theta), s)
+        assert np.max(np.abs(residual - expected)) <= 1e-15
 
     def test_exactly_on_circle_is_flat(self):
         for phi in (0.2, np.pi / 4, 1.3):
@@ -290,14 +325,16 @@ def circle_stack(n):
 
 class TestBatchedIsotropyScan:
     # (etas, samples): a single pair, small stacks, the 129-direction sweep at
-    # 200 angles (5 rows a block, so 26 blocks, the last one partial), 7 rows
-    # at 300 angles (blocks of 3, 3 and 1) and 3 rows of one block each.
+    # 200 angles (20 rows a block, so 7 blocks, the last one partial), 7 rows
+    # at 300 angles (one partial block of 13 rows), 7 rows at 1500 angles
+    # (blocks of 2, 2, 2 and 1) and 3 rows of one block each.
     CASES = {
         "single": ((0.6, 0.8), 64),
         "3x2": (np.random.default_rng(1).uniform(0, 1, (3, 2)), 64),
         "2x3x2": (np.random.default_rng(2).uniform(0, 1, (2, 3, 2)), 64),
         "sweep_129x200": (circle_stack(129), 200),
         "partial_block_7x300": (np.random.default_rng(3).uniform(0, 1, (7, 2)), 300),
+        "partial_blocks_7x1500": (np.random.default_rng(6).uniform(0, 1, (7, 2)), 1500),
         "grid_over_block": (np.random.default_rng(4).uniform(0, 1, (3, 2)), _SCAN_BLOCK + 7),
     }
 
@@ -313,9 +350,10 @@ class TestBatchedIsotropyScan:
             assert worst[index] == alone
 
     def test_stacks_span_several_blocks(self):
-        rows = _SCAN_BLOCK // 200
-        assert 129 // rows > 1 and 129 % rows != 0
-        assert 7 % (_SCAN_BLOCK // 300) != 0
+        for pairs, samples in [(129, 200), (7, 1500)]:
+            rows = _SCAN_BLOCK // samples
+            assert pairs // rows > 1 and pairs % rows != 0
+        assert 7 < _SCAN_BLOCK // 300  # the 7x300 stack is one partial block
 
     @pytest.mark.parametrize("on_circle", [True, False])
     def test_channels_give_the_reduced_clones(self, on_circle):

@@ -96,6 +96,12 @@ class TestConstrainTensor:
         free = RNG.uniform(-1, 1, 7)
         assert np.allclose(free_parameters(constrain_tensor(free)), free, atol=1e-15)
 
+    @pytest.mark.parametrize("call", [free_parameters, lambda t: rotate_correlations(t, 0.3)],
+                             ids=["free_parameters", "rotate_correlations"])
+    def test_rejects_a_tensor_that_is_not_3x3(self, call):
+        with pytest.raises(ValueError, match=r"correlation tensor must be 3x3, got shape \(5,\)"):
+            call(np.zeros(5))
+
 
 class TestBuildJointOutput:
     def test_isotropic_point(self):
@@ -371,22 +377,23 @@ class TestCertificates:
         bound = np.trace(w @ a0).real + sum(abs(np.trace(w @ a).real) for a in slopes)
         assert abs(bound - bracket.upper) <= 1e-12
 
+    # The bracket assertions take one stacked solve; TestLockstep pins each row to its solo solve.
     def test_bounds_bracket_every_verdict(self):
-        points = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.6, 0.8), (0.8, 0.8)]
-        points += [tuple(etas) for etas in RNG.uniform(0, 1, (30, 2))]
-        for etas in points:
-            bracket = eigenvalue_bracket(etas)
-            assert bracket.lower <= bracket.upper, etas
+        points = np.concatenate([[(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.6, 0.8), (0.8, 0.8)],
+                                 RNG.uniform(0, 1, (30, 2))])
+        bracket = eigenvalue_bracket(points)
+        for k, etas in enumerate(points):
+            assert bracket.lower[k] <= bracket.upper[k], etas
 
     def test_feasible_witness_is_positive(self):
-        for phi in np.linspace(0, np.pi / 2, 7):
-            for radius in (0.5, 0.999, 1.0):
-                etas = (radius * np.cos(phi), radius * np.sin(phi))
-                assert feasibility(etas) is True, etas
-                bracket = eigenvalue_bracket(etas)
-                assert bracket.upper >= -1e-9
-                witness = constrain_tensor(bracket.free)
-                assert np.linalg.eigvalsh(positivity_matrix_up(etas, witness))[0] >= -1e-9
+        phi, radius = np.meshgrid(np.linspace(0, np.pi / 2, 7), (0.5, 0.999, 1.0), indexing="ij")
+        points = np.stack([radius * np.cos(phi), radius * np.sin(phi)], axis=-1).reshape(-1, 2)
+        bracket = eigenvalue_bracket(points)
+        for k, etas in enumerate(points):
+            assert feasibility(tuple(etas)) is True, etas
+            assert bracket.upper[k] >= -1e-9
+            witness = constrain_tensor(bracket.free[k])
+            assert np.linalg.eigvalsh(positivity_matrix_up(etas, witness))[0] >= -1e-9
 
 
 def test_import_leaves_scipy_out():
