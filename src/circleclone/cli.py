@@ -114,7 +114,7 @@ def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
     etas = [(cos_phi, sin_phi) for _, cos_phi, sin_phi in directions]
     report = clone_report(probe_theta, etas)
-    residual = isotropy_scan(etas, args.samples)
+    residual = isotropy_scan(etas)
     rows = []
     for k, (phi, cos_phi, sin_phi) in enumerate(directions):
         rows.append([phi, cos_phi, sin_phi, report.fidelity_o[k], report.fidelity_b[k],
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=SEED, default=0)
     verify.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
     verify.add_argument("--samples", type=SAMPLE_OVERRIDE, default=0,
-                        help="override every check's sample count (0 = per-check defaults)")
+                        help="override every sampled check's sample count (0 = per-check defaults)")
     verify.set_defaults(func=_cmd_verify)
 
     clone_cmd = sub.add_parser("clone", help="one cloning run with full diagnostics")
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     fidelity.add_argument("--n-points", type=AT_LEAST_TWO, required=True, dest="n_points")
     fidelity.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
     fidelity.add_argument("--samples", type=AT_LEAST_TWO, default=64,
-                          help="angles sampled by the per-point isotropy scan")
+                          help="accepted for compatibility; the isotropy residual is exact and does not depend on it")
     fidelity.set_defaults(func=_cmd_fidelity_sweep)
 
     return parser

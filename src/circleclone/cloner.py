@@ -18,10 +18,6 @@ from .pauli import _pauli_readout, density_to_bloch, great_circle_ket, pauli_dec
 
 ON_CIRCLE_ATOL = 1e-8
 
-# (angle, pair) entries that isotropy_scan evaluates at once: enough to spread
-# numpy's per-call cost, few enough that a block's real temporaries stay under 1 MB.
-_SCAN_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class CloneCoefficients:
@@ -156,8 +152,8 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     the shrink fitted at the requested angle fixed and measures the worst
     deviation from the shrunk-copy-plus-noise form across the requested and
     both cardinal inputs, so anisotropy is visible from any single run.  It
-    is computed from the clones' Bloch vectors by the residual formula of
-    isotropy_scan (_isotropy_residual).
+    is computed from the clones' Bloch vectors by _isotropy_residual, the
+    residual whose supremum over the whole circle isotropy_scan gives.
     ``ppt_min_eigenvalue`` is the minimum eigenvalue of the joint output's
     partial transpose (non-negative exactly when the output is separable).
 
@@ -222,43 +218,36 @@ def _clone_channels(coeffs: CloneCoefficients) -> np.ndarray:
     return channels.reshape(channels.shape[:-4] + (4, 4))
 
 
-def isotropy_scan(etas, samples: int):
-    """Worst isotropy residual of either clone over ``samples`` evenly spaced angles.
+def isotropy_scan(etas):
+    """Certified supremum over every circle input of either clone's isotropy residual.
 
-    The angles (k + 1/4) 2 pi / samples sit a quarter step off the cardinal
-    ones, so every grid holds an angle off both axes: at the cardinal inputs
-    alone the shrink fitted at each angle would hide the anisotropy.
+    Reduction factors (..., 2) give one value per pair, shape (...); a single
+    pair gives a numpy scalar.  No output state or angle grid is formed.  The
+    input |psi><psi| = [I + cos(theta) Z + sin(theta) X] / 2 goes through each
+    clone's channel (_clone_channels, |i><j| -> C_ij), so the clone's Bloch
+    vector is r(theta) = r0 + cos(theta) rz + sin(theta) rx, with r0, rz and
+    rx read out of (C00 + C11) / 2, (C00 - C11) / 2 and (C01 + C10) / 2.
 
-    Reduction factors (..., 2) give one worst residual per pair, shape (...);
-    a single pair gives a numpy scalar.  No output state is formed.  The
-    circle input is |psi><psi| = [I + cos(theta) Z + sin(theta) X] / 2 with
-    Z = |0><0| - |1><1| and X = |0><1| + |1><0|, and each clone's channel
-    (_clone_channels) sends |i><j| to C_ij, so the clone's Bloch vector is
-    the real affine map r(theta) = r0 + cos(theta) rz + sin(theta) rx of the
-    input angle: r0, rz and rx read out (C00 + C11) / 2, (C00 - C11) / 2 and
-    (C01 + C10) / 2.  At each angle of the grid the shrink is
-    s = x sin + z cos, and the residual is that of _isotropy_residual.  The
-    pairs run in blocks of whole rows of about _SCAN_BLOCK (angle, pair)
-    entries, so memory stays bounded for any stack and grid; every step is
-    elementwise per row, so each row equals its single-pair call bit for bit.
+    With a = rz_z and b = rx_x, the diagonal part r = (b sin, 0, a cos) of the
+    map leaves d = r - (r . m) m = (b - a) sin cos (cos, 0, -sin) off the input
+    m = (sin, 0, cos), so its residual max(|d_z|, |d_x + i d_y|) / 2
+    (_isotropy_residual) peaks at |b - a| / (3 sqrt 3), where tan^2 = 1/2.
+    The rest of the map moves r by at most defect = |r0| + |rz - a z_hat| +
+    |rx - b x_hat|; the residual is half of a norm no larger than the
+    Euclidean one, taken of the projection d, so it moves by at most
+    defect / 2.  The larger over the two clones of |b - a| / (3 sqrt 3) +
+    defect / 2 thus bounds the residual at every angle.  For this machine the
+    defect is 0, a = eta_i and b = sqrt(1 - eta_j^2) (j the other clone),
+    which gives max_i |sqrt(1 - eta_j^2) - eta_i| / (3 sqrt 3), zero exactly
+    on the circle.  Every step is elementwise per pair, so each row of a
+    stack equals its single-pair call bit for bit.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
-    etas = np.asarray(etas, dtype=float)
-    _validate_etas(etas)  # the whole stack, before any block runs
-    thetas = (np.arange(samples) + 0.25) * (2 * np.pi / samples)
-    sin, cos = np.sin(thetas), np.cos(thetas)
-    pairs = etas.reshape(-1, 2)
-    worst = np.empty(len(pairs))
-    rows = max(1, _SCAN_BLOCK // samples)
-    for start in range(0, len(pairs), rows):
-        block = slice(start, start + rows)
-        c = _clone_channels(coefficients(pairs[block])).reshape(-1, 2, 2, 2, 2, 2)  # (row, clone, i, j, a, b)
-        maps = np.stack([c[:, :, 0, 0] + c[:, :, 1, 1], c[:, :, 0, 0] - c[:, :, 1, 1], c[:, :, 0, 1] + c[:, :, 1, 0]])
-        r0, rz, rx = _pauli_readout(maps / 2)[..., None]  # each (row, clone, 3, 1)
-        x, y, z = np.moveaxis(r0 + rz * cos + rx * sin, -2, 0)  # each (row, clone, angle)
-        worst[block] = np.max(_isotropy_residual(x, y, z, sin, cos, x * sin + z * cos), axis=(-2, -1))
-    return worst.reshape(etas.shape[:-1])[()]
+    c = _clone_channels(coefficients(etas))
+    c = np.moveaxis(c.reshape(c.shape[:-2] + (2, 2, 2, 2)), (-4, -3), (0, 1))  # (i, j, ..., clone, a, b)
+    r0, rz, rx = _pauli_readout(np.stack([c[0, 0] + c[1, 1], c[0, 0] - c[1, 1], c[0, 1] + c[1, 0]]) / 2)
+    defect = (np.linalg.norm(r0, axis=-1) + np.linalg.norm(rz[..., :2], axis=-1)
+              + np.linalg.norm(rx[..., 1:], axis=-1))
+    return np.max(np.abs(rx[..., 0] - rz[..., 2]) / (3 * np.sqrt(3)) + defect / 2, axis=-1)[()]
 
 
 def covariance_check_machine(etas, theta, beta):

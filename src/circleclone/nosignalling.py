@@ -90,11 +90,17 @@ def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     return PauliDecomposition(eta1[..., None] * m, eta2[..., None] * m, _correlation_tensor(t)).reconstruct()
 
 
-def _correlation_tensor(t) -> np.ndarray:
-    """``t`` as a real (..., 3, 3) stack of correlation tensors, rejected if any entry is not finite."""
+def _tensor_stack(t) -> np.ndarray:
+    """``t`` as a real (..., 3, 3) stack, rejected if it has another shape; no entry is read."""
     t = np.asarray(t, dtype=float)
     if t.shape[-2:] != (3, 3):
         raise ValueError(f"correlation tensor must be 3x3, got shape {t.shape}")
+    return t
+
+
+def _correlation_tensor(t) -> np.ndarray:
+    """``t`` as a real (..., 3, 3) stack of correlation tensors, rejected if any entry is not finite."""
+    t = _tensor_stack(t)
     _require(np.isfinite(t).all(axis=(-2, -1)), t, "correlation tensor entries must be finite")
     return t
 
@@ -185,7 +191,7 @@ def positivity_matrix_up(etas, t: np.ndarray) -> np.ndarray:
     Reduction factors (..., 2) and tensors (..., 3, 3) give (..., 4, 4).
     """
     eta1, eta2 = _validate_etas(etas)
-    t = np.asarray(t, dtype=float)
+    t = _tensor_stack(t)  # the shape first; a NaN entry then fails the constraint check
     _require((np.abs(t[..., 0, 0] - t[..., 2, 2]) <= CONSTRAINT_ATOL)
              & (np.abs(t[..., 0, 2] + t[..., 2, 0]) <= CONSTRAINT_ATOL),
              t, "correlation tensor violates the no-signalling constraints t_xx = t_zz, t_xz = -t_zx")

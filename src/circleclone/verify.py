@@ -395,12 +395,12 @@ def check_reduced_clone_oracle(config: RunConfig, rng) -> CheckResult:
 
 def check_isotropy_on_circle(config: RunConfig, rng) -> CheckResult:
     phi = np.linspace(0, np.pi / 2, 20)
-    worst = np.max(cloner.isotropy_scan(_circle_etas(phi), _count(config, 200)))
+    worst = np.max(cloner.isotropy_scan(_circle_etas(phi)))
     return CheckResult("isotropy_on_circle", float(worst), 1e-10)
 
 
 def check_isotropy_off_circle(config: RunConfig, rng) -> CheckResult:
-    smallest = np.min(cloner.isotropy_scan([(0.7, 0.7), (0.5, 0.5)], _count(config, 200)))
+    smallest = np.min(cloner.isotropy_scan([(0.7, 0.7), (0.5, 0.5)]))
     return CheckResult("isotropy_off_circle", float(smallest), 1e-3, direction=">=")
 
 

@@ -203,7 +203,7 @@ class TestFidelitySweepCommand:
             phi = k * (np.pi / 2) / 5
             etas = (1.0, 0.0) if k == 0 else (0.0, 1.0) if k == 5 else (np.cos(phi), np.sin(phi))
             report = clone_report(0.9, etas)
-            expected = [report.fidelity_o, report.fidelity_b, report.ppt_min_eigenvalue, isotropy_scan(etas, 16)]
+            expected = [report.fidelity_o, report.fidelity_b, report.ppt_min_eigenvalue, isotropy_scan(etas)]
             assert line.split(",")[3:] == [format_number(value) for value in expected]
 
     def test_deterministic_output(self, tmp_path):
@@ -212,6 +212,16 @@ class TestFidelitySweepCommand:
         assert main(["fidelity-sweep", "--n-points", "4", "--out", str(first)]) == 0
         assert main(["fidelity-sweep", "--n-points", "4", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_samples_are_validated_but_do_not_change_the_output(self, tmp_path, capsys):
+        outputs = [tmp_path / f"{samples}.csv" for samples in ("2", "200")]
+        for samples, out in zip(("2", "200"), outputs):
+            assert main(["fidelity-sweep", "--n-points", "9", "--samples", samples, "--out", str(out)]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fidelity-sweep", "--n-points", "3", "--samples", "1"])
+        assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
 
 class TestVerifyCommand:

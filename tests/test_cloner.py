@@ -5,7 +5,6 @@ import pytest
 
 from circleclone import cloner
 from circleclone.cloner import (
-    _SCAN_BLOCK,
     _clone_channels,
     clone,
     clone_report,
@@ -16,7 +15,7 @@ from circleclone.cloner import (
     partial_transpose_second,
     reduced_clones,
 )
-from circleclone.pauli import SIGMA_X, bloch_to_density, density_to_bloch, great_circle_ket, pauli_decompose
+from circleclone.pauli import PAULI_STACK, SIGMA_X, bloch_to_density, density_to_bloch, great_circle_ket, pauli_decompose
 from circleclone.verify import reference_partial_trace
 
 RNG = np.random.default_rng(99)
@@ -267,20 +266,33 @@ class TestPartialTransposeSecond:
         assert np.min(np.linalg.eigvalsh(pt)) == pytest.approx(-0.5, abs=1e-12)
 
 
+def oracle_grid_worst(etas, samples):
+    """Worst residual of either clone over the angles (k + 1/4) 2 pi / samples, by the brute-force partial trace."""
+    reduced, kets = oracle_clones(etas, (np.arange(samples) + 0.25) * (2 * np.pi / samples))
+    return np.max(oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)))
+
+
+def anisotropy_law(etas):
+    """max_i |sqrt(1 - eta_j^2) - eta_i| / (3 sqrt 3), j the other clone: the closed-form supremum.
+
+    1 - eta_j^2 is taken as (1 - eta_j)(1 + eta_j), which keeps its rounding
+    small near eta_j = 1, as the isometry's amplitudes do.
+    """
+    etas = np.asarray(etas, dtype=float)
+    other = etas[..., ::-1]
+    return np.max(np.abs(np.sqrt((1 - other) * (1 + other)) - etas), axis=-1) / (3 * np.sqrt(3))
+
+
 class TestIsotropyScan:
     def test_on_circle_flat(self):
-        assert isotropy_scan((0.6, 0.8), 1000) <= 1e-10
+        assert isotropy_scan((0.6, 0.8)) <= 1e-10
 
     def test_trivial_endpoint(self):
-        assert isotropy_scan((1, 0), 100) <= 1e-12
+        assert isotropy_scan((1, 0)) <= 1e-12
 
     def test_off_circle_detected(self):
-        assert isotropy_scan((0.7, 0.7), 100) > 1e-3
-        assert isotropy_scan((0.5, 0.5), 100) > 1e-3
-
-    def test_rejects_degenerate_sampling(self):
-        with pytest.raises(ValueError):
-            isotropy_scan((0.6, 0.8), 1)
+        assert isotropy_scan((0.7, 0.7)) > 1e-3
+        assert isotropy_scan((0.5, 0.5)) > 1e-3
 
     def test_detects_both_sides_of_the_circle(self):
         # residual grows roughly like the circle defect / 8, so any defect
@@ -290,17 +302,52 @@ class TestIsotropyScan:
                 phi = RNG.uniform(0.3, 1.2)
                 scale = np.sqrt(1 + sign * delta)
                 etas = (scale * np.cos(phi), scale * np.sin(phi))
-                assert isotropy_scan(etas, 64) > 1e-10
+                assert isotropy_scan(etas) > 1e-10
 
-    # Three fixed pairs, then seeded random ones off the circle; grids of a
-    # few angles up to one larger than a whole block.
+    def test_matches_the_closed_form_law(self):
+        etas = np.random.default_rng(14).uniform(0, 1, (2000, 2))
+        assert np.all(np.abs(etas[:, 0] ** 2 + etas[:, 1] ** 2 - 1) > 1e-8)  # every pair is off the circle
+        assert np.max(np.abs(isotropy_scan(etas) - anisotropy_law(etas))) <= 1e-15
+
+    # Three fixed pairs, then seeded random ones off the circle.  On the
+    # circle both sides are rounding noise, hence the 1e-15 slack.
     @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.5, 0.5)]
                              + [tuple(pair) for pair in np.random.default_rng(12).uniform(0, 1, (3, 2))])
-    def test_matches_per_angle_oracle_loop(self, etas):
-        for samples in (2, 3, 7, 50, _SCAN_BLOCK + 7):
-            reduced, kets = oracle_clones(etas, (np.arange(samples) + 0.25) * (2 * np.pi / samples))
-            worst = np.max(oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)))
-            assert abs(isotropy_scan(etas, samples) - worst) <= 1e-14, samples
+    def test_bounds_every_per_angle_oracle_grid(self, etas):
+        exact = isotropy_scan(etas)
+        for samples in (2, 3, 7, 50, 4103):
+            assert exact >= oracle_grid_worst(etas, samples) - 1e-15, samples
+
+    @pytest.mark.parametrize("etas", [(0.7, 0.7), (0.5, 0.5), (0.95, 0.1)]
+                             + [tuple(pair) for pair in np.random.default_rng(15).uniform(0, 1, (3, 2))])
+    def test_meets_a_fine_oracle_grid_off_the_circle(self, etas):
+        grid = oracle_grid_worst(etas, 2000)
+        assert 0 <= isotropy_scan(etas) - grid <= 1e-6 * grid
+
+    @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.2, 0.9)])
+    def test_bounds_a_map_off_the_diagonal_form(self, etas, monkeypatch):
+        # The machine's maps have no part off the diagonal form, so its defect
+        # term is 0; a rotation and a shift of the clones' Bloch vectors give one.
+        axis = np.einsum("j,jab->ab", np.array([1.0, 2.0, 2.0]) / 3, PAULI_STACK)
+        u = np.cos(0.15) * np.eye(2) - 1j * np.sin(0.15) * axis  # a turn by 0.3 about that axis
+        shift = np.einsum("j,jab->ab", [0.006, -0.01, 0.016], PAULI_STACK) / 2
+        machine = cloner._clone_channels
+
+        def skewed(coeffs):
+            c = machine(coeffs).reshape(2, 2, 2, 2, 2)  # (clone, i, j, a, b)
+            c = u @ c @ u.conj().T
+            c[:, 0, 0] += shift
+            c[:, 1, 1] += shift
+            return c.reshape(2, 4, 4)
+
+        thetas = (np.arange(2000) + 0.25) * (2 * np.pi / 2000)
+        kets = great_circle_ket(thetas)
+        flat_input = (kets[:, :, None] * kets[:, None, :].conj()).reshape(2000, 1, 1, 4)
+        reduced = np.moveaxis((flat_input @ skewed(coefficients(etas)))[..., 0, :].reshape(2000, 2, 2, 2), 1, 0)
+        grid = np.max(oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)))
+        monkeypatch.setattr(cloner, "_clone_channels", skewed)
+        assert grid > anisotropy_law(etas) + 1e-3  # the defect term is needed
+        assert isotropy_scan(etas) >= grid
 
     def test_residual_formula_is_the_matrix_max_norm(self):
         # The machine's clones have y = 0; random Bloch vectors exercise every term of the formula.
@@ -315,7 +362,7 @@ class TestIsotropyScan:
 
     def test_exactly_on_circle_is_flat(self):
         for phi in (0.2, np.pi / 4, 1.3):
-            assert isotropy_scan((np.cos(phi), np.sin(phi)), 64) <= 1e-10
+            assert isotropy_scan((np.cos(phi), np.sin(phi))) <= 1e-10
 
 
 def circle_stack(n):
@@ -324,36 +371,25 @@ def circle_stack(n):
 
 
 class TestBatchedIsotropyScan:
-    # (etas, samples): a single pair, small stacks, the 129-direction sweep at
-    # 200 angles (20 rows a block, so 7 blocks, the last one partial), 7 rows
-    # at 300 angles (one partial block of 13 rows), 7 rows at 1500 angles
-    # (blocks of 2, 2, 2 and 1) and 3 rows of one block each.
+    # A single pair, small stacks, the 129-direction sweep and seeded random stacks.
     CASES = {
-        "single": ((0.6, 0.8), 64),
-        "3x2": (np.random.default_rng(1).uniform(0, 1, (3, 2)), 64),
-        "2x3x2": (np.random.default_rng(2).uniform(0, 1, (2, 3, 2)), 64),
-        "sweep_129x200": (circle_stack(129), 200),
-        "partial_block_7x300": (np.random.default_rng(3).uniform(0, 1, (7, 2)), 300),
-        "partial_blocks_7x1500": (np.random.default_rng(6).uniform(0, 1, (7, 2)), 1500),
-        "grid_over_block": (np.random.default_rng(4).uniform(0, 1, (3, 2)), _SCAN_BLOCK + 7),
+        "single": (0.6, 0.8),
+        "3x2": np.random.default_rng(1).uniform(0, 1, (3, 2)),
+        "2x3x2": np.random.default_rng(2).uniform(0, 1, (2, 3, 2)),
+        "sweep_129": circle_stack(129),
+        "random_7x2": np.random.default_rng(3).uniform(0, 1, (7, 2)),
+        "random_200x2": np.random.default_rng(6).uniform(0, 1, (200, 2)),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_every_row_equals_its_single_pair_call(self, case):
-        etas, samples = self.CASES[case]
-        etas = np.asarray(etas)
-        worst = isotropy_scan(etas, samples)
+        etas = np.asarray(self.CASES[case])
+        worst = isotropy_scan(etas)
         assert np.shape(worst) == etas.shape[:-1]
         for index in np.ndindex(etas.shape[:-1]):
-            alone = isotropy_scan(tuple(etas[index]), samples)
+            alone = isotropy_scan(tuple(etas[index]))
             assert isinstance(alone, np.floating) and np.ndim(alone) == 0
             assert worst[index] == alone
-
-    def test_stacks_span_several_blocks(self):
-        for pairs, samples in [(129, 200), (7, 1500)]:
-            rows = _SCAN_BLOCK // samples
-            assert pairs // rows > 1 and pairs % rows != 0
-        assert 7 < _SCAN_BLOCK // 300  # the 7x300 stack is one partial block
 
     @pytest.mark.parametrize("on_circle", [True, False])
     def test_channels_give_the_reduced_clones(self, on_circle):
@@ -372,29 +408,21 @@ class TestBatchedIsotropyScan:
         assert np.max(np.abs(clones[:, 1] - rho_b)) <= 1e-15
 
     @pytest.mark.parametrize("bad", [(1.2, 0.3), (np.nan, 0.5)])
-    def test_bad_row_raises_before_any_block(self, bad, monkeypatch):
+    def test_bad_row_raises_as_alone(self, bad):
         with pytest.raises(ValueError) as alone:
-            isotropy_scan(bad, 200)
+            isotropy_scan(bad)
         etas = circle_stack(129)
-        etas[-1] = bad  # in the last block
-        blocks = []
-
-        def channels(coeffs):
-            blocks.append(coeffs)
-            return _clone_channels(coeffs)
-
-        monkeypatch.setattr(cloner, "_clone_channels", channels)
+        etas[-1] = bad
         with pytest.raises(ValueError) as stacked:
-            isotropy_scan(etas, 200)
+            isotropy_scan(etas)
         assert str(stacked.value) == str(alone.value)
-        assert blocks == []  # the whole stack was checked before the first block
 
-    def test_memory_stays_bounded_by_the_block(self):
+    def test_memory_of_the_sweep_stays_small(self):
         etas = circle_stack(129)
-        isotropy_scan(etas, 200)  # warm numpy's caches outside the measurement
+        isotropy_scan(etas)  # warm numpy's caches outside the measurement
         tracemalloc.start()
         try:
-            isotropy_scan(etas, 200)
+            isotropy_scan(etas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -96,8 +96,9 @@ class TestConstrainTensor:
         free = RNG.uniform(-1, 1, 7)
         assert np.allclose(free_parameters(constrain_tensor(free)), free, atol=1e-15)
 
-    @pytest.mark.parametrize("call", [free_parameters, lambda t: rotate_correlations(t, 0.3)],
-                             ids=["free_parameters", "rotate_correlations"])
+    @pytest.mark.parametrize("call", [free_parameters, lambda t: rotate_correlations(t, 0.3),
+                                      lambda t: positivity_matrix_up((0.5, 0.5), t)],
+                             ids=["free_parameters", "rotate_correlations", "positivity_matrix_up"])
     def test_rejects_a_tensor_that_is_not_3x3(self, call):
         with pytest.raises(ValueError, match=r"correlation tensor must be 3x3, got shape \(5,\)"):
             call(np.zeros(5))

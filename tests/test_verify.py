@@ -83,9 +83,10 @@ class TestSolverChecks:
 
 class TestIsotropyChecks:
     @pytest.mark.parametrize("samples", [2, 3, 4])
-    def test_off_circle_anisotropy_shows_on_small_grids(self, samples):
+    def test_off_circle_anisotropy_shows_at_any_sample_count(self, samples):
         result = check_isotropy_off_circle(RunConfig(samples=samples), np.random.default_rng(0))
         assert result.passed
+        assert result.measured == check_isotropy_off_circle(RunConfig(), np.random.default_rng(0)).measured
 
 
 def scalar_hermitian(rng, n):
