@@ -26,8 +26,8 @@ DEFAULT_RADIUS_TOL = 1e-3
 GAP_TOL = 1e-10
 # Barrier schedule: s grows by this factor at every iterate whose Newton
 # decrement is below CENTRED_DECREMENT.
-BARRIER_GROWTH = 10.0
-CENTRED_DECREMENT = 0.5
+BARRIER_GROWTH = 300.0
+CENTRED_DECREMENT = 1.0
 
 # Order of the free correlation-tensor entries once the no-signalling
 # constraints t_zz = t_xx and t_zx = -t_xz are imposed.
@@ -261,16 +261,19 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
 
     Minimizes  -s x - log det S - sum_i log(1 - f_i^2)  by damped Newton steps
     from f = 0 and x = x0; s starts at Tr S^-1 (centred in x when G = -I) and
-    grows by BARRIER_GROWTH at every centred iterate.  Each iterate brackets
-    the optimum: below by the best x at its entries,
-    x + 1 / lambda_max(-S^-1/2 G S^-1/2); above, when Tr(W G) < 0, by
-    (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) for W = S^-1 / Tr S^-1, since W
-    is positive semidefinite, Tr(W S) >= 0 at every feasible point and every
-    |f_i| <= 1.  The solve stops once upper - lower <= tol (certified, or on
-    the central path, where the gap is at most degree / s) or after ``budget``
-    iterates; it also stops where S is no longer positive definite or the
-    Newton step is singular, not finite or leaves the box.  ``tol`` must be
-    positive and finite.
+    grows by BARRIER_GROWTH at every centred iterate (Newton decrement below
+    CENTRED_DECREMENT).  Each iterate brackets the optimum: below by the best x
+    at its entries, x + 1 / lambda_max(-S^-1/2 G S^-1/2); above, when
+    Tr(W G) < 0, by (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) for a positive
+    semidefinite W, since Tr(W S) >= 0 at every feasible point and every
+    |f_i| <= 1.  Every iterate tries W = S^-1 / Tr S^-1, and every centred
+    iterate also the face-reduced W of _face_certificate, which stays accurate
+    near the optimum, where S is nearly singular and S^-1 / Tr S^-1 is not.
+    The solve stops once the certified upper - lower <= tol, or after
+    ``budget`` iterates; it also stops where precision runs out: S is no
+    longer positive definite, or the Newton step is singular, not finite,
+    leaves the box, or leaves x where it is at an iterate that is not
+    centred.  ``tol`` must be positive and finite.
 
     A stack of problems F0 (..., n, n), G (..., n, n) and x0 (...), which
     broadcast to one batch shape, shares the slopes A_i (k, n, n) and runs in
@@ -286,7 +289,6 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     f0, g, x0 = np.asarray(f0), np.asarray(g), np.asarray(x0, dtype=float)
     shape = np.broadcast_shapes(f0.shape[:-2], g.shape[:-2], x0.shape)
     size, count = f0.shape[-1], len(slopes)
-    degree = size + 2 * count  # self-concordance parameter of the barrier
     problems = int(np.prod(shape))
     # The live stack: one row per problem still iterating; `rows` are their
     # positions in the results, written as each row stops.
@@ -312,23 +314,22 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         total = inverse.sum(axis=-1)
         if iterate == 1:
             s = total
-        # S^-1/2 B S^-1/2 for every B of (A_1, ..., G), in the eigenbasis of S.
-        root = np.sqrt(inverse)
+        # V^H B V for every B of (A_1, ..., G), in the eigenbasis V of S, and
+        # S^-1/2 B S^-1/2 from it.
         adjoint = vectors.conj().swapaxes(-2, -1)
-        blocks = (adjoint[:, None] @ terms @ vectors[:, None]) * (root[:, :, None] * root[:, None, :])[:, None]
+        projected = adjoint[:, None] @ terms @ vectors[:, None]
+        root = np.sqrt(inverse)
+        blocks = projected * (root[:, :, None] * root[:, None, :])[:, None]
         best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -1])[:, 0]
         better = definite & (best_x > lower)
         lower = np.where(better, best_x, lower)
         best_free = np.where(better[:, None], free, best_free)
         w = (vectors * (inverse / total[:, None])[:, None, :]) @ adjoint
         traces = _traces(w, terms)
-        certified = definite & (traces[:, -1] < 0.0)
-        bound = ((_traces(w, f0[:, None])[:, 0] + np.abs(traces[:, :-1]).sum(axis=-1))
-                 / np.where(certified, -traces[:, -1], 1.0))
-        better = certified & (bound < upper)
+        bound = np.where(definite, _dual_bound(w, f0, traces), np.inf)
+        better = bound < upper
         upper = np.where(better, bound, upper)
         certificate = np.where(better[:, None, None], w, certificate)
-        stop = ~definite | (upper - lower <= tol) | (s * tol > degree)
 
         # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
         flat = blocks.reshape(len(rows), count + 1, -1)
@@ -339,12 +340,22 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         hessian[:, diagonal, diagonal] += 2 * (1 + free**2) / (1 - free**2) ** 2
         step = -_newton_solve(hessian, gradient)
         decrement = np.sqrt(np.maximum(-np.einsum("li,li->l", gradient, step), 0.0))
+        centred = definite & (decrement < CENTRED_DECREMENT)
+        if centred.any():
+            face = _face_certificate(vectors[centred], projected[centred])
+            bound = np.full(len(rows), np.inf)
+            bound[centred] = _dual_bound(face, f0[centred], _traces(face, terms[centred]))
+            better = bound < upper
+            upper = np.where(better, bound, upper)
+            certificate[better] = face[better[centred]]
         damping = np.where(decrement < 0.25, 1.0, 1.0 / (1.0 + decrement))
-        candidate = free + damping[:, None] * step[:, :count]
-        # A step that is not finite or leaves the box: the Newton system has lost its precision.
-        stop |= ~(np.isfinite(step).all(axis=-1) & (np.abs(candidate) < 1.0).all(axis=-1))
-        free, x = candidate, x + damping * step[:, count]
-        s = np.where(decrement < CENTRED_DECREMENT, s * BARRIER_GROWTH, s)
+        candidate, moved = free + damping[:, None] * step[:, :count], x + damping * step[:, count]
+        # A step that is not finite, leaves the box, or leaves x where it is
+        # though the iterate is not centred: the Newton system has lost its precision.
+        lost = ~(np.isfinite(step).all(axis=-1) & (np.abs(candidate) < 1.0).all(axis=-1)) | ((moved == x) & ~centred)
+        stop = ~definite | (upper - lower <= tol) | lost
+        free, x = candidate, moved
+        s = np.where(centred, s * BARRIER_GROWTH, s)
         if iterate == budget:
             stop[:] = True
         if stop.any():
@@ -359,6 +370,49 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
                    results.iterations.reshape(shape)[()])
 
 
+def _dual_bound(w: np.ndarray, f0: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """The upper end (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) proved by each row's W.
+
+    ``traces`` (rows, k + 1) are the Tr(W B) for B of (A_1, ..., G); inf in a
+    row where Tr(W G) < 0 fails, so that its W proves nothing.
+    """
+    certified = traces[:, -1] < 0.0
+    bound = ((_traces(w, f0[:, None])[:, 0] + np.abs(traces[:, :-1]).sum(axis=-1))
+             / np.where(certified, -traces[:, -1], 1.0))
+    return np.where(certified, bound, np.inf)
+
+
+def _face_certificate(vectors: np.ndarray, projected: np.ndarray) -> np.ndarray:
+    """A unit-trace positive definite W on the face of the two smallest eigenvalues of S, one per row.
+
+    An optimal W has W S = 0 at the optimum, where S of the north-pole
+    problems has two zero eigenvalues, so near it W lives on their
+    eigenvectors V2, the first two columns of ``vectors`` (rows, n, n).  With
+    Y_j = V2^H B_j V2, sliced out of ``projected`` (rows, k + 1, n, n) for B
+    of (A_1, ..., G), fits a Hermitian 2x2 X by least squares to Tr(X Y_i) = 0 and
+    Tr(X Y_G) = -1, clips it to positive semidefinite and takes
+    W = V2 X V2^H / Tr X.  A rank-2 W has computed eigenvalues of either sign
+    at the rounding level, so W is mixed with a 1e-12 share of I / n: the mix
+    is PSD (any convex mix of PSD certificates is a certificate), its
+    computed eigenvalues stay positive and its bound moves by about 1e-12.
+    A row whose fit is singular or whose clipped X is zero gets NaN.
+    """
+    y = projected[..., :2, :2]
+    design = np.stack([y[..., 0, 0].real, y[..., 1, 1].real, 2 * y[..., 0, 1].real, 2 * y[..., 0, 1].imag], axis=-1)
+    fit = _newton_solve(design.swapaxes(-2, -1) @ design, -design[:, -1])
+    valid = np.isfinite(fit).all(axis=-1)
+    a, b, re, im = _components(np.where(valid[:, None], fit, 0.0))
+    values, turn = np.linalg.eigh(_stack_last([[a, re + 1j * im], [re - 1j * im, b]], 2))
+    values = np.maximum(values, 0.0)
+    weight = values.sum(axis=-1)
+    valid &= weight > 0.0
+    basis = vectors[..., :2] @ turn
+    face = (basis * (values / np.where(valid, weight, 1.0)[:, None])[:, None, :]) @ basis.conj().swapaxes(-2, -1)
+    size, share = vectors.shape[-1], 1e-12
+    mixed = (1.0 - share) * face + (share / size) * np.eye(size)
+    return np.where(valid[:, None, None], mixed, np.nan)
+
+
 def _traces(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(W B) for every B of a stack b (..., k, n, n), with W (..., n, n); (..., k).
 
@@ -369,7 +423,7 @@ def _traces(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    """Solutions of a stack of Newton systems; NaN in a row whose system is singular in floating point."""
+    """Solutions of a stack of linear systems; NaN in a row whose system is singular in floating point."""
     try:
         return np.linalg.solve(hessian, gradient[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -422,12 +476,10 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
 
     Along the ray the north-pole output is A00 + r B(phi) + sum_i f_i A_i, with
     B(phi) = cos(phi) E1 + sin(phi) E2: minimize with G = B(phi), from r = 0
-    until the certified bracket is at most ``radius_tol`` wide, or until the
-    barrier weight s exceeds degree / ``radius_tol`` (degree / s bounds the
-    gap on the central path, not the certified bracket, which may then be a
-    few times wider than ``radius_tol``).  Its lower end is attained by its
-    free entries.  Directions (...) give one solve of the stack, each row
-    stopping on its own.  The boundary is the unit circle.
+    until the certified bracket is at most ``radius_tol`` wide (or precision
+    runs out, which takes a ``radius_tol`` of 1e-12 or less).  Its lower end is
+    attained by its free entries.  Directions (...) give one solve of the
+    stack, each row stopping on its own.  The boundary is the unit circle.
     """
     phi = np.asarray(phi, dtype=float)
     _require((phi >= 0.0) & (phi <= np.pi / 2), phi, "direction must lie in [0, pi/2], got {}")

@@ -336,9 +336,10 @@ class TestFeasibility:
         assert bracket.iterations <= 500
 
     def test_starved_budget_is_undecided(self):
-        # On the circle, so feasible: 30 iterates leave a bracket that straddles -1e-9 and proves neither verdict.
-        assert feasibility((0.6, 0.8), budget=30) is None
-        bracket = eigenvalue_bracket((0.6, 0.8), budget=30)
+        # On the circle, so feasible: 15 iterates leave a bracket that straddles -1e-9 and proves neither verdict
+        # (the solve decides it after about 24).
+        assert feasibility((0.6, 0.8), budget=15) is None
+        bracket = eigenvalue_bracket((0.6, 0.8), budget=15)
         assert bracket.lower < -1e-9 <= bracket.upper
         assert feasibility((0.6, 0.8)) is True
 
@@ -385,6 +386,15 @@ class TestCertificates:
         bracket = eigenvalue_bracket(points)
         for k, etas in enumerate(points):
             assert bracket.lower[k] <= bracket.upper[k], etas
+
+    def test_brackets_close_to_the_gap(self):
+        # The face-reduced certificate closes every bracket, on the circle and off it, to GAP_TOL.
+        circle = np.linspace(0, np.pi / 2, 9)
+        points = np.concatenate([np.stack([np.cos(circle), np.sin(circle)], axis=-1),
+                                 np.random.default_rng(7).uniform(0, 1, (40, 2))])
+        bracket = eigenvalue_bracket(points)
+        assert np.all(bracket.lower <= bracket.upper) and np.all(bracket.upper - bracket.lower <= GAP_TOL)
+        assert np.all(np.abs(bracket.lower[:len(circle)]) <= GAP_TOL)
 
     def test_feasible_witness_is_positive(self):
         phi, radius = np.meshgrid(np.linspace(0, np.pi / 2, 7), (0.5, 0.999, 1.0), indexing="ij")
@@ -460,9 +470,23 @@ class TestMaxRadius:
             assert_certified(stacked.upper[k], stacked.certificate[k], a0, slopes, g)
 
     def test_tight_tolerance_brackets_still_hold_the_circle(self):
-        # bound-sweep --n-phi 33 --radius-tol 1e-8: the central-path rule may stop a
-        # direction with a bracket wider than the tolerance, but never one that misses 1.
+        # bound-sweep --n-phi 33 --radius-tol 1e-8: every direction stops on its certified
+        # bracket, which is at most the tolerance wide and holds 1.
         bracket = radius_bracket(np.linspace(0, np.pi / 2, 33), radius_tol=1e-8)
+        assert np.all(bracket.lower <= 1 + 1e-15) and np.all(1 <= bracket.upper)
+        assert np.all(bracket.upper - bracket.lower <= 1e-8)
+
+    @pytest.mark.parametrize("radius_tol", [1e-3, 1e-6])
+    def test_every_bracket_is_at_most_radius_tol_wide(self, radius_tol):
+        bracket = radius_bracket(np.linspace(0, np.pi / 2, 33), radius_tol=radius_tol)
+        assert np.all(bracket.lower <= 1 + 1e-15) and np.all(1 <= bracket.upper)
+        assert np.all(bracket.upper - bracket.lower <= radius_tol)
+
+    def test_unreachable_tolerance_stops_on_precision_loss(self):
+        # No bracket can be certified 1e-16 wide: each direction stops once its Newton
+        # step no longer moves the radius, not at the budget, and still holds 1.
+        bracket = radius_bracket(np.linspace(0, np.pi / 2, 9), radius_tol=1e-16)
+        assert np.all(bracket.iterations <= 100), bracket.iterations
         assert np.all(bracket.lower <= 1 + 1e-15) and np.all(1 <= bracket.upper)
 
 
@@ -480,7 +504,7 @@ class TestLockstep:
     # Eigenvalue rows (G = -I) at a feasible point and at (0.8, 0.8), radius
     # rows (G = B(phi)) along two rays, all solved to GAP_TOL, and an
     # eigenvalue row started above the boundary, where S is not positive
-    # definite: their solves stop at iterates 43, 43, 45, 46 and 1.
+    # definite: their solves stop at iterates 29, 28, 28, 28 and 1.
     POINTS = np.array([(0.3, 0.4), (0.8, 0.8), (0.6, 0.8)])
     DIRECTIONS = np.array([np.pi / 8, np.pi / 4])
 

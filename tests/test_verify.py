@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,20 @@ class TestSolverChecks:
         assert abs(result.measured) <= 1e-10
 
     def test_circle_recovery_reads_both_ends_of_each_bracket(self, monkeypatch):
-        # At radius_tol 5e-3 every lower end lies within 1e-3 of 1, but some upper ends do not lie within 2e-3.
-        monkeypatch.setattr(nosignalling, "DEFAULT_RADIUS_TOL", 5e-3)
-        assert not check_circle_recovery(RunConfig(), np.random.default_rng(0)).passed
+        # The solve certifies every bracket to the tolerance, so the check is fed brackets
+        # with one end moved: an upper end 3e-3 above 1 fails it though every lower end
+        # lies within 2e-3, and so does a lower end 3e-3 below 1.
+        solve = nosignalling.radius_bracket
+        for end in ("upper", "lower"):
+            def fed(phi, radius_tol, budget, end=end):
+                bracket = solve(phi, radius_tol=radius_tol, budget=budget)
+                moved = getattr(bracket, end).copy()
+                moved[2] = 1.003 if end == "upper" else 0.997
+                return dataclasses.replace(bracket, **{end: moved})
+
+            monkeypatch.setattr(nosignalling, "radius_bracket", fed)
+            result = check_circle_recovery(RunConfig(), np.random.default_rng(0))
+            assert not result.passed and result.measured == pytest.approx(3e-3, abs=1e-12), end
 
 
 class TestIsotropyChecks:
