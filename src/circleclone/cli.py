@@ -101,9 +101,9 @@ def _cmd_bound_sweep(args: argparse.Namespace) -> int:
     bracket = radius_bracket([phi for phi, _, _ in directions], radius_tol=args.radius_tol, budget=args.budget)
     rows = []
     for k, (phi, cos_phi, sin_phi) in enumerate(directions):
-        found = float(bracket.lower[k])
-        print(f"phi={phi:.6f}  radius=[{found:.9f}, {bracket.upper[k]:.9f}]  "
-              f"iterations={bracket.iterations[k]}", file=sys.stderr)
+        found, upper = float(bracket.lower[k]), float(bracket.upper[k])
+        print(f"phi={phi:.6f}  radius=[{found:.9f}, {upper:.9f}]  "
+              f"iterations={bracket.iterations[k]}  width={upper - found:.3e}", file=sys.stderr)
         rows.append([phi, found * cos_phi, found * sin_phi, found, 1.0, abs(found - 1.0)])
     _write_csv(args.out, BOUND_SWEEP_HEADER, rows)
     return 0

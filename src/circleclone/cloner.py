@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import _require, hermitian_eigenvalues, kron, partial_trace
 from .nosignalling import _validate_etas
-from .pauli import _pauli_readout, density_to_bloch, great_circle_ket, pauli_decompose, rotation_unitary
+from .pauli import _pauli_readout, great_circle_ket, pauli_decompose, rotation_unitary
 
 ON_CIRCLE_ATOL = 1e-8
 
@@ -104,11 +104,6 @@ def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))
 
 
-def _shrink(rho: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Best-fit shrink s = 2<psi|rho|psi> - 1 of each clone (..., 2, 2) toward its input ket (..., 2)."""
-    return 2 * np.einsum("...i,...ij,...j->...", ket.conj(), rho, ket).real - 1
-
-
 def _isotropy_residual(x, y, z, sin, cos, s):
     """Max-norm residual of clones with Bloch vectors r = (x, y, z) from the isotropic form s|psi><psi| + (1 - s) I / 2.
 
@@ -146,58 +141,48 @@ class CloneReport:
 def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     """Run the machine at one input and extract every reported diagnostic.
 
-    Each clone's reduced channel is diagonal in x and z, so its per-axis
-    shrinks are read off the cardinal inputs: the z shrink at theta = 0 and
-    the x shrink at theta = pi/2.  The isotropy residual of each clone holds
-    the shrink fitted at the requested angle fixed and measures the worst
-    deviation from the shrunk-copy-plus-noise form across the requested and
-    both cardinal inputs, so anisotropy is visible from any single run.  It
-    is computed from the clones' Bloch vectors by _isotropy_residual, the
-    residual whose supremum over the whole circle isotropy_scan gives.
-    ``ppt_min_eigenvalue`` is the minimum eigenvalue of the joint output's
-    partial transpose (non-negative exactly when the output is separable).
+    Every per-clone field is read off the clone's Bloch map r(theta) from
+    _bloch_maps, the read-out isotropy_scan takes its supremum from.  Each
+    clone's map is diagonal in x and z, so its z shrink is read at theta = 0
+    and its x shrink at theta = pi/2.  At the requested input m the fitted
+    shrink is r . m and the fidelity (1 + r . m) / 2; the isotropy residual
+    holds that shrink fixed across the requested and both cardinal inputs,
+    so anisotropy is visible from any single run.  Only the joint output
+    rho_ob is simulated, at the requested input: ``ppt_min_eigenvalue`` is
+    the minimum eigenvalue of its partial transpose (non-negative exactly
+    when the output is separable).
 
     Angles (...) broadcast with reduction factors (..., 2) to one report of
     arrays: every field takes the broadcast shape (``correlation`` adds two
     axes of 3).  A single input gives numpy scalars.
     """
-    # One axis of three inputs: the requested one, then the cardinal probes
-    # for z (theta = 0) and x (theta = pi/2); the coefficients broadcast over it.
-    coeffs = coefficients(np.expand_dims(np.asarray(etas, dtype=float), -2))
-    shape = np.broadcast_shapes(np.shape(theta), coeffs.eta1.shape[:-1])
+    coeffs = coefficients(etas)
+    joint = reduced_clones(clone(theta, coeffs))[2]
+    shape = joint.shape[:-2]
+    # Axes (..., clone, input): the requested input, then the z (theta = 0) and x (theta = pi/2) probes.
     theta = np.broadcast_to(np.asarray(theta, dtype=float), shape)
-    thetas = np.stack([theta, np.zeros(shape), np.full(shape, np.pi / 2)], axis=-1)
-    kets = great_circle_ket(thetas)
+    thetas = np.stack([theta, np.zeros(shape), np.full(shape, np.pi / 2)], axis=-1)[..., None, :]
     sin, cos = np.sin(thetas), np.cos(thetas)
-    rho_o, rho_b, rho_ob = reduced_clones(clone(thetas, coeffs))
-
-    def diagnose(rho):
-        """(z shrink, x shrink, fidelity, isotropy residual) of one clone over the three inputs."""
-        bloch = density_to_bloch(rho)
-        x, y, z = (bloch[..., j] for j in range(3))
-        fitted = (x * sin + z * cos)[..., :1]  # the shrink at the requested input, held at all three
-        residual = np.max(_isotropy_residual(x, y, z, sin, cos, fitted), axis=-1)
-        fidelity = (1 + _shrink(rho[..., 0, :, :], kets[..., 0, :])) / 2
-        return bloch[..., 1, 2], bloch[..., 2, 0], fidelity, residual
-
-    shrink_o_z, shrink_o_x, fidelity_o, residual_o = diagnose(rho_o)
-    shrink_b_z, shrink_b_x, fidelity_b, residual_b = diagnose(rho_b)
-    joint = rho_ob[..., 0, :, :]
-    eta1, eta2 = (np.broadcast_to(eta[..., 0], shape)[()] for eta in (coeffs.eta1, coeffs.eta2))
+    r0, rz, rx = _bloch_maps(coeffs)[..., None, :]
+    x, y, z = np.moveaxis(r0 + cos[..., None] * rz + sin[..., None] * rx, -1, 0)  # each (..., clone, input)
+    fitted = (x * sin + z * cos)[..., :1]  # the shrink at the requested input, held at all three
+    residual = np.max(_isotropy_residual(x, y, z, sin, cos, fitted), axis=-1)
+    fidelity = (1 + fitted[..., 0]) / 2
+    eta1, eta2 = (np.broadcast_to(eta, shape)[()] for eta in (coeffs.eta1, coeffs.eta2))
 
     return CloneReport(
         theta=theta[()],
         eta1=eta1,
         eta2=eta2,
         on_circle=np.abs(eta1**2 + eta2**2 - 1.0) <= ON_CIRCLE_ATOL,
-        shrink_o_z=shrink_o_z[()],
-        shrink_o_x=shrink_o_x[()],
-        shrink_b_z=shrink_b_z[()],
-        shrink_b_x=shrink_b_x[()],
-        fidelity_o=fidelity_o[()],
-        fidelity_b=fidelity_b[()],
-        isotropy_residual_o=residual_o[()],
-        isotropy_residual_b=residual_b[()],
+        shrink_o_z=z[..., 0, 1][()],
+        shrink_o_x=x[..., 0, 2][()],
+        shrink_b_z=z[..., 1, 1][()],
+        shrink_b_x=x[..., 1, 2][()],
+        fidelity_o=fidelity[..., 0][()],
+        fidelity_b=fidelity[..., 1][()],
+        isotropy_residual_o=residual[..., 0][()],
+        isotropy_residual_b=residual[..., 1][()],
         correlation=pauli_decompose(joint).t,
         ppt_min_eigenvalue=hermitian_eigenvalues(partial_transpose_second(joint))[..., 0][()],
     )
@@ -218,15 +203,27 @@ def _clone_channels(coeffs: CloneCoefficients) -> np.ndarray:
     return channels.reshape(channels.shape[:-4] + (4, 4))
 
 
+def _bloch_maps(coeffs: CloneCoefficients) -> np.ndarray:
+    """Each clone's Bloch vector as an affine map of the input angle: (r0, rz, rx), shape (3, ..., clone, 3).
+
+    The input |psi><psi| = [I + cos(theta) Z + sin(theta) X] / 2 goes through
+    each clone's channel (_clone_channels, |i><j| -> C_ij), so the clone's
+    Bloch vector is r(theta) = r0 + cos(theta) rz + sin(theta) rx, with r0,
+    rz and rx read out of (C00 + C11) / 2, (C00 - C11) / 2 and
+    (C01 + C10) / 2.
+    """
+    c = _clone_channels(coeffs)
+    c = np.moveaxis(c.reshape(c.shape[:-2] + (2, 2, 2, 2)), (-4, -3), (0, 1))  # (i, j, ..., clone, a, b)
+    return _pauli_readout(np.stack([c[0, 0] + c[1, 1], c[0, 0] - c[1, 1], c[0, 1] + c[1, 0]]) / 2)
+
+
 def isotropy_scan(etas):
     """Certified supremum over every circle input of either clone's isotropy residual.
 
     Reduction factors (..., 2) give one value per pair, shape (...); a single
-    pair gives a numpy scalar.  No output state or angle grid is formed.  The
-    input |psi><psi| = [I + cos(theta) Z + sin(theta) X] / 2 goes through each
-    clone's channel (_clone_channels, |i><j| -> C_ij), so the clone's Bloch
-    vector is r(theta) = r0 + cos(theta) rz + sin(theta) rx, with r0, rz and
-    rx read out of (C00 + C11) / 2, (C00 - C11) / 2 and (C01 + C10) / 2.
+    pair gives a numpy scalar.  No output state or angle grid is formed; each
+    clone's Bloch map r(theta) = r0 + cos(theta) rz + sin(theta) rx comes
+    from _bloch_maps.
 
     With a = rz_z and b = rx_x, the diagonal part r = (b sin, 0, a cos) of the
     map leaves d = r - (r . m) m = (b - a) sin cos (cos, 0, -sin) off the input
@@ -242,9 +239,7 @@ def isotropy_scan(etas):
     on the circle.  Every step is elementwise per pair, so each row of a
     stack equals its single-pair call bit for bit.
     """
-    c = _clone_channels(coefficients(etas))
-    c = np.moveaxis(c.reshape(c.shape[:-2] + (2, 2, 2, 2)), (-4, -3), (0, 1))  # (i, j, ..., clone, a, b)
-    r0, rz, rx = _pauli_readout(np.stack([c[0, 0] + c[1, 1], c[0, 0] - c[1, 1], c[0, 1] + c[1, 0]]) / 2)
+    r0, rz, rx = _bloch_maps(coefficients(etas))
     defect = (np.linalg.norm(r0, axis=-1) + np.linalg.norm(rz[..., :2], axis=-1)
               + np.linalg.norm(rx[..., 1:], axis=-1))
     return np.max(np.abs(rx[..., 0] - rz[..., 2]) / (3 * np.sqrt(3)) + defect / 2, axis=-1)[()]

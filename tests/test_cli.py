@@ -135,10 +135,11 @@ class TestBoundSweepCommand:
         progress = captured.err.splitlines()[1:]
         assert len(progress) == 3
         for line, phi in zip(progress, ("0.000000", "0.785398", "1.570796")):
-            match = re.fullmatch(rf"phi={phi}  radius=\[([0-9.]+), ([0-9.]+)\]  iterations=([0-9]+)", line)
+            match = re.fullmatch(rf"phi={phi}  radius=\[([0-9.]+), ([0-9.]+)\]  iterations=([0-9]+)"
+                                 r"  width=([0-9.]+e[-+][0-9]+)", line)
             assert match, line
-            lower, upper, iterations = float(match[1]), float(match[2]), int(match[3])
-            assert lower <= 1.0 <= upper and upper - lower <= 1e-3, line
+            lower, upper, iterations, width = float(match[1]), float(match[2]), int(match[3]), float(match[4])
+            assert lower <= 1.0 <= upper and width <= 1e-3, line
             assert 1 <= iterations <= 20, line
         assert captured.out.startswith(BOUND_SWEEP_HEADER + "\n")
 

@@ -231,6 +231,19 @@ class TestCloneReport:
             report = clone_report(RNG.uniform(0, 2 * np.pi), random_circle_etas(RNG))
             assert report.ppt_min_eigenvalue >= -1e-10
 
+    def test_fidelities_match_the_oracle_on_and_off_the_circle(self):
+        # The fidelity read off the Bloch map is (1 + s) / 2 with s = 2<psi|rho|psi> - 1 of the brute-force clones.
+        rng = np.random.default_rng(21)
+        thetas = rng.uniform(0, 2 * np.pi, 400)
+        thetas[:8] = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2] * 2
+        etas = rng.uniform(0, 1, (400, 2))
+        etas[:8] = [(0, 0), (1, 1), (1, 0), (0, 1), (0.6, 0.8), (0.5, 0.5), (1, 0), (0, 1)]
+        etas[200:] = [random_circle_etas(rng) for _ in range(200)]
+        expected = (1 + oracle_shrinks(*oracle_clones(etas, thetas))) / 2
+        report = clone_report(thetas, etas)
+        assert np.max(np.abs(report.fidelity_o - expected[0])) <= 1e-15
+        assert np.max(np.abs(report.fidelity_b - expected[1])) <= 1e-15
+
     @pytest.mark.parametrize("theta, etas", [(2.1, (0.6, 0.8)), (np.pi / 2, (0.5, 0.5)), (0.4, (0.7, 0.7)),
                                              (5.3, (0.2, 0.9)), (0.0, (0.3, 0.1))])
     def test_residuals_match_the_oracle_at_the_three_inputs(self, theta, etas):
@@ -406,6 +419,11 @@ class TestBatchedIsotropyScan:
         rho_o, rho_b, _ = reduced_clones(clone(theta, coefficients(etas)))
         assert np.max(np.abs(clones[:, 0] - rho_o)) <= 1e-15
         assert np.max(np.abs(clones[:, 1] - rho_b)) <= 1e-15
+        # The Bloch maps read out of the channels give the same clones as Bloch vectors.
+        r0, rz, rx = cloner._bloch_maps(coefficients(etas))
+        bloch = r0 + np.cos(theta)[:, None, None] * rz + np.sin(theta)[:, None, None] * rx
+        assert np.max(np.abs(bloch[:, 0] - density_to_bloch(rho_o))) <= 1e-15
+        assert np.max(np.abs(bloch[:, 1] - density_to_bloch(rho_b))) <= 1e-15
 
     @pytest.mark.parametrize("bad", [(1.2, 0.3), (np.nan, 0.5)])
     def test_bad_row_raises_as_alone(self, bad):

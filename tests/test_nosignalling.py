@@ -502,11 +502,11 @@ def assert_certified(upper, w, a0, slopes, g):
 
 class TestLockstep:
     # Eigenvalue rows (G = -I) at a feasible point and at (0.8, 0.8), radius
-    # rows (G = B(phi)) along two rays, all solved to GAP_TOL, and an
+    # rows (G = B(phi)) along three rays, all solved to GAP_TOL, and an
     # eigenvalue row started above the boundary, where S is not positive
-    # definite: their solves stop at iterates 29, 28, 28, 28 and 1.
+    # definite: their solves stop at iterates 29, 28, 4, 28, 28 and 1.
     POINTS = np.array([(0.3, 0.4), (0.8, 0.8), (0.6, 0.8)])
-    DIRECTIONS = np.array([np.pi / 8, np.pi / 4])
+    DIRECTIONS = np.array([0.0, np.pi / 8, np.pi / 4])
 
     def stack(self):
         """F0, G and x0 of the rows: the first two points, the rays, then the last point."""
