@@ -90,7 +90,8 @@ def _cmd_clone(args: argparse.Namespace) -> int:
         print(f"{label:<20}: {value}")
     print("correlation tensor  :")
     for row in report.correlation:
-        print("    " + "  ".join(f"{value: .10f}" for value in row))
+        # An entry that rounds to zero prints unsigned, as format_number prints -0.0.
+        print("    " + "  ".join(f"{value: .10f}".replace("-0.0000000000", " 0.0000000000") for value in row))
     return 0
 
 

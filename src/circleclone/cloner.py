@@ -84,17 +84,16 @@ def isometry_check(coeffs: CloneCoefficients):
 def reduced_clones(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho_o, rho_b, rho_ob) reduced from the rank-1 projector of an 8-dim output state.
 
-    Leading axes are batch axes: states of shape (..., 8) give clones of shape
-    (..., 2, 2), (..., 2, 2) and (..., 4, 4).
+    Tracing the machine qubit out of |psi><psi| is a Gram product: with the
+    state as a 4x2 matrix (rows (o, b), columns M), rho_ob = rows rows^dagger.
+    rho_o and rho_b are traced out of that 4x4 joint, so no 8x8 projector is
+    formed.  Leading axes are batch axes: states of shape (..., 8) give
+    clones of shape (..., 2, 2), (..., 2, 2) and (..., 4, 4).
     """
     state = np.asarray(state, dtype=complex)
-    rho = state[..., :, None] * state[..., None, :].conj()
-    dims = [2, 2, 2]
-    return (
-        partial_trace(rho, 0, dims),
-        partial_trace(rho, 1, dims),
-        partial_trace(rho, (0, 1), dims),
-    )
+    rows = state.reshape(state.shape[:-1] + (4, 2))  # rows (o, b), columns M
+    rho_ob = rows @ rows.conj().swapaxes(-2, -1)
+    return partial_trace(rho_ob, 0, [2, 2]), partial_trace(rho_ob, 1, [2, 2]), rho_ob
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
@@ -192,14 +191,22 @@ def _clone_channels(coeffs: CloneCoefficients) -> np.ndarray:
     """Each clone's reduced map as a matrix: (..., 2, 4, 4), first the original's, then the blank's.
 
     A clone's reduced state is linear in the input, so it is fixed by the four
-    operators Tr_rest(V|i><j|V^dagger); row 2i + j holds that operator
+    operators C_ij = Tr_rest(V|i><j|V^dagger); row 2i + j holds that operator
     flattened.  The flattened input |psi><psi| (4,) times the matrix is the
     flattened reduced clone.
+
+    Each C_ij is read off one Gram product: with A[(x, i), rest] =
+    <x, rest|V|i>, where x is the clone's qubit and rest the other two,
+    (A A^dagger)[(x, i), (y, j)] = <x|C_ij|y>.  So no 8x8 operator is formed.
     """
-    images = _basis_images(coeffs).swapaxes(-2, -1)  # (..., 2, 8): V|0>, V|1>
-    outer = images[..., :, None, :, None] * images.conj()[..., None, :, None, :]  # V|i><j|V^dagger
-    dims = [2, 2, 2]
-    channels = np.stack([partial_trace(outer, 0, dims), partial_trace(outer, 1, dims)], axis=-5)
+    v = _basis_images(coeffs)
+    v = v.reshape(v.shape[:-2] + (2, 2, 2, 2))  # (..., o, b, M, i)
+    # Both clones as (..., clone, x, other, M, i): x = o, other = b for the original, the reverse for the blank.
+    a = np.moveaxis(np.stack([v, v.swapaxes(-4, -3)], axis=-5), -1, -3)  # (..., clone, x, i, other, M)
+    a = a.reshape(a.shape[:-4] + (4, 4))
+    gram = a @ a.conj().swapaxes(-2, -1)  # (..., clone, (x, i), (y, j))
+    # (..., clone, x, i, y, j) -> (..., clone, i, j, x, y)
+    channels = np.moveaxis(gram.reshape(gram.shape[:-2] + (2, 2, 2, 2)), (-3, -1), (-4, -3))
     return channels.reshape(channels.shape[:-4] + (4, 4))
 
 

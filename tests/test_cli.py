@@ -71,6 +71,13 @@ class TestCloneCommand:
         output = capsys.readouterr().out
         assert parse_report_value(output, "theta (rad)") == pytest.approx(np.pi / 2, abs=1e-9)
 
+    def test_correlation_rounding_noise_prints_unsigned(self, capsys):
+        # Several entries of this tensor are 0 up to rounding noise of either sign.
+        assert main(["clone", "--theta", "2.1", "--eta1", "0.5", "--eta2", "0.5"]) == 0
+        rows = capsys.readouterr().out.split("correlation tensor  :\n")[1].splitlines()
+        entries = [entry for row in rows for entry in row.split()]
+        assert entries == ["0.7500000000"] + ["0.0000000000"] * 7 + ["0.2500000000"]
+
     def test_out_of_range_eta_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["clone", "--theta", "0", "--eta1", "1.5", "--eta2", "0"])

@@ -135,6 +135,46 @@ class TestIsometry:
                 assert isometry_check(coefficients((e1, e2))) <= 1e-12
 
 
+def peak_bytes(call):
+    """Peak traced allocation of ``call()``, after one untraced call warms numpy's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def oracle_channels(images):
+    """Both clones' C_ij = Tr_rest(V|i><j|V^dagger), (..., clone, i, j, 2, 2), by the brute-force partial trace."""
+    return np.stack([np.stack([np.stack([
+        reference_partial_trace(images[..., :, i, None] * images[..., None, :, j].conj(), keep, [2, 2, 2])
+        for j in (0, 1)], axis=-3) for i in (0, 1)], axis=-4) for keep in (0, 1)], axis=-5)
+
+
+class TestCloneChannels:
+    def test_every_entry_matches_the_oracle(self):
+        etas = np.concatenate([[(1, 0), (0, 1), (0, 0)], np.random.default_rng(17).uniform(0, 1, (20, 2))])
+        coeffs = coefficients(etas)
+        channels = _clone_channels(coeffs).reshape(23, 2, 2, 2, 2, 2)
+        assert np.max(np.abs(channels - oracle_channels(cloner._basis_images(coeffs)))) <= 1e-15
+
+    def test_a_complex_isometry_matches_the_oracle(self, monkeypatch):
+        # The machine's V is real; a complex one tells C_ij from C_ji and from their conjugates.
+        rng = np.random.default_rng(19)
+        images = np.linalg.qr(rng.normal(size=(4, 8, 2)) + 1j * rng.normal(size=(4, 8, 2)))[0]
+        assert np.max(np.abs(images.conj().swapaxes(-2, -1) @ images - np.eye(2))) <= 1e-14
+        monkeypatch.setattr(cloner, "_basis_images", lambda coeffs: images)
+        channels = _clone_channels(coefficients((0.6, 0.8))).reshape(4, 2, 2, 2, 2, 2)
+        assert np.max(np.abs(channels - oracle_channels(images))) <= 1e-15
+
+    def test_memory_stays_small(self):
+        rng = np.random.default_rng(23)
+        coeffs = coefficients(rng.uniform(0, 1, (500, 2)))
+        assert peak_bytes(lambda: _clone_channels(coeffs)) < 1_500_000
+
+
 class TestReducedClones:
     def test_perfect_trivial_split(self):
         rho_o, rho_b, _ = reduced_clones(clone(0.0, coefficients((1, 0))))
@@ -165,6 +205,21 @@ class TestReducedClones:
             assert np.max(np.abs(rho_o[k] - reference_partial_trace(rho, 0, [2, 2, 2]))) < 1e-12
             assert np.max(np.abs(rho_b[k] - reference_partial_trace(rho, 1, [2, 2, 2]))) < 1e-12
             assert np.max(np.abs(rho_ob[k] - reference_partial_trace(rho, (0, 1), [2, 2, 2]))) < 1e-12
+
+    def test_complex_states_match_the_oracle_row_by_row(self):
+        # Machine states are real, so rho == rho.T there; random complex states
+        # catch a conjugation or transpose slip.
+        rng = np.random.default_rng(21)
+        states = rng.normal(size=(3, 5, 8)) + 1j * rng.normal(size=(3, 5, 8))
+        states /= np.linalg.norm(states, axis=-1, keepdims=True)
+        rho_o, rho_b, rho_ob = reduced_clones(states)
+        assert (rho_o.shape, rho_b.shape, rho_ob.shape) == ((3, 5, 2, 2), (3, 5, 2, 2), (3, 5, 4, 4))
+        rho = states[..., :, None] * states[..., None, :].conj()
+        for keep, reduced in ((0, rho_o), (1, rho_b), ((0, 1), rho_ob)):
+            assert np.max(np.abs(reduced - reference_partial_trace(rho, keep, [2, 2, 2]))) <= 1e-15
+        for index in np.ndindex(3, 5):
+            for stacked, alone in zip((rho_o, rho_b, rho_ob), reduced_clones(states[index])):
+                assert np.array_equal(stacked[index], alone)
 
     def test_states_are_physical(self):
         for _ in range(50):
@@ -253,6 +308,11 @@ class TestCloneReport:
         report = clone_report(theta, etas)
         assert abs(report.isotropy_residual_o - expected[0]) <= 1e-14
         assert abs(report.isotropy_residual_b - expected[1]) <= 1e-14
+
+    def test_memory_stays_small(self):
+        rng = np.random.default_rng(29)
+        theta, etas = rng.uniform(0, 2 * np.pi, 500), rng.uniform(0, 1, (500, 2))
+        assert peak_bytes(lambda: clone_report(theta, etas)) < 1_500_000
 
     def test_correlation_tensor_constraints(self):
         for _ in range(50):
@@ -437,14 +497,7 @@ class TestBatchedIsotropyScan:
 
     def test_memory_of_the_sweep_stays_small(self):
         etas = circle_stack(129)
-        isotropy_scan(etas)  # warm numpy's caches outside the measurement
-        tracemalloc.start()
-        try:
-            isotropy_scan(etas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        assert peak_bytes(lambda: isotropy_scan(etas)) < 500_000
 
 
 class TestMachineCovariance:
