@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .cloner import clone_report, isotropy_scan
+from .cloner import clone_report
 from .nosignalling import DEFAULT_BUDGET, DEFAULT_RADIUS_TOL, radius_bracket
 from .verify import RunConfig, run_verification
 
@@ -40,16 +40,14 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _directions(n: int):
+def _directions(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(phi, cos phi, sin phi) for n directions evenly spaced over [0, pi/2], exact at both ends."""
-    for k in range(n):
-        if k == 0:
-            yield 0.0, 1.0, 0.0
-        elif k == n - 1:
-            yield np.pi / 2, 0.0, 1.0
-        else:
-            phi = k * (np.pi / 2) / (n - 1)
-            yield phi, float(np.cos(phi)), float(np.sin(phi))
+    phi = np.arange(n) * (np.pi / 2) / (n - 1)
+    phi[-1] = np.pi / 2
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_phi[[0, -1]] = 1.0, 0.0
+    sin_phi[[0, -1]] = 0.0, 1.0
+    return phi, cos_phi, sin_phi
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -98,29 +96,25 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 def _cmd_bound_sweep(args: argparse.Namespace) -> int:
     print(f"bound sweep  n_phi={args.n_phi}  seed={args.seed}  budget={args.budget}  "
           f"radius_tol={args.radius_tol:g}", file=sys.stderr)
-    directions = list(_directions(args.n_phi))
-    bracket = radius_bracket([phi for phi, _, _ in directions], radius_tol=args.radius_tol, budget=args.budget)
+    phi, cos_phi, sin_phi = _directions(args.n_phi)
+    bracket = radius_bracket(phi, radius_tol=args.radius_tol, budget=args.budget)
+    columns = (phi, cos_phi, sin_phi, bracket.lower, bracket.upper, bracket.iterations)
     rows = []
-    for k, (phi, cos_phi, sin_phi) in enumerate(directions):
-        found, upper = float(bracket.lower[k]), float(bracket.upper[k])
-        print(f"phi={phi:.6f}  radius=[{found:.9f}, {upper:.9f}]  "
-              f"iterations={bracket.iterations[k]}  width={upper - found:.3e}", file=sys.stderr)
-        rows.append([phi, found * cos_phi, found * sin_phi, found, 1.0, abs(found - 1.0)])
+    for phi_k, cos_k, sin_k, found, upper, iterations in zip(*(column.tolist() for column in columns)):
+        print(f"phi={phi_k:.6f}  radius=[{found:.9f}, {upper:.9f}]  "
+              f"iterations={iterations}  width={upper - found:.3e}", file=sys.stderr)
+        rows.append([phi_k, found * cos_k, found * sin_k, found, 1.0, abs(found - 1.0)])
     _write_csv(args.out, BOUND_SWEEP_HEADER, rows)
     return 0
 
 
 def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
-    directions = list(_directions(args.n_points))
+    phi, cos_phi, sin_phi = _directions(args.n_points)
     probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
-    etas = [(cos_phi, sin_phi) for _, cos_phi, sin_phi in directions]
-    report = clone_report(probe_theta, etas)
-    residual = isotropy_scan(etas)
-    rows = []
-    for k, (phi, cos_phi, sin_phi) in enumerate(directions):
-        rows.append([phi, cos_phi, sin_phi, report.fidelity_o[k], report.fidelity_b[k],
-                     report.ppt_min_eigenvalue[k], residual[k]])
-    _write_csv(args.out, FIDELITY_SWEEP_HEADER, rows)
+    report = clone_report(probe_theta, np.stack([cos_phi, sin_phi], axis=-1))
+    columns = [phi, cos_phi, sin_phi, report.fidelity_o, report.fidelity_b,
+               report.ppt_min_eigenvalue, report.isotropy_supremum]
+    _write_csv(args.out, FIDELITY_SWEEP_HEADER, np.stack(columns, axis=-1).tolist())
     return 0
 
 

@@ -133,6 +133,7 @@ class CloneReport:
     fidelity_b: float | np.ndarray
     isotropy_residual_o: float | np.ndarray
     isotropy_residual_b: float | np.ndarray
+    isotropy_supremum: float | np.ndarray
     correlation: np.ndarray
     ppt_min_eigenvalue: float | np.ndarray
 
@@ -146,10 +147,11 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     and its x shrink at theta = pi/2.  At the requested input m the fitted
     shrink is r . m and the fidelity (1 + r . m) / 2; the isotropy residual
     holds that shrink fixed across the requested and both cardinal inputs,
-    so anisotropy is visible from any single run.  Only the joint output
-    rho_ob is simulated, at the requested input: ``ppt_min_eigenvalue`` is
-    the minimum eigenvalue of its partial transpose (non-negative exactly
-    when the output is separable).
+    so anisotropy is visible from any single run; ``isotropy_supremum`` is
+    its supremum over every circle input, read off the same maps
+    (isotropy_scan).  Only the joint output rho_ob is simulated, at the
+    requested input: ``ppt_min_eigenvalue`` is the minimum eigenvalue of its
+    partial transpose (non-negative exactly when the output is separable).
 
     Angles (...) broadcast with reduction factors (..., 2) to one report of
     arrays: every field takes the broadcast shape (``correlation`` adds two
@@ -162,7 +164,8 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     theta = np.broadcast_to(np.asarray(theta, dtype=float), shape)
     thetas = np.stack([theta, np.zeros(shape), np.full(shape, np.pi / 2)], axis=-1)[..., None, :]
     sin, cos = np.sin(thetas), np.cos(thetas)
-    r0, rz, rx = _bloch_maps(coeffs)[..., None, :]
+    maps = _bloch_maps(coeffs)
+    r0, rz, rx = maps[..., None, :]
     x, y, z = np.moveaxis(r0 + cos[..., None] * rz + sin[..., None] * rx, -1, 0)  # each (..., clone, input)
     fitted = (x * sin + z * cos)[..., :1]  # the shrink at the requested input, held at all three
     residual = np.max(_isotropy_residual(x, y, z, sin, cos, fitted), axis=-1)
@@ -182,6 +185,7 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
         fidelity_b=fidelity[..., 1][()],
         isotropy_residual_o=residual[..., 0][()],
         isotropy_residual_b=residual[..., 1][()],
+        isotropy_supremum=np.broadcast_to(_isotropy_supremum(maps), shape)[()],
         correlation=pauli_decompose(joint).t,
         ppt_min_eigenvalue=hermitian_eigenvalues(partial_transpose_second(joint))[..., 0][()],
     )
@@ -228,10 +232,17 @@ def isotropy_scan(etas):
     """Certified supremum over every circle input of either clone's isotropy residual.
 
     Reduction factors (..., 2) give one value per pair, shape (...); a single
-    pair gives a numpy scalar.  No output state or angle grid is formed; each
-    clone's Bloch map r(theta) = r0 + cos(theta) rz + sin(theta) rx comes
-    from _bloch_maps.
+    pair gives a numpy scalar.  No output state or angle grid is formed: the
+    supremum is read off each clone's Bloch map (_bloch_maps) in closed form
+    (_isotropy_supremum).
+    """
+    return _isotropy_supremum(_bloch_maps(coefficients(etas)))
 
+
+def _isotropy_supremum(maps: np.ndarray):
+    """Supremum over the circle inputs of either clone's isotropy residual, from maps (3, ..., clone, 3).
+
+    Each clone's Bloch map is r(theta) = r0 + cos(theta) rz + sin(theta) rx.
     With a = rz_z and b = rx_x, the diagonal part r = (b sin, 0, a cos) of the
     map leaves d = r - (r . m) m = (b - a) sin cos (cos, 0, -sin) off the input
     m = (sin, 0, cos), so its residual max(|d_z|, |d_x + i d_y|) / 2
@@ -246,7 +257,7 @@ def isotropy_scan(etas):
     on the circle.  Every step is elementwise per pair, so each row of a
     stack equals its single-pair call bit for bit.
     """
-    r0, rz, rx = _bloch_maps(coefficients(etas))
+    r0, rz, rx = maps
     defect = (np.linalg.norm(r0, axis=-1) + np.linalg.norm(rz[..., :2], axis=-1)
               + np.linalg.norm(rx[..., 1:], axis=-1))
     return np.max(np.abs(rx[..., 0] - rz[..., 2]) / (3 * np.sqrt(3)) + defect / 2, axis=-1)[()]

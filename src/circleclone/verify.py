@@ -346,9 +346,25 @@ def check_machine_no_signalling(config: RunConfig, rng) -> CheckResult:
     return CheckResult("machine_no_signalling", float(np.max(np.abs(up + down - right - left))), 1e-12)
 
 
+def _circle_coefficients(phi) -> cloner.CloneCoefficients:
+    """The machine's amplitudes at (cos phi, sin phi), phi in [0, pi/2], exactly on the circle up to rounding.
+
+    coefficients() of the rounded pair (cos phi, sin phi) sees a point off the
+    circle by about 1e-16, and near either axis the machine's t_xx - t_zz
+    amplifies that by 1 / (2 eta1 eta2): 1e-11 at phi = 2.3e-6.  With
+    c = cos(phi / 2) and s = sin(phi / 2), 1 + cos phi = 2 c^2 and
+    1 +- sin phi = (c +- s)^2, so the closed forms need no square root of a
+    rounded sum.
+    """
+    c, s = np.cos(phi / 2), np.sin(phi / 2)
+    plus, minus = (c + s) / np.sqrt(2), (c - s) / np.sqrt(2)
+    return cloner.CloneCoefficients(a=c * plus, b=c * minus, c=s * plus, d=s * minus,
+                                    eta1=np.cos(phi), eta2=np.sin(phi))
+
+
 def check_machine_tensor_constraints(config: RunConfig, rng) -> CheckResult:
     phi, theta = _uniform(rng, _count(config, 200), QUARTER, ANGLE).T
-    rho_ob = cloner.reduced_clones(cloner.clone(theta, cloner.coefficients(_circle_etas(phi))))[2]
+    rho_ob = cloner.reduced_clones(cloner.clone(theta, _circle_coefficients(phi)))[2]
     t = pauli.pauli_decompose(rho_ob).t
     worst = max(np.max(np.abs(t[:, 0, 0] - t[:, 2, 2])), np.max(np.abs(t[:, 0, 2] + t[:, 2, 0])))
     return CheckResult("machine_tensor_constraints", float(worst), 1e-12)

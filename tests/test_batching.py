@@ -192,8 +192,8 @@ CARDINAL_AND_GENERIC = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 0.05, 0.9
 ETAS = np.array([(0.6, 0.8), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (0.7, 0.7), (0.2, 0.9), (1.0, 1.0), (0.0, 0.0)])
 
 REPORT_FIELDS = ("theta", "eta1", "eta2", "on_circle", "shrink_o_z", "shrink_o_x", "shrink_b_z", "shrink_b_x",
-                 "fidelity_o", "fidelity_b", "isotropy_residual_o", "isotropy_residual_b", "correlation",
-                 "ppt_min_eigenvalue")
+                 "fidelity_o", "fidelity_b", "isotropy_residual_o", "isotropy_residual_b", "isotropy_supremum",
+                 "correlation", "ppt_min_eigenvalue")
 
 
 def report_gaps(batched, index, scalar):

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from circleclone.cli import BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, format_number, main
+from circleclone import cloner
+from circleclone.cli import BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, _directions, format_number, main
 from circleclone.cloner import clone_report, isotropy_scan
 
 SYMMETRIC_ETA = repr(2**-0.5)
@@ -221,6 +222,16 @@ class TestFidelitySweepCommand:
         assert main(["fidelity-sweep", "--n-points", "4", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_one_machine_read_out_per_sweep(self, tmp_path, monkeypatch):
+        calls = {"coefficients": 0, "_bloch_maps": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(cloner, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(cloner, name, counted)
+        assert main(["fidelity-sweep", "--n-points", "129", "--out", str(tmp_path / "fid.csv")]) == 0
+        assert calls == {"coefficients": 1, "_bloch_maps": 1}
+
     def test_samples_are_validated_but_do_not_change_the_output(self, tmp_path, capsys):
         outputs = [tmp_path / f"{samples}.csv" for samples in ("2", "200")]
         for samples, out in zip(("2", "200"), outputs):
@@ -230,6 +241,24 @@ class TestFidelitySweepCommand:
             main(["fidelity-sweep", "--n-points", "3", "--samples", "1"])
         assert excinfo.value.code == 2
         assert_one_line_error(capsys.readouterr().err)
+
+
+def scalar_directions(n):
+    """The per-direction generator the sweeps used before they built their directions as arrays."""
+    for k in range(n):
+        if k == 0:
+            yield 0.0, 1.0, 0.0
+        elif k == n - 1:
+            yield np.pi / 2, 0.0, 1.0
+        else:
+            phi = k * (np.pi / 2) / (n - 1)
+            yield phi, float(np.cos(phi)), float(np.sin(phi))
+
+
+def test_directions_equal_the_scalar_generator_bit_for_bit():
+    for n in range(2, 401):
+        expected = np.array(list(scalar_directions(n))).T
+        assert np.stack(_directions(n)).tobytes() == expected.tobytes(), n
 
 
 class TestVerifyCommand:

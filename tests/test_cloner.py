@@ -314,6 +314,30 @@ class TestCloneReport:
         theta, etas = rng.uniform(0, 2 * np.pi, 500), rng.uniform(0, 1, (500, 2))
         assert peak_bytes(lambda: clone_report(theta, etas)) < 1_500_000
 
+    # On- and off-circle stacks, the endpoints and a broadcast of angles (3, 1) over pairs (5, 2).
+    SUPREMUM_CASES = {
+        "on_circle": (0.9, np.stack([np.cos(np.linspace(0, np.pi / 2, 33)),
+                                     np.sin(np.linspace(0, np.pi / 2, 33))], axis=-1)),
+        "off_circle": (np.random.default_rng(31).uniform(0, 2 * np.pi, 40),
+                       np.random.default_rng(37).uniform(0, 1, (40, 2))),
+        "endpoints": (np.array([0.0, 2.1, np.pi / 2]), np.array([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)])),
+        "broadcast": (np.array([[0.0], [0.9], [4.0]]), np.random.default_rng(41).uniform(0, 1, (5, 2))),
+    }
+
+    @pytest.mark.parametrize("case", SUPREMUM_CASES)
+    def test_isotropy_supremum_is_the_scan(self, case):
+        theta, etas = self.SUPREMUM_CASES[case]
+        report = clone_report(theta, etas)
+        scan = isotropy_scan(etas)
+        assert report.isotropy_supremum.shape == report.fidelity_o.shape
+        assert report.isotropy_supremum.tobytes() == np.broadcast_to(scan, report.fidelity_o.shape).tobytes()
+
+    def test_isotropy_supremum_of_one_pair_is_a_numpy_scalar(self):
+        for etas in [(0.6, 0.8), (0.5, 0.5), (1.0, 0.0)]:
+            supremum = clone_report(0.9, etas).isotropy_supremum
+            assert isinstance(supremum, np.floating) and np.ndim(supremum) == 0
+            assert supremum == isotropy_scan(etas)
+
     def test_correlation_tensor_constraints(self):
         for _ in range(50):
             report = clone_report(RNG.uniform(0, 2 * np.pi), random_circle_etas(RNG))

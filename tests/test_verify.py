@@ -17,6 +17,7 @@ from circleclone.verify import (
     check_fidelity_law,
     check_isotropy_off_circle,
     check_kron_associativity,
+    check_machine_tensor_constraints,
     check_no_signalling_violation,
     check_on_circle_feasibility,
     check_oracle_partial_trace,
@@ -26,6 +27,7 @@ from circleclone.verify import (
     check_rotation_composition,
     check_separability_ppt,
     reference_partial_trace,
+    run_verification,
 )
 
 
@@ -100,6 +102,47 @@ class TestIsotropyChecks:
         result = check_isotropy_off_circle(RunConfig(samples=samples), np.random.default_rng(0))
         assert result.passed
         assert result.measured == check_isotropy_off_circle(RunConfig(), np.random.default_rng(0)).measured
+
+
+class FedDraws:
+    """A generator stand-in whose one ``uniform`` call returns the given rows of draws."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+
+    def uniform(self, low, high, size):
+        assert size == self.rows.shape
+        return self.rows
+
+
+class TestMachineTensorConstraints:
+    # Directions near either axis, where the pair (cos phi, sin phi) rounded off the circle by
+    # about 1e-16 moved t_xx - t_zz of the machine built from it past the 1e-12 threshold.
+    NEAR_AXES = np.array([1e-9, 2.3e-6, 4.95e-5, np.pi / 2 - 1e-5, np.pi / 2 - 1e-7])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.9, 4.0])
+    def test_passes_near_either_axis(self, theta):
+        rows = np.stack([self.NEAR_AXES, np.full(5, theta)], axis=-1)
+        result = check_machine_tensor_constraints(RunConfig(samples=5), FedDraws(rows))
+        assert result.passed and result.measured <= 1e-15, result.measured
+
+    @pytest.mark.parametrize("seed", [418981098, 1092769217])
+    def test_suite_passes_at_seeds_that_drew_near_an_axis(self, seed):
+        results = run_verification(RunConfig(seed=seed))
+        assert len(results) == 26
+        assert [result.name for result in results if not result.passed] == []
+
+    def test_fails_for_a_flipped_basis_image_entry(self, monkeypatch):
+        images = cloner._basis_images
+
+        def flipped(coeffs):
+            v = images(coeffs)
+            v[..., 0b011, 0] *= -1
+            return v
+
+        monkeypatch.setattr(cloner, "_basis_images", flipped)
+        result = check_machine_tensor_constraints(RunConfig(), np.random.default_rng(0))
+        assert not result.passed and result.measured > 0.5, result.measured
 
 
 def scalar_hermitian(rng, n):
