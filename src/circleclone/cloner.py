@@ -8,13 +8,13 @@ the input with reduction factors eta1 and eta2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _require, hermitian_eigenvalues, kron, partial_trace
+from .linalg import _inexact, _require, hermitian_eigenvalues, kron, partial_trace
 from .nosignalling import _validate_etas
-from .pauli import _pauli_readout, great_circle_ket, pauli_decompose, rotation_unitary
+from .pauli import PAULI_STACK, _pauli_pair_readout, _real_readout, great_circle_ket, rotation_unitary
 
 ON_CIRCLE_ATOL = 1e-8
 
@@ -49,9 +49,13 @@ def coefficients(etas) -> CloneCoefficients:
 
 
 def _basis_images(coeffs: CloneCoefficients) -> np.ndarray:
-    """The 8x2 isometry matrix: columns are the images of |0> and |1>; batched coefficients give (..., 8, 2)."""
+    """The 8x2 isometry matrix: columns are the images of |0> and |1>; batched coefficients give (..., 8, 2).
+
+    V takes the dtype of the amplitudes, at least float64: the machine's are
+    real, so its V, output states and reduced clones are float64.
+    """
     a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    v = np.zeros(np.shape(a) + (8, 2), dtype=complex)
+    v = np.zeros(np.shape(a) + (8, 2), dtype=np.result_type(a, b, c, d, float))
     # |0>_o -> (a|00> + d|11>)|0>_M + (b|01> + c|10>)|1>_M
     v[..., 0b000, 0] = a
     v[..., 0b110, 0] = d
@@ -81,24 +85,32 @@ def isometry_check(coeffs: CloneCoefficients):
     return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
 
 
+def _joint_output(state: np.ndarray) -> np.ndarray:
+    """rho_ob = Tr_M |psi><psi| of output states (..., 8), (..., 4, 4), as one Gram product.
+
+    With the state as a 4x2 matrix (rows (o, b), columns M), rho_ob = rows
+    rows^dagger, so no 8x8 projector is formed.
+    """
+    rows = state.reshape(state.shape[:-1] + (4, 2))  # rows (o, b), columns M
+    return rows @ rows.conj().swapaxes(-2, -1)
+
+
 def reduced_clones(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho_o, rho_b, rho_ob) reduced from the rank-1 projector of an 8-dim output state.
 
-    Tracing the machine qubit out of |psi><psi| is a Gram product: with the
-    state as a 4x2 matrix (rows (o, b), columns M), rho_ob = rows rows^dagger.
-    rho_o and rho_b are traced out of that 4x4 joint, so no 8x8 projector is
-    formed.  Leading axes are batch axes: states of shape (..., 8) give
-    clones of shape (..., 2, 2), (..., 2, 2) and (..., 4, 4).
+    rho_ob is the Gram product of _joint_output; rho_o and rho_b are traced
+    out of that 4x4 joint.  The clones keep the state's dtype (at least
+    float64), so the machine's real states give real clones.  Leading axes
+    are batch axes: states of shape (..., 8) give clones of shape
+    (..., 2, 2), (..., 2, 2) and (..., 4, 4).
     """
-    state = np.asarray(state, dtype=complex)
-    rows = state.reshape(state.shape[:-1] + (4, 2))  # rows (o, b), columns M
-    rho_ob = rows @ rows.conj().swapaxes(-2, -1)
+    rho_ob = _joint_output(_inexact(state))
     return partial_trace(rho_ob, 0, [2, 2]), partial_trace(rho_ob, 1, [2, 2]), rho_ob
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     """Partial transpose of a two-qubit matrix on its second subsystem; a (..., 4, 4) stack transposes per entry."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _inexact(rho)
     batch = rho.shape[:-2]
     return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))
 
@@ -150,15 +162,21 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     so anisotropy is visible from any single run; ``isotropy_supremum`` is
     its supremum over every circle input, read off the same maps
     (isotropy_scan).  Only the joint output rho_ob is simulated, at the
-    requested input: ``ppt_min_eigenvalue`` is the minimum eigenvalue of its
-    partial transpose (non-negative exactly when the output is separable).
+    requested input, as the Gram product of _joint_output: ``correlation``
+    is its t_jk = Tr(rho_ob sigma_j (x) sigma_k) and ``ppt_min_eigenvalue``
+    the minimum eigenvalue of its partial transpose (non-negative exactly
+    when the output is separable).
 
     Angles (...) broadcast with reduction factors (..., 2) to one report of
     arrays: every field takes the broadcast shape (``correlation`` adds two
     axes of 3).  A single input gives numpy scalars.
     """
-    coeffs = coefficients(etas)
-    joint = reduced_clones(clone(theta, coeffs))[2]
+    return _clone_report(theta, coefficients(etas))
+
+
+def _clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> CloneReport:
+    """clone_report of the machine with amplitudes ``coeffs``, which it reports as built."""
+    joint = _joint_output(clone(theta, coeffs))
     shape = joint.shape[:-2]
     # Axes (..., clone, input): the requested input, then the z (theta = 0) and x (theta = pi/2) probes.
     theta = np.broadcast_to(np.asarray(theta, dtype=float), shape)
@@ -186,22 +204,33 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
         isotropy_residual_o=residual[..., 0][()],
         isotropy_residual_b=residual[..., 1][()],
         isotropy_supremum=np.broadcast_to(_isotropy_supremum(maps), shape)[()],
-        correlation=pauli_decompose(joint).t,
+        correlation=_pauli_pair_readout(joint),
         ppt_min_eigenvalue=hermitian_eigenvalues(partial_transpose_second(joint))[..., 0][()],
     )
 
 
-def _clone_channels(coeffs: CloneCoefficients) -> np.ndarray:
-    """Each clone's reduced map as a matrix: (..., 2, 4, 4), first the original's, then the blank's.
+# Each clone's Bloch map (r0, rz, rx) is read out of (C00 + C11) / 2, (C00 - C11) / 2 and (C01 + C10) / 2:
+# weights (i, j, map) on the C_ij, and Tr(C sigma_s) = sum_xy <x|C|y> sigma_s[y, x].  Row (x, i, y, j)
+# of a flattened Gram product <x|C_ij|y> (_bloch_maps), column (map, s).
+_MAP_WEIGHTS = np.array([[[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, -1, 0]]]) / 2
+_MAP_READOUT = (PAULI_STACK.T[:, None, :, None, None, :] * _MAP_WEIGHTS[:, None, :, :, None]).reshape(16, 9)
 
-    A clone's reduced state is linear in the input, so it is fixed by the four
-    operators C_ij = Tr_rest(V|i><j|V^dagger); row 2i + j holds that operator
-    flattened.  The flattened input |psi><psi| (4,) times the matrix is the
-    flattened reduced clone.
 
-    Each C_ij is read off one Gram product: with A[(x, i), rest] =
+def _bloch_maps(coeffs: CloneCoefficients) -> np.ndarray:
+    """Each clone's Bloch vector as an affine map of the input angle: (r0, rz, rx), shape (3, ..., clone, 3).
+
+    A clone's reduced state is linear in the input, so it is fixed by the
+    four operators C_ij = Tr_rest(V|i><j|V^dagger).  The input |psi><psi| =
+    [I + cos(theta) Z + sin(theta) X] / 2 goes to the clone's Bloch vector
+    r(theta) = r0 + cos(theta) rz + sin(theta) rx, with r0, rz and rx read out
+    of (C00 + C11) / 2, (C00 - C11) / 2 and (C01 + C10) / 2.
+
+    Every C_ij of a clone comes from one Gram product: with A[(x, i), rest] =
     <x, rest|V|i>, where x is the clone's qubit and rest the other two,
-    (A A^dagger)[(x, i), (y, j)] = <x|C_ij|y>.  So no 8x8 operator is formed.
+    (A A^dagger)[(x, i), (y, j)] = <x|C_ij|y>.  The maps are linear in its 16
+    entries, so one constant (16, 9) read-out (_MAP_READOUT) gives all nine
+    components; no channel matrix or 8x8 operator is formed, and a real V
+    keeps the arithmetic real.
     """
     v = _basis_images(coeffs)
     v = v.reshape(v.shape[:-2] + (2, 2, 2, 2))  # (..., o, b, M, i)
@@ -209,23 +238,8 @@ def _clone_channels(coeffs: CloneCoefficients) -> np.ndarray:
     a = np.moveaxis(np.stack([v, v.swapaxes(-4, -3)], axis=-5), -1, -3)  # (..., clone, x, i, other, M)
     a = a.reshape(a.shape[:-4] + (4, 4))
     gram = a @ a.conj().swapaxes(-2, -1)  # (..., clone, (x, i), (y, j))
-    # (..., clone, x, i, y, j) -> (..., clone, i, j, x, y)
-    channels = np.moveaxis(gram.reshape(gram.shape[:-2] + (2, 2, 2, 2)), (-3, -1), (-4, -3))
-    return channels.reshape(channels.shape[:-4] + (4, 4))
-
-
-def _bloch_maps(coeffs: CloneCoefficients) -> np.ndarray:
-    """Each clone's Bloch vector as an affine map of the input angle: (r0, rz, rx), shape (3, ..., clone, 3).
-
-    The input |psi><psi| = [I + cos(theta) Z + sin(theta) X] / 2 goes through
-    each clone's channel (_clone_channels, |i><j| -> C_ij), so the clone's
-    Bloch vector is r(theta) = r0 + cos(theta) rz + sin(theta) rx, with r0,
-    rz and rx read out of (C00 + C11) / 2, (C00 - C11) / 2 and
-    (C01 + C10) / 2.
-    """
-    c = _clone_channels(coeffs)
-    c = np.moveaxis(c.reshape(c.shape[:-2] + (2, 2, 2, 2)), (-4, -3), (0, 1))  # (i, j, ..., clone, a, b)
-    return _pauli_readout(np.stack([c[0, 0] + c[1, 1], c[0, 0] - c[1, 1], c[0, 1] + c[1, 0]]) / 2)
+    maps = _real_readout(gram.reshape(gram.shape[:-2] + (16,)), _MAP_READOUT)
+    return np.moveaxis(maps.reshape(maps.shape[:-1] + (3, 3)), -2, 0)
 
 
 def isotropy_scan(etas):
@@ -273,8 +287,15 @@ def covariance_check_machine(etas, theta, beta):
     etas = np.asarray(etas, dtype=float)
     _require(np.abs(etas[..., 0] ** 2 + etas[..., 1] ** 2 - 1.0) <= ON_CIRCLE_ATOL, etas,
              "({}, {}) is not on the curve eta1^2 + eta2^2 = 1")
+    return _covariance_deviation(coefficients(etas), theta, beta)
+
+
+def _covariance_deviation(coeffs: CloneCoefficients, theta, beta):
+    """covariance_check_machine of the machine with amplitudes ``coeffs`` (batch shape (...)), taken as on the curve."""
     theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
-    rho = reduced_clones(clone(np.stack([theta + beta, theta], axis=-1), coefficients(etas[..., None, :])))[2]
+    # One more axis on the amplitudes, for the pair of inputs (theta + beta, theta).
+    pair = replace(coeffs, **{name: np.expand_dims(getattr(coeffs, name), -1) for name in "abcd"})
+    rho = _joint_output(clone(np.stack([theta + beta, theta], axis=-1), pair))
     u = rotation_unitary(beta)
     u2 = kron(u, u)
     rotated = u2 @ rho[..., 1, :, :] @ u2.conj().swapaxes(-2, -1)

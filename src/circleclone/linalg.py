@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small multi-qubit systems (dimension <= 8)."""
+"""Dense linear algebra for small multi-qubit systems (dimension <= 8), real or complex, following the input."""
 
 from __future__ import annotations
 
@@ -36,15 +36,21 @@ def _stack_last(entries, depth: int) -> np.ndarray:
     return stacked.transpose(tuple(range(depth, stacked.ndim)) + tuple(range(depth)))
 
 
+def _inexact(m) -> np.ndarray:
+    """``m`` as a complex128 array if it is complex, else as a float64 one, so real input keeps real arithmetic."""
+    m = np.asarray(m)
+    return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+
+
 def hermiticity_defect(m: np.ndarray):
     """max_jk |M[j,k] - conj(M[k,j])|, one value per matrix of a (..., n, n) stack."""
-    m = np.asarray(m, dtype=complex)
+    m = _inexact(m)
     return np.max(np.abs(m - m.conj().swapaxes(-2, -1)), axis=(-2, -1))
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """``m`` as a complex (..., n, n) stack, rejected if any matrix is not Hermitian within HERMITIAN_ATOL."""
-    m = np.asarray(m, dtype=complex)
+    """``m`` as a (..., n, n) stack (_inexact), rejected if any matrix is not Hermitian within HERMITIAN_ATOL."""
+    m = _inexact(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"not Hermitian: expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
@@ -71,9 +77,10 @@ def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int
     (first subsystem most significant, matching C-order kets); ``keep`` names
     one subsystem index or a sequence of them.  The entries of all remaining
     subsystems are summed out.  Leading axes are batch axes: a stack of shape
-    (..., D, D) gives one reduced matrix per entry.
+    (..., D, D) gives one reduced matrix per entry; a real ``rho`` gives real
+    reduced matrices.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _inexact(rho)
     dims = [int(d) for d in dims]
     total = int(np.prod(dims))
     if rho.ndim < 2 or rho.shape[-2:] != (total, total):

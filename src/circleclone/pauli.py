@@ -46,7 +46,7 @@ def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
     (..., 2).
     """
     theta = _angles(theta)
-    return np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1).astype(complex)
+    return np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1)
 
 
 def bloch_to_density(m) -> np.ndarray:
@@ -81,6 +81,22 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
 def _pauli_readout(op: np.ndarray) -> np.ndarray:
     """Re Tr(op sigma_j) of a (..., 2, 2) stack, (..., 3): linear, so it also reads traceless operators."""
     return np.einsum("jab,...ba->...j", PAULI_STACK, op).real
+
+
+def _real_readout(flat: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """Re(flat @ readout) for flattened operators (..., n) and a complex (n, k) read-out; real ``flat`` stays real."""
+    if np.iscomplexobj(flat):
+        return (flat @ readout).real
+    return flat @ readout.real
+
+
+# Tr(rho sigma_j (x) sigma_k) = sum_ab rho[b, a] (sigma_j (x) sigma_k)[a, b]: row 4b + a, column 3j + k.
+_PAIR_READOUT = PAULI_PAIRS.transpose(3, 2, 0, 1).reshape(16, 9)
+
+
+def _pauli_pair_readout(rho: np.ndarray) -> np.ndarray:
+    """Correlations t_jk = Re Tr(rho sigma_j(x)sigma_k) of a (..., 4, 4) stack, (..., 3, 3); no Hermiticity check."""
+    return _real_readout(rho.reshape(rho.shape[:-2] + (16,)), _PAIR_READOUT).reshape(rho.shape[:-2] + (3, 3))
 
 
 def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:
@@ -141,5 +157,4 @@ def pauli_decompose(rho: np.ndarray) -> PauliDecomposition:
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     a = np.einsum("jab,...ba->...j", PAULI_LEFT, rho).real
     b = np.einsum("kab,...ba->...k", PAULI_RIGHT, rho).real
-    t = np.einsum("jkab,...ba->...jk", PAULI_PAIRS, rho).real
-    return PauliDecomposition(a=a, b=b, t=t, unit=np.trace(rho, axis1=-2, axis2=-1).real)
+    return PauliDecomposition(a=a, b=b, t=_pauli_pair_readout(rho), unit=np.trace(rho, axis1=-2, axis2=-1).real)

@@ -372,10 +372,9 @@ def check_machine_tensor_constraints(config: RunConfig, rng) -> CheckResult:
 
 def check_fidelity_law(config: RunConfig, rng) -> CheckResult:
     phi, theta = _uniform(rng, _count(config, 200), QUARTER, ANGLE).T
-    etas = _circle_etas(phi)
-    report = cloner.clone_report(theta, etas)
-    worst = max(np.max(np.abs(report.fidelity_o - (1 + etas[:, 0]) / 2)),
-                np.max(np.abs(report.fidelity_b - (1 + etas[:, 1]) / 2)))
+    report = cloner._clone_report(theta, _circle_coefficients(phi))
+    worst = max(np.max(np.abs(report.fidelity_o - (1 + np.cos(phi)) / 2)),
+                np.max(np.abs(report.fidelity_b - (1 + np.sin(phi)) / 2)))
     return CheckResult("fidelity_law", float(worst), 1e-10)
 
 
@@ -395,7 +394,7 @@ def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
 
 def check_machine_covariance(config: RunConfig, rng) -> CheckResult:
     phi, theta, beta = _uniform(rng, _count(config, 200), QUARTER, ANGLE, ANGLE).T
-    worst = float(np.max(cloner.covariance_check_machine(_circle_etas(phi), theta, beta)))
+    worst = float(np.max(cloner._covariance_deviation(_circle_coefficients(phi), theta, beta)))
     return CheckResult("machine_covariance", worst, 1e-10)
 
 

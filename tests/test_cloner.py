@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from circleclone import cloner
 from circleclone.cloner import (
-    _clone_channels,
+    _bloch_maps,
     clone,
     clone_report,
     coefficients,
@@ -153,26 +154,63 @@ def oracle_channels(images):
         for j in (0, 1)], axis=-3) for i in (0, 1)], axis=-4) for keep in (0, 1)], axis=-5)
 
 
-class TestCloneChannels:
+def oracle_maps(channels):
+    """(r0, rz, rx), (3, ..., clone, 3): Tr(W sigma_s) of W = (C00 + C11) / 2, (C00 - C11) / 2 and (C01 + C10) / 2."""
+    c = np.moveaxis(channels, (-4, -3), (0, 1))  # (i, j, ..., clone, 2, 2)
+    combos = np.stack([c[0, 0] + c[1, 1], c[0, 0] - c[1, 1], c[0, 1] + c[1, 0]]) / 2
+    return np.stack([np.trace(combos @ sigma, axis1=-2, axis2=-1).real for sigma in PAULI_STACK], axis=-1)
+
+
+class TestBlochMaps:
     def test_every_entry_matches_the_oracle(self):
         etas = np.concatenate([[(1, 0), (0, 1), (0, 0)], np.random.default_rng(17).uniform(0, 1, (20, 2))])
         coeffs = coefficients(etas)
-        channels = _clone_channels(coeffs).reshape(23, 2, 2, 2, 2, 2)
-        assert np.max(np.abs(channels - oracle_channels(cloner._basis_images(coeffs)))) <= 1e-15
+        maps = _bloch_maps(coeffs)
+        assert maps.shape == (3, 23, 2, 3)
+        assert np.max(np.abs(maps - oracle_maps(oracle_channels(cloner._basis_images(coeffs))))) <= 1e-15
 
     def test_a_complex_isometry_matches_the_oracle(self, monkeypatch):
-        # The machine's V is real; a complex one tells C_ij from C_ji and from their conjugates.
+        # The machine's V is real; a complex one tells C_ij from C_ji and from their conjugates, and gives
+        # the clones a y component.
         rng = np.random.default_rng(19)
         images = np.linalg.qr(rng.normal(size=(4, 8, 2)) + 1j * rng.normal(size=(4, 8, 2)))[0]
         assert np.max(np.abs(images.conj().swapaxes(-2, -1) @ images - np.eye(2))) <= 1e-14
         monkeypatch.setattr(cloner, "_basis_images", lambda coeffs: images)
-        channels = _clone_channels(coefficients((0.6, 0.8))).reshape(4, 2, 2, 2, 2, 2)
-        assert np.max(np.abs(channels - oracle_channels(images))) <= 1e-15
+        maps = _bloch_maps(coefficients((0.6, 0.8)))
+        expected = oracle_maps(oracle_channels(images))
+        assert maps.shape == (3, 4, 2, 3) and np.min(np.max(np.abs(expected[..., 1]), axis=0)) > 1e-3
+        assert np.max(np.abs(maps - expected)) <= 1e-15
 
     def test_memory_stays_small(self):
         rng = np.random.default_rng(23)
         coeffs = coefficients(rng.uniform(0, 1, (500, 2)))
-        assert peak_bytes(lambda: _clone_channels(coeffs)) < 1_500_000
+        assert peak_bytes(lambda: _bloch_maps(coeffs)) < 1_500_000
+
+
+class TestRealMachine:
+    # The machine's amplitudes and inputs are real, so every array on its path is float64.
+    @pytest.mark.parametrize("theta, etas", [(0.9, (0.6, 0.8)),
+                                             (np.linspace(0, 6, 7), np.random.default_rng(43).uniform(0, 1, (7, 2)))])
+    def test_arrays_are_float64(self, theta, etas):
+        coeffs = coefficients(etas)
+        state = clone(theta, coeffs)
+        assert great_circle_ket(theta).dtype == np.float64
+        assert state.dtype == np.float64
+        assert [rho.dtype for rho in reduced_clones(state)] == [np.float64] * 3
+        assert partial_transpose_second(reduced_clones(state)[2]).dtype == np.float64
+        assert _bloch_maps(coeffs).dtype == np.float64
+        report = clone_report(theta, etas)
+        for field in dataclasses.fields(report):
+            assert np.asarray(getattr(report, field.name)).dtype in (np.float64, np.bool_), field.name
+
+    def test_complex_amplitudes_stay_complex(self):
+        coeffs = dataclasses.replace(coefficients((0.6, 0.8)), b=1j * coefficients((0.6, 0.8)).b)
+        state = clone(0.9, coeffs)
+        assert state.dtype == np.complex128 and np.max(np.abs(state.imag)) > 0.1
+        rho = np.outer(state, state.conj())
+        for keep, reduced in zip((0, 1, (0, 1)), reduced_clones(state)):
+            assert reduced.dtype == np.complex128
+            assert np.max(np.abs(reduced - reference_partial_trace(rho, keep, [2, 2, 2]))) <= 1e-15
 
 
 class TestReducedClones:
@@ -427,22 +465,22 @@ class TestIsotropyScan:
         # term is 0; a rotation and a shift of the clones' Bloch vectors give one.
         axis = np.einsum("j,jab->ab", np.array([1.0, 2.0, 2.0]) / 3, PAULI_STACK)
         u = np.cos(0.15) * np.eye(2) - 1j * np.sin(0.15) * axis  # a turn by 0.3 about that axis
-        shift = np.einsum("j,jab->ab", [0.006, -0.01, 0.016], PAULI_STACK) / 2
-        machine = cloner._clone_channels
+        # Conjugation by u turns Bloch vectors by turn[s, t] = Tr(sigma_s u sigma_t u^dagger) / 2.
+        turn = np.einsum("sab,bc,tcd,da->st", PAULI_STACK, u, PAULI_STACK, u.conj().T).real / 2
+        shift = np.array([0.006, -0.01, 0.016])
+        machine = cloner._bloch_maps
 
         def skewed(coeffs):
-            c = machine(coeffs).reshape(2, 2, 2, 2, 2)  # (clone, i, j, a, b)
-            c = u @ c @ u.conj().T
-            c[:, 0, 0] += shift
-            c[:, 1, 1] += shift
-            return c.reshape(2, 4, 4)
+            r0, rz, rx = machine(coeffs) @ turn.T
+            return np.stack([r0 + shift, rz, rx])
 
         thetas = (np.arange(2000) + 0.25) * (2 * np.pi / 2000)
         kets = great_circle_ket(thetas)
-        flat_input = (kets[:, :, None] * kets[:, None, :].conj()).reshape(2000, 1, 1, 4)
-        reduced = np.moveaxis((flat_input @ skewed(coefficients(etas)))[..., 0, :].reshape(2000, 2, 2, 2), 1, 0)
+        r0, rz, rx = skewed(coefficients(etas))[:, None]
+        bloch = r0 + np.cos(thetas)[:, None, None] * rz + np.sin(thetas)[:, None, None] * rx  # (angle, clone, 3)
+        reduced = np.moveaxis((np.eye(2) + np.einsum("...s,sab->...ab", bloch, PAULI_STACK)) / 2, 1, 0)
         grid = np.max(oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)))
-        monkeypatch.setattr(cloner, "_clone_channels", skewed)
+        monkeypatch.setattr(cloner, "_bloch_maps", skewed)
         assert grid > anisotropy_law(etas) + 1e-3  # the defect term is needed
         assert isotropy_scan(etas) >= grid
 
@@ -489,7 +527,7 @@ class TestBatchedIsotropyScan:
             assert worst[index] == alone
 
     @pytest.mark.parametrize("on_circle", [True, False])
-    def test_channels_give_the_reduced_clones(self, on_circle):
+    def test_maps_give_the_reduced_clones(self, on_circle):
         rng = np.random.default_rng(5)
         theta = rng.uniform(0, 2 * np.pi, 40)
         if on_circle:
@@ -497,14 +535,9 @@ class TestBatchedIsotropyScan:
             etas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
         else:
             etas = rng.uniform(0, 1, (40, 2))
-        ket = great_circle_ket(theta)
-        flat_input = (ket[:, :, None] * ket[:, None, :].conj()).reshape(40, 1, 1, 4)
-        clones = (flat_input @ _clone_channels(coefficients(etas)))[..., 0, :].reshape(40, 2, 2, 2)
         rho_o, rho_b, _ = reduced_clones(clone(theta, coefficients(etas)))
-        assert np.max(np.abs(clones[:, 0] - rho_o)) <= 1e-15
-        assert np.max(np.abs(clones[:, 1] - rho_b)) <= 1e-15
-        # The Bloch maps read out of the channels give the same clones as Bloch vectors.
-        r0, rz, rx = cloner._bloch_maps(coefficients(etas))
+        # The Bloch maps give the same clones as Bloch vectors.
+        r0, rz, rx = _bloch_maps(coefficients(etas))
         bloch = r0 + np.cos(theta)[:, None, None] * rz + np.sin(theta)[:, None, None] * rx
         assert np.max(np.abs(bloch[:, 0] - density_to_bloch(rho_o))) <= 1e-15
         assert np.max(np.abs(bloch[:, 1] - density_to_bloch(rho_b))) <= 1e-15

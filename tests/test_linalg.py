@@ -79,6 +79,33 @@ class TestPartialTrace:
             assert np.max(np.abs(fast - slow)) < 1e-12
 
 
+class TestDtypeFollowsTheInput:
+    def test_real_input_stays_real_and_matches_the_complex_route(self):
+        m = np.random.default_rng(7).uniform(-1, 1, (5, 8, 8))
+        m = m + m.swapaxes(-2, -1)
+        for keep in (0, 1, 2, (0, 1), (1, 2)):
+            reduced = partial_trace(m, keep, [2, 2, 2])
+            assert reduced.dtype == np.float64
+            assert np.array_equal(reduced, partial_trace(m.astype(complex), keep, [2, 2, 2]))
+            assert np.max(np.abs(reduced - reference_partial_trace(m, keep, [2, 2, 2]))) <= 1e-15
+        values = hermitian_eigenvalues(m)
+        assert values.dtype == np.float64
+        assert np.max(np.abs(values - hermitian_eigenvalues(m.astype(complex)))) <= 1e-14
+
+    def test_complex_input_stays_complex(self):
+        rng = np.random.default_rng(8)
+        m = np.stack([random_hermitian(rng, 8) for _ in range(4)])
+        for keep in (0, (0, 2)):
+            reduced = partial_trace(m, keep, [2, 2, 2])
+            assert reduced.dtype == np.complex128
+            assert np.max(np.abs(reduced - reference_partial_trace(m, keep, [2, 2, 2]))) <= 1e-15
+        assert np.max(np.abs(reduced.imag)) > 0.1
+
+    def test_a_real_matrix_off_symmetry_is_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 class TestHermitianEigenvalues:
     def test_pauli_spectrum(self):
         assert np.allclose(hermitian_eigenvalues(SIGMA_Z), [-1, 1], atol=1e-14)

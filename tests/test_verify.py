@@ -17,6 +17,7 @@ from circleclone.verify import (
     check_fidelity_law,
     check_isotropy_off_circle,
     check_kron_associativity,
+    check_machine_covariance,
     check_machine_tensor_constraints,
     check_no_signalling_violation,
     check_on_circle_feasibility,
@@ -26,6 +27,7 @@ from circleclone.verify import (
     check_reduced_clone_oracle,
     check_rotation_composition,
     check_separability_ppt,
+    _circle_coefficients,
     reference_partial_trace,
     run_verification,
 )
@@ -145,6 +147,24 @@ class TestMachineTensorConstraints:
         assert not result.passed and result.measured > 0.5, result.measured
 
 
+class TestMachineChecksNearTheAxes:
+    # Within about 1e-8 of either axis, a machine built from the rounded pair (cos phi, sin phi)
+    # missed the fidelity law and covariance by about 4e-9, past their 1e-10 thresholds.
+    NEAR_AXES = np.array([1e-8, np.pi / 2 - 1e-8])
+
+    @pytest.mark.parametrize("theta", [0.9, 4.0])
+    def test_fidelity_law_passes(self, theta):
+        rows = np.stack([self.NEAR_AXES, np.full(2, theta)], axis=-1)
+        result = check_fidelity_law(RunConfig(samples=2), FedDraws(rows))
+        assert result.passed and result.measured <= 1e-15, result.measured
+
+    @pytest.mark.parametrize("theta", [0.9, 4.0])
+    def test_machine_covariance_passes(self, theta):
+        rows = np.stack([self.NEAR_AXES, np.full(2, theta), np.full(2, 1.3)], axis=-1)
+        result = check_machine_covariance(RunConfig(samples=2), FedDraws(rows))
+        assert result.passed and result.measured <= 1e-15, result.measured
+
+
 def scalar_hermitian(rng, n):
     m = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     return (m + m.conj().T) / 2
@@ -175,9 +195,9 @@ class TestSampleStream:
         worst = 0.0
         for _ in range(200):
             phi = rng.uniform(0, np.pi / 2)
-            eta1, eta2 = float(np.cos(phi)), float(np.sin(phi))
-            report = clone_report(rng.uniform(0, 2 * np.pi), (eta1, eta2))
-            worst = max(worst, abs(report.fidelity_o - (1 + eta1) / 2), abs(report.fidelity_b - (1 + eta2) / 2))
+            report = cloner._clone_report(rng.uniform(0, 2 * np.pi), _circle_coefficients(phi))
+            worst = max(worst, abs(report.fidelity_o - (1 + np.cos(phi)) / 2),
+                        abs(report.fidelity_b - (1 + np.sin(phi)) / 2))
         return worst
 
     @staticmethod
