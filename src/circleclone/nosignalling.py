@@ -12,7 +12,7 @@ feasible radius along a ray: the unit circle in the (eta1, eta2) plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -236,6 +236,16 @@ ORIGIN = _up_matrix(0.0, 0.0, np.zeros(len(FREE_PARAMETERS)))
 UP_SLOPES = np.array([_up_matrix(0.0, 0.0, unit) for unit in np.eye(len(FREE_PARAMETERS))]) - ORIGIN
 ETA_SLOPES = np.array([_up_matrix(*unit, np.zeros(len(FREE_PARAMETERS))) for unit in np.eye(2)]) - ORIGIN
 
+# A00, E1, E2 and the slopes of t_xx, t_xz and t_yy are real; those of t_xy,
+# t_yx, t_yz and t_zy are purely imaginary.  Complex conjugation maps S(f) to
+# S(f'), f' being f with those four entries negated, so S(f) and S(f') are
+# PSD together, and the mean of f and f', with the four entries zero, is as
+# good as f.  The brackets are therefore solved in real arithmetic over the
+# three real entries; a real symmetric W has Tr(W A_i) = 0 for every
+# imaginary slope, so their certificates prove the bound over all seven.
+REAL_PARAMETERS = [0, 1, 2]
+REAL_SLOPES = UP_SLOPES[REAL_PARAMETERS].real
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -243,10 +253,11 @@ class Bracket:
 
     ``lower`` is attained at the free entries ``free``; ``upper`` is proved
     by the positive semidefinite unit-trace ``certificate`` W, which is NaN
-    in a row that certified no bound (there ``upper`` is inf).  Fields take
+    in a row that certified no bound (there ``upper`` is inf); W is real
+    (float64) when the problem is real and complex128 otherwise.  Fields take
     the batch shape: ``lower``, ``upper`` and ``iterations`` (...), ``free``
-    (..., 7), ``certificate`` (..., n, n); a single problem gives numpy
-    scalars.
+    (..., k), ``certificate`` (..., n, n); a single problem gives numpy
+    scalars.  eigenvalue_bracket and radius_bracket give ``free`` (..., 7).
     """
 
     lower: np.ndarray
@@ -280,7 +291,9 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     lockstep: every iterate makes one eigen-decomposition of all the S, one of
     all the S^-1/2 G S^-1/2 and one solve of all the Newton systems.  Each row
     stops on its own by the rules above and leaves the stack; row by row, the
-    arithmetic is that of the solve of its problem alone.
+    arithmetic is that of the solve of its problem alone.  The arithmetic,
+    and the certificate, are real when F0, the A_i and G all are, and complex
+    otherwise.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -299,7 +312,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     x = np.broadcast_to(x0, shape).reshape(problems)
     free = best_free = np.zeros((problems, count))
     lower, upper = np.full(problems, -np.inf), np.full(problems, np.inf)
-    certificate = np.full((problems, size, size), np.nan, dtype=complex)
+    certificate = np.full((problems, size, size), np.nan, dtype=np.result_type(f0, slopes, g, float))
     results = Bracket(lower.copy(), upper.copy(), best_free.copy(), certificate.copy(),
                       np.zeros(problems, dtype=int))
     flat_slopes, diagonal = slopes.reshape(count, -1), np.arange(count)
@@ -389,7 +402,8 @@ def _face_certificate(vectors: np.ndarray, projected: np.ndarray) -> np.ndarray:
     problems has two zero eigenvalues, so near it W lives on their
     eigenvectors V2, the first two columns of ``vectors`` (rows, n, n).  With
     Y_j = V2^H B_j V2, sliced out of ``projected`` (rows, k + 1, n, n) for B
-    of (A_1, ..., G), fits a Hermitian 2x2 X by least squares to Tr(X Y_i) = 0 and
+    of (A_1, ..., G), fits a Hermitian 2x2 X (real symmetric when
+    ``projected`` is real) by least squares to Tr(X Y_i) = 0 and
     Tr(X Y_G) = -1, clips it to positive semidefinite and takes
     W = V2 X V2^H / Tr X.  A rank-2 W has computed eigenvalues of either sign
     at the rounding level, so W is mixed with a 1e-12 share of I / n: the mix
@@ -398,11 +412,15 @@ def _face_certificate(vectors: np.ndarray, projected: np.ndarray) -> np.ndarray:
     A row whose fit is singular or whose clipped X is zero gets NaN.
     """
     y = projected[..., :2, :2]
-    design = np.stack([y[..., 0, 0].real, y[..., 1, 1].real, 2 * y[..., 0, 1].real, 2 * y[..., 0, 1].imag], axis=-1)
+    columns = [y[..., 0, 0].real, y[..., 1, 1].real, 2 * y[..., 0, 1].real]
+    if np.iscomplexobj(y):  # a real problem has a real symmetric X: no Im X01 to fit
+        columns.append(2 * y[..., 0, 1].imag)
+    design = np.stack(columns, axis=-1)
     fit = _newton_solve(design.swapaxes(-2, -1) @ design, -design[:, -1])
     valid = np.isfinite(fit).all(axis=-1)
-    a, b, re, im = _components(np.where(valid[:, None], fit, 0.0))
-    values, turn = np.linalg.eigh(_stack_last([[a, re + 1j * im], [re - 1j * im, b]], 2))
+    a, b, re, *im = _components(np.where(valid[:, None], fit, 0.0))
+    corner = re + 1j * im[0] if im else re
+    values, turn = np.linalg.eigh(_stack_last([[a, corner], [np.conj(corner), b]], 2))
     values = np.maximum(values, 0.0)
     weight = values.sum(axis=-1)
     valid &= weight > 0.0
@@ -436,17 +454,29 @@ def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         return steps
 
 
+def _real_minimize(f0: np.ndarray, g: np.ndarray, x0, budget: int, tol: float) -> Bracket:
+    """minimize over the seven free entries, solved on the real parts of F0 and G and the REAL_SLOPES alone.
+
+    The imaginary entries of ``free`` are exact zeros; the float64 certificate
+    certifies the problem over all seven (see REAL_SLOPES).
+    """
+    bracket = minimize(f0.real, REAL_SLOPES, g.real, x0, budget, tol)
+    free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
+    free[..., REAL_PARAMETERS] = bracket.free
+    return replace(bracket, free=free)
+
+
 def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     """Bracket the largest minimum eigenvalue of the north-pole output over the seven free entries.
 
-    The solve of minimize with G = -I from x = lambda_min(A0) - 1, to a gap of
-    GAP_TOL.  Reduction factors (..., 2) give one solve of the stack, one row
-    per pair.
+    The solve of _real_minimize with G = -I from x = lambda_min(A0) - 1, to a
+    gap of GAP_TOL.  Reduction factors (..., 2) give one solve of the stack,
+    one row per pair.
     """
     eta1, eta2 = _validate_etas(etas)
     a0 = _up_matrix(eta1, eta2, np.zeros(np.shape(eta1) + (len(FREE_PARAMETERS),)))
     x0 = np.linalg.eigvalsh(a0)[..., 0] - 1.0
-    return minimize(a0, UP_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL)
+    return _real_minimize(a0, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL)
 
 
 def feasibility(etas, budget: int = DEFAULT_BUDGET) -> bool | None:
@@ -475,17 +505,18 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
     """Bracket the largest feasible radius along each ray (r cos(phi), r sin(phi)), from one barrier solve.
 
     Along the ray the north-pole output is A00 + r B(phi) + sum_i f_i A_i, with
-    B(phi) = cos(phi) E1 + sin(phi) E2: minimize with G = B(phi), from r = 0
-    until the certified bracket is at most ``radius_tol`` wide (or precision
-    runs out, which takes a ``radius_tol`` of 1e-12 or less).  Its lower end is
-    attained by its free entries.  Directions (...) give one solve of the
-    stack, each row stopping on its own.  The boundary is the unit circle.
+    B(phi) = cos(phi) E1 + sin(phi) E2: _real_minimize with G = B(phi), from
+    r = 0 until the certified bracket is at most ``radius_tol`` wide (or
+    precision runs out, which takes a ``radius_tol`` of 1e-12 or less).  Its
+    lower end is attained by its free entries.  Directions (...) give one
+    solve of the stack, each row stopping on its own.  The boundary is the
+    unit circle.
     """
     phi = np.asarray(phi, dtype=float)
     _require((phi >= 0.0) & (phi <= np.pi / 2), phi, "direction must lie in [0, pi/2], got {}")
     direction = (np.cos(phi)[..., None, None] * ETA_SLOPES[0]
                  + np.sin(phi)[..., None, None] * ETA_SLOPES[1])
-    return minimize(ORIGIN, UP_SLOPES, direction, 0.0, budget, radius_tol)
+    return _real_minimize(ORIGIN, direction, 0.0, budget, radius_tol)
 
 
 def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> float:

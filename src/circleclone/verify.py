@@ -380,13 +380,13 @@ def check_fidelity_law(config: RunConfig, rng) -> CheckResult:
 
 def check_separability_ppt(config: RunConfig, rng) -> CheckResult:
     theta, phi = _uniform(rng, _count(config, 500), ANGLE, QUARTER).T
-    report = cloner.clone_report(theta, _circle_etas(phi))
+    report = cloner._clone_report(theta, _circle_coefficients(phi))
     return CheckResult("separability_ppt", float(np.min(report.ppt_min_eigenvalue)), -1e-10, direction=">=")
 
 
 def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
     theta, phi = _uniform(rng, _count(config, 200), ANGLE, QUARTER).T
-    report = cloner.clone_report(theta, _circle_etas(phi))
+    report = cloner._clone_report(theta, _circle_coefficients(phi))
     s1 = 2 * report.fidelity_o - 1
     s2 = 2 * report.fidelity_b - 1
     return CheckResult("bound_attainment", float(np.max(np.abs(s1**2 + s2**2 - 1.0))), 1e-10)

@@ -14,12 +14,20 @@ from circleclone.nosignalling import (
     DEFAULT_BUDGET,
     DEFAULT_RADIUS_TOL,
     DOWN,
+    ETA_SLOPES,
+    FREE_PARAMETERS,
     GAP_TOL,
     LEFT,
+    ORIGIN,
+    REAL_PARAMETERS,
+    REAL_SLOPES,
     RIGHT,
     UP,
     UP_SLOPES,
+    _dual_bound,
+    _face_certificate,
     _newton_solve,
+    _traces,
     _up_matrix,
     bound_rhs,
     build_joint_output,
@@ -552,3 +560,71 @@ class TestLockstep:
         np.testing.assert_array_equal(brackets.iterations, stacked.iterations)
         assert np.max(np.abs(brackets.lower - stacked.lower)) <= 1e-15
         assert feasibility(self.POINTS[0]) is True and feasibility(self.POINTS[1]) is False
+
+
+class TestRealSolve:
+    """The brackets solve the real problem on t_xx, t_xz and t_yy; the complex solve on all seven is the oracle."""
+
+    IMAGINARY = [k for k in range(len(FREE_PARAMETERS)) if k not in REAL_PARAMETERS]
+
+    def test_conjugation_negates_the_imaginary_entries(self):
+        rng = np.random.default_rng(23)
+        etas, free = rng.uniform(0, 1, (50, 2)), rng.uniform(-1, 1, (50, 7))
+        mirrored = free.copy()
+        mirrored[:, self.IMAGINARY] *= -1
+        np.testing.assert_array_equal(_up_matrix(etas[:, 0], etas[:, 1], mirrored),
+                                      _up_matrix(etas[:, 0], etas[:, 1], free).conj())
+
+    def test_kept_slopes_are_real_and_dropped_slopes_imaginary(self):
+        assert [FREE_PARAMETERS[k] for k in REAL_PARAMETERS] == ["t_xx", "t_xz", "t_yy"]
+        assert not UP_SLOPES[REAL_PARAMETERS].imag.any() and UP_SLOPES[REAL_PARAMETERS].real.any(axis=(1, 2)).all()
+        assert not UP_SLOPES[self.IMAGINARY].real.any() and UP_SLOPES[self.IMAGINARY].imag.any(axis=(1, 2)).all()
+        assert REAL_SLOPES.dtype == np.float64
+        np.testing.assert_array_equal(REAL_SLOPES, UP_SLOPES[REAL_PARAMETERS].real)
+        assert not ORIGIN.imag.any() and not ETA_SLOPES.imag.any()
+
+    def assert_matches_the_complex_solve(self, real, full, f0, g):
+        np.testing.assert_array_equal(real.iterations, full.iterations)
+        assert np.max(np.abs(real.lower - full.lower)) <= 1e-15
+        assert np.max(np.abs(real.upper - full.upper)) <= 1e-15
+        assert np.max(np.abs(real.free - full.free)) <= 1e-14
+        assert real.free.dtype == np.float64 and not real.free[..., self.IMAGINARY].any()
+        assert real.certificate.dtype == np.float64
+        slopes = list(UP_SLOPES)
+        for k in range(len(real.lower)):
+            assert_certified(real.upper[k], real.certificate[k], f0[k], slopes, g[k])
+
+    def test_eigenvalue_bracket_matches_the_complex_solve(self):
+        etas = np.random.default_rng(0).uniform(0, 1, (200, 2))
+        a0 = _up_matrix(etas[:, 0], etas[:, 1], np.zeros((200, 7)))
+        full = minimize(a0, UP_SLOPES, -np.eye(4), np.linalg.eigvalsh(a0)[:, 0] - 1.0, DEFAULT_BUDGET, GAP_TOL)
+        real = eigenvalue_bracket(etas)
+        self.assert_matches_the_complex_solve(real, full, a0, np.broadcast_to(-np.eye(4), a0.shape))
+        # the lower end is the smallest eigenvalue at the free entries it reports
+        lowest = np.linalg.eigvalsh(_up_matrix(etas[:, 0], etas[:, 1], real.free))[:, 0]
+        assert np.max(np.abs(lowest - real.lower)) <= 1e-14
+
+    def test_radius_bracket_matches_the_complex_solve(self):
+        phi = np.linspace(0, np.pi / 2, 33)
+        g = np.cos(phi)[:, None, None] * ETA_SLOPES[0] + np.sin(phi)[:, None, None] * ETA_SLOPES[1]
+        full = minimize(ORIGIN, UP_SLOPES, g, 0.0, DEFAULT_BUDGET, 1e-8)
+        real = radius_bracket(phi, radius_tol=1e-8)
+        self.assert_matches_the_complex_solve(real, full, np.broadcast_to(ORIGIN, g.shape), g)
+
+    def test_face_certificate_of_a_real_stack(self):
+        # S just inside the optimum of the eigenvalue problem at (0.6, 0.8), in real arithmetic:
+        # its two smallest eigenvalues are nearly zero, where the face certificate is made.
+        bracket = eigenvalue_bracket((0.6, 0.8))
+        s = (_up_matrix(0.6, 0.8, bracket.free) - (bracket.lower - 1e-9) * np.eye(4)).real
+        _, vectors = np.linalg.eigh(s)
+        terms = np.concatenate([REAL_SLOPES, -np.eye(4)[None]])
+        projected = vectors.T @ terms @ vectors
+        face = _face_certificate(vectors[None], projected[None])
+        assert face.dtype == np.float64 and np.isfinite(face).all()
+        assert np.linalg.eigvalsh(face[0])[0] >= 0.0
+        assert abs(np.trace(face[0]) - 1.0) <= 1e-12
+        a0 = _up_matrix(0.6, 0.8, np.zeros(7)).real
+        bound = _dual_bound(face, a0[None], _traces(face, terms[None]))[0]
+        assert bracket.lower <= bound <= bracket.lower + 1e-8
+        # Read as complex, the same stack has an all-zero Im X01 column: its fit is singular.
+        assert np.isnan(_face_certificate(vectors[None].astype(complex), projected[None].astype(complex))).all()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from circleclone import cloner, linalg, nosignalling, pauli
-from circleclone.cloner import clone_report
 from circleclone.pauli import great_circle_bloch
 from circleclone.verify import (
     RunConfig,
@@ -149,7 +148,8 @@ class TestMachineTensorConstraints:
 
 class TestMachineChecksNearTheAxes:
     # Within about 1e-8 of either axis, a machine built from the rounded pair (cos phi, sin phi)
-    # missed the fidelity law and covariance by about 4e-9, past their 1e-10 thresholds.
+    # missed the fidelity law and covariance by about 4e-9, past their 1e-10 thresholds.  Every
+    # machine check on the circle builds its machine from _circle_coefficients(phi).
     NEAR_AXES = np.array([1e-8, np.pi / 2 - 1e-8])
 
     @pytest.mark.parametrize("theta", [0.9, 4.0])
@@ -162,6 +162,18 @@ class TestMachineChecksNearTheAxes:
     def test_machine_covariance_passes(self, theta):
         rows = np.stack([self.NEAR_AXES, np.full(2, theta), np.full(2, 1.3)], axis=-1)
         result = check_machine_covariance(RunConfig(samples=2), FedDraws(rows))
+        assert result.passed and result.measured <= 1e-15, result.measured
+
+    @pytest.mark.parametrize("theta", [0.9, 4.0])
+    def test_separability_ppt_passes(self, theta):
+        rows = np.stack([np.full(2, theta), self.NEAR_AXES], axis=-1)
+        result = check_separability_ppt(RunConfig(samples=2), FedDraws(rows))
+        assert result.passed and result.measured >= -1e-15, result.measured
+
+    @pytest.mark.parametrize("theta", [0.9, 4.0])
+    def test_bound_attainment_passes(self, theta):
+        rows = np.stack([np.full(2, theta), self.NEAR_AXES], axis=-1)
+        result = check_bound_attainment(RunConfig(samples=2), FedDraws(rows))
         assert result.passed and result.measured <= 1e-15, result.measured
 
 
@@ -206,7 +218,7 @@ class TestSampleStream:
         for _ in range(500):
             theta = rng.uniform(0, 2 * np.pi)
             phi = rng.uniform(0, np.pi / 2)
-            lowest = min(lowest, clone_report(theta, (np.cos(phi), np.sin(phi))).ppt_min_eigenvalue)
+            lowest = min(lowest, cloner._clone_report(theta, _circle_coefficients(phi)).ppt_min_eigenvalue)
         return lowest
 
     @staticmethod
@@ -215,7 +227,7 @@ class TestSampleStream:
         for _ in range(200):
             theta = rng.uniform(0, 2 * np.pi)
             phi = rng.uniform(0, np.pi / 2)
-            report = clone_report(theta, (np.cos(phi), np.sin(phi)))
+            report = cloner._clone_report(theta, _circle_coefficients(phi))
             worst = max(worst, abs((2 * report.fidelity_o - 1) ** 2 + (2 * report.fidelity_b - 1) ** 2 - 1))
         return worst
 
