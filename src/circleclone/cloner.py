@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import _inexact, _require, hermitian_eigenvalues, kron, partial_trace
 from .nosignalling import _validate_etas
-from .pauli import PAULI_STACK, _pauli_pair_readout, _real_readout, great_circle_ket, rotation_unitary
+from .pauli import _PAULI_READOUT, _pauli_pair_readout, _real_readout, great_circle_ket, rotation_unitary
 
 ON_CIRCLE_ATOL = 1e-8
 
@@ -46,6 +46,22 @@ def coefficients(etas) -> CloneCoefficients:
     c = 0.5 * np.sqrt((1 - eta1) * (1 + eta2))
     d = 0.5 * np.sqrt((1 - eta1) * (1 - eta2))
     return CloneCoefficients(a=a, b=b, c=c, d=d, eta1=eta1, eta2=eta2)
+
+
+def _circle_coefficients(phi) -> CloneCoefficients:
+    """The machine's amplitudes at (cos phi, sin phi), phi in [0, pi/2], exactly on the circle up to rounding.
+
+    coefficients() of the rounded pair (cos phi, sin phi) sees a point off the
+    circle by about 1e-16, and near either axis the machine's t_xx - t_zz
+    amplifies that by 1 / (2 eta1 eta2): 1e-11 at phi = 2.3e-6.  With
+    c = cos(phi / 2) and s = sin(phi / 2), 1 + cos phi = 2 c^2 and
+    1 +- sin phi = (c +- s)^2, so the closed forms need no square root of a
+    rounded sum.
+    """
+    c, s = np.cos(phi / 2), np.sin(phi / 2)
+    plus, minus = (c + s) / np.sqrt(2), (c - s) / np.sqrt(2)
+    return CloneCoefficients(a=c * plus, b=c * minus, c=s * plus, d=s * minus,
+                             eta1=np.cos(phi), eta2=np.sin(phi))
 
 
 def _basis_images(coeffs: CloneCoefficients) -> np.ndarray:
@@ -209,11 +225,9 @@ def _clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> Clone
     )
 
 
-# Each clone's Bloch map (r0, rz, rx) is read out of (C00 + C11) / 2, (C00 - C11) / 2 and (C01 + C10) / 2:
-# weights (i, j, map) on the C_ij, and Tr(C sigma_s) = sum_xy <x|C|y> sigma_s[y, x].  Row (x, i, y, j)
-# of a flattened Gram product <x|C_ij|y> (_bloch_maps), column (map, s).
-_MAP_WEIGHTS = np.array([[[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, -1, 0]]]) / 2
-_MAP_READOUT = (PAULI_STACK.T[:, None, :, None, None, :] * _MAP_WEIGHTS[:, None, :, :, None]).reshape(16, 9)
+# Column 4s + k of _PAULI_READOUT reads sigma_s (x) sigma_k; the maps (r0, rz, rx) are half the coefficients
+# of sigma_s (x) I, sigma_s (x) Z and sigma_s (x) X (_bloch_maps): column (map, s).
+_MAP_READOUT = _PAULI_READOUT[:, [4 * s + k for k in (0, 3, 1) for s in (1, 2, 3)]] / 2
 
 
 def _bloch_maps(coeffs: CloneCoefficients) -> np.ndarray:
@@ -227,9 +241,11 @@ def _bloch_maps(coeffs: CloneCoefficients) -> np.ndarray:
 
     Every C_ij of a clone comes from one Gram product: with A[(x, i), rest] =
     <x, rest|V|i>, where x is the clone's qubit and rest the other two,
-    (A A^dagger)[(x, i), (y, j)] = <x|C_ij|y>.  The maps are linear in its 16
-    entries, so one constant (16, 9) read-out (_MAP_READOUT) gives all nine
-    components; no channel matrix or 8x8 operator is formed, and a real V
+    (A A^dagger)[(x, i), (y, j)] = <x|C_ij|y>, an operator on clone (x) input
+    whose sigma_s (x) I, sigma_s (x) Z and sigma_s (x) X coefficients are
+    Tr(C_ij sigma_s) summed against I, Z and X: twice r0_s, rz_s and rx_s.
+    So the nine components are nine columns of the one Pauli read-out, halved
+    (_MAP_READOUT); no channel matrix or 8x8 operator is formed, and a real V
     keeps the arithmetic real.
     """
     v = _basis_images(coeffs)
@@ -238,7 +254,7 @@ def _bloch_maps(coeffs: CloneCoefficients) -> np.ndarray:
     a = np.moveaxis(np.stack([v, v.swapaxes(-4, -3)], axis=-5), -1, -3)  # (..., clone, x, i, other, M)
     a = a.reshape(a.shape[:-4] + (4, 4))
     gram = a @ a.conj().swapaxes(-2, -1)  # (..., clone, (x, i), (y, j))
-    maps = _real_readout(gram.reshape(gram.shape[:-2] + (16,)), _MAP_READOUT)
+    maps = _real_readout(gram, _MAP_READOUT)
     return np.moveaxis(maps.reshape(maps.shape[:-1] + (3, 3)), -2, 0)
 
 

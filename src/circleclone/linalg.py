@@ -66,6 +66,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"kron takes matrices (..., p, q), got shapes {a.shape} and {b.shape}")
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
     return product.reshape(product.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
@@ -114,5 +116,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> tuple[bool, float]:
     """Whether ``m`` is positive semidefinite within ``tol``, plus its minimum eigenvalue."""
+    if np.ndim(m) != 2:
+        raise ValueError(f"is_psd takes one matrix, got shape {np.shape(m)}; hermitian_eigenvalues takes a stack")
     lam_min = float(hermitian_eigenvalues(m)[0])
     return lam_min >= -tol, lam_min

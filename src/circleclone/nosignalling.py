@@ -295,8 +295,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     and the certificate, are real when F0, the A_i and G all are, and complex
     otherwise.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    _require(isinstance(budget, (int, np.integer)) and budget >= 1, budget, "budget must be a positive integer, got {}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     f0, g, x0 = np.asarray(f0), np.asarray(g), np.asarray(x0, dtype=float)

@@ -12,13 +12,27 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-PAULI_STACK = np.stack(PAULIS)
+# The one-qubit basis (I, X, Y, Z) and its two-qubit products PAULI_BASIS[j, k] = sigma_j (x) sigma_k.
+_ONE_QUBIT_BASIS = np.stack([IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULI_STACK = _ONE_QUBIT_BASIS[1:]
+PAULI_BASIS = kron(_ONE_QUBIT_BASIS[:, None], _ONE_QUBIT_BASIS)
 
-# Two-qubit expansion operators, built once: sigma_j (x) I, I (x) sigma_k, sigma_j (x) sigma_k.
-PAULI_LEFT = np.stack([kron(s, IDENTITY_2) for s in PAULIS])
-PAULI_RIGHT = np.stack([kron(IDENTITY_2, s) for s in PAULIS])
-PAULI_PAIRS = np.stack([np.stack([kron(sj, sk) for sk in PAULIS]) for sj in PAULIS])
+
+def _readout_matrix(basis: np.ndarray) -> np.ndarray:
+    """The (n^2, k) matrix R with Tr(op P_c) = (flattened op) @ R[:, c], for k basis operators (..., n, n).
+
+    Tr(op P) = sum_ab op[b, a] P[a, b]: row n b + a, one column per basis
+    operator in C order.  The one place this convention is written.
+    """
+    n = basis.shape[-1]
+    return basis.reshape(-1, n, n).transpose(2, 1, 0).reshape(n * n, -1)
+
+
+# Column j of the one-qubit read-out reads sigma_j, column 4j + k of the two-qubit one sigma_j (x) sigma_k.
+_BLOCH_READOUT = _readout_matrix(_ONE_QUBIT_BASIS)
+_PAULI_READOUT = _readout_matrix(PAULI_BASIS)
+# Its nine correlation columns, j, k >= 1 (_pauli_pair_readout).
+_PAIR_READOUT = _PAULI_READOUT[:, [4 * j + k for j in (1, 2, 3) for k in (1, 2, 3)]]
 
 BLOCH_NORM_ATOL = 1e-12
 
@@ -49,19 +63,24 @@ def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
     return np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1)
 
 
+def _bloch_vectors(m) -> np.ndarray:
+    """``m`` as a float (..., 3) stack of Bloch vectors, rejected if it has another shape; no entry is read."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 1 or m.shape[-1] != 3:
+        raise ValueError(f"Bloch vector must have 3 real components, got shape {m.shape}")
+    return m
+
+
 def bloch_to_density(m) -> np.ndarray:
     """Single-qubit density matrix (I + m . sigma) / 2.
 
     A (..., 3) stack of Bloch vectors gives (..., 2, 2); it is rejected if any
     vector is longer than 1.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 1 or m.shape[-1] != 3:
-        raise ValueError(f"Bloch vector must have 3 real components, got shape {m.shape}")
+    m = _bloch_vectors(m)
     norms = np.linalg.norm(m, axis=-1)
     _require(norms <= 1 + BLOCH_NORM_ATOL, norms, "unphysical Bloch vector: |m| = {:.12f} exceeds 1")
-    x, y, z = (m[..., i, None, None] for i in range(3))
-    return 0.5 * (IDENTITY_2 + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+    return 0.5 * (IDENTITY_2 + np.tensordot(m, PAULI_STACK, axes=1))
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -75,28 +94,18 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     traces = np.trace(rho, axis1=-2, axis2=-1)
     _require(np.abs(traces - 1) <= HERMITIAN_ATOL, traces, f"trace {{}} is not 1 within {HERMITIAN_ATOL:.1e}")
-    return _pauli_readout(rho)
+    return _real_readout(rho, _BLOCH_READOUT[:, 1:])
 
 
-def _pauli_readout(op: np.ndarray) -> np.ndarray:
-    """Re Tr(op sigma_j) of a (..., 2, 2) stack, (..., 3): linear, so it also reads traceless operators."""
-    return np.einsum("jab,...ba->...j", PAULI_STACK, op).real
-
-
-def _real_readout(flat: np.ndarray, readout: np.ndarray) -> np.ndarray:
-    """Re(flat @ readout) for flattened operators (..., n) and a complex (n, k) read-out; real ``flat`` stays real."""
-    if np.iscomplexobj(flat):
-        return (flat @ readout).real
-    return flat @ readout.real
-
-
-# Tr(rho sigma_j (x) sigma_k) = sum_ab rho[b, a] (sigma_j (x) sigma_k)[a, b]: row 4b + a, column 3j + k.
-_PAIR_READOUT = PAULI_PAIRS.transpose(3, 2, 0, 1).reshape(16, 9)
+def _real_readout(op: np.ndarray, readout: np.ndarray) -> np.ndarray:
+    """Re Tr(op P) of operators (..., n, n) per column P of an (n^2, k) read-out, (..., k); a real ``op`` stays real."""
+    flat = op.reshape(op.shape[:-2] + (-1,))
+    return (flat @ readout).real if np.iscomplexobj(flat) else flat @ readout.real
 
 
 def _pauli_pair_readout(rho: np.ndarray) -> np.ndarray:
     """Correlations t_jk = Re Tr(rho sigma_j(x)sigma_k) of a (..., 4, 4) stack, (..., 3, 3); no Hermiticity check."""
-    return _real_readout(rho.reshape(rho.shape[:-2] + (16,)), _PAIR_READOUT).reshape(rho.shape[:-2] + (3, 3))
+    return _real_readout(rho, _PAIR_READOUT).reshape(rho.shape[:-2] + (3, 3))
 
 
 def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:
@@ -111,7 +120,8 @@ def rotate_bloch(m, beta: float | np.ndarray) -> np.ndarray:
 
     Vectors (..., 3) and angles (...) broadcast to one rotated vector per entry.
     """
-    m = np.asarray(m, dtype=float)
+    m = _bloch_vectors(m)
+    _require(np.isfinite(m).all(axis=-1), m, "Bloch vector components must be finite, got ({}, {}, {})")
     beta = _angles(beta)
     c, s = np.cos(beta), np.sin(beta)
     x, y, z = _components(m)
@@ -139,10 +149,10 @@ class PauliDecomposition:
 
         Coefficients with leading batch axes give one matrix per entry: (..., 4, 4).
         """
-        rho = np.asarray(self.unit)[..., None, None] * np.eye(4, dtype=complex)
-        rho = rho + np.tensordot(self.a, PAULI_LEFT, axes=1)
-        rho = rho + np.tensordot(self.b, PAULI_RIGHT, axes=1)
-        rho = rho + np.tensordot(self.t, PAULI_PAIRS, axes=([-2, -1], [0, 1]))
+        rho = np.asarray(self.unit)[..., None, None] * PAULI_BASIS[0, 0]
+        rho = rho + np.tensordot(self.a, PAULI_BASIS[1:, 0], axes=1)
+        rho = rho + np.tensordot(self.b, PAULI_BASIS[0, 1:], axes=1)
+        rho = rho + np.tensordot(self.t, PAULI_BASIS[1:, 1:], axes=([-2, -1], [0, 1]))
         return rho / 4
 
 
@@ -155,6 +165,5 @@ def pauli_decompose(rho: np.ndarray) -> PauliDecomposition:
     rho = _require_hermitian(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    a = np.einsum("jab,...ba->...j", PAULI_LEFT, rho).real
-    b = np.einsum("kab,...ba->...k", PAULI_RIGHT, rho).real
-    return PauliDecomposition(a=a, b=b, t=_pauli_pair_readout(rho), unit=np.trace(rho, axis1=-2, axis2=-1).real)
+    c = _real_readout(rho, _PAULI_READOUT).reshape(rho.shape[:-2] + (4, 4))
+    return PauliDecomposition(a=c[..., 1:, 0], b=c[..., 0, 1:], t=c[..., 1:, 1:], unit=c[..., 0, 0])

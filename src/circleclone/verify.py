@@ -64,9 +64,7 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     rho[..., row, col] of a (..., D, D) stack, so the loops run once per call.
     """
     rho = np.asarray(rho, dtype=complex)
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = sorted(int(k) for k in keep)
+    keep = sorted(int(k) for k in np.atleast_1d(keep))
     dims = [int(d) for d in dims]
     traced = [i for i in range(len(dims)) if i not in keep]
 
@@ -80,8 +78,9 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     out = np.zeros(rho.shape[:-2] + (kept_dim, kept_dim), dtype=complex)
     kept_ranges = [range(dims[k]) for k in keep]
     traced_ranges = [range(dims[i]) for i in traced]
-    for row_kept in itertools.product(*kept_ranges):
-        for col_kept in itertools.product(*kept_ranges):
+    # itertools.product runs through the kept indices in C order, so its count is the flat index.
+    for row_out, row_kept in enumerate(itertools.product(*kept_ranges)):
+        for col_out, col_kept in enumerate(itertools.product(*kept_ranges)):
             total = 0.0 + 0.0j
             for traced_index in itertools.product(*traced_ranges):
                 row = [0] * len(dims)
@@ -93,11 +92,6 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
                     row[subsystem] = traced_index[position]
                     col[subsystem] = traced_index[position]
                 total += rho[..., flat(row), flat(col)]
-            row_out = 0
-            col_out = 0
-            for position, subsystem in enumerate(keep):
-                row_out = row_out * dims[subsystem] + row_kept[position]
-                col_out = col_out * dims[subsystem] + col_kept[position]
             out[..., row_out, col_out] = total
     return out
 
@@ -308,11 +302,13 @@ def check_correlation_rotation_group(config: RunConfig, rng) -> CheckResult:
 
 
 def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
-    # Solved until the gap closes, with no decision target: the value is the
-    # solve's estimate of the on-circle optimum 0, not a stopping rule's.
+    # Solved until the gap closes, with no decision target.  The on-circle
+    # optimum is 0, so each bracket must hold it to within PSD_TOL at both
+    # ends: the value is the worst of lower and -upper over the rows.
     etas = _circle_etas(np.array([0.0, np.pi / 4, np.pi / 3]))
-    lowest = float(np.min(nosignalling.eigenvalue_bracket(etas, config.budget).lower))
-    return CheckResult("on_circle_feasibility", lowest, -linalg.PSD_TOL, direction=">=")
+    bracket = nosignalling.eigenvalue_bracket(etas, config.budget)
+    worst = float(np.min(np.minimum(bracket.lower, -bracket.upper)))
+    return CheckResult("on_circle_feasibility", worst, -linalg.PSD_TOL, direction=">=")
 
 
 def check_circle_recovery(config: RunConfig, rng) -> CheckResult:
@@ -346,25 +342,9 @@ def check_machine_no_signalling(config: RunConfig, rng) -> CheckResult:
     return CheckResult("machine_no_signalling", float(np.max(np.abs(up + down - right - left))), 1e-12)
 
 
-def _circle_coefficients(phi) -> cloner.CloneCoefficients:
-    """The machine's amplitudes at (cos phi, sin phi), phi in [0, pi/2], exactly on the circle up to rounding.
-
-    coefficients() of the rounded pair (cos phi, sin phi) sees a point off the
-    circle by about 1e-16, and near either axis the machine's t_xx - t_zz
-    amplifies that by 1 / (2 eta1 eta2): 1e-11 at phi = 2.3e-6.  With
-    c = cos(phi / 2) and s = sin(phi / 2), 1 + cos phi = 2 c^2 and
-    1 +- sin phi = (c +- s)^2, so the closed forms need no square root of a
-    rounded sum.
-    """
-    c, s = np.cos(phi / 2), np.sin(phi / 2)
-    plus, minus = (c + s) / np.sqrt(2), (c - s) / np.sqrt(2)
-    return cloner.CloneCoefficients(a=c * plus, b=c * minus, c=s * plus, d=s * minus,
-                                    eta1=np.cos(phi), eta2=np.sin(phi))
-
-
 def check_machine_tensor_constraints(config: RunConfig, rng) -> CheckResult:
     phi, theta = _uniform(rng, _count(config, 200), QUARTER, ANGLE).T
-    rho_ob = cloner.reduced_clones(cloner.clone(theta, _circle_coefficients(phi)))[2]
+    rho_ob = cloner.reduced_clones(cloner.clone(theta, cloner._circle_coefficients(phi)))[2]
     t = pauli.pauli_decompose(rho_ob).t
     worst = max(np.max(np.abs(t[:, 0, 0] - t[:, 2, 2])), np.max(np.abs(t[:, 0, 2] + t[:, 2, 0])))
     return CheckResult("machine_tensor_constraints", float(worst), 1e-12)
@@ -372,7 +352,7 @@ def check_machine_tensor_constraints(config: RunConfig, rng) -> CheckResult:
 
 def check_fidelity_law(config: RunConfig, rng) -> CheckResult:
     phi, theta = _uniform(rng, _count(config, 200), QUARTER, ANGLE).T
-    report = cloner._clone_report(theta, _circle_coefficients(phi))
+    report = cloner._clone_report(theta, cloner._circle_coefficients(phi))
     worst = max(np.max(np.abs(report.fidelity_o - (1 + np.cos(phi)) / 2)),
                 np.max(np.abs(report.fidelity_b - (1 + np.sin(phi)) / 2)))
     return CheckResult("fidelity_law", float(worst), 1e-10)
@@ -380,13 +360,13 @@ def check_fidelity_law(config: RunConfig, rng) -> CheckResult:
 
 def check_separability_ppt(config: RunConfig, rng) -> CheckResult:
     theta, phi = _uniform(rng, _count(config, 500), ANGLE, QUARTER).T
-    report = cloner._clone_report(theta, _circle_coefficients(phi))
+    report = cloner._clone_report(theta, cloner._circle_coefficients(phi))
     return CheckResult("separability_ppt", float(np.min(report.ppt_min_eigenvalue)), -1e-10, direction=">=")
 
 
 def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
     theta, phi = _uniform(rng, _count(config, 200), ANGLE, QUARTER).T
-    report = cloner._clone_report(theta, _circle_coefficients(phi))
+    report = cloner._clone_report(theta, cloner._circle_coefficients(phi))
     s1 = 2 * report.fidelity_o - 1
     s2 = 2 * report.fidelity_b - 1
     return CheckResult("bound_attainment", float(np.max(np.abs(s1**2 + s2**2 - 1.0))), 1e-10)
@@ -394,7 +374,7 @@ def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
 
 def check_machine_covariance(config: RunConfig, rng) -> CheckResult:
     phi, theta, beta = _uniform(rng, _count(config, 200), QUARTER, ANGLE, ANGLE).T
-    worst = float(np.max(cloner._covariance_deviation(_circle_coefficients(phi), theta, beta)))
+    worst = float(np.max(cloner._covariance_deviation(cloner._circle_coefficients(phi), theta, beta)))
     return CheckResult("machine_covariance", worst, 1e-10)
 
 

@@ -387,6 +387,8 @@ NAN_ENTRIES = {
     "great_circle_bloch": (great_circle_bloch, 0.3, np.nan, "angle must be finite"),
     "rotation_unitary": (rotation_unitary, 0.3, np.nan, "angle must be finite"),
     "rotate_bloch": (lambda beta: rotate_bloch(UP, beta), 0.3, np.nan, "angle must be finite"),
+    "rotate_bloch_vector": (lambda m: rotate_bloch(m, 0.3), UP, [0.0, np.nan, 0.0],
+                            "Bloch vector components must be finite"),
     "rotate_correlations": (lambda beta: rotate_correlations(np.eye(3), beta), 0.3, np.nan, "angle must be finite"),
     "rotate_correlations_tensor": (lambda t: rotate_correlations(t, 0.3), np.zeros((3, 3)), np.full((3, 3), np.nan),
                                    "correlation tensor entries must be finite"),

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circleclone import cloner
+from circleclone import cloner, pauli
 from circleclone.cloner import (
     _bloch_maps,
     clone,
@@ -180,6 +180,17 @@ class TestBlochMaps:
         expected = oracle_maps(oracle_channels(images))
         assert maps.shape == (3, 4, 2, 3) and np.min(np.max(np.abs(expected[..., 1]), axis=0)) > 1e-3
         assert np.max(np.abs(maps - expected)) <= 1e-15
+
+    def test_map_readout_is_half_of_nine_pauli_columns(self):
+        # The Gram product is an operator on clone (x) input: r0, rz and rx are half its
+        # sigma_s (x) I, sigma_s (x) Z and sigma_s (x) X coefficients, column (map, s).
+        columns = pauli._PAULI_READOUT.reshape(16, 4, 4)[:, 1:, [0, 3, 1]].swapaxes(-2, -1).reshape(16, 9)
+        assert np.array_equal(cloner._MAP_READOUT, columns / 2)
+        # The constant as it was built before the one basis, from weights on the C_ij; equal
+        # entry for entry (twelve of its zeros carried a minus sign).
+        weights = np.array([[[1, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, -1, 0]]]) / 2
+        before = (PAULI_STACK.T[:, None, :, None, None, :] * weights[:, None, :, :, None]).reshape(16, 9)
+        assert np.array_equal(cloner._MAP_READOUT, before)
 
     def test_memory_stays_small(self):
         rng = np.random.default_rng(23)

@@ -33,6 +33,11 @@ class TestKron:
         b = np.diag([3, 4])
         assert np.array_equal(np.diag(kron(a, b)), [3, 4, 6, 8])
 
+    @pytest.mark.parametrize("a, b", [(np.ones(2), np.eye(2)), (np.eye(2), np.ones(2)), (1.0, np.eye(2))])
+    def test_rejects_a_factor_that_is_not_a_matrix(self, a, b):
+        with pytest.raises(ValueError, match=r"kron takes matrices \(\.\.\., p, q\)"):
+            kron(a, b)
+
 
 class TestPartialTrace:
     def test_product_state(self):
@@ -135,6 +140,10 @@ class TestHermitianEigenvalues:
 
 
 class TestIsPsd:
+    def test_takes_one_matrix(self):
+        with pytest.raises(ValueError, match=r"one matrix, got shape \(3, 2, 2\); hermitian_eigenvalues takes a stack"):
+            is_psd(np.stack([np.eye(2)] * 3))
+
     def test_mixed_state(self):
         assert is_psd(np.eye(2) / 2) == (True, 0.5)
 

@@ -1,0 +1,131 @@
+"""A mutation matrix for ``verify``: named defects, each patched into the library, and the checks it must FAIL.
+
+Each defect is applied with ``monkeypatch`` and ``run_verification`` is run at
+seed 0; the checks that FAIL must be exactly the ones the registry lists.  A
+defect no check catches needs a new check; a check that catches no defect is a
+candidate to tighten or delete (UNCAUGHT pins that list).  The survivors are
+changes that are not defects of this machine or this bound: all 26 checks
+must still pass under them.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from circleclone import cloner, nosignalling, pauli
+from circleclone.verify import CHECKS, RunConfig, run_verification
+
+
+def swap_b_and_c_in_the_image_of_0(monkeypatch):
+    images = cloner._basis_images
+
+    def swapped(coeffs):
+        v = images(coeffs)
+        v[..., [0b011, 0b101], 0] = v[..., [0b101, 0b011], 0]
+        return v
+
+    monkeypatch.setattr(cloner, "_basis_images", swapped)
+
+
+def flip_the_sign_of_t_xz_in_the_up_matrix(monkeypatch):
+    up = nosignalling._up_matrix
+    flip = np.array([1, -1, 1, 1, 1, 1, 1])  # FREE_PARAMETERS order: t_xz is the second entry
+    monkeypatch.setattr(nosignalling, "_up_matrix", lambda eta1, eta2, free: up(eta1, eta2, np.asarray(free) * flip))
+
+
+def swap_rho_o_and_rho_b(monkeypatch):
+    reduced = cloner.reduced_clones
+
+    def swapped(state):
+        rho_o, rho_b, rho_ob = reduced(state)
+        return rho_b, rho_o, rho_ob
+
+    monkeypatch.setattr(cloner, "reduced_clones", swapped)
+
+
+def drop_the_absolute_value_in_the_dual_bound(monkeypatch):
+    def signed(w, f0, traces):
+        certified = traces[:, -1] < 0.0
+        bound = ((nosignalling._traces(w, f0[:, None])[:, 0] + traces[:, :-1].sum(axis=-1))
+                 / np.where(certified, -traces[:, -1], 1.0))
+        return np.where(certified, bound, np.inf)
+
+    monkeypatch.setattr(nosignalling, "_dual_bound", signed)
+
+
+def shift_both_bracket_ends_up(monkeypatch):
+    solve = nosignalling.minimize
+
+    def shifted(*args):
+        bracket = solve(*args)
+        return dataclasses.replace(bracket, lower=bracket.lower + 1e-6, upper=bracket.upper + 1e-6)
+
+    monkeypatch.setattr(nosignalling, "minimize", shifted)
+
+
+def transpose_the_readout(monkeypatch):
+    # Reading P[b, a] for P[a, b]: for a Hermitian basis that is the conjugate of every read-out.
+    for basis, readout in ((pauli.PAULI_BASIS, pauli._PAULI_READOUT), (pauli._ONE_QUBIT_BASIS, pauli._BLOCH_READOUT)):
+        assert np.array_equal(pauli._readout_matrix(basis.swapaxes(-2, -1)), readout.conj())
+    for module, name in ((pauli, "_PAULI_READOUT"), (pauli, "_BLOCH_READOUT"), (pauli, "_PAIR_READOUT"),
+                         (cloner, "_MAP_READOUT")):
+        monkeypatch.setattr(module, name, getattr(module, name).conj())
+
+
+def conjugate_the_gram_readout(monkeypatch):
+    # The machine's V is real, so its Gram products are too: TestBlochMaps catches this with a complex V.
+    monkeypatch.setattr(cloner, "_MAP_READOUT", cloner._MAP_READOUT.conj())
+
+
+def scale_the_certificate(monkeypatch):
+    # The bound a certificate proves does not change when it is scaled.
+    dual = nosignalling._dual_bound
+    monkeypatch.setattr(nosignalling, "_dual_bound", lambda w, f0, traces: dual(3 * w, f0, 3 * traces))
+
+
+# Each defect and the checks that must FAIL under it at seed 0.
+DEFECTS = {
+    swap_b_and_c_in_the_image_of_0: {"fidelity_law", "bound_attainment", "machine_covariance", "isotropy_on_circle"},
+    flip_the_sign_of_t_xz_in_the_up_matrix: {"transcription_identity"},
+    swap_rho_o_and_rho_b: {"reduced_clone_oracle"},
+    drop_the_absolute_value_in_the_dual_bound: {"on_circle_feasibility", "circle_recovery"},
+    shift_both_bracket_ends_up: {"on_circle_feasibility"},
+    transpose_the_readout: {"bloch_conjugation_consistency", "pauli_roundtrip"},
+}
+SURVIVORS = (conjugate_the_gram_readout, scale_the_certificate)
+CHECK_NAMES = [check.__name__.removeprefix("check_") for check in CHECKS]
+# Checks that no registered defect makes FAIL.
+UNCAUGHT = {
+    "kron_associativity", "eigenvalue_rotation_invariance", "partial_trace_state_contract", "oracle_partial_trace",
+    "rotation_composition", "covariance_relations", "no_signalling_constraint", "no_signalling_violation",
+    "bound_soundness", "correlation_rotation_group", "clone_normalization", "isometry", "machine_no_signalling",
+    "machine_tensor_constraints", "separability_ppt", "isotropy_off_circle",
+}
+
+
+def failed(seed=0):
+    return {result.name for result in run_verification(RunConfig(seed=seed)) if not result.passed}
+
+
+@pytest.mark.parametrize("defect", DEFECTS, ids=lambda defect: defect.__name__)
+def test_each_defect_fails_exactly_its_checks(monkeypatch, defect):
+    defect(monkeypatch)
+    assert failed() == DEFECTS[defect]
+
+
+@pytest.mark.parametrize("change", SURVIVORS, ids=lambda change: change.__name__)
+def test_a_change_that_is_no_defect_passes_every_check(monkeypatch, change):
+    change(monkeypatch)
+    assert failed() == set()
+
+
+@pytest.mark.parametrize("seed", [*range(12), 418981098, 1092769217])
+def test_no_check_fails_without_a_defect(seed):
+    assert failed(seed) == set()
+
+
+def test_the_checks_no_defect_catches_are_listed():
+    caught = set().union(*DEFECTS.values())
+    assert caught <= set(CHECK_NAMES)
+    assert set(CHECK_NAMES) - caught == UNCAUGHT

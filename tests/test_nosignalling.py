@@ -457,6 +457,11 @@ class TestMaxRadius:
         with pytest.raises(ValueError, match="got 2.0"):
             radius_bracket([0.0, 2.0, np.nan])
 
+    @pytest.mark.parametrize("budget", [2.5, 0, -3, "5"])
+    def test_rejects_a_budget_that_is_not_a_positive_integer(self, budget):
+        with pytest.raises(ValueError, match="budget must be a positive integer"):
+            radius_bracket(0.3, 1e-3, budget)
+
     @pytest.mark.parametrize("radius_tol", [np.inf, -1.0, np.nan, 0.0])
     def test_rejects_bad_tolerance(self, radius_tol):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):

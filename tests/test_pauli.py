@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circleclone.linalg import is_psd
+from circleclone import pauli
+from circleclone.linalg import is_psd, kron
 from circleclone.pauli import (
+    PAULI_BASIS,
+    PAULI_STACK,
     SIGMA_X,
     bloch_to_density,
     density_to_bloch,
@@ -90,6 +93,59 @@ class TestRotateBloch:
     def test_axis_is_fixed(self):
         for beta in RNG.uniform(0, 2 * np.pi, 10):
             assert np.allclose(rotate_bloch([0, 1, 0], beta), [0, 1, 0], atol=1e-15)
+
+    def test_rejects_a_vector_without_three_components(self):
+        with pytest.raises(ValueError, match=r"3 real components, got shape \(2,\)"):
+            rotate_bloch([1.0, 0.0], 0.3)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_component(self, bad):
+        with pytest.raises(ValueError, match="Bloch vector components must be finite"):
+            rotate_bloch([bad, 0.0, 0.0], 0.3)
+
+
+class TestOneReadout:
+    # Every Pauli coefficient is read through one read-out per basis: column j of the one-qubit
+    # read-out reads sigma_j, column 4j + k of the two-qubit one sigma_j (x) sigma_k, (I, X, Y, Z).
+    @pytest.mark.parametrize("basis, readout", [(pauli._ONE_QUBIT_BASIS, pauli._BLOCH_READOUT),
+                                                (PAULI_BASIS, pauli._PAULI_READOUT)], ids=["one", "two"])
+    def test_reads_the_trace_against_each_basis_operator(self, basis, readout):
+        n = basis.shape[-1]
+        rng = np.random.default_rng(n)
+        ops = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))  # not Hermitian: every entry counts
+        expected = np.trace(ops[:, None] @ basis.reshape(-1, n, n), axis1=-2, axis2=-1)
+        assert readout.shape == (n * n, n * n)
+        assert np.max(np.abs(ops.reshape(5, n * n) @ readout - expected)) <= 1e-14
+
+    def test_basis_is_the_kronecker_products(self):
+        single = np.concatenate([np.eye(2)[None], PAULI_STACK])
+        assert np.array_equal(pauli._ONE_QUBIT_BASIS, single)
+        for j in range(4):
+            for k in range(4):
+                assert np.array_equal(PAULI_BASIS[j, k], kron(single[j], single[k]))
+
+    def test_pair_readout_is_the_nine_correlation_columns(self):
+        columns = pauli._PAULI_READOUT.reshape(16, 4, 4)[:, 1:, 1:].reshape(16, 9)
+        assert np.array_equal(pauli._PAIR_READOUT, columns)
+        # The constant as it was built before the one basis, from the nine sigma_j (x) sigma_k:
+        # row 4b + a, column 3j + k; equal bit for bit.
+        pairs = np.stack([np.stack([kron(sj, sk) for sk in PAULI_STACK]) for sj in PAULI_STACK])
+        before = pairs.transpose(3, 2, 0, 1).reshape(16, 9)
+        assert np.array_equal(np.ascontiguousarray(pauli._PAIR_READOUT).view(np.uint64), before.view(np.uint64))
+
+    def test_decomposition_matches_the_trace_of_each_product(self):
+        rng = np.random.default_rng(24)
+        rho = rng.uniform(-1, 1, (200, 4, 4)) + 1j * rng.uniform(-1, 1, (200, 4, 4))
+        rho = (rho + rho.conj().swapaxes(-2, -1)) / 2
+        dec = pauli_decompose(rho)
+        traces = np.trace(rho[:, None, None] @ PAULI_BASIS, axis1=-2, axis2=-1).real
+        for got, expected in ((dec.unit, traces[:, 0, 0]), (dec.a, traces[:, 1:, 0]), (dec.b, traces[:, 0, 1:]),
+                              (dec.t, traces[:, 1:, 1:])):
+            assert got.shape == expected.shape and np.max(np.abs(got - expected)) <= 1e-15
+        # A unit-trace 2x2 block of each: rho's top-left block, its trace moved to 1 along I.
+        block = rho[:, :2, :2] + (1 - np.trace(rho[:, :2, :2], axis1=-2, axis2=-1))[:, None, None] * np.eye(2) / 2
+        expected = np.trace(block[:, None] @ PAULI_STACK, axis1=-2, axis2=-1).real
+        assert np.max(np.abs(density_to_bloch(block) - expected)) <= 1e-15
 
 
 class TestPauliDecompose:

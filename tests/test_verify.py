@@ -26,7 +26,6 @@ from circleclone.verify import (
     check_reduced_clone_oracle,
     check_rotation_composition,
     check_separability_ppt,
-    _circle_coefficients,
     reference_partial_trace,
     run_verification,
 )
@@ -79,6 +78,21 @@ class TestSolverChecks:
         result = check_on_circle_feasibility(RunConfig(), np.random.default_rng(0))
         assert result.passed
         assert abs(result.measured) <= 1e-10
+
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6])
+    def test_on_circle_feasibility_reads_both_ends_of_each_bracket(self, monkeypatch, shift):
+        # A bracket moved up by 1e-6 claims a witness the circle does not have (its
+        # lower end rises above 0): the upper end fails the check.  Moved down, the
+        # lower end fails it.
+        solve = nosignalling.eigenvalue_bracket
+
+        def fed(etas, budget):
+            bracket = solve(etas, budget)
+            return dataclasses.replace(bracket, lower=bracket.lower + shift, upper=bracket.upper + shift)
+
+        monkeypatch.setattr(nosignalling, "eigenvalue_bracket", fed)
+        result = check_on_circle_feasibility(RunConfig(), np.random.default_rng(0))
+        assert not result.passed and result.measured == pytest.approx(-1e-6, abs=1e-9)
 
     def test_circle_recovery_reads_both_ends_of_each_bracket(self, monkeypatch):
         # The solve certifies every bracket to the tolerance, so the check is fed brackets
@@ -149,7 +163,7 @@ class TestMachineTensorConstraints:
 class TestMachineChecksNearTheAxes:
     # Within about 1e-8 of either axis, a machine built from the rounded pair (cos phi, sin phi)
     # missed the fidelity law and covariance by about 4e-9, past their 1e-10 thresholds.  Every
-    # machine check on the circle builds its machine from _circle_coefficients(phi).
+    # machine check on the circle builds its machine from cloner._circle_coefficients(phi).
     NEAR_AXES = np.array([1e-8, np.pi / 2 - 1e-8])
 
     @pytest.mark.parametrize("theta", [0.9, 4.0])
@@ -207,7 +221,7 @@ class TestSampleStream:
         worst = 0.0
         for _ in range(200):
             phi = rng.uniform(0, np.pi / 2)
-            report = cloner._clone_report(rng.uniform(0, 2 * np.pi), _circle_coefficients(phi))
+            report = cloner._clone_report(rng.uniform(0, 2 * np.pi), cloner._circle_coefficients(phi))
             worst = max(worst, abs(report.fidelity_o - (1 + np.cos(phi)) / 2),
                         abs(report.fidelity_b - (1 + np.sin(phi)) / 2))
         return worst
@@ -218,7 +232,7 @@ class TestSampleStream:
         for _ in range(500):
             theta = rng.uniform(0, 2 * np.pi)
             phi = rng.uniform(0, np.pi / 2)
-            lowest = min(lowest, cloner._clone_report(theta, _circle_coefficients(phi)).ppt_min_eigenvalue)
+            lowest = min(lowest, cloner._clone_report(theta, cloner._circle_coefficients(phi)).ppt_min_eigenvalue)
         return lowest
 
     @staticmethod
@@ -227,7 +241,7 @@ class TestSampleStream:
         for _ in range(200):
             theta = rng.uniform(0, 2 * np.pi)
             phi = rng.uniform(0, np.pi / 2)
-            report = cloner._clone_report(theta, _circle_coefficients(phi))
+            report = cloner._clone_report(theta, cloner._circle_coefficients(phi))
             worst = max(worst, abs((2 * report.fidelity_o - 1) ** 2 + (2 * report.fidelity_b - 1) ** 2 - 1))
         return worst
 
