@@ -8,13 +8,12 @@ the input with reduction factors eta1 and eta2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _inexact, _require, hermitian_eigenvalues, kron, partial_trace
-from .nosignalling import _validate_etas
-from .pauli import _PAULI_READOUT, _pauli_pair_readout, _real_readout, great_circle_ket, rotation_unitary
+from .linalg import _inexact, _require, hermitian_eigenvalues, partial_trace
+from .pauli import _PAULI_READOUT, _pauli_pair_readout, _real_readout, _rotate_pair, _validate_etas, great_circle_ket
 
 ON_CIRCLE_ATOL = 1e-8
 
@@ -127,6 +126,8 @@ def reduced_clones(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     """Partial transpose of a two-qubit matrix on its second subsystem; a (..., 4, 4) stack transposes per entry."""
     rho = _inexact(rho)
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a two-qubit matrix (..., 4, 4), got shape {rho.shape}")
     batch = rho.shape[:-2]
     return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))
 
@@ -308,11 +309,5 @@ def covariance_check_machine(etas, theta, beta):
 
 def _covariance_deviation(coeffs: CloneCoefficients, theta, beta):
     """covariance_check_machine of the machine with amplitudes ``coeffs`` (batch shape (...)), taken as on the curve."""
-    theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
-    # One more axis on the amplitudes, for the pair of inputs (theta + beta, theta).
-    pair = replace(coeffs, **{name: np.expand_dims(getattr(coeffs, name), -1) for name in "abcd"})
-    rho = _joint_output(clone(np.stack([theta + beta, theta], axis=-1), pair))
-    u = rotation_unitary(beta)
-    u2 = kron(u, u)
-    rotated = u2 @ rho[..., 1, :, :] @ u2.conj().swapaxes(-2, -1)
-    return np.max(np.abs(rho[..., 0, :, :] - rotated), axis=(-2, -1))
+    rotated = _rotate_pair(_joint_output(clone(theta, coeffs)), beta)
+    return np.max(np.abs(_joint_output(clone(np.add(theta, beta), coeffs)) - rotated), axis=(-2, -1))

@@ -49,10 +49,11 @@ def hermiticity_defect(m: np.ndarray):
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """``m`` as a (..., n, n) stack (_inexact), rejected if any matrix is not Hermitian within HERMITIAN_ATOL."""
+    """``m`` as an _inexact (..., n, n) stack; each matrix must be finite and Hermitian within HERMITIAN_ATOL."""
     m = _inexact(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"not Hermitian: expected a square matrix, got shape {m.shape}")
+    _require(np.isfinite(m).all(axis=(-2, -1)), m, "not Hermitian: an entry is not finite")
     defect = hermiticity_defect(m)
     _require(defect <= HERMITIAN_ATOL, defect, f"not Hermitian: defect {{:.3e}} exceeds tolerance {HERMITIAN_ATOL:.1e}")
     return m
@@ -72,6 +73,14 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
+def _integers(values, name: str) -> list[int]:
+    """One integer or a sequence of them as a list of ints; anything else is a bad factorization."""
+    array = np.asarray(values)
+    if array.ndim > 1 or (array.size and not np.issubdtype(array.dtype, np.integer)):
+        raise ValueError(f"bad factorization: {name}={values!r} must be an integer or a sequence of integers")
+    return array.reshape(-1).tolist()
+
+
 def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Reduced matrix of ``rho`` on the kept subsystems.
 
@@ -83,13 +92,11 @@ def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int
     reduced matrices.
     """
     rho = _inexact(rho)
-    dims = [int(d) for d in dims]
+    dims = _integers(dims, "dims")
     total = int(np.prod(dims))
     if rho.ndim < 2 or rho.shape[-2:] != (total, total):
         raise ValueError(f"bad factorization: dims {dims} do not tile a matrix of shape {rho.shape}")
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = sorted(int(k) for k in keep)
+    keep = sorted(_integers(keep, "keep"))
     n = len(dims)
     if len(set(keep)) != len(keep) or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"bad factorization: keep={keep} is not a subset of the {n} subsystems")

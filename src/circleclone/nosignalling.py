@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import PSD_TOL, _components, _require, _stack_last, kron
-from .pauli import PauliDecomposition, _angles, rotate_bloch, rotation_unitary
+from .linalg import PSD_TOL, _components, _require, _stack_last
+from .pauli import PauliDecomposition, _angles, _rotate_pair, _turn, _validate_etas, rotate_bloch
 
 GREAT_CIRCLE_ATOL = 1e-12
 CONSTRAINT_ATOL = 1e-12
@@ -65,15 +65,6 @@ def free_parameters(t: np.ndarray) -> np.ndarray:
     return _stack_last([(t_xx + t_zz) / 2, (t_xz - t_zx) / 2, t_yy, t_xy, t_yx, t_yz, t_zy], 1)
 
 
-def _validate_etas(etas) -> tuple[np.ndarray, np.ndarray]:
-    """(eta1, eta2) of reduction factors (..., 2), rejected if any pair leaves [0, 1]."""
-    etas = np.asarray(etas, dtype=float)
-    if etas.ndim < 1 or etas.shape[-1] != 2:
-        raise ValueError(f"expected reduction factors (eta1, eta2), got shape {etas.shape}")
-    _require(((etas >= 0.0) & (etas <= 1.0)).all(axis=-1), etas, "reduction factors must lie in [0, 1], got ({}, {})")
-    return tuple(_components(etas))
-
-
 def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     """Two-qubit output with marginals eta1*m and eta2*m and correlation tensor ``t``.
 
@@ -106,29 +97,17 @@ def _correlation_tensor(t) -> np.ndarray:
 
 
 def rotate_correlations(t: np.ndarray, beta) -> np.ndarray:
-    """Correlation tensor after rotating the input Bloch vector about y by ``beta``.
+    """Correlation tensor R t R^T, R the y rotation of rotate_bloch: the x and z columns turned, then the x and z rows.
 
-    The nine closed-form relations below make the output of build_joint_output
-    covariant under simultaneous rotation of both clones (see
-    covariance_residual, which verifies them against the unitary route).
-    Tensors (..., 3, 3) and angles (...) broadcast to one tensor per entry.
+    covariance_residual checks it against the unitary route.  Tensors
+    (..., 3, 3) and angles (...) broadcast to one tensor per entry, elementwise.
     """
     t = _correlation_tensor(t)
-    beta = _angles(beta)
-    c, s = np.cos(beta), np.sin(beta)
-    t_xx, t_xy, t_xz, t_yx, t_yy, t_yz, t_zx, t_zy, t_zz = _components(t.reshape(t.shape[:-2] + (9,)))
-    t_yy = np.broadcast_to(t_yy, np.shape(c * t_xx))  # the one entry the angles do not touch
-    return _stack_last([
-        [c * c * t_xx + s * s * t_zz + s * c * (t_xz + t_zx),
-         c * t_xy + s * t_zy,
-         s * c * (t_zz - t_xx) + c * c * t_xz - s * s * t_zx],
-        [c * t_yx + s * t_yz,
-         t_yy,
-         -s * t_yx + c * t_yz],
-        [s * c * (t_zz - t_xx) - s * s * t_xz + c * c * t_zx,
-         -s * t_xy + c * t_zy,
-         -s * c * (t_xz + t_zx) + c * c * t_zz + s * s * t_xx],
-    ], 2)
+    beta = _angles(beta)[..., None]
+    for _ in range(2):  # each pass turns the columns and transposes: (t R^T)^T = R t^T, then R t R^T
+        x, z = _turn(t[..., 0], t[..., 2], beta)
+        t = np.stack([x, np.broadcast_to(t[..., 1], x.shape), z], axis=-2)
+    return t
 
 
 def covariance_residual(m, etas, t: np.ndarray, beta):
@@ -137,10 +116,7 @@ def covariance_residual(m, etas, t: np.ndarray, beta):
     Arguments broadcast as in build_joint_output, with angles (...); one gap per entry.
     """
     direct = build_joint_output(rotate_bloch(m, beta), etas, rotate_correlations(t, beta))
-    u = rotation_unitary(beta)
-    u2 = kron(u, u)
-    conjugated = u2 @ build_joint_output(m, etas, t) @ u2.conj().swapaxes(-2, -1)
-    return np.max(np.abs(direct - conjugated), axis=(-2, -1))
+    return np.max(np.abs(direct - _rotate_pair(build_joint_output(m, etas, t), beta)), axis=(-2, -1))
 
 
 def no_signalling_residual(etas, t: np.ndarray):

@@ -1,4 +1,4 @@
-"""Pauli operators, Bloch-vector geometry and y-axis rotations."""
+"""Pauli operators, Bloch-vector geometry, y-axis rotations and the checks on angles and reduction factors."""
 
 from __future__ import annotations
 
@@ -42,6 +42,15 @@ def _angles(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     _require(np.isfinite(theta), theta, "angle must be finite, got {}")
     return theta
+
+
+def _validate_etas(etas) -> tuple[np.ndarray, np.ndarray]:
+    """(eta1, eta2) of reduction factors (..., 2), rejected if any pair leaves [0, 1]."""
+    etas = np.asarray(etas, dtype=float)
+    if etas.ndim < 1 or etas.shape[-1] != 2:
+        raise ValueError(f"expected reduction factors (eta1, eta2), got shape {etas.shape}")
+    _require(((etas >= 0.0) & (etas <= 1.0)).all(axis=-1), etas, "reduction factors must lie in [0, 1], got ({}, {})")
+    return tuple(_components(etas))
 
 
 def great_circle_bloch(theta: float | np.ndarray) -> np.ndarray:
@@ -115,6 +124,19 @@ def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:
     return _stack_last([[c, -s], [s, c]], 2).astype(complex)
 
 
+def _rotate_pair(rho: np.ndarray, beta) -> np.ndarray:
+    """U(x)U rho (U(x)U)^dagger, U = rotation_unitary(beta): both qubits of (..., 4, 4) turned about y by ``beta``."""
+    u = rotation_unitary(beta)
+    u2 = kron(u, u)
+    return u2 @ rho @ u2.conj().swapaxes(-2, -1)
+
+
+def _turn(x, z, beta):
+    """x and z turned about y by ``beta``: the one place the SO(3) action of rotation_unitary is written."""
+    c, s = np.cos(beta), np.sin(beta)
+    return x * c + z * s, -x * s + z * c
+
+
 def rotate_bloch(m, beta: float | np.ndarray) -> np.ndarray:
     """SO(3) rotation of a Bloch vector about the y axis; beta=pi/2 sends (0,0,1) to (1,0,0).
 
@@ -122,11 +144,9 @@ def rotate_bloch(m, beta: float | np.ndarray) -> np.ndarray:
     """
     m = _bloch_vectors(m)
     _require(np.isfinite(m).all(axis=-1), m, "Bloch vector components must be finite, got ({}, {}, {})")
-    beta = _angles(beta)
-    c, s = np.cos(beta), np.sin(beta)
     x, y, z = _components(m)
-    x_rotated = x * c + z * s
-    return _stack_last([x_rotated, np.broadcast_to(y, np.shape(x_rotated)), -x * s + z * c], 1)
+    x, z = _turn(x, z, _angles(beta))
+    return _stack_last([x, np.broadcast_to(y, np.shape(x)), z], 1)
 
 
 @dataclass(frozen=True)

@@ -411,6 +411,11 @@ class TestPartialTransposeSecond:
         pt = partial_transpose_second(np.outer(bell, bell.conj()))
         assert np.min(np.linalg.eigvalsh(pt)) == pytest.approx(-0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(16,), (2, 8), (8, 8), (3, 2, 2)])
+    def test_rejects_a_matrix_that_is_not_4x4(self, shape):
+        with pytest.raises(ValueError, match=r"expected a two-qubit matrix \(\.\.\., 4, 4\), got shape"):
+            partial_transpose_second(np.ones(shape))
+
 
 def oracle_grid_worst(etas, samples):
     """Worst residual of either clone over the angles (k + 1/4) 2 pi / samples, by the brute-force partial trace."""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from circleclone.linalg import hermitian_eigenvalues, is_psd, kron, partial_trace
-from circleclone.pauli import IDENTITY_2, SIGMA_X, SIGMA_Z, rotation_unitary
+from circleclone.pauli import IDENTITY_2, SIGMA_X, SIGMA_Z, density_to_bloch, pauli_decompose, rotation_unitary
 from circleclone.verify import reference_partial_trace
 
 RNG = np.random.default_rng(20240811)
@@ -68,6 +68,13 @@ class TestPartialTrace:
             partial_trace(np.eye(4), 0, [2, 3])
         with pytest.raises(ValueError, match="bad factorization"):
             partial_trace(np.stack([np.eye(4)] * 5), 0, [2, 3])
+
+    @pytest.mark.parametrize("keep, dims, named", [(0, [2.5, 2], r"dims=\[2\.5, 2\]"), (0.5, [2, 2], "keep=0.5"),
+                                                   ([0, 1.0], [2, 2], r"keep=\[0, 1\.0\]"),
+                                                   ([[0]], [2, 2], r"keep=\[\[0\]\]")])
+    def test_rejects_a_subsystem_that_is_not_an_integer(self, keep, dims, named):
+        with pytest.raises(ValueError, match=f"bad factorization: {named} must be an integer"):
+            partial_trace(np.eye(4), keep, dims)
 
     def test_stack_matches_each_matrix(self):
         stack = np.stack([random_hermitian(RNG, 8) for _ in range(6)])
@@ -137,6 +144,17 @@ class TestHermitianEigenvalues:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    # The suite turns RuntimeWarning into an error, so an inf - inf in the defect would fail here first.
+    @pytest.mark.parametrize("call, size", [(hermitian_eigenvalues, 2), (is_psd, 2), (density_to_bloch, 2),
+                                            (pauli_decompose, 4)],
+                             ids=["hermitian_eigenvalues", "is_psd", "density_to_bloch", "pauli_decompose"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])  # NaN: test_batching's NAN_ENTRIES
+    def test_rejects_an_infinite_entry_without_a_warning(self, call, size, bad):
+        m = np.eye(size) / size
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="^not Hermitian: an entry is not finite$"):
+            call(m)
 
 
 class TestIsPsd:

@@ -78,6 +78,14 @@ def conjugate_the_gram_readout(monkeypatch):
     monkeypatch.setattr(cloner, "_MAP_READOUT", cloner._MAP_READOUT.conj())
 
 
+def turn_by_minus_beta(monkeypatch):
+    # The one y-turn of Bloch vectors and correlation tensors, patched at every binding.
+    turn = pauli._turn
+    for module in (cloner, nosignalling, pauli):
+        if vars(module).get("_turn") is turn:
+            monkeypatch.setattr(module, "_turn", lambda x, z, beta: turn(x, z, -beta))
+
+
 def scale_the_certificate(monkeypatch):
     # The bound a certificate proves does not change when it is scaled.
     dual = nosignalling._dual_bound
@@ -92,13 +100,14 @@ DEFECTS = {
     drop_the_absolute_value_in_the_dual_bound: {"on_circle_feasibility", "circle_recovery"},
     shift_both_bracket_ends_up: {"on_circle_feasibility"},
     transpose_the_readout: {"bloch_conjugation_consistency", "pauli_roundtrip"},
+    turn_by_minus_beta: {"bloch_conjugation_consistency", "covariance_relations"},
 }
 SURVIVORS = (conjugate_the_gram_readout, scale_the_certificate)
 CHECK_NAMES = [check.__name__.removeprefix("check_") for check in CHECKS]
 # Checks that no registered defect makes FAIL.
 UNCAUGHT = {
     "kron_associativity", "eigenvalue_rotation_invariance", "partial_trace_state_contract", "oracle_partial_trace",
-    "rotation_composition", "covariance_relations", "no_signalling_constraint", "no_signalling_violation",
+    "rotation_composition", "no_signalling_constraint", "no_signalling_violation",
     "bound_soundness", "correlation_rotation_group", "clone_normalization", "isometry", "machine_no_signalling",
     "machine_tensor_constraints", "separability_ppt", "isotropy_off_circle",
 }

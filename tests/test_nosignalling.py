@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import circleclone
 
+from circleclone import cloner, nosignalling
 from circleclone.cloner import clone, coefficients, reduced_clones
 from circleclone.linalg import is_psd
 from circleclone.nosignalling import (
@@ -421,6 +423,24 @@ def test_import_leaves_scipy_out():
     completed = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                                env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
     assert completed.stdout.strip() == "[]"
+
+
+def sibling_imports(module):
+    """The circleclone modules that ``module``'s source imports from, read off its syntax tree."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["circleclone" if node.level else None, node.module]))
+            imported |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return {name.split(".")[1] for name in imported if name.startswith("circleclone.")}
+
+
+@pytest.mark.parametrize("module", [nosignalling, cloner], ids=["bound", "machine"])
+def test_the_machine_and_bound_halves_import_only_linalg_and_pauli(module):
+    # Neither half imports the other: nosignalling nothing of cloner, cloner nothing of nosignalling.
+    assert sibling_imports(module) == {"linalg", "pauli"}
 
 
 class TestMaxRadius:
