@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _inexact, _require, hermitian_eigenvalues, partial_trace
+from .linalg import _require, _shaped, hermitian_eigenvalues, partial_trace
 from .pauli import _PAULI_READOUT, _pauli_pair_readout, _real_readout, _rotate_pair, _validate_etas, great_circle_ket
 
 ON_CIRCLE_ATOL = 1e-8
@@ -119,15 +119,13 @@ def reduced_clones(state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     are batch axes: states of shape (..., 8) give clones of shape
     (..., 2, 2), (..., 2, 2) and (..., 4, 4).
     """
-    rho_ob = _joint_output(_inexact(state))
+    rho_ob = _joint_output(_shaped(state, (8,), "an output state", None))
     return partial_trace(rho_ob, 0, [2, 2]), partial_trace(rho_ob, 1, [2, 2]), rho_ob
 
 
 def partial_transpose_second(rho: np.ndarray) -> np.ndarray:
     """Partial transpose of a two-qubit matrix on its second subsystem; a (..., 4, 4) stack transposes per entry."""
-    rho = _inexact(rho)
-    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a two-qubit matrix (..., 4, 4), got shape {rho.shape}")
+    rho = _shaped(rho, (4, 4), "a two-qubit matrix", None)
     batch = rho.shape[:-2]
     return rho.reshape(batch + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(batch + (4, 4))
 
@@ -301,7 +299,7 @@ def covariance_check_machine(etas, theta, beta):
     covariantly under simultaneous rotation of both clones.  Reduction
     factors (..., 2) and angles (...) broadcast to one deviation per entry.
     """
-    etas = np.asarray(etas, dtype=float)
+    etas = _shaped(etas, (2,), "reduction factors (eta1, eta2)")
     _require(np.abs(etas[..., 0] ** 2 + etas[..., 1] ** 2 - 1.0) <= ON_CIRCLE_ATOL, etas,
              "({}, {}) is not on the curve eta1^2 + eta2^2 = 1")
     return _covariance_deviation(coefficients(etas), theta, beta)

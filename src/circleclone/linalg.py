@@ -42,6 +42,18 @@ def _inexact(m) -> np.ndarray:
     return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
 
 
+def _shaped(a, trailing: tuple, what: str, dtype=float) -> np.ndarray:
+    """``a`` as an array of ``dtype`` (None: _inexact) whose last axes are ``trailing``, the shape of ``what``.
+
+    Anything else, a 0-d value included, is one ValueError naming ``what`` and
+    the shape it got.  No entry is read, so the shape comes before any other check.
+    """
+    a = _inexact(a) if dtype is None else np.asarray(a, dtype=dtype)
+    if a.shape[-len(trailing):] != trailing:
+        raise ValueError(f"expected {what} (..., {', '.join(map(str, trailing))}), got shape {a.shape}")
+    return a
+
+
 def hermiticity_defect(m: np.ndarray):
     """max_jk |M[j,k] - conj(M[k,j])|, one value per matrix of a (..., n, n) stack."""
     m = _inexact(m)

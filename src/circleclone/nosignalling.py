@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import PSD_TOL, _components, _require, _stack_last
+from .linalg import PSD_TOL, _components, _require, _shaped, _stack_last
 from .pauli import PauliDecomposition, _angles, _rotate_pair, _turn, _validate_etas, rotate_bloch
 
 GREAT_CIRCLE_ATOL = 1e-12
@@ -46,9 +46,7 @@ def constrain_tensor(free) -> np.ndarray:
     t_zz = t_xx and t_zx = -t_xz.  Leading axes of ``free`` (..., 7) are
     batch axes: the result is (..., 3, 3).
     """
-    free = np.asarray(free, dtype=float)
-    if free.ndim < 1 or free.shape[-1] != len(FREE_PARAMETERS):
-        raise ValueError(f"expected the {len(FREE_PARAMETERS)} free entries {FREE_PARAMETERS}, got shape {free.shape}")
+    free = _shaped(free, (len(FREE_PARAMETERS),), f"the free entries {FREE_PARAMETERS}")
     _require(np.abs(free) <= 1 + 1e-12, free, "free correlation entries must lie in [-1, 1]")
     t_xx, t_xz, t_yy, t_xy, t_yx, t_yz, t_zy = _components(free)
     return _stack_last([
@@ -73,7 +71,7 @@ def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     (..., 3), reduction factors (..., 2) and tensors (..., 3, 3) broadcast to
     one (..., 4, 4) output per entry.
     """
-    m = np.asarray(m, dtype=float)
+    m = _shaped(m, (3,), "a Bloch vector")
     _require(np.abs(m[..., 1]) <= GREAT_CIRCLE_ATOL, m[..., 1], "off great circle: m_y = {:.3e}")
     norms = np.linalg.norm(m, axis=-1)
     _require(np.abs(norms - 1.0) <= 1e-9, norms, "input Bloch vector must be a unit vector, got |m| = {:.12f}")
@@ -81,17 +79,9 @@ def build_joint_output(m, etas, t: np.ndarray) -> np.ndarray:
     return PauliDecomposition(eta1[..., None] * m, eta2[..., None] * m, _correlation_tensor(t)).reconstruct()
 
 
-def _tensor_stack(t) -> np.ndarray:
-    """``t`` as a real (..., 3, 3) stack, rejected if it has another shape; no entry is read."""
-    t = np.asarray(t, dtype=float)
-    if t.shape[-2:] != (3, 3):
-        raise ValueError(f"correlation tensor must be 3x3, got shape {t.shape}")
-    return t
-
-
 def _correlation_tensor(t) -> np.ndarray:
     """``t`` as a real (..., 3, 3) stack of correlation tensors, rejected if any entry is not finite."""
-    t = _tensor_stack(t)
+    t = _shaped(t, (3, 3), "a correlation tensor")
     _require(np.isfinite(t).all(axis=(-2, -1)), t, "correlation tensor entries must be finite")
     return t
 
@@ -104,8 +94,9 @@ def rotate_correlations(t: np.ndarray, beta) -> np.ndarray:
     """
     t = _correlation_tensor(t)
     beta = _angles(beta)[..., None]
+    c, s = np.cos(beta), np.sin(beta)
     for _ in range(2):  # each pass turns the columns and transposes: (t R^T)^T = R t^T, then R t R^T
-        x, z = _turn(t[..., 0], t[..., 2], beta)
+        x, z = _turn(t[..., 0], t[..., 2], c, s)
         t = np.stack([x, np.broadcast_to(t[..., 1], x.shape), z], axis=-2)
     return t
 
@@ -167,7 +158,7 @@ def positivity_matrix_up(etas, t: np.ndarray) -> np.ndarray:
     Reduction factors (..., 2) and tensors (..., 3, 3) give (..., 4, 4).
     """
     eta1, eta2 = _validate_etas(etas)
-    t = _tensor_stack(t)  # the shape first; a NaN entry then fails the constraint check
+    t = _shaped(t, (3, 3), "a correlation tensor")  # the shape first; a NaN entry then fails the constraint check
     _require((np.abs(t[..., 0, 0] - t[..., 2, 2]) <= CONSTRAINT_ATOL)
              & (np.abs(t[..., 0, 2] + t[..., 2, 0]) <= CONSTRAINT_ATOL),
              t, "correlation tensor violates the no-signalling constraints t_xx = t_zz, t_xz = -t_zx")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_ATOL, _components, _require, _require_hermitian, _stack_last, kron
+from .linalg import HERMITIAN_ATOL, _components, _require, _require_hermitian, _shaped, _stack_last, kron
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,9 +46,7 @@ def _angles(theta) -> np.ndarray:
 
 def _validate_etas(etas) -> tuple[np.ndarray, np.ndarray]:
     """(eta1, eta2) of reduction factors (..., 2), rejected if any pair leaves [0, 1]."""
-    etas = np.asarray(etas, dtype=float)
-    if etas.ndim < 1 or etas.shape[-1] != 2:
-        raise ValueError(f"expected reduction factors (eta1, eta2), got shape {etas.shape}")
+    etas = _shaped(etas, (2,), "reduction factors (eta1, eta2)")
     _require(((etas >= 0.0) & (etas <= 1.0)).all(axis=-1), etas, "reduction factors must lie in [0, 1], got ({}, {})")
     return tuple(_components(etas))
 
@@ -72,21 +70,13 @@ def great_circle_ket(theta: float | np.ndarray) -> np.ndarray:
     return np.stack([np.cos(theta / 2), np.sin(theta / 2)], axis=-1)
 
 
-def _bloch_vectors(m) -> np.ndarray:
-    """``m`` as a float (..., 3) stack of Bloch vectors, rejected if it has another shape; no entry is read."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 1 or m.shape[-1] != 3:
-        raise ValueError(f"Bloch vector must have 3 real components, got shape {m.shape}")
-    return m
-
-
 def bloch_to_density(m) -> np.ndarray:
     """Single-qubit density matrix (I + m . sigma) / 2.
 
     A (..., 3) stack of Bloch vectors gives (..., 2, 2); it is rejected if any
     vector is longer than 1.
     """
-    m = _bloch_vectors(m)
+    m = _shaped(m, (3,), "a Bloch vector")
     norms = np.linalg.norm(m, axis=-1)
     _require(norms <= 1 + BLOCH_NORM_ATOL, norms, "unphysical Bloch vector: |m| = {:.12f} exceeds 1")
     return 0.5 * (IDENTITY_2 + np.tensordot(m, PAULI_STACK, axes=1))
@@ -98,9 +88,7 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     A (..., 2, 2) stack gives (..., 3); it is rejected if any matrix is not
     Hermitian or not of unit trace.
     """
-    rho = _require_hermitian(rho)
-    if rho.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    rho = _require_hermitian(_shaped(rho, (2, 2), "a one-qubit matrix", None))
     traces = np.trace(rho, axis1=-2, axis2=-1)
     _require(np.abs(traces - 1) <= HERMITIAN_ATOL, traces, f"trace {{}} is not 1 within {HERMITIAN_ATOL:.1e}")
     return _real_readout(rho, _BLOCH_READOUT[:, 1:])
@@ -131,9 +119,8 @@ def _rotate_pair(rho: np.ndarray, beta) -> np.ndarray:
     return u2 @ rho @ u2.conj().swapaxes(-2, -1)
 
 
-def _turn(x, z, beta):
-    """x and z turned about y by ``beta``: the one place the SO(3) action of rotation_unitary is written."""
-    c, s = np.cos(beta), np.sin(beta)
+def _turn(x, z, c, s):
+    """x and z turned about y by the angle of cosine ``c``, sine ``s``: rotation_unitary's SO(3) action, written once."""
     return x * c + z * s, -x * s + z * c
 
 
@@ -142,10 +129,11 @@ def rotate_bloch(m, beta: float | np.ndarray) -> np.ndarray:
 
     Vectors (..., 3) and angles (...) broadcast to one rotated vector per entry.
     """
-    m = _bloch_vectors(m)
+    m = _shaped(m, (3,), "a Bloch vector")
     _require(np.isfinite(m).all(axis=-1), m, "Bloch vector components must be finite, got ({}, {}, {})")
     x, y, z = _components(m)
-    x, z = _turn(x, z, _angles(beta))
+    beta = _angles(beta)
+    x, z = _turn(x, z, np.cos(beta), np.sin(beta))
     return _stack_last([x, np.broadcast_to(y, np.shape(x)), z], 1)
 
 
@@ -182,8 +170,6 @@ def pauli_decompose(rho: np.ndarray) -> PauliDecomposition:
     A (..., 4, 4) stack gives coefficients with the same leading axes: a and b
     (..., 3), t (..., 3, 3) and unit (...).
     """
-    rho = _require_hermitian(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    rho = _require_hermitian(_shaped(rho, (4, 4), "a two-qubit matrix", None))
     c = _real_readout(rho, _PAULI_READOUT).reshape(rho.shape[:-2] + (4, 4))
     return PauliDecomposition(a=c[..., 1:, 0], b=c[..., 0, 1:], t=c[..., 1:, 1:], unit=c[..., 0, 0])

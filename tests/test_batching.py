@@ -4,6 +4,8 @@ A stack with one bad row must raise the same ValueError as the scalar call on
 that row, so batching never hides or rewords a rejection.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from circleclone.cloner import (
     coefficients,
     covariance_check_machine,
     isometry_check,
+    isotropy_scan,
     partial_transpose_second,
+    reduced_clones,
 )
 from circleclone.linalg import hermiticity_defect, hermitian_eigenvalues, kron
 from circleclone.nosignalling import (
@@ -22,6 +26,8 @@ from circleclone.nosignalling import (
     build_joint_output,
     constrain_tensor,
     covariance_residual,
+    eigenvalue_bracket,
+    feasibility,
     free_parameters,
     machine_witness_tensor,
     no_signalling_residual,
@@ -411,3 +417,46 @@ def test_nan_entry_is_rejected(name):
         call(np.array(bad))
     stack = with_bad_row(np.broadcast_to(good, (N,) + np.shape(good)), bad)
     assert_same_error(lambda: call(np.array(bad)), lambda: call(stack))
+
+
+ZERO_TENSOR = np.zeros((3, 3))
+# Every public argument with a fixed trailing shape: the call, that shape, and a value whose last axes differ.
+SHAPED_ARGUMENTS = {
+    "bloch_to_density": (bloch_to_density, (3,), [0.0, 0.0, 1.0, 0.0]),
+    "rotate_bloch": (lambda m: rotate_bloch(m, 0.3), (3,), [1.0, 0.0]),
+    "density_to_bloch": (density_to_bloch, (2, 2), np.eye(4) / 4),
+    "pauli_decompose": (pauli_decompose, (4, 4), np.eye(2) / 2),
+    "constrain_tensor": (constrain_tensor, (7,), np.zeros(6)),
+    "free_parameters": (free_parameters, (3, 3), np.zeros(5)),
+    "rotate_correlations": (lambda t: rotate_correlations(t, 0.3), (3, 3), np.zeros((2, 3))),
+    "bound_rhs": (bound_rhs, (3, 3), np.zeros((4, 4))),
+    "build_joint_output": (lambda m: build_joint_output(m, (0.5, 0.5), ZERO_TENSOR), (3,), [0.0, 0.0, 1.0, 0.0]),
+    "build_joint_output_xy": (lambda m: build_joint_output(m, (0.5, 0.5), ZERO_TENSOR), (3,), [0.0, 1.0]),
+    "build_joint_output_etas": (lambda etas: build_joint_output(UP, etas, ZERO_TENSOR), (2,), [0.6, 0.8, 0.0]),
+    "build_joint_output_tensor": (lambda t: build_joint_output(UP, (0.5, 0.5), t), (3, 3), np.zeros(9)),
+    "covariance_residual": (lambda m: covariance_residual(m, (0.5, 0.5), ZERO_TENSOR, 0.3), (3,), [0.0, 0.0, 1.0, 0.0]),
+    "no_signalling_residual": (lambda etas: no_signalling_residual(etas, ZERO_TENSOR), (2,), [0.5]),
+    "positivity_matrix_up_etas": (lambda etas: positivity_matrix_up(etas, ZERO_TENSOR), (2,), [0.5, 0.5, 0.5]),
+    # A NaN entry does not hide the shape: the shape is checked before the constraints.
+    "positivity_matrix_up": (lambda t: positivity_matrix_up((0.5, 0.5), t), (3, 3), np.full(3, np.nan)),
+    "machine_witness_tensor": (machine_witness_tensor, (2,), [0.6, 0.8, 0.0]),
+    "eigenvalue_bracket": (eigenvalue_bracket, (2,), [0.5]),
+    "feasibility": (feasibility, (2,), [0.5, 0.5, 0.5]),
+    "coefficients": (coefficients, (2,), [0.6]),
+    "clone_report": (lambda etas: clone_report(0.3, etas), (2,), [0.6, 0.8, 0.0]),
+    "isotropy_scan": (isotropy_scan, (2,), np.full((2, 3), 0.5)),
+    "reduced_clones": (reduced_clones, (8,), np.ones(16) / 4),
+    "partial_transpose_second": (partial_transpose_second, (4, 4), np.eye(2) / 2),
+    "covariance_check_machine": (lambda etas: covariance_check_machine(etas, 0.1, 0.2), (2,), [0.6, 0.8, 0.0]),
+}
+
+
+@pytest.mark.parametrize("value", ["wrong_trailing_shape", "zero_d"])
+@pytest.mark.parametrize("name", SHAPED_ARGUMENTS)
+def test_a_badly_shaped_argument_gets_one_line_naming_its_shape(name, value):
+    call, trailing, wrong = SHAPED_ARGUMENTS[name]
+    bad = np.asarray(wrong) if value == "wrong_trailing_shape" else np.float64(0.5)
+    with pytest.raises(ValueError) as error:
+        call(bad)
+    expected = rf"expected [^\n]+ \(\.\.\., {', '.join(map(str, trailing))}\), got shape {re.escape(str(bad.shape))}"
+    assert re.fullmatch(expected, str(error.value)), str(error.value)

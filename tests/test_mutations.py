@@ -28,6 +28,11 @@ def swap_b_and_c_in_the_image_of_0(monkeypatch):
     monkeypatch.setattr(cloner, "_basis_images", swapped)
 
 
+def scale_v_off_the_isometry(monkeypatch):
+    images = cloner._basis_images
+    monkeypatch.setattr(cloner, "_basis_images", lambda coeffs: images(coeffs) * (1 + 1e-6))
+
+
 def flip_the_sign_of_t_xz_in_the_up_matrix(monkeypatch):
     up = nosignalling._up_matrix
     flip = np.array([1, -1, 1, 1, 1, 1, 1])  # FREE_PARAMETERS order: t_xz is the second entry
@@ -83,7 +88,16 @@ def turn_by_minus_beta(monkeypatch):
     turn = pauli._turn
     for module in (cloner, nosignalling, pauli):
         if vars(module).get("_turn") is turn:
-            monkeypatch.setattr(module, "_turn", lambda x, z, beta: turn(x, z, -beta))
+            monkeypatch.setattr(module, "_turn", lambda x, z, c, s: turn(x, z, c, -s))
+
+
+def transpose_the_first_qubit_for_ppt(monkeypatch):
+    # rho^{T_A} = (rho^{T_B})^T has the spectrum of rho^{T_B}: either partial transpose decides PPT.
+    def first(rho):
+        batch = np.shape(rho)[:-2]
+        return np.reshape(rho, batch + (2, 2, 2, 2)).swapaxes(-4, -2).reshape(batch + (4, 4))
+
+    monkeypatch.setattr(cloner, "partial_transpose_second", first)
 
 
 def scale_the_certificate(monkeypatch):
@@ -95,6 +109,7 @@ def scale_the_certificate(monkeypatch):
 # Each defect and the checks that must FAIL under it at seed 0.
 DEFECTS = {
     swap_b_and_c_in_the_image_of_0: {"fidelity_law", "bound_attainment", "machine_covariance", "isotropy_on_circle"},
+    scale_v_off_the_isometry: {"isometry", "clone_normalization", "fidelity_law", "bound_attainment"},
     flip_the_sign_of_t_xz_in_the_up_matrix: {"transcription_identity"},
     swap_rho_o_and_rho_b: {"reduced_clone_oracle"},
     drop_the_absolute_value_in_the_dual_bound: {"on_circle_feasibility", "circle_recovery"},
@@ -102,14 +117,14 @@ DEFECTS = {
     transpose_the_readout: {"bloch_conjugation_consistency", "pauli_roundtrip"},
     turn_by_minus_beta: {"bloch_conjugation_consistency", "covariance_relations"},
 }
-SURVIVORS = (conjugate_the_gram_readout, scale_the_certificate)
+SURVIVORS = (conjugate_the_gram_readout, scale_the_certificate, transpose_the_first_qubit_for_ppt)
 CHECK_NAMES = [check.__name__.removeprefix("check_") for check in CHECKS]
 # Checks that no registered defect makes FAIL.
 UNCAUGHT = {
     "kron_associativity", "eigenvalue_rotation_invariance", "partial_trace_state_contract", "oracle_partial_trace",
     "rotation_composition", "no_signalling_constraint", "no_signalling_violation",
-    "bound_soundness", "correlation_rotation_group", "clone_normalization", "isometry", "machine_no_signalling",
-    "machine_tensor_constraints", "separability_ppt", "isotropy_off_circle",
+    "bound_soundness", "correlation_rotation_group", "machine_no_signalling", "machine_tensor_constraints",
+    "separability_ppt", "isotropy_off_circle",
 }
 
 

@@ -110,7 +110,7 @@ class TestConstrainTensor:
                                       lambda t: positivity_matrix_up((0.5, 0.5), t)],
                              ids=["free_parameters", "rotate_correlations", "positivity_matrix_up"])
     def test_rejects_a_tensor_that_is_not_3x3(self, call):
-        with pytest.raises(ValueError, match=r"correlation tensor must be 3x3, got shape \(5,\)"):
+        with pytest.raises(ValueError, match=r"expected a correlation tensor \(\.\.\., 3, 3\), got shape \(5,\)"):
             call(np.zeros(5))
 
 

@@ -95,7 +95,7 @@ class TestRotateBloch:
             assert np.allclose(rotate_bloch([0, 1, 0], beta), [0, 1, 0], atol=1e-15)
 
     def test_rejects_a_vector_without_three_components(self):
-        with pytest.raises(ValueError, match=r"3 real components, got shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"expected a Bloch vector \(\.\.\., 3\), got shape \(2,\)"):
             rotate_bloch([1.0, 0.0], 0.3)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
