@@ -157,10 +157,13 @@ class PauliDecomposition:
 
         Coefficients with leading batch axes give one matrix per entry: (..., 4, 4).
         """
+        a = _shaped(self.a, (3,), "coefficients a", None)
+        b = _shaped(self.b, (3,), "coefficients b", None)
+        t = _shaped(self.t, (3, 3), "a correlation tensor t", None)
         rho = np.asarray(self.unit)[..., None, None] * PAULI_BASIS[0, 0]
-        rho = rho + np.tensordot(self.a, PAULI_BASIS[1:, 0], axes=1)
-        rho = rho + np.tensordot(self.b, PAULI_BASIS[0, 1:], axes=1)
-        rho = rho + np.tensordot(self.t, PAULI_BASIS[1:, 1:], axes=([-2, -1], [0, 1]))
+        rho = rho + np.tensordot(a, PAULI_BASIS[1:, 0], axes=1)
+        rho = rho + np.tensordot(b, PAULI_BASIS[0, 1:], axes=1)
+        rho = rho + np.tensordot(t, PAULI_BASIS[1:, 1:], axes=([-2, -1], [0, 1]))
         return rho / 4
 
 

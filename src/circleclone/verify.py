@@ -144,7 +144,9 @@ def check_kron_associativity(config: RunConfig, rng) -> CheckResult:
     a, b, c = np.moveaxis(_random_matrices(draws, 2), 1, 0)
     left = linalg.kron(linalg.kron(a, b), c)
     right = linalg.kron(a, linalg.kron(b, c))
-    return CheckResult("kron_associativity", float(np.max(np.abs(left - right))), 1e-14)
+    # The left factor owns the most significant index: a swapped order is associative too.
+    order = np.abs(linalg.kron(pauli.SIGMA_Z, pauli.IDENTITY_2) - np.diag([1, 1, -1, -1]))
+    return CheckResult("kron_associativity", float(max(np.max(np.abs(left - right)), np.max(order))), 1e-14)
 
 
 def check_eigenvalue_rotation_invariance(config: RunConfig, rng) -> CheckResult:

@@ -35,6 +35,7 @@ from circleclone.nosignalling import (
     rotate_correlations,
 )
 from circleclone.pauli import (
+    PauliDecomposition,
     bloch_to_density,
     density_to_bloch,
     great_circle_bloch,
@@ -426,6 +427,9 @@ SHAPED_ARGUMENTS = {
     "rotate_bloch": (lambda m: rotate_bloch(m, 0.3), (3,), [1.0, 0.0]),
     "density_to_bloch": (density_to_bloch, (2, 2), np.eye(4) / 4),
     "pauli_decompose": (pauli_decompose, (4, 4), np.eye(2) / 2),
+    "reconstruct_a": (lambda a: PauliDecomposition(a, np.zeros(3), ZERO_TENSOR).reconstruct(), (3,), [1.0, 0.0]),
+    "reconstruct_b": (lambda b: PauliDecomposition(np.zeros(3), b, ZERO_TENSOR).reconstruct(), (3,), [1.0, 0.0]),
+    "reconstruct_t": (lambda t: PauliDecomposition(np.zeros(3), np.zeros(3), t).reconstruct(), (3, 3), np.zeros(3)),
     "constrain_tensor": (constrain_tensor, (7,), np.zeros(6)),
     "free_parameters": (free_parameters, (3, 3), np.zeros(5)),
     "rotate_correlations": (lambda t: rotate_correlations(t, 0.3), (3, 3), np.zeros((2, 3))),

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,15 @@ def read_csv(path):
 
 def assert_one_line_error(err):
     assert err.count("\n") == 1 and "error" in err and "Traceback" not in err, err
+
+
+def assert_same_csv_twice(args, tmp_path):
+    """Run ``args`` twice, each writing its CSV to a file; both must hold the same bytes. Returns the rows."""
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(args + ["--out", str(first)]) == 0
+    assert main(args + ["--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    return read_csv(first)[1]
 
 
 def parse_report_value(output, label):
@@ -72,22 +85,35 @@ class TestCloneCommand:
         output = capsys.readouterr().out
         assert parse_report_value(output, "theta (rad)") == pytest.approx(np.pi / 2, abs=1e-9)
 
-    def test_correlation_rounding_noise_prints_unsigned(self, capsys):
-        # Several entries of this tensor are 0 up to rounding noise of either sign.
-        assert main(["clone", "--theta", "2.1", "--eta1", "0.5", "--eta2", "0.5"]) == 0
-        rows = capsys.readouterr().out.split("correlation tensor  :\n")[1].splitlines()
+    # Several entries of these tensors are 0 up to rounding noise of either sign; each report prints the same twice.
+    @pytest.mark.parametrize(("point", "diagonal"), [
+        (("0.9", "1", "0"), ["0.0000000000", "0.0000000000"]),
+        (("0.9", "0.5", "0.5"), ["0.7500000000", "0.2500000000"]),
+        (("2.1", "0.5", "0.5"), ["0.7500000000", "0.2500000000"]),
+    ], ids=["0.9 1 0", "0.9 0.5 0.5", "2.1 0.5 0.5"])
+    def test_correlation_rounding_noise_prints_unsigned(self, point, diagonal, capsys):
+        theta, eta1, eta2 = point
+        outputs = []
+        for _ in range(2):
+            assert main(["clone", "--theta", theta, "--eta1", eta1, "--eta2", eta2]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "-0.0000000000" not in outputs[0]
+        rows = outputs[0].split("correlation tensor  :\n")[1].splitlines()
         entries = [entry for row in rows for entry in row.split()]
-        assert entries == ["0.7500000000"] + ["0.0000000000"] * 7 + ["0.2500000000"]
+        assert entries == diagonal[:1] + ["0.0000000000"] * 7 + diagonal[1:]
 
-    def test_out_of_range_eta_exits_2(self):
+    def test_out_of_range_eta_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["clone", "--theta", "0", "--eta1", "1.5", "--eta2", "0"])
         assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
-    def test_malformed_flag_exits_2(self):
+    def test_malformed_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["clone", "--theta", "0", "--eta1", "0.5", "--eta2", "0.5", "--nonsense"])
         assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("values", [("nan", "0.5", "0.5"), ("inf", "0.5", "0.5"),
                                         ("0", "nan", "0.5"), ("0", "0.5", "inf")])
@@ -98,10 +124,11 @@ class TestCloneCommand:
         assert excinfo.value.code == 2
         assert_one_line_error(capsys.readouterr().err)
 
-    def test_missing_subcommand_exits_2(self):
+    def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
 
 class TestBoundSweepCommand:
@@ -120,10 +147,11 @@ class TestBoundSweepCommand:
             assert eta1 == pytest.approx(found * np.cos(phi), abs=1e-9)
             assert eta2 == pytest.approx(found * np.sin(phi), abs=1e-9)
 
-    def test_single_point_exits_2(self, tmp_path):
+    def test_single_point_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["bound-sweep", "--n-phi", "1", "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("option", [["--radius-tol", "nan"], ["--budget", "0"], ["--radius-tol", "0"]])
     def test_bad_setting_exits_2_with_one_line(self, option, capsys):
@@ -137,18 +165,25 @@ class TestBoundSweepCommand:
         assert main(["bound-sweep", "--n-phi", "2", "--out", str(out), "--budget", "600"]) == 0
         assert out.read_text(encoding="utf-8").splitlines()[-1].split(",")[1] == "0.000000000"
 
-    def test_one_progress_line_per_direction(self, capsys):
-        assert main(["bound-sweep", "--n-phi", "3", "--budget", "400"]) == 0
+    # Each bracket must hold 1 and be certified to --radius-tol (default 1e-3), read off its progress line.
+    @pytest.mark.parametrize(("n_phi", "options", "tol", "max_iterations"), [
+        (3, ["--budget", "400"], 1e-3, 20),
+        (3, ["--budget", "200"], 1e-3, 20),
+        (33, ["--radius-tol", "1e-8"], 1e-8, 30),
+    ])
+    def test_one_progress_line_per_direction(self, n_phi, options, tol, max_iterations, capsys):
+        assert main(["bound-sweep", "--n-phi", str(n_phi), *options]) == 0
         captured = capsys.readouterr()
         progress = captured.err.splitlines()[1:]
-        assert len(progress) == 3
-        for line, phi in zip(progress, ("0.000000", "0.785398", "1.570796")):
+        assert len(progress) == n_phi
+        for k, line in enumerate(progress):
+            phi = f"{k * (np.pi / 2) / (n_phi - 1):.6f}"
             match = re.fullmatch(rf"phi={phi}  radius=\[([0-9.]+), ([0-9.]+)\]  iterations=([0-9]+)"
                                  r"  width=([0-9.]+e[-+][0-9]+)", line)
             assert match, line
             lower, upper, iterations, width = float(match[1]), float(match[2]), int(match[3]), float(match[4])
-            assert lower <= 1.0 <= upper and width <= 1e-3, line
-            assert 1 <= iterations <= 20, line
+            assert lower <= 1.0 <= upper and width <= tol, line
+            assert 1 <= iterations <= max_iterations, line
         assert captured.out.startswith(BOUND_SWEEP_HEADER + "\n")
 
     def test_unwritable_path_exits_2(self, capsys):
@@ -156,13 +191,10 @@ class TestBoundSweepCommand:
                      "--out", "/nonexistent-dir/never/x.csv"]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_deterministic_output(self, tmp_path):
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        args = ["bound-sweep", "--n-phi", "3", "--budget", "500", "--seed", "7"]
-        assert main(args + ["--out", str(first)]) == 0
-        assert main(args + ["--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
+    @pytest.mark.parametrize("options", [["--n-phi", "3", "--budget", "500", "--seed", "7"], ["--n-phi", "9"]],
+                             ids=" ".join)
+    def test_deterministic_output(self, options, tmp_path):
+        assert_same_csv_twice(["bound-sweep", *options], tmp_path)
 
 
 class TestFidelitySweepCommand:
@@ -199,10 +231,11 @@ class TestFidelitySweepCommand:
         assert main(["fidelity-sweep", "--n-points", "3", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8").splitlines()[-1].split(",")[1] == "0.000000000"
 
-    def test_bad_count_exits_2(self):
+    def test_bad_count_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["fidelity-sweep", "--n-points", "1"])
         assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
     def test_cells_match_one_report_per_direction(self, tmp_path):
         out = tmp_path / "fid.csv"
@@ -215,12 +248,15 @@ class TestFidelitySweepCommand:
             expected = [report.fidelity_o, report.fidelity_b, report.ppt_min_eigenvalue, isotropy_scan(etas)]
             assert line.split(",")[3:] == [format_number(value) for value in expected]
 
-    def test_deterministic_output(self, tmp_path):
-        first = tmp_path / "a.csv"
-        second = tmp_path / "b.csv"
-        assert main(["fidelity-sweep", "--n-points", "4", "--out", str(first)]) == 0
-        assert main(["fidelity-sweep", "--n-points", "4", "--out", str(second)]) == 0
-        assert first.read_bytes() == second.read_bytes()
+    # The benchmark's row rule; the two-direction sweep is a stack of the two exact axes alone.
+    @pytest.mark.parametrize(("n_points", "samples"), [(4, 64), (2, 2), (129, 200), (1001, 64)])
+    def test_deterministic_output(self, n_points, samples, tmp_path):
+        rows = assert_same_csv_twice(
+            ["fidelity-sweep", "--n-points", str(n_points), "--samples", str(samples)], tmp_path)
+        assert len(rows) == n_points
+        for phi, eta1, eta2, fidelity_o, fidelity_b, ppt_min_eig, isotropy in rows:
+            assert abs(fidelity_o - (1 + eta1) / 2) <= 1e-10 and abs(fidelity_b - (1 + eta2) / 2) <= 1e-10, phi
+            assert ppt_min_eig >= -1e-10 and isotropy <= 1e-10, phi
 
     def test_one_machine_read_out_per_sweep(self, tmp_path, monkeypatch):
         calls = {"coefficients": 0, "_bloch_maps": 0}
@@ -237,6 +273,8 @@ class TestFidelitySweepCommand:
         for samples, out in zip(("2", "200"), outputs):
             assert main(["fidelity-sweep", "--n-points", "9", "--samples", samples, "--out", str(out)]) == 0
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
+        large = ["fidelity-sweep", "--n-points", "3", "--samples", "5000"]
+        assert main(large + ["--out", str(tmp_path / "5000.csv")]) == 0
         with pytest.raises(SystemExit) as excinfo:
             main(["fidelity-sweep", "--n-points", "3", "--samples", "1"])
         assert excinfo.value.code == 2
@@ -262,13 +300,25 @@ def test_directions_equal_the_scalar_generator_bit_for_bit():
 
 
 class TestVerifyCommand:
-    def test_reduced_suite_passes(self, capsys):
-        code = main(["verify", "--samples", "25", "--budget", "400", "--seed", "3"])
+    @pytest.mark.parametrize("options", [["--samples", "25", "--budget", "400", "--seed", "3"],
+                                         ["--samples", "2", "--budget", "200"], ["--samples", "4", "--budget", "200"],
+                                         ["--samples", "8", "--budget", "200"]], ids=" ".join)
+    def test_reduced_suite_passes(self, options, capsys):
+        code = main(["verify", *options])
         output = capsys.readouterr().out
         assert code == 0, output
         assert "FAIL" not in output
         assert re.search(r"PASS\s+fidelity_law", output)
         assert re.search(r"PASS\s+circle_recovery", output)
+
+    def test_same_seed_prints_the_same_checks(self, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["verify", "--seed", "7", "--samples", "8"]) == 0
+            # Only the seconds each check took may differ.
+            outputs.append(re.sub(r", [0-9.]+s\)$", ")", capsys.readouterr().out, flags=re.MULTILINE))
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\nPASS  ") == 26
 
     def test_starved_budget_fails(self, capsys):
         code = main(["verify", "--samples", "25", "--budget", "5", "--seed", "3"])
@@ -284,10 +334,11 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
         assert_one_line_error(capsys.readouterr().err)
 
-    def test_degenerate_samples_exits_2(self):
+    def test_degenerate_samples_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--samples", "1"])
         assert excinfo.value.code == 2
+        assert_one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", [["verify"], ["bound-sweep", "--n-phi", "2"]])
     @pytest.mark.parametrize("seed", ["-1", "1.5"])
@@ -296,3 +347,17 @@ class TestVerifyCommand:
             main(command + ["--seed", seed])
         assert excinfo.value.code == 2
         assert_one_line_error(capsys.readouterr().err)
+
+
+def test_module_entry_point_runs_with_warnings_as_errors(tmp_path):
+    """``python -m circleclone``: a default verify passes with no numpy warning, and a bad argument is one line."""
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error:Casting complex values to real",
+               "-m", "circleclone"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run(command + ["verify"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.endswith("\n26/26 checks passed\n"), run.stdout
+    bad = subprocess.run(command + ["clone", "--theta", "nan", "--eta1", "0.6", "--eta2", "0.8"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2 and bad.stdout == "", bad.stdout
+    assert_one_line_error(bad.stderr)

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from circleclone import cloner, nosignalling, pauli
+from circleclone import cloner, linalg, nosignalling, pauli
 from circleclone.verify import CHECKS, RunConfig, run_verification
 
 
@@ -91,6 +91,32 @@ def turn_by_minus_beta(monkeypatch):
             monkeypatch.setattr(module, "_turn", lambda x, z, c, s: turn(x, z, c, -s))
 
 
+def swap_the_kron_order(monkeypatch):
+    kron = linalg.kron
+    for module in (linalg, pauli):
+        monkeypatch.setattr(module, "kron", lambda a, b: kron(b, a))
+
+
+def _turn_the_columns(t, beta):
+    """t R^T: the x and z columns of each tensor turned, the rows left alone."""
+    t = nosignalling._correlation_tensor(t)
+    beta = pauli._angles(beta)[..., None]
+    x, z = pauli._turn(t[..., 0], t[..., 2], np.cos(beta), np.sin(beta))
+    return np.stack([x, np.broadcast_to(t[..., 1], x.shape), z], axis=-1)
+
+
+def rotate_correlations_in_one_pass(monkeypatch):
+    # One pass of its two: (t R^T)^T = R t^T, a transposed tensor turned on one side only.
+    def one_pass(t, beta):
+        return _turn_the_columns(t, beta).swapaxes(-2, -1)
+
+    monkeypatch.setattr(nosignalling, "rotate_correlations", one_pass)
+
+
+def rotate_only_the_correlation_columns(monkeypatch):
+    monkeypatch.setattr(nosignalling, "rotate_correlations", _turn_the_columns)
+
+
 def transpose_the_first_qubit_for_ppt(monkeypatch):
     # rho^{T_A} = (rho^{T_B})^T has the spectrum of rho^{T_B}: either partial transpose decides PPT.
     def first(rho):
@@ -106,6 +132,11 @@ def scale_the_certificate(monkeypatch):
     monkeypatch.setattr(nosignalling, "_dual_bound", lambda w, f0, traces: dual(3 * w, f0, 3 * traces))
 
 
+def grow_the_barrier_by_100(monkeypatch):
+    # The growth factor sets how many iterates a bracket takes, not where it lies: each still holds 1 within tol.
+    monkeypatch.setattr(nosignalling, "BARRIER_GROWTH", 100.0)
+
+
 # Each defect and the checks that must FAIL under it at seed 0.
 DEFECTS = {
     swap_b_and_c_in_the_image_of_0: {"fidelity_law", "bound_attainment", "machine_covariance", "isotropy_on_circle"},
@@ -116,15 +147,17 @@ DEFECTS = {
     shift_both_bracket_ends_up: {"on_circle_feasibility"},
     transpose_the_readout: {"bloch_conjugation_consistency", "pauli_roundtrip"},
     turn_by_minus_beta: {"bloch_conjugation_consistency", "covariance_relations"},
+    swap_the_kron_order: {"kron_associativity"},
+    rotate_correlations_in_one_pass: {"correlation_rotation_group", "covariance_relations", "no_signalling_constraint"},
+    rotate_only_the_correlation_columns: {"covariance_relations", "no_signalling_violation"},
 }
-SURVIVORS = (conjugate_the_gram_readout, scale_the_certificate, transpose_the_first_qubit_for_ppt)
+SURVIVORS = (conjugate_the_gram_readout, scale_the_certificate, transpose_the_first_qubit_for_ppt,
+             grow_the_barrier_by_100)
 CHECK_NAMES = [check.__name__.removeprefix("check_") for check in CHECKS]
 # Checks that no registered defect makes FAIL.
 UNCAUGHT = {
-    "kron_associativity", "eigenvalue_rotation_invariance", "partial_trace_state_contract", "oracle_partial_trace",
-    "rotation_composition", "no_signalling_constraint", "no_signalling_violation",
-    "bound_soundness", "correlation_rotation_group", "machine_no_signalling", "machine_tensor_constraints",
-    "separability_ppt", "isotropy_off_circle",
+    "eigenvalue_rotation_invariance", "partial_trace_state_contract", "oracle_partial_trace", "rotation_composition",
+    "bound_soundness", "machine_no_signalling", "machine_tensor_constraints", "separability_ppt", "isotropy_off_circle",
 }
 
 
