@@ -63,7 +63,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if result.passed else "FAIL"
         failures += 0 if result.passed else 1
         print(f"{status}  {result.name:<32} measured {result.measured: .3e}  "
-              f"(needs {result.direction} {result.threshold:g}, {result.seconds:.2f}s)")
+              f"(needs {result.direction} {result.threshold:g}, {result.seconds:.4f}s)")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 

@@ -190,19 +190,21 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
 
 
 def _clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> CloneReport:
-    """clone_report of the machine with amplitudes ``coeffs``, which it reports as built."""
+    """clone_report of the machine with amplitudes ``coeffs``, which it reports as built.
+
+    Its fidelities and its PPT value come from the read-outs the verify checks
+    call (_fidelities, _ppt_min_eigenvalue), on one set of Bloch maps.
+    """
     joint = _joint_output(clone(theta, coeffs))
     shape = joint.shape[:-2]
-    # Axes (..., clone, input): the requested input, then the z (theta = 0) and x (theta = pi/2) probes.
     theta = np.broadcast_to(np.asarray(theta, dtype=float), shape)
+    maps = _bloch_maps(coeffs)
+    fitted, fidelity = _fidelities(theta, maps)  # the shrink at the requested input, held at all three below
+    # Axes (..., clone, input): the requested input, then the z (theta = 0) and x (theta = pi/2) probes.
     thetas = np.stack([theta, np.zeros(shape), np.full(shape, np.pi / 2)], axis=-1)[..., None, :]
     sin, cos = np.sin(thetas), np.cos(thetas)
-    maps = _bloch_maps(coeffs)
-    r0, rz, rx = maps[..., None, :]
-    x, y, z = np.moveaxis(r0 + cos[..., None] * rz + sin[..., None] * rx, -1, 0)  # each (..., clone, input)
-    fitted = (x * sin + z * cos)[..., :1]  # the shrink at the requested input, held at all three
-    residual = np.max(_isotropy_residual(x, y, z, sin, cos, fitted), axis=-1)
-    fidelity = (1 + fitted[..., 0]) / 2
+    x, y, z = _bloch_vectors(sin, cos, maps)  # each (..., clone, input)
+    residual = np.max(_isotropy_residual(x, y, z, sin, cos, fitted[..., None]), axis=-1)
     eta1, eta2 = (np.broadcast_to(eta, shape)[()] for eta in (coeffs.eta1, coeffs.eta2))
 
     return CloneReport(
@@ -220,8 +222,34 @@ def _clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> Clone
         isotropy_residual_b=residual[..., 1][()],
         isotropy_supremum=np.broadcast_to(_isotropy_supremum(maps), shape)[()],
         correlation=_pauli_pair_readout(joint),
-        ppt_min_eigenvalue=hermitian_eigenvalues(partial_transpose_second(joint))[..., 0][()],
+        ppt_min_eigenvalue=_ppt_min_eigenvalue(joint)[()],
     )
+
+
+def _bloch_vectors(sin, cos, maps: np.ndarray) -> np.ndarray:
+    """Each clone's Bloch vector r = r0 + cos rz + sin rx from maps (3, ..., clone, 3), as (x, y, z) components.
+
+    ``sin`` and ``cos`` of the input angles broadcast against the clone axis.
+    """
+    r0, rz, rx = maps[..., None, :]
+    return np.moveaxis(r0 + cos[..., None] * rz + sin[..., None] * rx, -1, 0)
+
+
+def _fidelities(theta, maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each clone's fitted shrink s = r . m at the circle input m = (sin, 0, cos) of ``theta``, and its fidelity (1 + s) / 2.
+
+    Angles (...) and maps (3, ..., clone, 3) from _bloch_maps give two
+    (..., clone) arrays; no output state is simulated.
+    """
+    sin, cos = np.sin(theta)[..., None], np.cos(theta)[..., None]
+    x, _, z = _bloch_vectors(sin[..., None], cos[..., None], maps)
+    fitted = x[..., 0] * sin + z[..., 0] * cos
+    return fitted, (1 + fitted) / 2
+
+
+def _ppt_min_eigenvalue(joint: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of the partial transpose of joint outputs (..., 4, 4), (...): non-negative exactly when separable."""
+    return hermitian_eigenvalues(partial_transpose_second(joint))[..., 0]
 
 
 # Column 4s + k of _PAULI_READOUT reads sigma_s (x) sigma_k; the maps (r0, rz, rx) are half the coefficients

@@ -37,6 +37,9 @@ UP = np.array([0.0, 0.0, 1.0])
 DOWN = np.array([0.0, 0.0, -1.0])
 RIGHT = np.array([1.0, 0.0, 0.0])
 LEFT = np.array([-1.0, 0.0, 0.0])
+# The four cardinal inputs of no_signalling_residual, and the turns that carry UP to DOWN, RIGHT and LEFT.
+_CARDINALS = np.stack([UP, DOWN, RIGHT, LEFT])
+_CARDINAL_TURNS = np.array([np.pi, np.pi / 2, 3 * np.pi / 2])
 
 
 def constrain_tensor(free) -> np.ndarray:
@@ -115,12 +118,16 @@ def no_signalling_residual(etas, t: np.ndarray):
 
     Vanishes exactly when t_xx = t_zz and t_xz = -t_zx; otherwise reports the
     magnitude by which the two antipodal ensembles could be told apart.
-    Reduction factors (..., 2) and tensors (..., 3, 3) give one residual per entry.
+    Reduction factors (..., 2) and tensors (..., 3, 3) give one residual per
+    entry.  The down, right and left tensors are turned in one call and the
+    four outputs built in one, along a new axis before the matrix axes.
     """
-    lhs = build_joint_output(UP, etas, t) + build_joint_output(DOWN, etas, rotate_correlations(t, np.pi))
-    rhs = (build_joint_output(RIGHT, etas, rotate_correlations(t, np.pi / 2))
-           + build_joint_output(LEFT, etas, rotate_correlations(t, 3 * np.pi / 2)))
-    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
+    etas = _shaped(etas, (2,), "reduction factors (eta1, eta2)")[..., None, :]
+    t = _correlation_tensor(t)[..., None, :, :]
+    turned = rotate_correlations(t, _CARDINAL_TURNS)
+    tensors = np.concatenate([np.broadcast_to(t, turned.shape[:-3] + (1, 3, 3)), turned], axis=-3)
+    up, down, right, left = np.moveaxis(build_joint_output(_CARDINALS, etas, tensors), -3, 0)
+    return np.max(np.abs((up + down) - (right + left)), axis=(-2, -1))
 
 
 def _up_matrix(eta1, eta2, free: np.ndarray) -> np.ndarray:

@@ -335,6 +335,17 @@ class TestNoSignalling:
         assert_rows_match(no_signalling_residual(etas, t),
                           [no_signalling_residual(e, x) for e, x in zip(etas, t)])
 
+    # Reduction factors and tensors of different batch shapes, broadcast against each other.
+    @pytest.mark.parametrize("etas_shape, t_shape", [((2,), (5, 3, 3)), ((5, 2), (3, 3)), ((4, 1, 2), (3, 3, 3))])
+    def test_no_signalling_residual_broadcasts(self, etas_shape, t_shape):
+        etas, t = RNG.uniform(0, 1, etas_shape), RNG.uniform(-1, 1, t_shape)
+        batched = no_signalling_residual(etas, t)
+        shape = np.broadcast_shapes(etas_shape[:-1], t_shape[:-2])
+        assert batched.shape == shape
+        etas, t = np.broadcast_to(etas, shape + (2,)), np.broadcast_to(t, shape + (3, 3))
+        for index in np.ndindex(shape):
+            assert abs(batched[index] - no_signalling_residual(etas[index], t[index])) <= TOL
+
     def test_positivity_matrix_up(self):
         etas, t = RNG.uniform(0, 1, (N, 2)), random_constrained(N)
         batched = positivity_matrix_up(etas, t)

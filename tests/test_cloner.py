@@ -348,6 +348,23 @@ class TestCloneReport:
         assert np.max(np.abs(report.fidelity_o - expected[0])) <= 1e-15
         assert np.max(np.abs(report.fidelity_b - expected[1])) <= 1e-15
 
+    def test_read_outs_are_the_report_fields(self):
+        # The fidelity and PPT read-outs the verify checks call give the report's fields bit for bit,
+        # against both the stacked report and one report per pair.
+        rng = np.random.default_rng(43)
+        phi, theta = rng.uniform(0, np.pi / 2, 400), rng.uniform(0, 2 * np.pi, 400)
+        phi[:6] = [0.0, np.pi / 2] * 3
+        theta[:6] = [0.0, 0.0, np.pi / 2, np.pi / 2, np.pi, np.pi]
+        coeffs = cloner._circle_coefficients(phi)
+        fidelity = cloner._fidelities(theta, cloner._bloch_maps(coeffs))[1]
+        lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(theta, coeffs)))
+        stacked = cloner._clone_report(theta, coeffs)
+        rows = [cloner._clone_report(t, cloner._circle_coefficients(p)) for t, p in zip(theta, phi)]
+        for field, read_out in (("fidelity_o", fidelity[:, 0]), ("fidelity_b", fidelity[:, 1]),
+                                ("ppt_min_eigenvalue", lowest)):
+            assert np.array_equal(read_out, getattr(stacked, field)), field
+            assert np.array_equal(read_out, [getattr(row, field) for row in rows]), field
+
     @pytest.mark.parametrize("theta, etas", [(2.1, (0.6, 0.8)), (np.pi / 2, (0.5, 0.5)), (0.4, (0.7, 0.7)),
                                              (5.3, (0.2, 0.9)), (0.0, (0.3, 0.1))])
     def test_residuals_match_the_oracle_at_the_three_inputs(self, theta, etas):

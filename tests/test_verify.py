@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from circleclone import cloner, linalg, nosignalling, pauli
+from circleclone import cloner, linalg, nosignalling, pauli, verify
 from circleclone.pauli import great_circle_bloch
 from circleclone.verify import (
     RunConfig,
@@ -18,6 +18,7 @@ from circleclone.verify import (
     check_kron_associativity,
     check_machine_covariance,
     check_machine_tensor_constraints,
+    check_no_signalling_constraint,
     check_no_signalling_violation,
     check_on_circle_feasibility,
     check_oracle_partial_trace,
@@ -120,13 +121,14 @@ class TestIsotropyChecks:
 
 
 class FedDraws:
-    """A generator stand-in whose one ``uniform`` call returns the given rows of draws."""
+    """Feeds a check the given rows of draws: patches verify._uniform to return them in its one call."""
 
-    def __init__(self, rows):
+    def __init__(self, monkeypatch, rows):
         self.rows = np.asarray(rows, dtype=float)
+        monkeypatch.setattr(verify, "_uniform", self.uniform)
 
-    def uniform(self, low, high, size):
-        assert size == self.rows.shape
+    def uniform(self, rng, n, *ranges):
+        assert (n, len(ranges)) == self.rows.shape
         return self.rows
 
 
@@ -136,9 +138,9 @@ class TestMachineTensorConstraints:
     NEAR_AXES = np.array([1e-9, 2.3e-6, 4.95e-5, np.pi / 2 - 1e-5, np.pi / 2 - 1e-7])
 
     @pytest.mark.parametrize("theta", [0.0, 0.9, 4.0])
-    def test_passes_near_either_axis(self, theta):
+    def test_passes_near_either_axis(self, monkeypatch, theta):
         rows = np.stack([self.NEAR_AXES, np.full(5, theta)], axis=-1)
-        result = check_machine_tensor_constraints(RunConfig(samples=5), FedDraws(rows))
+        result = check_machine_tensor_constraints(RunConfig(samples=5), FedDraws(monkeypatch, rows))
         assert result.passed and result.measured <= 1e-15, result.measured
 
     @pytest.mark.parametrize("seed", [418981098, 1092769217])
@@ -167,27 +169,27 @@ class TestMachineChecksNearTheAxes:
     NEAR_AXES = np.array([1e-8, np.pi / 2 - 1e-8])
 
     @pytest.mark.parametrize("theta", [0.9, 4.0])
-    def test_fidelity_law_passes(self, theta):
+    def test_fidelity_law_passes(self, monkeypatch, theta):
         rows = np.stack([self.NEAR_AXES, np.full(2, theta)], axis=-1)
-        result = check_fidelity_law(RunConfig(samples=2), FedDraws(rows))
+        result = check_fidelity_law(RunConfig(samples=2), FedDraws(monkeypatch, rows))
         assert result.passed and result.measured <= 1e-15, result.measured
 
     @pytest.mark.parametrize("theta", [0.9, 4.0])
-    def test_machine_covariance_passes(self, theta):
+    def test_machine_covariance_passes(self, monkeypatch, theta):
         rows = np.stack([self.NEAR_AXES, np.full(2, theta), np.full(2, 1.3)], axis=-1)
-        result = check_machine_covariance(RunConfig(samples=2), FedDraws(rows))
+        result = check_machine_covariance(RunConfig(samples=2), FedDraws(monkeypatch, rows))
         assert result.passed and result.measured <= 1e-15, result.measured
 
     @pytest.mark.parametrize("theta", [0.9, 4.0])
-    def test_separability_ppt_passes(self, theta):
+    def test_separability_ppt_passes(self, monkeypatch, theta):
         rows = np.stack([np.full(2, theta), self.NEAR_AXES], axis=-1)
-        result = check_separability_ppt(RunConfig(samples=2), FedDraws(rows))
+        result = check_separability_ppt(RunConfig(samples=2), FedDraws(monkeypatch, rows))
         assert result.passed and result.measured >= -1e-15, result.measured
 
     @pytest.mark.parametrize("theta", [0.9, 4.0])
-    def test_bound_attainment_passes(self, theta):
+    def test_bound_attainment_passes(self, monkeypatch, theta):
         rows = np.stack([np.full(2, theta), self.NEAR_AXES], axis=-1)
-        result = check_bound_attainment(RunConfig(samples=2), FedDraws(rows))
+        result = check_bound_attainment(RunConfig(samples=2), FedDraws(monkeypatch, rows))
         assert result.passed and result.measured <= 1e-15, result.measured
 
 
@@ -212,6 +214,16 @@ class TestSampleStream:
         rng = np.random.default_rng(5)
         looped = np.array([[rng.uniform(lo, hi) for lo, hi in zip(low, high)] for _ in range(50)])
         assert np.array_equal(batched, looped)
+
+    @pytest.mark.parametrize("n", [1, 50, 200])
+    def test_scaled_draws_are_the_generators_uniform_draws(self, n):
+        # _uniform scales rng.random as Generator.uniform does, low + (high - low) * u, and leaves
+        # the generator where rng.uniform(low, high, (n, k)) would.
+        ranges = (verify.UNIT, verify.QUARTER, verify.ENTRY, verify.ANGLE, (-8.0, -1.0))
+        low, high = np.array(ranges).T
+        scaled, drawn = np.random.default_rng(7), np.random.default_rng(7)
+        assert np.array_equal(verify._uniform(scaled, n, *ranges), drawn.uniform(low, high, (n, len(ranges))))
+        assert scaled.random() == drawn.random()
 
     # Each loop below is the per-sample form of a check: the same draws, in the
     # same order, each fed to one scalar library call.
@@ -253,6 +265,15 @@ class TestSampleStream:
             t = nosignalling.constrain_tensor(rng.uniform(-1, 1, 7))
             m = great_circle_bloch(rng.uniform(0, 2 * np.pi))
             worst = max(worst, nosignalling.covariance_residual(m, etas, t, rng.uniform(0, 2 * np.pi)))
+        return worst
+
+    @staticmethod
+    def loop_no_signalling_constraint(rng):
+        worst = 0.0
+        for _ in range(200):
+            etas = rng.uniform(0, 1, 2)
+            t = nosignalling.constrain_tensor(rng.uniform(-1, 1, 7))
+            worst = max(worst, nosignalling.no_signalling_residual(etas, t))
         return worst
 
     @staticmethod
@@ -404,6 +425,7 @@ class TestSampleStream:
         (check_separability_ppt, loop_separability_ppt),
         (check_bound_attainment, loop_bound_attainment),
         (check_covariance_relations, loop_covariance_relations),
+        (check_no_signalling_constraint, loop_no_signalling_constraint),
         (check_no_signalling_violation, loop_no_signalling_violation),
         (check_kron_associativity, loop_kron_associativity),
         (check_eigenvalue_rotation_invariance, loop_eigenvalue_rotation_invariance),
