@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
 
-from .cloner import clone_report
+from . import cloner
 from .nosignalling import DEFAULT_BUDGET, DEFAULT_RADIUS_TOL, radius_bracket
 from .verify import RunConfig, run_verification
 
@@ -70,7 +71,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_clone(args: argparse.Namespace) -> int:
     theta = _angle(args.theta, args.degrees)
-    report = clone_report(theta, (args.eta1, args.eta2))
+    report = cloner.clone_report(theta, (args.eta1, args.eta2))
     circle_gap = report.eta1**2 + report.eta2**2 - 1.0
     rows = [
         ("theta (rad)", format_number(report.theta)),
@@ -111,9 +112,12 @@ def _cmd_bound_sweep(args: argparse.Namespace) -> int:
 def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     phi, cos_phi, sin_phi = _directions(args.n_points)
     probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
-    report = clone_report(probe_theta, np.stack([cos_phi, sin_phi], axis=-1))
-    columns = [phi, cos_phi, sin_phi, report.fidelity_o, report.fidelity_b,
-               report.ppt_min_eigenvalue, report.isotropy_supremum]
+    # The four columns clone_report would give, from its read-outs alone: one set of Bloch maps, one joint output.
+    coeffs = cloner.coefficients(np.stack([cos_phi, sin_phi], axis=-1))
+    maps = cloner._bloch_maps(coeffs)
+    fidelity = cloner._fidelities(probe_theta, maps)[1]
+    lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(probe_theta, coeffs)))
+    columns = [phi, cos_phi, sin_phi, fidelity[:, 0], fidelity[:, 1], lowest, cloner._isotropy_supremum(maps)]
     _write_csv(args.out, FIDELITY_SWEEP_HEADER, np.stack(columns, axis=-1).tolist())
     return 0
 
@@ -192,7 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter shutdown
+        return status
+    except BrokenPipeError:
+        # The reader stopped early (head, a pager), which is no error of the run.  Standard output goes to
+        # os.devnull, so the final flush of what is left in its buffer cannot fail again, and the exit code is
+        # the one a shell reports for a command killed by SIGPIPE, 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

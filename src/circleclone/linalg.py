@@ -75,10 +75,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the left factor owns the most significant index block.
 
     Leading axes are batch axes: stacks (..., p, q) and (..., r, s) broadcast
-    to one (..., p*r, q*s) product per entry.
+    to one (..., p*r, q*s) product per entry; two real factors give a real product.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _inexact(a), _inexact(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"kron takes matrices (..., p, q), got shapes {a.shape} and {b.shape}")
     product = a[..., :, None, :, None] * b[..., None, :, None, :]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_ATOL, _components, _require, _require_hermitian, _shaped, _stack_last, kron
+from .linalg import HERMITIAN_ATOL, _components, _inexact, _require, _require_hermitian, _shaped, _stack_last, kron
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -31,6 +32,10 @@ def _readout_matrix(basis: np.ndarray) -> np.ndarray:
 # Column j of the one-qubit read-out reads sigma_j, column 4j + k of the two-qubit one sigma_j (x) sigma_k.
 _BLOCH_READOUT = _readout_matrix(_ONE_QUBIT_BASIS)
 _PAULI_READOUT = _readout_matrix(PAULI_BASIS)
+# Their read-ins, R^dagger / n: coefficients (..., n^2) @ R^dagger / n is the flattened sum_c coeff_c P_c / n,
+# since row c of R^dagger is P_c flattened (each P_c is Hermitian).  Exactly the basis, reshaped and scaled.
+_BLOCH_READIN = _BLOCH_READOUT.conj().T / 2
+_PAULI_READIN = _PAULI_READOUT.conj().T / 4
 # Its nine correlation columns, j, k >= 1 (_pauli_pair_readout).
 _PAIR_READOUT = _PAULI_READOUT[:, [4 * j + k for j in (1, 2, 3) for k in (1, 2, 3)]]
 
@@ -79,7 +84,8 @@ def bloch_to_density(m) -> np.ndarray:
     m = _shaped(m, (3,), "a Bloch vector")
     norms = np.linalg.norm(m, axis=-1)
     _require(norms <= 1 + BLOCH_NORM_ATOL, norms, "unphysical Bloch vector: |m| = {:.12f} exceeds 1")
-    return 0.5 * (IDENTITY_2 + np.tensordot(m, PAULI_STACK, axes=1))
+    coefficients = np.concatenate([np.ones(m.shape[:-1] + (1,)), m], axis=-1)
+    return _read_in(coefficients, _BLOCH_READIN)
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
@@ -100,23 +106,45 @@ def _real_readout(op: np.ndarray, readout: np.ndarray) -> np.ndarray:
     return (flat @ readout).real if np.iscomplexobj(flat) else flat @ readout.real
 
 
+def _read_in(coefficients: np.ndarray, readin: np.ndarray) -> np.ndarray:
+    """The operators (..., n, n) with basis coefficients (..., n^2) through a read-in R^dagger / n.
+
+    One (1, n^2) @ (n^2, n^2) product per entry, so each row of a stack is its
+    single call bit for bit.
+    """
+    flat = (coefficients[..., None, :] @ readin)[..., 0, :]
+    n = math.isqrt(flat.shape[-1])
+    return flat.reshape(flat.shape[:-1] + (n, n))
+
+
 def _pauli_pair_readout(rho: np.ndarray) -> np.ndarray:
     """Correlations t_jk = Re Tr(rho sigma_j(x)sigma_k) of a (..., 4, 4) stack, (..., 3, 3); no Hermiticity check."""
     return _real_readout(rho, _PAIR_READOUT).reshape(rho.shape[:-2] + (3, 3))
 
 
 def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:
-    """SU(2) rotation exp(-i beta/2 sigma_y) about the y axis; an array of angles gives (..., 2, 2)."""
+    """SU(2) rotation exp(-i beta/2 sigma_y) about the y axis, a real matrix; an array of angles gives (..., 2, 2)."""
     half = _angles(beta) / 2
     c, s = np.cos(half), np.sin(half)
-    return _stack_last([[c, -s], [s, c]], 2).astype(complex)
+    return _stack_last([[c, -s], [s, c]], 2)
 
 
 def _rotate_pair(rho: np.ndarray, beta) -> np.ndarray:
-    """U(x)U rho (U(x)U)^dagger, U = rotation_unitary(beta): both qubits of (..., 4, 4) turned about y by ``beta``."""
+    """U(x)U rho (U(x)U)^T, U = rotation_unitary(beta): both qubits of (..., 4, 4) turned about y by ``beta``.
+
+    U(x)U is real, so every product is real: a float64 ``rho`` stays float64,
+    and a complex128 one is multiplied as its real (..., 4, 8) view, real and
+    imaginary parts side by side.  Both products are taken from the left, as
+    (U (U rho)^T)^T, on contiguous operands.
+    """
     u = rotation_unitary(beta)
     u2 = kron(u, u)
-    return u2 @ rho @ u2.conj().swapaxes(-2, -1)
+
+    def left(m):
+        m = np.ascontiguousarray(_inexact(m))
+        return (u2 @ m.view(np.float64)).view(m.dtype)
+
+    return left(left(rho).swapaxes(-2, -1)).swapaxes(-2, -1)
 
 
 def _turn(x, z, c, s):
@@ -160,11 +188,12 @@ class PauliDecomposition:
         a = _shaped(self.a, (3,), "coefficients a", None)
         b = _shaped(self.b, (3,), "coefficients b", None)
         t = _shaped(self.t, (3, 3), "a correlation tensor t", None)
-        rho = np.asarray(self.unit)[..., None, None] * PAULI_BASIS[0, 0]
-        rho = rho + np.tensordot(a, PAULI_BASIS[1:, 0], axes=1)
-        rho = rho + np.tensordot(b, PAULI_BASIS[0, 1:], axes=1)
-        rho = rho + np.tensordot(t, PAULI_BASIS[1:, 1:], axes=([-2, -1], [0, 1]))
-        return rho / 4
+        unit = np.asarray(self.unit)
+        shape = np.broadcast_shapes(unit.shape, a.shape[:-1], b.shape[:-1], t.shape[:-2])
+        # c[..., j, k] multiplies sigma_j (x) sigma_k, the order of _PAULI_READOUT's columns.
+        c = np.empty(shape + (4, 4), dtype=np.result_type(unit, a, b, t, float))
+        c[..., 0, 0], c[..., 1:, 0], c[..., 0, 1:], c[..., 1:, 1:] = unit, a, b, t
+        return _read_in(c.reshape(shape + (16,)), _PAULI_READIN)
 
 
 def pauli_decompose(rho: np.ndarray) -> PauliDecomposition:

@@ -165,7 +165,7 @@ class TestPauli:
         assert_rows_match(batched.b, [row.b for row in rows])
         assert_rows_match(batched.t, [row.t for row in rows])
         assert_rows_match(batched.unit, [row.unit for row in rows])
-        assert_rows_match(batched.reconstruct(), [row.reconstruct() for row in rows])
+        assert_rows_match(batched.reconstruct(), [row.reconstruct() for row in rows], tol=0.0)
         assert np.max(np.abs(batched.reconstruct() - stack)) <= 1e-12
 
     def test_pauli_decompose_non_hermitian_row(self):

@@ -361,3 +361,21 @@ def test_module_entry_point_runs_with_warnings_as_errors(tmp_path):
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2 and bad.stdout == "", bad.stdout
     assert_one_line_error(bad.stderr)
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly(tmp_path):
+    """``fidelity-sweep | head -1``: the pipe closes after the first line; no error line, and exit 141 (128 + SIGPIPE)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered standard output meets the closed pipe at a write or its flush
+    # About 2.4 MB of CSV, far more than a pipe holds, so the writer is still writing when the pipe closes.
+    run = subprocess.Popen([sys.executable, "-m", "circleclone", "fidelity-sweep", "--n-points", "20000"],
+                           cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = run.stdout.readline()
+        run.stdout.close()
+        _, err = run.communicate(timeout=120)
+    finally:
+        run.kill()
+    assert first == (FIDELITY_SWEEP_HEADER + "\n").encode()
+    assert err == b"", err
+    assert run.returncode == 141

@@ -113,6 +113,18 @@ class TestDtypeFollowsTheInput:
             assert np.max(np.abs(reduced - reference_partial_trace(m, keep, [2, 2, 2]))) <= 1e-15
         assert np.max(np.abs(reduced.imag)) > 0.1
 
+    def test_kron_of_real_factors_is_real(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.uniform(-1, 1, (6, 2, 3)), rng.uniform(-1, 1, (6, 2, 2))
+        product = kron(a, b)
+        assert product.dtype == np.float64
+        assert np.array_equal(product, np.stack([np.kron(x, y) for x, y in zip(a, b)]))
+        assert kron([[1, 2], [3, 4]], np.eye(2, dtype=int)).dtype == np.float64
+        for complex_factors in ((a + 0j, b), (a, 1j * b), (a + 0j, b + 0j)):
+            product = kron(*complex_factors)
+            assert product.dtype == np.complex128
+            assert np.array_equal(product, np.stack([np.kron(x, y) for x, y in zip(*complex_factors)]))
+
     def test_a_real_matrix_off_symmetry_is_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -78,6 +78,12 @@ def transpose_the_readout(monkeypatch):
         monkeypatch.setattr(module, name, getattr(module, name).conj())
 
 
+def read_in_without_the_conjugate(monkeypatch):
+    # R^T / n in place of R^dagger / n: every sigma_y coefficient multiplies -sigma_y.
+    monkeypatch.setattr(pauli, "_PAULI_READIN", pauli._PAULI_READOUT.T / 4)
+    monkeypatch.setattr(pauli, "_BLOCH_READIN", pauli._BLOCH_READOUT.T / 2)
+
+
 def conjugate_the_gram_readout(monkeypatch):
     # The machine's V is real, so its Gram products are too: TestBlochMaps catches this with a complex V.
     monkeypatch.setattr(cloner, "_MAP_READOUT", cloner._MAP_READOUT.conj())
@@ -89,6 +95,17 @@ def turn_by_minus_beta(monkeypatch):
     for module in (cloner, nosignalling, pauli):
         if vars(module).get("_turn") is turn:
             monkeypatch.setattr(module, "_turn", lambda x, z, c, s: turn(x, z, c, -s))
+
+
+def turn_the_pair_by_minus_beta(monkeypatch):
+    # (U(x)U)^T rho (U(x)U): the transpose on the wrong side, which turns both qubits by -beta.
+    def wrong_side(rho, beta):
+        u = pauli.rotation_unitary(beta)
+        u2 = linalg.kron(u, u)
+        return u2.swapaxes(-2, -1) @ rho @ u2
+
+    for module in (cloner, nosignalling, pauli):
+        monkeypatch.setattr(module, "_rotate_pair", wrong_side)
 
 
 def swap_the_kron_order(monkeypatch):
@@ -154,7 +171,9 @@ DEFECTS = {
     drop_the_absolute_value_in_the_dual_bound: {"on_circle_feasibility", "circle_recovery"},
     shift_both_bracket_ends_up: {"on_circle_feasibility"},
     transpose_the_readout: {"bloch_conjugation_consistency", "pauli_roundtrip"},
+    read_in_without_the_conjugate: {"bloch_conjugation_consistency", "pauli_roundtrip", "transcription_identity"},
     turn_by_minus_beta: {"bloch_conjugation_consistency", "covariance_relations"},
+    turn_the_pair_by_minus_beta: {"covariance_relations", "machine_covariance"},
     swap_the_kron_order: {"kron_associativity"},
     transpose_the_partial_trace_output: {"oracle_partial_trace"},
     rotate_correlations_in_one_pass: {"correlation_rotation_group", "covariance_relations", "no_signalling_constraint"},

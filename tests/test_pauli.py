@@ -82,6 +82,48 @@ class TestRotationUnitary:
             u = rotation_unitary(beta)
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
+    def test_is_the_real_matrix_of_half_angle_cosines_and_sines(self):
+        betas = np.append(RNG.uniform(-4 * np.pi, 4 * np.pi, 50), [0.0, np.pi, 2 * np.pi])
+        c, s = np.cos(betas / 2), np.sin(betas / 2)
+        u = rotation_unitary(betas)
+        assert u.dtype == np.float64
+        # Exactly the half-angle cosines and sines, with no rounding of its own.
+        assert np.array_equal(u, np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2))
+        assert rotation_unitary(0.3).dtype == np.float64
+
+
+class TestRotatePair:
+    @staticmethod
+    def complex_route(rho, beta):
+        u = rotation_unitary(beta).astype(complex)
+        u2 = kron(u, u)
+        return u2 @ rho @ u2.conj().swapaxes(-2, -1)
+
+    def test_a_real_stack_stays_real(self):
+        rng = np.random.default_rng(25)
+        rho, beta = rng.uniform(-1, 1, (40, 4, 4)), rng.uniform(0, 2 * np.pi, 40)
+        turned = pauli._rotate_pair(rho, beta)
+        assert turned.dtype == np.float64
+        assert np.max(np.abs(turned - self.complex_route(rho, beta))) <= 1e-15
+
+    def test_a_complex_stack_matches_the_complex_unitary_route(self):
+        rng = np.random.default_rng(26)
+        rho = rng.uniform(-1, 1, (40, 4, 4)) + 1j * rng.uniform(-1, 1, (40, 4, 4))
+        beta = rng.uniform(0, 2 * np.pi, 40)
+        turned = pauli._rotate_pair(rho, beta)
+        assert turned.dtype == np.complex128
+        assert np.max(np.abs(turned - self.complex_route(rho, beta))) <= 1e-15
+        # The real and imaginary parts are turned apart, each as a real stack.
+        assert np.array_equal(turned.real, pauli._rotate_pair(rho.real, beta))
+        assert np.array_equal(turned.imag, pauli._rotate_pair(rho.imag, beta))
+        for row, single, beta_k in zip(turned, rho, beta):
+            assert np.array_equal(row, pauli._rotate_pair(single, beta_k))
+
+    def test_a_non_contiguous_stack(self):
+        rng = np.random.default_rng(27)
+        rho = (rng.uniform(-1, 1, (4, 4, 6)) + 1j * rng.uniform(-1, 1, (4, 4, 6))).T  # (6, 4, 4), Fortran order
+        assert np.array_equal(pauli._rotate_pair(rho, 0.7), pauli._rotate_pair(np.ascontiguousarray(rho), 0.7))
+
 
 class TestRotateBloch:
     def test_half_turn(self):
@@ -123,6 +165,24 @@ class TestOneReadout:
         for j in range(4):
             for k in range(4):
                 assert np.array_equal(PAULI_BASIS[j, k], kron(single[j], single[k]))
+
+    @pytest.mark.parametrize("basis, readin", [(pauli._ONE_QUBIT_BASIS, pauli._BLOCH_READIN),
+                                               (PAULI_BASIS, pauli._PAULI_READIN)], ids=["one", "two"])
+    def test_read_in_is_the_basis_scaled(self, basis, readin):
+        # R^dagger / n, row c the operator P_c / n flattened: the read-out's convention, read back.
+        n = basis.shape[-1]
+        assert np.array_equal(readin, basis.reshape(n * n, n * n) / n)
+
+    def test_read_in_inverts_the_read_out(self):
+        rng = np.random.default_rng(29)
+        coefficients = rng.uniform(-1, 1, (30, 4, 4))
+        dec = pauli.PauliDecomposition(coefficients[:, 1:, 0], coefficients[:, 0, 1:], coefficients[:, 1:, 1:],
+                                       coefficients[:, 0, 0])
+        back = pauli_decompose(dec.reconstruct())
+        for got, expected in ((back.unit, dec.unit), (back.a, dec.a), (back.b, dec.b), (back.t, dec.t)):
+            assert np.max(np.abs(got - expected)) <= 1e-15
+        vectors = rng.uniform(-0.5, 0.5, (30, 3))
+        assert np.max(np.abs(density_to_bloch(bloch_to_density(vectors)) - vectors)) <= 1e-16
 
     def test_pair_readout_is_the_nine_correlation_columns(self):
         columns = pauli._PAULI_READOUT.reshape(16, 4, 4)[:, 1:, 1:].reshape(16, 9)
