@@ -160,7 +160,6 @@ class CloneReport:
     fidelity_b: float | np.ndarray
     isotropy_residual_o: float | np.ndarray
     isotropy_residual_b: float | np.ndarray
-    isotropy_supremum: float | np.ndarray
     correlation: np.ndarray
     ppt_min_eigenvalue: float | np.ndarray
 
@@ -174,13 +173,11 @@ def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
     and its x shrink at theta = pi/2.  At the requested input m the fitted
     shrink is r . m and the fidelity (1 + r . m) / 2; the isotropy residual
     holds that shrink fixed across the requested and both cardinal inputs,
-    so anisotropy is visible from any single run; ``isotropy_supremum`` is
-    its supremum over every circle input, read off the same maps
-    (isotropy_scan).  Only the joint output rho_ob is simulated, at the
-    requested input, as the Gram product of _joint_output: ``correlation``
-    is its t_jk = Tr(rho_ob sigma_j (x) sigma_k) and ``ppt_min_eigenvalue``
-    the minimum eigenvalue of its partial transpose (non-negative exactly
-    when the output is separable).
+    so anisotropy is visible from any single run.  Only the joint output
+    rho_ob is simulated, at the requested input, as the Gram product of
+    _joint_output: ``correlation`` is its t_jk = Tr(rho_ob sigma_j (x)
+    sigma_k) and ``ppt_min_eigenvalue`` the minimum eigenvalue of its partial
+    transpose (non-negative exactly when the output is separable).
 
     Angles (...) broadcast with reduction factors (..., 2) to one report of
     arrays: every field takes the broadcast shape (``correlation`` adds two
@@ -220,7 +217,6 @@ def _clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> Clone
         fidelity_b=fidelity[..., 1][()],
         isotropy_residual_o=residual[..., 0][()],
         isotropy_residual_b=residual[..., 1][()],
-        isotropy_supremum=np.broadcast_to(_isotropy_supremum(maps), shape)[()],
         correlation=_pauli_pair_readout(joint),
         ppt_min_eigenvalue=_ppt_min_eigenvalue(joint)[()],
     )

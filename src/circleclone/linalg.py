@@ -104,6 +104,8 @@ def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int
     """
     rho = _inexact(rho)
     dims = _integers(dims, "dims")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"bad factorization: dims {dims} must all be positive")
     total = int(np.prod(dims))
     if rho.ndim < 2 or rho.shape[-2:] != (total, total):
         raise ValueError(f"bad factorization: dims {dims} do not tile a matrix of shape {rho.shape}")

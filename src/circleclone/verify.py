@@ -1,9 +1,11 @@
 """Named invariant checks backing the ``verify`` command.
 
-Each check measures a residual against a fixed threshold and reports it; the
-suite passes only if every check passes.  The checks deliberately re-derive
-quantities along independent routes (explicit index sums, unitary conjugation,
-closed forms) so that agreement is evidence rather than tautology.
+Each check is a module-level ``check_*`` function: defining one registers it,
+and its name without the prefix is the name the suite reports.  Each check
+measures a residual against a fixed threshold and reports it; the suite passes
+only if every check passes.  The checks deliberately re-derive quantities
+along independent routes (explicit index sums, unitary conjugation, closed
+forms) so that agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ class RunConfig:
 
 @dataclass
 class CheckResult:
-    name: str
     measured: float
     threshold: float
     direction: str = "<="  # pass iff measured <= threshold (or >= for lower bounds)
+    name: str = ""  # the check function's name without "check_", set by run_verification
     seconds: float = 0.0
 
     @property
@@ -146,7 +148,7 @@ def check_kron_associativity(config: RunConfig, rng) -> CheckResult:
     right = linalg.kron(a, linalg.kron(b, c))
     # The left factor owns the most significant index: a swapped order is associative too.
     order = np.abs(linalg.kron(pauli.SIGMA_Z, pauli.IDENTITY_2) - np.diag([1, 1, -1, -1]))
-    return CheckResult("kron_associativity", float(max(np.max(np.abs(left - right)), np.max(order))), 1e-14)
+    return CheckResult(float(max(np.max(np.abs(left - right)), np.max(order))), 1e-14)
 
 
 def check_eigenvalue_rotation_invariance(config: RunConfig, rng) -> CheckResult:
@@ -155,7 +157,7 @@ def check_eigenvalue_rotation_invariance(config: RunConfig, rng) -> CheckResult:
     u = linalg.kron(pauli.rotation_unitary(draws[:, 32]), pauli.rotation_unitary(draws[:, 33]))
     before = linalg.hermitian_eigenvalues(m)
     after = linalg.hermitian_eigenvalues(u @ m @ u.conj().swapaxes(-2, -1))
-    return CheckResult("eigenvalue_rotation_invariance", float(np.max(np.abs(before - after))), 1e-9)
+    return CheckResult(float(np.max(np.abs(before - after))), 1e-9)
 
 
 def check_partial_trace_state_contract(config: RunConfig, rng) -> CheckResult:
@@ -163,7 +165,7 @@ def check_partial_trace_state_contract(config: RunConfig, rng) -> CheckResult:
     reduced = np.stack([linalg.partial_trace(rho, keep, [2, 2]) for keep in (0, 1)])
     worst = max(np.max(linalg.hermiticity_defect(reduced)),
                 np.max(np.abs(np.trace(reduced, axis1=-2, axis2=-1).real - 1.0)))
-    return CheckResult("partial_trace_state_contract", float(worst), 1e-12)
+    return CheckResult(float(worst), 1e-12)
 
 
 def check_oracle_partial_trace(config: RunConfig, rng) -> CheckResult:
@@ -171,7 +173,7 @@ def check_oracle_partial_trace(config: RunConfig, rng) -> CheckResult:
     worst = max(np.max(np.abs(linalg.partial_trace(rho, keep, [2, 2, 2])
                               - reference_partial_trace(rho, keep, [2, 2, 2])))
                 for keep in (0, 1, 2, (0, 1), (0, 2), (1, 2)))
-    return CheckResult("oracle_partial_trace", float(worst), 1e-12)
+    return CheckResult(float(worst), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +190,13 @@ def check_bloch_conjugation_consistency(config: RunConfig, rng) -> CheckResult:
     u = pauli.rotation_unitary(beta)
     conjugated = pauli.density_to_bloch(u @ pauli.bloch_to_density(m) @ u.conj().swapaxes(-2, -1))
     worst = float(np.max(np.abs(conjugated - pauli.rotate_bloch(m, beta))))
-    return CheckResult("bloch_conjugation_consistency", worst, 1e-12)
+    return CheckResult(worst, 1e-12)
 
 
 def check_pauli_roundtrip(config: RunConfig, rng) -> CheckResult:
     m = _random_hermitian(_uniform(rng, _count(config, 200), *[ENTRY] * 32), 4)
     worst = float(np.max(np.abs(pauli.pauli_decompose(m).reconstruct() - m)))
-    return CheckResult("pauli_roundtrip", worst, 1e-12)
+    return CheckResult(worst, 1e-12)
 
 
 def check_rotation_composition(config: RunConfig, rng) -> CheckResult:
@@ -207,7 +209,7 @@ def check_rotation_composition(config: RunConfig, rng) -> CheckResult:
                          np.max(np.abs(product + total), axis=(-2, -1)))
     two_step = pauli.rotate_bloch(pauli.rotate_bloch(m, b1), b2)
     worst = max(np.max(unitary), np.max(np.abs(two_step - pauli.rotate_bloch(m, b1 + b2))))
-    return CheckResult("rotation_composition", float(worst), 1e-12)
+    return CheckResult(float(worst), 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def check_covariance_relations(config: RunConfig, rng) -> CheckResult:
     etas, t = draws[:, :2], nosignalling.constrain_tensor(draws[:, 2:9])
     theta, beta = draws[:, 9], draws[:, 10]
     residuals = nosignalling.covariance_residual(pauli.great_circle_bloch(theta), etas, t, beta)
-    return CheckResult("covariance_relations", float(np.max(residuals)), 1e-12)
+    return CheckResult(float(np.max(residuals)), 1e-12)
 
 
 def check_transcription_identity(config: RunConfig, rng) -> CheckResult:
@@ -227,13 +229,13 @@ def check_transcription_identity(config: RunConfig, rng) -> CheckResult:
     etas, t = draws[:, :2], nosignalling.constrain_tensor(draws[:, 2:])
     explicit = nosignalling.positivity_matrix_up(etas, t)
     rebuilt = nosignalling.build_joint_output(nosignalling.UP, etas, t)
-    return CheckResult("transcription_identity", float(np.max(np.abs(explicit - rebuilt))), 1e-14)
+    return CheckResult(float(np.max(np.abs(explicit - rebuilt))), 1e-14)
 
 
 def check_no_signalling_constraint(config: RunConfig, rng) -> CheckResult:
     draws = _uniform(rng, _count(config, 200), UNIT, UNIT, *[ENTRY] * 7)
     residuals = nosignalling.no_signalling_residual(draws[:, :2], nosignalling.constrain_tensor(draws[:, 2:]))
-    return CheckResult("no_signalling_constraint", float(np.max(residuals)), 1e-12)
+    return CheckResult(float(np.max(residuals)), 1e-12)
 
 
 def check_no_signalling_violation(config: RunConfig, rng) -> CheckResult:
@@ -244,7 +246,7 @@ def check_no_signalling_violation(config: RunConfig, rng) -> CheckResult:
     close = np.abs(t_xx - t[:, 2, 2]) < 0.01
     t[:, 2, 2] = np.where(close, t_xx + np.where(t_xx <= 0.99, 0.01, -0.01), t[:, 2, 2])
     smallest = float(np.min(nosignalling.no_signalling_residual(etas, t)))
-    return CheckResult("no_signalling_violation", smallest, 1e-12, direction=">=")
+    return CheckResult(smallest, 1e-12, direction=">=")
 
 
 def _soundness_attempts(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +296,7 @@ def check_bound_soundness(config: RunConfig, rng) -> CheckResult:
     rng.random((used, 10))
     # A starved sampler surfaces as a failure.
     worst = np.inf if starved else float(np.max(excess[:used][accepted[:used]]))
-    return CheckResult("bound_soundness", worst, 1e-8)
+    return CheckResult(worst, 1e-8)
 
 
 def check_correlation_rotation_group(config: RunConfig, rng) -> CheckResult:
@@ -302,7 +304,7 @@ def check_correlation_rotation_group(config: RunConfig, rng) -> CheckResult:
     t, b1, b2 = draws[:, :9].reshape(-1, 3, 3), draws[:, 9], draws[:, 10]
     two_step = nosignalling.rotate_correlations(nosignalling.rotate_correlations(t, b1), b2)
     one_step = nosignalling.rotate_correlations(t, b1 + b2)
-    return CheckResult("correlation_rotation_group", float(np.max(np.abs(two_step - one_step))), 1e-12)
+    return CheckResult(float(np.max(np.abs(two_step - one_step))), 1e-12)
 
 
 def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
@@ -312,14 +314,14 @@ def check_on_circle_feasibility(config: RunConfig, rng) -> CheckResult:
     etas = _circle_etas(np.array([0.0, np.pi / 4, np.pi / 3]))
     bracket = nosignalling.eigenvalue_bracket(etas, config.budget)
     worst = float(np.min(np.minimum(bracket.lower, -bracket.upper)))
-    return CheckResult("on_circle_feasibility", worst, -linalg.PSD_TOL, direction=">=")
+    return CheckResult(worst, -linalg.PSD_TOL, direction=">=")
 
 
 def check_circle_recovery(config: RunConfig, rng) -> CheckResult:
     phi = np.array([0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2])
     bracket = nosignalling.radius_bracket(phi, radius_tol=nosignalling.DEFAULT_RADIUS_TOL, budget=config.budget)
     worst = np.max(np.maximum(np.abs(bracket.lower - 1.0), np.abs(bracket.upper - 1.0)))
-    return CheckResult("circle_recovery", float(worst), 2e-3)
+    return CheckResult(float(worst), 2e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +332,12 @@ def check_clone_normalization(config: RunConfig, rng) -> CheckResult:
     draws = _uniform(rng, _count(config, 1000), UNIT, UNIT, ANGLE)
     states = cloner.clone(draws[:, 2], cloner.coefficients(draws[:, :2]))
     worst = float(np.max(np.abs(np.linalg.norm(states, axis=-1) - 1.0)))
-    return CheckResult("clone_normalization", worst, 1e-12)
+    return CheckResult(worst, 1e-12)
 
 
 def check_isometry(config: RunConfig, rng) -> CheckResult:
     etas = _uniform(rng, _count(config, 400), UNIT, UNIT)
-    return CheckResult("isometry", float(np.max(cloner.isometry_check(cloner.coefficients(etas)))), 1e-12)
+    return CheckResult(float(np.max(cloner.isometry_check(cloner.coefficients(etas)))), 1e-12)
 
 
 def check_machine_no_signalling(config: RunConfig, rng) -> CheckResult:
@@ -343,7 +345,7 @@ def check_machine_no_signalling(config: RunConfig, rng) -> CheckResult:
     cardinal = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     rho_ob = cloner.reduced_clones(cloner.clone(cardinal, cloner.coefficients(etas[:, None, :])))[2]
     up, right, down, left = np.moveaxis(rho_ob, 1, 0)
-    return CheckResult("machine_no_signalling", float(np.max(np.abs(up + down - right - left))), 1e-12)
+    return CheckResult(float(np.max(np.abs(up + down - right - left))), 1e-12)
 
 
 def check_machine_tensor_constraints(config: RunConfig, rng) -> CheckResult:
@@ -351,7 +353,7 @@ def check_machine_tensor_constraints(config: RunConfig, rng) -> CheckResult:
     rho_ob = cloner.reduced_clones(cloner.clone(theta, cloner._circle_coefficients(phi)))[2]
     t = pauli.pauli_decompose(rho_ob).t
     worst = max(np.max(np.abs(t[:, 0, 0] - t[:, 2, 2])), np.max(np.abs(t[:, 0, 2] + t[:, 2, 0])))
-    return CheckResult("machine_tensor_constraints", float(worst), 1e-12)
+    return CheckResult(float(worst), 1e-12)
 
 
 def _circle_fidelities(theta, phi) -> np.ndarray:
@@ -364,13 +366,13 @@ def check_fidelity_law(config: RunConfig, rng) -> CheckResult:
     fidelity = _circle_fidelities(theta, phi)
     worst = max(np.max(np.abs(fidelity[:, 0] - (1 + np.cos(phi)) / 2)),
                 np.max(np.abs(fidelity[:, 1] - (1 + np.sin(phi)) / 2)))
-    return CheckResult("fidelity_law", float(worst), 1e-10)
+    return CheckResult(float(worst), 1e-10)
 
 
 def check_separability_ppt(config: RunConfig, rng) -> CheckResult:
     theta, phi = _uniform(rng, _count(config, 500), ANGLE, QUARTER).T
     lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(theta, cloner._circle_coefficients(phi))))
-    return CheckResult("separability_ppt", float(np.min(lowest)), -1e-10, direction=">=")
+    return CheckResult(float(np.min(lowest)), -1e-10, direction=">=")
 
 
 def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
@@ -378,13 +380,13 @@ def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
     fidelity = _circle_fidelities(theta, phi)
     s1 = 2 * fidelity[:, 0] - 1
     s2 = 2 * fidelity[:, 1] - 1
-    return CheckResult("bound_attainment", float(np.max(np.abs(s1**2 + s2**2 - 1.0))), 1e-10)
+    return CheckResult(float(np.max(np.abs(s1**2 + s2**2 - 1.0))), 1e-10)
 
 
 def check_machine_covariance(config: RunConfig, rng) -> CheckResult:
     phi, theta, beta = _uniform(rng, _count(config, 200), QUARTER, ANGLE, ANGLE).T
     worst = float(np.max(cloner._covariance_deviation(cloner._circle_coefficients(phi), theta, beta)))
-    return CheckResult("machine_covariance", worst, 1e-10)
+    return CheckResult(worst, 1e-10)
 
 
 def check_reduced_clone_oracle(config: RunConfig, rng) -> CheckResult:
@@ -394,57 +396,32 @@ def check_reduced_clone_oracle(config: RunConfig, rng) -> CheckResult:
     reduced = cloner.reduced_clones(state)
     worst = max(np.max(np.abs(clone - reference_partial_trace(rho, keep, [2, 2, 2])))
                 for clone, keep in zip(reduced, (0, 1, (0, 1))))
-    return CheckResult("reduced_clone_oracle", float(worst), 1e-12)
+    return CheckResult(float(worst), 1e-12)
 
 
 def check_isotropy_on_circle(config: RunConfig, rng) -> CheckResult:
     phi = np.linspace(0, np.pi / 2, 20)
     worst = np.max(cloner.isotropy_scan(_circle_etas(phi)))
-    return CheckResult("isotropy_on_circle", float(worst), 1e-10)
+    return CheckResult(float(worst), 1e-10)
 
 
 def check_isotropy_off_circle(config: RunConfig, rng) -> CheckResult:
     smallest = np.min(cloner.isotropy_scan([(0.7, 0.7), (0.5, 0.5)]))
-    return CheckResult("isotropy_off_circle", float(smallest), 1e-3, direction=">=")
+    return CheckResult(float(smallest), 1e-3, direction=">=")
 
 
-CHECKS = (
-    check_kron_associativity,
-    check_eigenvalue_rotation_invariance,
-    check_partial_trace_state_contract,
-    check_oracle_partial_trace,
-    check_bloch_conjugation_consistency,
-    check_pauli_roundtrip,
-    check_rotation_composition,
-    check_covariance_relations,
-    check_transcription_identity,
-    check_no_signalling_constraint,
-    check_no_signalling_violation,
-    check_bound_soundness,
-    check_correlation_rotation_group,
-    check_on_circle_feasibility,
-    check_circle_recovery,
-    check_clone_normalization,
-    check_isometry,
-    check_machine_no_signalling,
-    check_machine_tensor_constraints,
-    check_fidelity_law,
-    check_separability_ppt,
-    check_bound_attainment,
-    check_machine_covariance,
-    check_reduced_clone_oracle,
-    check_isotropy_on_circle,
-    check_isotropy_off_circle,
-)
+# Defining a check_* function above registers it: the suite runs them in definition order.
+CHECKS = tuple(check for name, check in globals().items() if name.startswith("check_"))
 
 
 def run_verification(config: RunConfig) -> list[CheckResult]:
-    """Run every named check with one seeded generator; results in declaration order."""
+    """Run every check with one seeded generator; results in definition order, named after their functions."""
     rng = np.random.default_rng(config.seed)
     results = []
     for check in CHECKS:
         start = time.perf_counter()
         result = check(config, rng)
         result.seconds = time.perf_counter() - start
+        result.name = check.__name__.removeprefix("check_")
         results.append(result)
     return results

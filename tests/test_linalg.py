@@ -68,6 +68,10 @@ class TestPartialTrace:
             partial_trace(np.eye(4), 0, [2, 3])
         with pytest.raises(ValueError, match="bad factorization"):
             partial_trace(np.stack([np.eye(4)] * 5), 0, [2, 3])
+        # Dimensions below 1 can still multiply to the matrix's size: only their sign rejects them.
+        for rho, dims in [(np.eye(4) / 4, [-2, -2]), (np.eye(1), [-1, -1]), (np.zeros((0, 0)), [0, 2])]:
+            with pytest.raises(ValueError, match=r"^bad factorization: dims \[[-0-9, ]+\] must all be positive$"):
+                partial_trace(rho, 0, dims)
 
     @pytest.mark.parametrize("keep, dims, named", [(0, [2.5, 2], r"dims=\[2\.5, 2\]"), (0.5, [2, 2], "keep=0.5"),
                                                    ([0, 1.0], [2, 2], r"keep=\[0, 1\.0\]"),

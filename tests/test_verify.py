@@ -51,6 +51,29 @@ class TestRunConfig:
         RunConfig(samples=0)
 
 
+class TestRegistry:
+    def test_checks_are_every_check_function_in_definition_order(self):
+        # A check_* function defined after the CHECKS line would be missing from CHECKS.
+        defined = [value for name, value in vars(verify).items() if name.startswith("check_")]
+        assert list(verify.CHECKS) == defined
+
+    def test_the_suite_names(self):
+        assert [check.__name__.removeprefix("check_") for check in verify.CHECKS] == [
+            "kron_associativity", "eigenvalue_rotation_invariance", "partial_trace_state_contract",
+            "oracle_partial_trace", "bloch_conjugation_consistency", "pauli_roundtrip", "rotation_composition",
+            "covariance_relations", "transcription_identity", "no_signalling_constraint",
+            "no_signalling_violation", "bound_soundness", "correlation_rotation_group", "on_circle_feasibility",
+            "circle_recovery", "clone_normalization", "isometry", "machine_no_signalling",
+            "machine_tensor_constraints", "fidelity_law", "separability_ppt", "bound_attainment",
+            "machine_covariance", "reduced_clone_oracle", "isotropy_on_circle", "isotropy_off_circle",
+        ]
+
+    def test_each_result_is_named_after_its_function(self):
+        results = run_verification(RunConfig(samples=2))
+        assert [result.name for result in results] == [check.__name__.removeprefix("check_")
+                                                       for check in verify.CHECKS]
+
+
 class TestBoundSoundness:
     @pytest.mark.parametrize("seed", [0, 11])
     def test_samples_reach_the_tight_region(self, seed):
