@@ -453,6 +453,12 @@ class TestIsotropyScan:
         assert np.all(np.abs(etas[:, 0] ** 2 + etas[:, 1] ** 2 - 1) > 1e-8)  # every pair is off the circle
         assert np.max(np.abs(isotropy_scan(etas) - anisotropy_law(etas))) <= 1e-15
 
+    def test_the_unit_square_corners_meet_the_closed_form_law(self):
+        # eta = 0 and eta = 1 are where sqrt(1 - eta_j^2) reaches its ends: 1/(3 sqrt 3), 0, 0, 1/(3 sqrt 3).
+        corners = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        assert np.max(np.abs(isotropy_scan(corners) - anisotropy_law(corners))) <= 1e-15
+        assert np.max(np.abs(isotropy_scan(corners) - np.array([1, 0, 0, 1]) / (3 * np.sqrt(3)))) <= 1e-15
+
     # Three fixed pairs, then seeded random ones off the circle.  On the
     # circle both sides are rounding noise, hence the 1e-15 slack.
     @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.5, 0.5)]
@@ -515,7 +521,7 @@ def circle_stack(n):
 
 
 class TestBatchedIsotropyScan:
-    # A single pair, small stacks, the 129-direction sweep and seeded random stacks.
+    # A single pair, small stacks, the 129-direction sweep, seeded random stacks and the endpoints.
     CASES = {
         "single": (0.6, 0.8),
         "3x2": np.random.default_rng(1).uniform(0, 1, (3, 2)),
@@ -523,6 +529,7 @@ class TestBatchedIsotropyScan:
         "sweep_129": circle_stack(129),
         "random_7x2": np.random.default_rng(3).uniform(0, 1, (7, 2)),
         "random_200x2": np.random.default_rng(6).uniform(0, 1, (200, 2)),
+        "endpoints": np.array([(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]),
     }
 
     @pytest.mark.parametrize("case", CASES)
