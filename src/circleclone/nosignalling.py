@@ -12,7 +12,7 @@ feasible radius along a ray: the unit circle in the (eta1, eta2) plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,18 +205,20 @@ def machine_witness_tensor(etas) -> np.ndarray:
 
 # The north-pole output is affine in the reduction factors and the free
 # entries, A00 + eta1 E1 + eta2 E2 + sum_i f_i A_i, with A00 = I/4 and diagonal
-# E1, E2; the slopes E1, E2 and A_i are constants.
-ORIGIN = _up_matrix(0.0, 0.0, np.zeros(len(FREE_PARAMETERS)))
+# E1, E2; the slopes E1, E2 and A_i are constants.  ORIGIN (A00), E1 and E2 are
+# float64; UP_SLOPES, the full seven-entry problem, stays complex.
+ORIGIN = _up_matrix(0.0, 0.0, np.zeros(len(FREE_PARAMETERS))).real
 UP_SLOPES = np.array([_up_matrix(0.0, 0.0, unit) for unit in np.eye(len(FREE_PARAMETERS))]) - ORIGIN
-ETA_SLOPES = np.array([_up_matrix(*unit, np.zeros(len(FREE_PARAMETERS))) for unit in np.eye(2)]) - ORIGIN
+ETA_SLOPES = np.array([_up_matrix(*unit, np.zeros(len(FREE_PARAMETERS))) for unit in np.eye(2)]).real - ORIGIN
 
 # A00, E1, E2 and the slopes of t_xx, t_xz and t_yy are real; those of t_xy,
 # t_yx, t_yz and t_zy are purely imaginary.  Complex conjugation maps S(f) to
 # S(f'), f' being f with those four entries negated, so S(f) and S(f') are
 # PSD together, and the mean of f and f', with the four entries zero, is as
 # good as f.  The brackets are therefore solved in real arithmetic over the
-# three real entries; a real symmetric W has Tr(W A_i) = 0 for every
-# imaginary slope, so their certificates prove the bound over all seven.
+# three real entries, and report the four others as exact zeros; a real
+# symmetric W has Tr(W A_i) = 0 for every imaginary slope, so their
+# certificates prove the bound over all seven.
 REAL_PARAMETERS = [0, 1, 2]
 REAL_SLOPES = UP_SLOPES[REAL_PARAMETERS].real
 
@@ -228,7 +230,7 @@ class Bracket:
     ``lower`` is attained at the free entries ``free``; ``upper`` is proved
     by the positive semidefinite unit-trace ``certificate`` W, which is NaN
     in a row that certified no bound (there ``upper`` is inf); W is real
-    (float64) when the problem is real and complex128 otherwise.  Fields take
+    symmetric (float64), as every problem minimize solves is real.  Fields take
     the batch shape: ``lower``, ``upper`` and ``iterations`` (...), ``free``
     (..., k), ``certificate`` (..., n, n); a single problem gives numpy
     scalars.  eigenvalue_bracket and radius_bracket give ``free`` (..., 7).
@@ -265,14 +267,15 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     lockstep: every iterate makes one eigen-decomposition of all the S, one of
     all the S^-1/2 G S^-1/2 and one solve of all the Newton systems.  Each row
     stops on its own by the rules above and leaves the stack; row by row, the
-    arithmetic is that of the solve of its problem alone.  The arithmetic,
-    and the certificate, are real when F0, the A_i and G all are, and complex
-    otherwise.
+    arithmetic is that of the solve of its problem alone.  The problem is
+    real: F0, the A_i and G are real symmetric, and complex input is rejected.
     """
     _require(isinstance(budget, (int, np.integer)) and budget >= 1, budget, "budget must be a positive integer, got {}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    f0, g, x0 = np.asarray(f0), np.asarray(g), np.asarray(x0, dtype=float)
+    if any(np.iscomplexobj(part) for part in (f0, slopes, g, x0)):
+        raise ValueError("minimize solves real problems only: F0, the slopes, G and x0 must be real")
+    f0, slopes, g, x0 = (np.asarray(part, dtype=float) for part in (f0, slopes, g, x0))
     shape = np.broadcast_shapes(f0.shape[:-2], g.shape[:-2], x0.shape)
     size, count = f0.shape[-1], len(slopes)
     problems = int(np.prod(shape))
@@ -285,7 +288,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     x = np.broadcast_to(x0, shape).reshape(problems)
     free = best_free = np.zeros((problems, count))
     lower, upper = np.full(problems, -np.inf), np.full(problems, np.inf)
-    certificate = np.full((problems, size, size), np.nan, dtype=np.result_type(f0, slopes, g, float))
+    certificate = np.full((problems, size, size), np.nan)
     results = Bracket(lower.copy(), upper.copy(), best_free.copy(), certificate.copy(),
                       np.zeros(problems, dtype=int))
     flat_slopes, diagonal = slopes.reshape(count, -1), np.arange(count)
@@ -300,9 +303,9 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         total = inverse.sum(axis=-1)
         if iterate == 1:
             s = total
-        # V^H B V for every B of (A_1, ..., G), in the eigenbasis V of S, and
+        # V^T B V for every B of (A_1, ..., G), in the eigenbasis V of S, and
         # S^-1/2 B S^-1/2 from it.
-        adjoint = vectors.conj().swapaxes(-2, -1)
+        adjoint = vectors.swapaxes(-2, -1)
         projected = adjoint[:, None] @ terms @ vectors[:, None]
         root = np.sqrt(inverse)
         blocks = projected * (root[:, :, None] * root[:, None, :])[:, None]
@@ -319,7 +322,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
 
         # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
         flat = blocks.reshape(len(rows), count + 1, -1)
-        hessian = (flat @ flat.conj().swapaxes(-2, -1)).real
+        hessian = flat @ flat.swapaxes(-2, -1)
         gradient = -total[:, None] * traces
         gradient[:, count] -= s
         gradient[:, :count] += 2 * free / (1 - free**2)
@@ -374,43 +377,39 @@ def _face_certificate(vectors: np.ndarray, projected: np.ndarray) -> np.ndarray:
     An optimal W has W S = 0 at the optimum, where S of the north-pole
     problems has two zero eigenvalues, so near it W lives on their
     eigenvectors V2, the first two columns of ``vectors`` (rows, n, n).  With
-    Y_j = V2^H B_j V2, sliced out of ``projected`` (rows, k + 1, n, n) for B
-    of (A_1, ..., G), fits a Hermitian 2x2 X (real symmetric when
-    ``projected`` is real) by least squares to Tr(X Y_i) = 0 and
-    Tr(X Y_G) = -1, clips it to positive semidefinite and takes
-    W = V2 X V2^H / Tr X.  A rank-2 W has computed eigenvalues of either sign
-    at the rounding level, so W is mixed with a 1e-12 share of I / n: the mix
-    is PSD (any convex mix of PSD certificates is a certificate), its
-    computed eigenvalues stay positive and its bound moves by about 1e-12.
+    Y_j = V2^T B_j V2, sliced out of ``projected`` (rows, k + 1, n, n) for B
+    of (A_1, ..., G), fits a real symmetric 2x2 X, three unknowns, by least
+    squares to Tr(X Y_i) = 0 and Tr(X Y_G) = -1, clips it to positive
+    semidefinite and takes W = V2 X V2^T / Tr X.  A rank-2 W has computed
+    eigenvalues of either sign at the rounding level, so W is mixed with a
+    1e-12 share of I / n: the mix is PSD (any convex mix of PSD certificates
+    is a certificate), its computed eigenvalues stay positive and its bound
+    moves by about 1e-12.
     A row whose fit is singular or whose clipped X is zero gets NaN.
     """
     y = projected[..., :2, :2]
-    columns = [y[..., 0, 0].real, y[..., 1, 1].real, 2 * y[..., 0, 1].real]
-    if np.iscomplexobj(y):  # a real problem has a real symmetric X: no Im X01 to fit
-        columns.append(2 * y[..., 0, 1].imag)
-    design = np.stack(columns, axis=-1)
+    design = np.stack([y[..., 0, 0], y[..., 1, 1], 2 * y[..., 0, 1]], axis=-1)
     fit = _newton_solve(design.swapaxes(-2, -1) @ design, -design[:, -1])
     valid = np.isfinite(fit).all(axis=-1)
-    a, b, re, *im = _components(np.where(valid[:, None], fit, 0.0))
-    corner = re + 1j * im[0] if im else re
-    values, turn = np.linalg.eigh(_stack_last([[a, corner], [np.conj(corner), b]], 2))
+    a, b, corner = _components(np.where(valid[:, None], fit, 0.0))
+    values, turn = np.linalg.eigh(_stack_last([[a, corner], [corner, b]], 2))
     values = np.maximum(values, 0.0)
     weight = values.sum(axis=-1)
     valid &= weight > 0.0
     basis = vectors[..., :2] @ turn
-    face = (basis * (values / np.where(valid, weight, 1.0)[:, None])[:, None, :]) @ basis.conj().swapaxes(-2, -1)
+    face = (basis * (values / np.where(valid, weight, 1.0)[:, None])[:, None, :]) @ basis.swapaxes(-2, -1)
     size, share = vectors.shape[-1], 1e-12
     mixed = (1.0 - share) * face + (share / size) * np.eye(size)
     return np.where(valid[:, None, None], mixed, np.nan)
 
 
 def _traces(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(W B) for every B of a stack b (..., k, n, n), with W (..., n, n); (..., k).
+    """Tr(W B) for every B of a stack b (..., k, n, n), with W (..., n, n); (..., k).
 
     A matmul of the flattened matrices: its sums for one row do not depend on
     how many rows the stack holds (einsum's do, in the last bit).
     """
-    return (b.reshape(b.shape[:-2] + (-1,)) @ w.swapaxes(-2, -1).reshape(w.shape[:-2] + (-1, 1)))[..., 0].real
+    return (b.reshape(b.shape[:-2] + (-1,)) @ w.swapaxes(-2, -1).reshape(w.shape[:-2] + (-1, 1)))[..., 0]
 
 
 def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
@@ -427,29 +426,19 @@ def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         return steps
 
 
-def _real_minimize(f0: np.ndarray, g: np.ndarray, x0, budget: int, tol: float) -> Bracket:
-    """minimize over the seven free entries, solved on the real parts of F0 and G and the REAL_SLOPES alone.
-
-    The imaginary entries of ``free`` are exact zeros; the float64 certificate
-    certifies the problem over all seven (see REAL_SLOPES).
-    """
-    bracket = minimize(f0.real, REAL_SLOPES, g.real, x0, budget, tol)
-    free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
-    free[..., REAL_PARAMETERS] = bracket.free
-    return replace(bracket, free=free)
-
-
 def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     """Bracket the largest minimum eigenvalue of the north-pole output over the seven free entries.
 
-    The solve of _real_minimize with G = -I from x = lambda_min(A0) - 1, to a
-    gap of GAP_TOL.  Reduction factors (..., 2) give one solve of the stack,
-    one row per pair.
+    The solve of minimize over the REAL_SLOPES (see there) with G = -I from
+    x = lambda_min(A0) - 1, to a gap of GAP_TOL.  Reduction factors (..., 2)
+    give one solve of the stack, one row per pair.
     """
     eta1, eta2 = _validate_etas(etas)
-    a0 = _up_matrix(eta1, eta2, np.zeros(np.shape(eta1) + (len(FREE_PARAMETERS),)))
-    x0 = np.linalg.eigvalsh(a0)[..., 0] - 1.0
-    return _real_minimize(a0, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL)
+    a0 = _up_matrix(eta1, eta2, np.zeros(np.shape(eta1) + (len(FREE_PARAMETERS),))).real
+    bracket = minimize(a0, REAL_SLOPES, -np.eye(a0.shape[-1]), np.linalg.eigvalsh(a0)[..., 0] - 1.0, budget, GAP_TOL)
+    free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
+    free[..., REAL_PARAMETERS] = bracket.free
+    return Bracket(bracket.lower, bracket.upper, free, bracket.certificate, bracket.iterations)
 
 
 def feasibility(etas, budget: int = DEFAULT_BUDGET) -> bool | None:
@@ -478,18 +467,21 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
     """Bracket the largest feasible radius along each ray (r cos(phi), r sin(phi)), from one barrier solve.
 
     Along the ray the north-pole output is A00 + r B(phi) + sum_i f_i A_i, with
-    B(phi) = cos(phi) E1 + sin(phi) E2: _real_minimize with G = B(phi), from
-    r = 0 until the certified bracket is at most ``radius_tol`` wide (or
-    precision runs out, which takes a ``radius_tol`` of 1e-12 or less).  Its
-    lower end is attained by its free entries.  Directions (...) give one
-    solve of the stack, each row stopping on its own.  The boundary is the
-    unit circle.
+    B(phi) = cos(phi) E1 + sin(phi) E2: minimize over the REAL_SLOPES with
+    G = B(phi), from r = 0 until the certified bracket is at most
+    ``radius_tol`` wide (or precision runs out, which takes a ``radius_tol`` of
+    1e-12 or less).  Its lower end is attained by its free entries.  Directions
+    (...) give one solve of the stack, each row stopping on its own.  The
+    boundary is the unit circle.
     """
     phi = np.asarray(phi, dtype=float)
     _require((phi >= 0.0) & (phi <= np.pi / 2), phi, "direction must lie in [0, pi/2], got {}")
     direction = (np.cos(phi)[..., None, None] * ETA_SLOPES[0]
                  + np.sin(phi)[..., None, None] * ETA_SLOPES[1])
-    return _real_minimize(ORIGIN, direction, 0.0, budget, radius_tol)
+    bracket = minimize(ORIGIN, REAL_SLOPES, direction, 0.0, budget, radius_tol)
+    free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
+    free[..., REAL_PARAMETERS] = bracket.free
+    return Bracket(bracket.lower, bracket.upper, free, bracket.certificate, bracket.iterations)
 
 
 def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> float:

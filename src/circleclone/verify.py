@@ -11,6 +11,7 @@ forms) so that agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -64,10 +65,16 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     no code and are compared against each other by the oracle checks.
     Leading axes are batch axes: each index sum adds whole columns
     rho[..., row, col] of a (..., D, D) stack, so the loops run once per call.
+    ``dims`` must be positive integers with product D, and ``keep`` a subset
+    of the subsystems; any other factorization raises ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
-    keep = sorted(int(k) for k in np.atleast_1d(keep))
-    dims = [int(d) for d in dims]
+    dims, keep = np.asarray(dims).tolist(), np.atleast_1d(keep).tolist()
+    if not (all(isinstance(i, numbers.Integral) for i in dims + keep) and all(d > 0 for d in dims)
+            and rho.shape[-2:] == (math.prod(dims),) * 2 and len(set(keep)) == len(keep)
+            and set(keep) <= set(range(len(dims)))):
+        raise ValueError(f"dims {dims} and keep {keep} do not factor a matrix of shape {rho.shape}")
+    keep = sorted(keep)
     traced = [i for i in range(len(dims)) if i not in keep]
 
     def flat(kept_index, traced_index):

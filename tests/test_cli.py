@@ -186,6 +186,18 @@ class TestBoundSweepCommand:
             assert 1 <= iterations <= max_iterations, line
         assert captured.out.startswith(BOUND_SWEEP_HEADER + "\n")
 
+    # A budget of one or two iterates stops every bracket at the budget; the brackets it leaves are exact.
+    @pytest.mark.parametrize(("n_phi", "budget", "expected"), [
+        (2, 1, ["phi=0.000000  radius=[1.000000000, inf]  iterations=1  width=inf",
+                "phi=1.570796  radius=[1.000000000, inf]  iterations=1  width=inf"]),
+        (3, 2, ["phi=0.000000  radius=[1.000000000, 2.250000000]  iterations=2  width=1.250e+00",
+                "phi=0.785398  radius=[0.707106781, 2.250000000]  iterations=2  width=1.543e+00",
+                "phi=1.570796  radius=[1.000000000, 2.250000000]  iterations=2  width=1.250e+00"]),
+    ])
+    def test_small_budget_brackets(self, n_phi, budget, expected, capsys):
+        assert main(["bound-sweep", "--n-phi", str(n_phi), "--budget", str(budget)]) == 0
+        assert capsys.readouterr().err.splitlines()[1:] == expected
+
     def test_unwritable_path_exits_2(self, capsys):
         assert main(["bound-sweep", "--n-phi", "2", "--budget", "400",
                      "--out", "/nonexistent-dir/never/x.csv"]) == 2

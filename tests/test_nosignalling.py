@@ -273,6 +273,17 @@ class TestBoundRhs:
         t[1, 0] = 0.5
         assert bound_rhs(t) == 0.5
 
+    def test_yz_and_zy_entries(self):
+        t = np.zeros((3, 3))
+        t[1, 2] = 0.5
+        t[2, 1] = 0.5
+        assert bound_rhs(t) == 0.5
+
+    def test_all_five_y_entries(self):
+        # Dyadic entries, some negative, so the sum is exact: 1 - (1/4 + 1/16 + 1/16 + 1/64 + 9/64) = 15/32.
+        t = constrain_tensor([0.75, -0.5, 0.5, 0.25, -0.25, 0.125, -0.375])
+        assert bound_rhs(t) == 15 / 32
+
     def test_ignores_constrained_entries(self):
         t = constrain_tensor([0.9, 0.7, 0, 0, 0, 0, 0])
         assert bound_rhs(t) == 1.0
@@ -537,17 +548,19 @@ class TestLockstep:
     # Eigenvalue rows (G = -I) at a feasible point and at (0.8, 0.8), radius
     # rows (G = B(phi)) along three rays, all solved to GAP_TOL, and an
     # eigenvalue row started above the boundary, where S is not positive
-    # definite: their solves stop at iterates 29, 28, 4, 28, 28 and 1.
+    # definite: their solves stop at iterates 29, 28, 4, 28, 28 and 1.  The
+    # rows are real, as minimize takes them: the real parts of the north-pole
+    # terms, solved over the REAL_SLOPES.
     POINTS = np.array([(0.3, 0.4), (0.8, 0.8), (0.6, 0.8)])
     DIRECTIONS = np.array([0.0, np.pi / 8, np.pi / 4])
 
     def stack(self):
         """F0, G and x0 of the rows: the first two points, the rays, then the last point."""
-        a0 = [positivity_matrix_up(etas, np.zeros((3, 3))) for etas in self.POINTS]
+        a0 = [positivity_matrix_up(etas, np.zeros((3, 3))).real for etas in self.POINTS]
         x0 = [np.linalg.eigvalsh(a)[0] - 1.0 for a in a0]
         x0[-1] += 1.5
-        origin = positivity_matrix_up((0.0, 0.0), np.zeros((3, 3)))
-        rays = [positivity_matrix_up((np.cos(phi), np.sin(phi)), np.zeros((3, 3))) - origin
+        origin = positivity_matrix_up((0.0, 0.0), np.zeros((3, 3))).real
+        rays = [positivity_matrix_up((np.cos(phi), np.sin(phi)), np.zeros((3, 3))).real - origin
                 for phi in self.DIRECTIONS]
         f0 = np.array(a0[:2] + [origin] * len(rays) + a0[2:])
         g = np.array([-np.eye(4)] * 2 + rays + [-np.eye(4)])
@@ -555,12 +568,13 @@ class TestLockstep:
 
     def test_each_row_is_its_own_solve(self):
         f0, g, x0 = self.stack()
-        slopes = north_pole_terms((0.0, 0.0))[1]  # the A_i are the same in every row
-        stacked = minimize(f0, UP_SLOPES, g, x0, DEFAULT_BUDGET, GAP_TOL)
+        slopes = north_pole_terms((0.0, 0.0))[1]  # all seven A_i, the same in every row
+        stacked = minimize(f0, REAL_SLOPES, g, x0, DEFAULT_BUDGET, GAP_TOL)
         assert len(set(stacked.iterations.tolist())) >= 3, stacked.iterations
+        assert stacked.certificate.dtype == np.float64
         for k in range(len(x0)):
-            alone = minimize(f0[k], UP_SLOPES, g[k], x0[k], DEFAULT_BUDGET, GAP_TOL)
-            assert np.ndim(alone.lower) == 0 and alone.free.shape == (7,)
+            alone = minimize(f0[k], REAL_SLOPES, g[k], x0[k], DEFAULT_BUDGET, GAP_TOL)
+            assert np.ndim(alone.lower) == 0 and alone.free.shape == (3,)
             assert stacked.iterations[k] == alone.iterations
             assert stacked.lower[k] == alone.lower or abs(stacked.lower[k] - alone.lower) <= 1e-15
             if np.isfinite(alone.upper):
@@ -579,16 +593,24 @@ class TestLockstep:
         np.testing.assert_array_equal(steps[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
 
     def test_eigenvalue_bracket_takes_the_stack(self):
-        a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))) for etas in self.POINTS])
-        stacked = minimize(a0, UP_SLOPES, -np.eye(4), np.linalg.eigvalsh(a0)[:, 0] - 1.0, DEFAULT_BUDGET, GAP_TOL)
+        a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))).real for etas in self.POINTS])
+        stacked = minimize(a0, REAL_SLOPES, -np.eye(4), np.linalg.eigvalsh(a0)[:, 0] - 1.0, DEFAULT_BUDGET, GAP_TOL)
         brackets = eigenvalue_bracket(self.POINTS)
         np.testing.assert_array_equal(brackets.iterations, stacked.iterations)
         assert np.max(np.abs(brackets.lower - stacked.lower)) <= 1e-15
         assert feasibility(self.POINTS[0]) is True and feasibility(self.POINTS[1]) is False
 
+    @pytest.mark.parametrize("part", ["F0", "slopes", "G", "x0"])
+    def test_rejects_complex_input(self, part):
+        # minimize solves real problems only: the brackets pass it the real parts and the REAL_SLOPES.
+        problem = {"F0": ORIGIN, "slopes": REAL_SLOPES, "G": ETA_SLOPES[0], "x0": np.zeros(1)}
+        problem[part] = problem[part] + 0j
+        with pytest.raises(ValueError, match="real problems only"):
+            minimize(problem["F0"], problem["slopes"], problem["G"], problem["x0"], DEFAULT_BUDGET, 1e-3)
+
 
 class TestRealSolve:
-    """The brackets solve the real problem on t_xx, t_xz and t_yy; the complex solve on all seven is the oracle."""
+    """The brackets solve the real problem on t_xx, t_xz and t_yy; each is checked on the full seven-entry one."""
 
     IMAGINARY = [k for k in range(len(FREE_PARAMETERS)) if k not in REAL_PARAMETERS]
 
@@ -604,37 +626,41 @@ class TestRealSolve:
         assert [FREE_PARAMETERS[k] for k in REAL_PARAMETERS] == ["t_xx", "t_xz", "t_yy"]
         assert not UP_SLOPES[REAL_PARAMETERS].imag.any() and UP_SLOPES[REAL_PARAMETERS].real.any(axis=(1, 2)).all()
         assert not UP_SLOPES[self.IMAGINARY].real.any() and UP_SLOPES[self.IMAGINARY].imag.any(axis=(1, 2)).all()
-        assert REAL_SLOPES.dtype == np.float64
+        assert REAL_SLOPES.dtype == ORIGIN.dtype == ETA_SLOPES.dtype == np.float64
         np.testing.assert_array_equal(REAL_SLOPES, UP_SLOPES[REAL_PARAMETERS].real)
-        assert not ORIGIN.imag.any() and not ETA_SLOPES.imag.any()
+        # ORIGIN and ETA_SLOPES are the whole of A00, E1 and E2: their imaginary parts are zero.
+        np.testing.assert_array_equal(ORIGIN, _up_matrix(0.0, 0.0, np.zeros(7)))
+        np.testing.assert_array_equal(ETA_SLOPES, [_up_matrix(*unit, np.zeros(7)) - ORIGIN for unit in np.eye(2)])
 
-    def assert_matches_the_complex_solve(self, real, full, f0, g):
-        np.testing.assert_array_equal(real.iterations, full.iterations)
-        assert np.max(np.abs(real.lower - full.lower)) <= 1e-15
-        assert np.max(np.abs(real.upper - full.upper)) <= 1e-15
-        assert np.max(np.abs(real.free - full.free)) <= 1e-14
-        assert real.free.dtype == np.float64 and not real.free[..., self.IMAGINARY].any()
-        assert real.certificate.dtype == np.float64
-        slopes = list(UP_SLOPES)
-        for k in range(len(real.lower)):
-            assert_certified(real.upper[k], real.certificate[k], f0[k], slopes, g[k])
+    def assert_real_bracket(self, bracket):
+        assert bracket.free.dtype == np.float64 and not bracket.free[..., self.IMAGINARY].any()
+        assert bracket.certificate.dtype == np.float64
 
-    def test_eigenvalue_bracket_matches_the_complex_solve(self):
+    def test_eigenvalue_bracket_holds_the_full_problem(self):
         etas = np.random.default_rng(0).uniform(0, 1, (200, 2))
-        a0 = _up_matrix(etas[:, 0], etas[:, 1], np.zeros((200, 7)))
-        full = minimize(a0, UP_SLOPES, -np.eye(4), np.linalg.eigvalsh(a0)[:, 0] - 1.0, DEFAULT_BUDGET, GAP_TOL)
-        real = eigenvalue_bracket(etas)
-        self.assert_matches_the_complex_solve(real, full, a0, np.broadcast_to(-np.eye(4), a0.shape))
-        # the lower end is the smallest eigenvalue at the free entries it reports
-        lowest = np.linalg.eigvalsh(_up_matrix(etas[:, 0], etas[:, 1], real.free))[:, 0]
-        assert np.max(np.abs(lowest - real.lower)) <= 1e-14
+        bracket = eigenvalue_bracket(etas)
+        self.assert_real_bracket(bracket)
+        assert np.all(bracket.upper - bracket.lower <= GAP_TOL)
+        # the lower end is the smallest eigenvalue of the complex output at the free entries it reports
+        lowest = np.linalg.eigvalsh(_up_matrix(etas[:, 0], etas[:, 1], bracket.free))[:, 0]
+        assert np.max(np.abs(lowest - bracket.lower)) <= 1e-14
+        # the upper end is proved over all seven free entries
+        for k, point in enumerate(etas):
+            a0, slopes = north_pole_terms(point)
+            assert_certified(bracket.upper[k], bracket.certificate[k], a0, slopes, -np.eye(4))
 
-    def test_radius_bracket_matches_the_complex_solve(self):
+    def test_radius_bracket_holds_the_full_problem(self):
         phi = np.linspace(0, np.pi / 2, 33)
-        g = np.cos(phi)[:, None, None] * ETA_SLOPES[0] + np.sin(phi)[:, None, None] * ETA_SLOPES[1]
-        full = minimize(ORIGIN, UP_SLOPES, g, 0.0, DEFAULT_BUDGET, 1e-8)
-        real = radius_bracket(phi, radius_tol=1e-8)
-        self.assert_matches_the_complex_solve(real, full, np.broadcast_to(ORIGIN, g.shape), g)
+        bracket = radius_bracket(phi, radius_tol=1e-8)
+        self.assert_real_bracket(bracket)
+        # at r = lower the complex output at the free entries is on the boundary: its smallest eigenvalue is zero
+        lowest = np.linalg.eigvalsh(_up_matrix(bracket.lower * np.cos(phi), bracket.lower * np.sin(phi),
+                                               bracket.free))[:, 0]
+        assert np.max(np.abs(lowest)) <= 1e-14
+        a0, slopes = north_pole_terms((0.0, 0.0))
+        for k, direction in enumerate(phi):
+            g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
+            assert_certified(bracket.upper[k], bracket.certificate[k], a0, slopes, g)
 
     def test_face_certificate_of_a_real_stack(self):
         # S just inside the optimum of the eigenvalue problem at (0.6, 0.8), in real arithmetic:
@@ -651,5 +677,3 @@ class TestRealSolve:
         a0 = _up_matrix(0.6, 0.8, np.zeros(7)).real
         bound = _dual_bound(face, a0[None], _traces(face, terms[None]))[0]
         assert bracket.lower <= bound <= bracket.lower + 1e-8
-        # Read as complex, the same stack has an all-zero Im X01 column: its fit is singular.
-        assert np.isnan(_face_certificate(vectors[None].astype(complex), projected[None].astype(complex))).all()

@@ -74,6 +74,32 @@ class TestRegistry:
                                                        for check in verify.CHECKS]
 
 
+class TestReferencePartialTrace:
+    # The oracle checks the factorization itself, without linalg: a wrong one raises, never reads the wrong entries.
+    @pytest.mark.parametrize(("rho", "keep", "dims"), [
+        (np.arange(64.0).reshape(8, 8), 0, [2, 2]),  # dims of a 4x4 matrix on an 8x8 one
+        (np.zeros((4, 4)), 0, [2, 3]),  # the product 6 is not the size 4
+        (np.zeros(4), 0, [2, 2]),
+        (np.zeros((4, 4)), 0, [4, 1, 0]),
+        (np.zeros((4, 4)), 0, [2.0, 2]),
+        (np.zeros((4, 4)), 2, [2, 2]),
+        (np.zeros((4, 4)), -1, [2, 2]),
+        (np.zeros((4, 4)), (0, 0), [2, 2]),
+        (np.zeros((4, 4)), 0.0, [2, 2]),
+    ], ids=["too-small", "product-mismatch", "not-a-matrix", "zero-dim", "float-dim", "keep-past-the-end",
+            "negative-keep", "repeated-keep", "float-keep"])
+    def test_rejects_a_bad_factorization(self, rho, keep, dims):
+        with pytest.raises(ValueError):
+            reference_partial_trace(rho, keep, dims)
+
+    def test_traces_out_each_qubit_of_a_pair(self):
+        rho = np.arange(16.0).reshape(4, 4)
+        np.testing.assert_array_equal(reference_partial_trace(rho, 0, [2, 2]), [[5, 9], [21, 25]])
+        np.testing.assert_array_equal(reference_partial_trace(rho, np.int64(1), (np.int64(2), 2)),
+                                      [[10, 12], [18, 20]])
+        np.testing.assert_array_equal(reference_partial_trace(rho, (), [2, 2]), [[30]])
+
+
 class TestBoundSoundness:
     @pytest.mark.parametrize("seed", [0, 11])
     def test_samples_reach_the_tight_region(self, seed):
