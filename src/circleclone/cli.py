@@ -31,7 +31,16 @@ def _write_csv(path: str | None, header: str, rows: list[list[float]]) -> None:
     lines = [header] + [",".join(format_number(value) for value in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text)
+        binary = getattr(sys.stdout, "buffer", None)
+        if binary is None:  # an in-memory text stream (io.StringIO) takes all of the text in one write
+            sys.stdout.write(text)
+            return
+        # Unbuffered (PYTHONUNBUFFERED), the raw file may take only part of a write to a pipe, and the text layer
+        # drops the rest without an error: the bytes go out until every one is taken or the closed pipe raises.
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding))
+        while data:
+            data = data[binary.write(data):]
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -71,7 +80,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_clone(args: argparse.Namespace) -> int:
     theta = _angle(args.theta, args.degrees)
-    report = cloner.clone_report(theta, (args.eta1, args.eta2))
+    report = cloner.clone_report(theta, cloner.coefficients((args.eta1, args.eta2)))
     circle_gap = report.eta1**2 + report.eta2**2 - 1.0
     rows = [
         ("theta (rad)", format_number(report.theta)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _require, _shaped, hermitian_eigenvalues, partial_trace
-from .pauli import _PAULI_READOUT, _pauli_pair_readout, _real_readout, _rotate_pair, _validate_etas, great_circle_ket
+from .pauli import _PAULI_READOUT, _real_readout, _rotate_pair, _validate_etas, great_circle_ket, pauli_decompose
 
 ON_CIRCLE_ATOL = 1e-8
 
@@ -164,33 +164,26 @@ class CloneReport:
     ppt_min_eigenvalue: float | np.ndarray
 
 
-def clone_report(theta: float | np.ndarray, etas) -> CloneReport:
-    """Run the machine at one input and extract every reported diagnostic.
+def clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> CloneReport:
+    """Run the machine with amplitudes ``coeffs`` at one input and extract every reported diagnostic.
 
     Every per-clone field is read off the clone's Bloch map r(theta) from
     _bloch_maps, the read-out isotropy_scan takes its supremum from.  Each
     clone's map is diagonal in x and z, so its z shrink is read at theta = 0
     and its x shrink at theta = pi/2.  At the requested input m the fitted
-    shrink is r . m and the fidelity (1 + r . m) / 2; the isotropy residual
-    holds that shrink fixed across the requested and both cardinal inputs,
-    so anisotropy is visible from any single run.  Only the joint output
-    rho_ob is simulated, at the requested input, as the Gram product of
-    _joint_output: ``correlation`` is its t_jk = Tr(rho_ob sigma_j (x)
-    sigma_k) and ``ppt_min_eigenvalue`` the minimum eigenvalue of its partial
-    transpose (non-negative exactly when the output is separable).
+    shrink is r . m and the fidelity (1 + r . m) / 2 (_fidelities); the
+    isotropy residual holds that shrink fixed across the requested and both
+    cardinal inputs, so anisotropy is visible from any single run.  Only the
+    joint output rho_ob is simulated, at the requested input, as the Gram
+    product of _joint_output: ``correlation`` is its t_jk = Tr(rho_ob sigma_j
+    (x) sigma_k), the ``t`` of pauli_decompose, and ``ppt_min_eigenvalue`` the
+    minimum eigenvalue of its partial transpose (_ppt_min_eigenvalue),
+    non-negative exactly when the output is separable.  The verify checks
+    call the same read-outs; ``eta1`` and ``eta2`` are those of ``coeffs``.
 
-    Angles (...) broadcast with reduction factors (..., 2) to one report of
+    Angles (...) broadcast with batched amplitudes (...) to one report of
     arrays: every field takes the broadcast shape (``correlation`` adds two
     axes of 3).  A single input gives numpy scalars.
-    """
-    return _clone_report(theta, coefficients(etas))
-
-
-def _clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> CloneReport:
-    """clone_report of the machine with amplitudes ``coeffs``, which it reports as built.
-
-    Its fidelities and its PPT value come from the read-outs the verify checks
-    call (_fidelities, _ppt_min_eigenvalue), on one set of Bloch maps.
     """
     joint = _joint_output(clone(theta, coeffs))
     shape = joint.shape[:-2]
@@ -217,7 +210,7 @@ def _clone_report(theta: float | np.ndarray, coeffs: CloneCoefficients) -> Clone
         fidelity_b=fidelity[..., 1][()],
         isotropy_residual_o=residual[..., 0][()],
         isotropy_residual_b=residual[..., 1][()],
-        correlation=_pauli_pair_readout(joint),
+        correlation=pauli_decompose(joint).t,
         ppt_min_eigenvalue=_ppt_min_eigenvalue(joint)[()],
     )
 
@@ -281,15 +274,15 @@ def _bloch_maps(coeffs: CloneCoefficients) -> np.ndarray:
     return np.moveaxis(maps.reshape(maps.shape[:-1] + (3, 3)), -2, 0)
 
 
-def isotropy_scan(etas):
-    """Certified supremum over every circle input of either clone's isotropy residual.
+def isotropy_scan(coeffs: CloneCoefficients):
+    """Certified supremum over every circle input of either clone's isotropy residual, for amplitudes ``coeffs``.
 
-    Reduction factors (..., 2) give one value per pair, shape (...); a single
-    pair gives a numpy scalar.  No output state or angle grid is formed: the
-    supremum is read off each clone's Bloch map (_bloch_maps) in closed form
-    (_isotropy_supremum).
+    Batched amplitudes (...) give one value per machine, shape (...); a single
+    machine gives a numpy scalar.  No output state or angle grid is formed:
+    the supremum is read off each clone's Bloch map (_bloch_maps) in closed
+    form (_isotropy_supremum).
     """
-    return _isotropy_supremum(_bloch_maps(coefficients(etas)))
+    return _isotropy_supremum(_bloch_maps(coeffs))
 
 
 def _isotropy_supremum(maps: np.ndarray):
@@ -316,20 +309,16 @@ def _isotropy_supremum(maps: np.ndarray):
     return np.max(np.abs(rx[..., 0] - rz[..., 2]) / (3 * np.sqrt(3)) + defect / 2, axis=-1)[()]
 
 
-def covariance_check_machine(etas, theta, beta):
-    """Max-norm deviation of rho_ob(theta + beta) from the y-rotated rho_ob(theta).
+def covariance_check_machine(coeffs: CloneCoefficients, theta, beta):
+    """Max-norm deviation of rho_ob(theta + beta) from the y-rotated rho_ob(theta), for amplitudes ``coeffs``.
 
     Only defined on the optimal curve, where the machine output transforms
-    covariantly under simultaneous rotation of both clones.  Reduction
-    factors (..., 2) and angles (...) broadcast to one deviation per entry.
+    covariantly under simultaneous rotation of both clones: a machine whose
+    ``eta1`` and ``eta2`` leave the curve is rejected.  Batched amplitudes
+    (...) and angles (...) broadcast to one deviation per entry.
     """
-    etas = _shaped(etas, (2,), "reduction factors (eta1, eta2)")
-    _require(np.abs(etas[..., 0] ** 2 + etas[..., 1] ** 2 - 1.0) <= ON_CIRCLE_ATOL, etas,
+    eta1, eta2 = np.broadcast_arrays(coeffs.eta1, coeffs.eta2)
+    _require(np.abs(eta1**2 + eta2**2 - 1.0) <= ON_CIRCLE_ATOL, np.stack([eta1, eta2], axis=-1),
              "({}, {}) is not on the curve eta1^2 + eta2^2 = 1")
-    return _covariance_deviation(coefficients(etas), theta, beta)
-
-
-def _covariance_deviation(coeffs: CloneCoefficients, theta, beta):
-    """covariance_check_machine of the machine with amplitudes ``coeffs`` (batch shape (...)), taken as on the curve."""
     rotated = _rotate_pair(_joint_output(clone(theta, coeffs)), beta)
     return np.max(np.abs(_joint_output(clone(np.add(theta, beta), coeffs)) - rotated), axis=(-2, -1))

@@ -12,7 +12,7 @@ feasible radius along a ray: the unit circle in the (eta1, eta2) plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -426,6 +426,13 @@ def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         return steps
 
 
+def _seven_entries(bracket: Bracket) -> Bracket:
+    """A solve over the REAL_PARAMETERS widened to all seven free entries, the four others exact zeros."""
+    free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
+    free[..., REAL_PARAMETERS] = bracket.free
+    return replace(bracket, free=free)
+
+
 def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     """Bracket the largest minimum eigenvalue of the north-pole output over the seven free entries.
 
@@ -435,10 +442,8 @@ def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     """
     eta1, eta2 = _validate_etas(etas)
     a0 = _up_matrix(eta1, eta2, np.zeros(np.shape(eta1) + (len(FREE_PARAMETERS),))).real
-    bracket = minimize(a0, REAL_SLOPES, -np.eye(a0.shape[-1]), np.linalg.eigvalsh(a0)[..., 0] - 1.0, budget, GAP_TOL)
-    free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
-    free[..., REAL_PARAMETERS] = bracket.free
-    return Bracket(bracket.lower, bracket.upper, free, bracket.certificate, bracket.iterations)
+    x0 = np.linalg.eigvalsh(a0)[..., 0] - 1.0
+    return _seven_entries(minimize(a0, REAL_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL))
 
 
 def feasibility(etas, budget: int = DEFAULT_BUDGET) -> bool | None:
@@ -478,10 +483,7 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
     _require((phi >= 0.0) & (phi <= np.pi / 2), phi, "direction must lie in [0, pi/2], got {}")
     direction = (np.cos(phi)[..., None, None] * ETA_SLOPES[0]
                  + np.sin(phi)[..., None, None] * ETA_SLOPES[1])
-    bracket = minimize(ORIGIN, REAL_SLOPES, direction, 0.0, budget, radius_tol)
-    free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
-    free[..., REAL_PARAMETERS] = bracket.free
-    return Bracket(bracket.lower, bracket.upper, free, bracket.certificate, bracket.iterations)
+    return _seven_entries(minimize(ORIGIN, REAL_SLOPES, direction, 0.0, budget, radius_tol))
 
 
 def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> float:

@@ -36,8 +36,6 @@ _PAULI_READOUT = _readout_matrix(PAULI_BASIS)
 # since row c of R^dagger is P_c flattened (each P_c is Hermitian).  Exactly the basis, reshaped and scaled.
 _BLOCH_READIN = _BLOCH_READOUT.conj().T / 2
 _PAULI_READIN = _PAULI_READOUT.conj().T / 4
-# Its nine correlation columns, j, k >= 1 (_pauli_pair_readout).
-_PAIR_READOUT = _PAULI_READOUT[:, [4 * j + k for j in (1, 2, 3) for k in (1, 2, 3)]]
 
 BLOCH_NORM_ATOL = 1e-12
 
@@ -115,11 +113,6 @@ def _read_in(coefficients: np.ndarray, readin: np.ndarray) -> np.ndarray:
     flat = (coefficients[..., None, :] @ readin)[..., 0, :]
     n = math.isqrt(flat.shape[-1])
     return flat.reshape(flat.shape[:-1] + (n, n))
-
-
-def _pauli_pair_readout(rho: np.ndarray) -> np.ndarray:
-    """Correlations t_jk = Re Tr(rho sigma_j(x)sigma_k) of a (..., 4, 4) stack, (..., 3, 3); no Hermiticity check."""
-    return _real_readout(rho, _PAIR_READOUT).reshape(rho.shape[:-2] + (3, 3))
 
 
 def rotation_unitary(beta: float | np.ndarray) -> np.ndarray:

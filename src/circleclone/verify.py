@@ -126,17 +126,21 @@ ANGLE = (0.0, 2 * np.pi)
 QUARTER = (0.0, np.pi / 2)
 
 
+def _scaled(u, low, high):
+    """``low + (high - low) * u`` of doubles u in [0, 1): the arithmetic of Generator.uniform, onto [low, high)."""
+    return low + (high - low) * u
+
+
 def _uniform(rng, n: int, *ranges) -> np.ndarray:
     """n rows of uniform draws, one column per (low, high) range, from one generator call.
 
     Row by row and column by column these are the doubles that n iterations of
     ``rng.uniform(low, high)``, one call per range in turn, would draw: each
-    is ``low + (high - low) * u`` of one ``rng.random()`` double u, the
-    arithmetic of ``Generator.uniform``, without its per-call cost of
+    is _scaled from one ``rng.random()`` double, without the per-call cost of
     broadcasting vector bounds.
     """
     low, high = np.array(ranges, dtype=float).T
-    return low + (high - low) * rng.random((n, len(ranges)))
+    return _scaled(rng.random((n, len(ranges))), low, high)
 
 
 def _circle_etas(phi) -> np.ndarray:
@@ -149,7 +153,7 @@ def _circle_etas(phi) -> np.ndarray:
 
 
 def check_kron_associativity(config: RunConfig, rng) -> CheckResult:
-    draws = rng.uniform(-1, 1, (_count(config, 50), 3, 2 * 2 * 2))
+    draws = _uniform(rng, _count(config, 50), *[ENTRY] * 24).reshape(-1, 3, 2 * 2 * 2)
     a, b, c = np.moveaxis(_random_matrices(draws, 2), 1, 0)
     left = linalg.kron(linalg.kron(a, b), c)
     right = linalg.kron(a, linalg.kron(b, c))
@@ -260,22 +264,19 @@ def _soundness_attempts(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(eta1^2 + eta2^2 - bound_rhs(t), whether the north-pole output is PSD) of each row of 10 uniform draws.
 
     Column 0 is a coin between the two samplers, columns 1-2 place the point
-    and columns 3-9 give the seven free entries.  Each column is mapped as
-    ``low + (high - low) * u``, the arithmetic of ``rng.uniform(low, high)``.
+    and columns 3-9 give the seven free entries.  Each column is mapped onto
+    its range by _scaled, as _uniform maps its draws.
     """
-    def scaled(columns, low, high):
-        return low + (high - low) * columns
-
     # Just inside the circle, where the bound is tight, with the witness
     # perturbed in proportion to the distance from the circle.
-    gap = 10 ** scaled(u[:, 1], -8, -1)
-    near = (1 - gap)[:, None] * _circle_etas(scaled(u[:, 2], 0, np.pi / 2))
+    gap = 10 ** _scaled(u[:, 1], -8, -1)
+    near = (1 - gap)[:, None] * _circle_etas(_scaled(u[:, 2], 0, np.pi / 2))
     witness = nosignalling.free_parameters(nosignalling.machine_witness_tensor(near))
-    perturbed = np.clip(witness + gap[:, None] * scaled(u[:, 3:], -0.1, 0.1), -1, 1)
+    perturbed = np.clip(witness + gap[:, None] * _scaled(u[:, 3:], -0.1, 0.1), -1, 1)
     # Or anywhere in a box well inside the disk.
     tight = u[:, :1] < 0.5
-    etas = np.where(tight, near, scaled(u[:, 1:3], 0, 0.45))
-    t = nosignalling.constrain_tensor(np.where(tight, perturbed, scaled(u[:, 3:], -0.3, 0.3)))
+    etas = np.where(tight, near, _scaled(u[:, 1:3], 0, 0.45))
+    t = nosignalling.constrain_tensor(np.where(tight, perturbed, _scaled(u[:, 3:], -0.3, 0.3)))
     lowest = linalg.hermitian_eigenvalues(nosignalling.positivity_matrix_up(etas, t))[:, 0]
     return etas[:, 0] ** 2 + etas[:, 1] ** 2 - nosignalling.bound_rhs(t), lowest >= -1e-10
 
@@ -392,7 +393,7 @@ def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
 
 def check_machine_covariance(config: RunConfig, rng) -> CheckResult:
     phi, theta, beta = _uniform(rng, _count(config, 200), QUARTER, ANGLE, ANGLE).T
-    worst = float(np.max(cloner._covariance_deviation(cloner._circle_coefficients(phi), theta, beta)))
+    worst = float(np.max(cloner.covariance_check_machine(cloner._circle_coefficients(phi), theta, beta)))
     return CheckResult(worst, 1e-10)
 
 
@@ -408,12 +409,12 @@ def check_reduced_clone_oracle(config: RunConfig, rng) -> CheckResult:
 
 def check_isotropy_on_circle(config: RunConfig, rng) -> CheckResult:
     phi = np.linspace(0, np.pi / 2, 20)
-    worst = np.max(cloner.isotropy_scan(_circle_etas(phi)))
+    worst = np.max(cloner.isotropy_scan(cloner.coefficients(_circle_etas(phi))))
     return CheckResult(float(worst), 1e-10)
 
 
 def check_isotropy_off_circle(config: RunConfig, rng) -> CheckResult:
-    smallest = np.min(cloner.isotropy_scan([(0.7, 0.7), (0.5, 0.5)]))
+    smallest = np.min(cloner.isotropy_scan(cloner.coefficients([(0.7, 0.7), (0.5, 0.5)])))
     return CheckResult(float(smallest), 1e-3, direction=">=")
 
 

@@ -238,22 +238,22 @@ class TestCloner:
 
     def test_clone_report_grid(self):
         thetas, etas = np.meshgrid(CARDINAL_AND_GENERIC, np.arange(len(ETAS)), indexing="ij")
-        batched = clone_report(thetas, ETAS[etas])
+        batched = clone_report(thetas, coefficients(ETAS[etas]))
         assert batched.fidelity_o.shape == thetas.shape
         assert batched.correlation.shape == thetas.shape + (3, 3)
         for index in np.ndindex(thetas.shape):
-            gaps = report_gaps(batched, index, clone_report(thetas[index], ETAS[etas[index]]))
+            gaps = report_gaps(batched, index, clone_report(thetas[index], coefficients(ETAS[etas[index]])))
             assert max(gaps.values()) <= TOL, (index, gaps)
 
     def test_clone_report_broadcasts_one_angle_over_many_etas(self):
-        batched = clone_report(0.9, ETAS)
+        batched = clone_report(0.9, coefficients(ETAS))
         assert batched.theta.shape == (len(ETAS),)
         for k, etas in enumerate(ETAS):
-            gaps = report_gaps(batched, k, clone_report(0.9, etas))
+            gaps = report_gaps(batched, k, clone_report(0.9, coefficients(etas)))
             assert max(gaps.values()) <= TOL, (k, gaps)
 
     def test_clone_report_scalar_fields(self):
-        report = clone_report(0.9, (0.6, 0.8))
+        report = clone_report(0.9, coefficients((0.6, 0.8)))
         for field in REPORT_FIELDS:
             value = getattr(report, field)
             if field == "correlation":
@@ -263,19 +263,15 @@ class TestCloner:
             else:
                 assert isinstance(value, float) and np.ndim(value) == 0, field
 
-    def test_clone_report_bad_row(self):
-        stack = with_bad_row(circle_etas(N), (1.2, 0.5))
-        assert_same_error(lambda: clone_report(0.3, (1.2, 0.5)), lambda: clone_report(0.3, stack))
-
     def test_covariance_check_machine(self):
         etas, thetas, betas = circle_etas(N), RNG.uniform(0, 2 * np.pi, N), RNG.uniform(0, 2 * np.pi, N)
-        assert_rows_match(covariance_check_machine(etas, thetas, betas),
-                          [covariance_check_machine(*args) for args in zip(etas, thetas, betas)])
+        assert_rows_match(covariance_check_machine(coefficients(etas), thetas, betas),
+                          [covariance_check_machine(coefficients(e), t, b) for e, t, b in zip(etas, thetas, betas)])
 
     def test_covariance_check_machine_off_circle_row(self):
         stack = with_bad_row(circle_etas(N), (0.5, 0.5))
-        assert_same_error(lambda: covariance_check_machine((0.5, 0.5), 0.1, 0.2),
-                          lambda: covariance_check_machine(stack, 0.1, 0.2))
+        assert_same_error(lambda: covariance_check_machine(coefficients((0.5, 0.5)), 0.1, 0.2),
+                          lambda: covariance_check_machine(coefficients(stack), 0.1, 0.2))
 
 
 def random_constrained(n):
@@ -401,7 +397,8 @@ NAN_ENTRIES = {
     "density_to_bloch": (density_to_bloch, np.eye(2) / 2, np.full((2, 2), np.nan), "not Hermitian"),
     "pauli_decompose": (pauli_decompose, np.eye(4) / 4, np.full((4, 4), np.nan), "not Hermitian"),
     "clone": (lambda theta: clone(theta, coefficients((0.6, 0.8))), 0.3, np.nan, "angle must be finite"),
-    "clone_report": (lambda theta: clone_report(theta, (0.6, 0.8)), 0.3, np.nan, "angle must be finite"),
+    "clone_report": (lambda theta: clone_report(theta, coefficients((0.6, 0.8))), 0.3, np.nan,
+                     "angle must be finite"),
     "great_circle_bloch": (great_circle_bloch, 0.3, np.nan, "angle must be finite"),
     "rotation_unitary": (rotation_unitary, 0.3, np.nan, "angle must be finite"),
     "rotate_bloch": (lambda beta: rotate_bloch(UP, beta), 0.3, np.nan, "angle must be finite"),
@@ -458,11 +455,8 @@ SHAPED_ARGUMENTS = {
     "eigenvalue_bracket": (eigenvalue_bracket, (2,), [0.5]),
     "feasibility": (feasibility, (2,), [0.5, 0.5, 0.5]),
     "coefficients": (coefficients, (2,), [0.6]),
-    "clone_report": (lambda etas: clone_report(0.3, etas), (2,), [0.6, 0.8, 0.0]),
-    "isotropy_scan": (isotropy_scan, (2,), np.full((2, 3), 0.5)),
     "reduced_clones": (reduced_clones, (8,), np.ones(16) / 4),
     "partial_transpose_second": (partial_transpose_second, (4, 4), np.eye(2) / 2),
-    "covariance_check_machine": (lambda etas: covariance_check_machine(etas, 0.1, 0.2), (2,), [0.6, 0.8, 0.0]),
 }
 
 

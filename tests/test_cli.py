@@ -9,7 +9,7 @@ import pytest
 
 from circleclone import cloner
 from circleclone.cli import BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, _directions, format_number, main
-from circleclone.cloner import clone_report, isotropy_scan
+from circleclone.cloner import clone_report, coefficients, isotropy_scan
 
 SYMMETRIC_ETA = repr(2**-0.5)
 
@@ -256,8 +256,9 @@ class TestFidelitySweepCommand:
         for k, line in enumerate(lines):
             phi = k * (np.pi / 2) / 5
             etas = (1.0, 0.0) if k == 0 else (0.0, 1.0) if k == 5 else (np.cos(phi), np.sin(phi))
-            report = clone_report(0.9, etas)
-            expected = [report.fidelity_o, report.fidelity_b, report.ppt_min_eigenvalue, isotropy_scan(etas)]
+            machine = coefficients(etas)
+            report = clone_report(0.9, machine)
+            expected = [report.fidelity_o, report.fidelity_b, report.ppt_min_eigenvalue, isotropy_scan(machine)]
             assert line.split(",")[3:] == [format_number(value) for value in expected]
 
     # The benchmark's row rule; the two-direction sweep is a stack of the two exact axes alone.
@@ -375,10 +376,15 @@ def test_module_entry_point_runs_with_warnings_as_errors(tmp_path):
     assert_one_line_error(bad.stderr)
 
 
-def test_a_reader_that_stops_early_ends_the_run_quietly(tmp_path):
+# Buffered, standard output meets the closed pipe at a write or its flush.  Unbuffered, a raw write to the
+# pipe may take only part of the CSV, and the rest must still be written until the closed pipe raises.
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_reader_that_stops_early_ends_the_run_quietly(tmp_path, unbuffered):
     """``fidelity-sweep | head -1``: the pipe closes after the first line; no error line, and exit 141 (128 + SIGPIPE)."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    env.pop("PYTHONUNBUFFERED", None)  # a buffered standard output meets the closed pipe at a write or its flush
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     # About 2.4 MB of CSV, far more than a pipe holds, so the writer is still writing when the pipe closes.
     run = subprocess.Popen([sys.executable, "-m", "circleclone", "fidelity-sweep", "--n-points", "20000"],
                            cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)

@@ -210,7 +210,7 @@ class TestRealMachine:
         assert [rho.dtype for rho in reduced_clones(state)] == [np.float64] * 3
         assert partial_transpose_second(reduced_clones(state)[2]).dtype == np.float64
         assert _bloch_maps(coeffs).dtype == np.float64
-        report = clone_report(theta, etas)
+        report = clone_report(theta, coefficients(etas))
         for field in dataclasses.fields(report):
             assert np.asarray(getattr(report, field.name)).dtype in (np.float64, np.bool_), field.name
 
@@ -281,13 +281,13 @@ class TestReducedClones:
 class TestCloneReport:
     def test_symmetric_optimal_fidelity(self):
         for theta in np.linspace(0, 2 * np.pi, 12):
-            report = clone_report(theta, (SYMMETRIC_ETA, SYMMETRIC_ETA))
+            report = clone_report(theta, coefficients((SYMMETRIC_ETA, SYMMETRIC_ETA)))
             assert report.fidelity_o == pytest.approx(SYMMETRIC_FIDELITY, abs=1e-10)
             assert report.fidelity_b == pytest.approx(SYMMETRIC_FIDELITY, abs=1e-10)
             assert report.on_circle
 
     def test_on_circle_asymmetric_point(self):
-        report = clone_report(2.1, (0.6, 0.8))
+        report = clone_report(2.1, coefficients((0.6, 0.8)))
         assert report.isotropy_residual_o <= 1e-10
         assert report.isotropy_residual_b <= 1e-10
         for shrink, expected in [(report.shrink_o_z, 0.6), (report.shrink_o_x, 0.6),
@@ -295,7 +295,7 @@ class TestCloneReport:
             assert shrink == pytest.approx(expected, abs=1e-10)
 
     def test_off_circle_anisotropy(self):
-        report = clone_report(np.pi / 2, (0.5, 0.5))
+        report = clone_report(np.pi / 2, coefficients((0.5, 0.5)))
         assert not report.on_circle
         assert report.shrink_o_x == pytest.approx(np.sqrt(0.75), abs=1e-10)
         assert report.shrink_o_z == pytest.approx(0.5, abs=1e-10)  # probed at the pole
@@ -309,7 +309,7 @@ class TestCloneReport:
         etas = RNG.uniform(0, 1, (len(thetas), 2))
         etas[:8] = [(0, 0), (1, 1), (1, 0), (0, 1), (0.6, 0.8), (0.5, 0.5), (0.7, 0.7), (0.2, 0.9)]
         etas[100:200] = [random_circle_etas(RNG) for _ in range(100)]
-        report = clone_report(thetas, etas)
+        report = clone_report(thetas, coefficients(etas))
         rho_o, rho_b, _ = reduced_clones(clone(thetas, coefficients(etas)))
         for rho, shrink_z, shrink_x in [(rho_o, report.shrink_o_z, report.shrink_o_x),
                                         (rho_b, report.shrink_b_z, report.shrink_b_x)]:
@@ -319,20 +319,20 @@ class TestCloneReport:
     def test_fidelity_law_on_circle(self):
         for _ in range(50):
             eta1, eta2 = random_circle_etas(RNG)
-            report = clone_report(RNG.uniform(0, 2 * np.pi), (eta1, eta2))
+            report = clone_report(RNG.uniform(0, 2 * np.pi), coefficients((eta1, eta2)))
             assert report.fidelity_o == pytest.approx((1 + eta1) / 2, abs=1e-10)
             assert report.fidelity_b == pytest.approx((1 + eta2) / 2, abs=1e-10)
 
     def test_bound_attainment(self):
         for _ in range(50):
-            report = clone_report(RNG.uniform(0, 2 * np.pi), random_circle_etas(RNG))
+            report = clone_report(RNG.uniform(0, 2 * np.pi), coefficients(random_circle_etas(RNG)))
             s1 = 2 * report.fidelity_o - 1
             s2 = 2 * report.fidelity_b - 1
             assert abs(s1**2 + s2**2 - 1) < 1e-10
 
     def test_separability_on_circle(self):
         for _ in range(50):
-            report = clone_report(RNG.uniform(0, 2 * np.pi), random_circle_etas(RNG))
+            report = clone_report(RNG.uniform(0, 2 * np.pi), coefficients(random_circle_etas(RNG)))
             assert report.ppt_min_eigenvalue >= -1e-10
 
     def test_fidelities_match_the_oracle_on_and_off_the_circle(self):
@@ -344,7 +344,7 @@ class TestCloneReport:
         etas[:8] = [(0, 0), (1, 1), (1, 0), (0, 1), (0.6, 0.8), (0.5, 0.5), (1, 0), (0, 1)]
         etas[200:] = [random_circle_etas(rng) for _ in range(200)]
         expected = (1 + oracle_shrinks(*oracle_clones(etas, thetas))) / 2
-        report = clone_report(thetas, etas)
+        report = clone_report(thetas, coefficients(etas))
         assert np.max(np.abs(report.fidelity_o - expected[0])) <= 1e-15
         assert np.max(np.abs(report.fidelity_b - expected[1])) <= 1e-15
 
@@ -358,8 +358,8 @@ class TestCloneReport:
         coeffs = cloner._circle_coefficients(phi)
         fidelity = cloner._fidelities(theta, cloner._bloch_maps(coeffs))[1]
         lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(theta, coeffs)))
-        stacked = cloner._clone_report(theta, coeffs)
-        rows = [cloner._clone_report(t, cloner._circle_coefficients(p)) for t, p in zip(theta, phi)]
+        stacked = clone_report(theta, coeffs)
+        rows = [clone_report(t, cloner._circle_coefficients(p)) for t, p in zip(theta, phi)]
         for field, read_out in (("fidelity_o", fidelity[:, 0]), ("fidelity_b", fidelity[:, 1]),
                                 ("ppt_min_eigenvalue", lowest)):
             assert np.array_equal(read_out, getattr(stacked, field)), field
@@ -371,18 +371,18 @@ class TestCloneReport:
         # The shrink is fitted at the requested input and held at the two cardinal probes.
         reduced, kets = oracle_clones(etas, np.array([theta, 0.0, np.pi / 2]))
         expected = oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)[:, :1])
-        report = clone_report(theta, etas)
+        report = clone_report(theta, coefficients(etas))
         assert abs(report.isotropy_residual_o - expected[0]) <= 1e-14
         assert abs(report.isotropy_residual_b - expected[1]) <= 1e-14
 
     def test_memory_stays_small(self):
         rng = np.random.default_rng(29)
         theta, etas = rng.uniform(0, 2 * np.pi, 500), rng.uniform(0, 1, (500, 2))
-        assert peak_bytes(lambda: clone_report(theta, etas)) < 1_500_000
+        assert peak_bytes(lambda: clone_report(theta, coefficients(etas))) < 1_500_000
 
     def test_correlation_tensor_constraints(self):
         for _ in range(50):
-            report = clone_report(RNG.uniform(0, 2 * np.pi), random_circle_etas(RNG))
+            report = clone_report(RNG.uniform(0, 2 * np.pi), coefficients(random_circle_etas(RNG)))
             t = report.correlation
             assert abs(t[0, 0] - t[2, 2]) < 1e-12
             assert abs(t[0, 2] + t[2, 0]) < 1e-12
@@ -429,14 +429,14 @@ def anisotropy_law(etas):
 
 class TestIsotropyScan:
     def test_on_circle_flat(self):
-        assert isotropy_scan((0.6, 0.8)) <= 1e-10
+        assert isotropy_scan(coefficients((0.6, 0.8))) <= 1e-10
 
     def test_trivial_endpoint(self):
-        assert isotropy_scan((1, 0)) <= 1e-12
+        assert isotropy_scan(coefficients((1, 0))) <= 1e-12
 
     def test_off_circle_detected(self):
-        assert isotropy_scan((0.7, 0.7)) > 1e-3
-        assert isotropy_scan((0.5, 0.5)) > 1e-3
+        assert isotropy_scan(coefficients((0.7, 0.7))) > 1e-3
+        assert isotropy_scan(coefficients((0.5, 0.5))) > 1e-3
 
     def test_detects_both_sides_of_the_circle(self):
         # residual grows roughly like the circle defect / 8, so any defect
@@ -446,25 +446,26 @@ class TestIsotropyScan:
                 phi = RNG.uniform(0.3, 1.2)
                 scale = np.sqrt(1 + sign * delta)
                 etas = (scale * np.cos(phi), scale * np.sin(phi))
-                assert isotropy_scan(etas) > 1e-10
+                assert isotropy_scan(coefficients(etas)) > 1e-10
 
     def test_matches_the_closed_form_law(self):
         etas = np.random.default_rng(14).uniform(0, 1, (2000, 2))
         assert np.all(np.abs(etas[:, 0] ** 2 + etas[:, 1] ** 2 - 1) > 1e-8)  # every pair is off the circle
-        assert np.max(np.abs(isotropy_scan(etas) - anisotropy_law(etas))) <= 1e-15
+        assert np.max(np.abs(isotropy_scan(coefficients(etas)) - anisotropy_law(etas))) <= 1e-15
 
     def test_the_unit_square_corners_meet_the_closed_form_law(self):
         # eta = 0 and eta = 1 are where sqrt(1 - eta_j^2) reaches its ends: 1/(3 sqrt 3), 0, 0, 1/(3 sqrt 3).
         corners = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-        assert np.max(np.abs(isotropy_scan(corners) - anisotropy_law(corners))) <= 1e-15
-        assert np.max(np.abs(isotropy_scan(corners) - np.array([1, 0, 0, 1]) / (3 * np.sqrt(3)))) <= 1e-15
+        worst = isotropy_scan(coefficients(corners))
+        assert np.max(np.abs(worst - anisotropy_law(corners))) <= 1e-15
+        assert np.max(np.abs(worst - np.array([1, 0, 0, 1]) / (3 * np.sqrt(3)))) <= 1e-15
 
     # Three fixed pairs, then seeded random ones off the circle.  On the
     # circle both sides are rounding noise, hence the 1e-15 slack.
     @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.5, 0.5)]
                              + [tuple(pair) for pair in np.random.default_rng(12).uniform(0, 1, (3, 2))])
     def test_bounds_every_per_angle_oracle_grid(self, etas):
-        exact = isotropy_scan(etas)
+        exact = isotropy_scan(coefficients(etas))
         for samples in (2, 3, 7, 50, 4103):
             assert exact >= oracle_grid_worst(etas, samples) - 1e-15, samples
 
@@ -472,7 +473,7 @@ class TestIsotropyScan:
                              + [tuple(pair) for pair in np.random.default_rng(15).uniform(0, 1, (3, 2))])
     def test_meets_a_fine_oracle_grid_off_the_circle(self, etas):
         grid = oracle_grid_worst(etas, 2000)
-        assert 0 <= isotropy_scan(etas) - grid <= 1e-6 * grid
+        assert 0 <= isotropy_scan(coefficients(etas)) - grid <= 1e-6 * grid
 
     @pytest.mark.parametrize("etas", [(0.6, 0.8), (0.7, 0.7), (0.2, 0.9)])
     def test_bounds_a_map_off_the_diagonal_form(self, etas, monkeypatch):
@@ -497,7 +498,7 @@ class TestIsotropyScan:
         grid = np.max(oracle_residuals(reduced, kets, oracle_shrinks(reduced, kets)))
         monkeypatch.setattr(cloner, "_bloch_maps", skewed)
         assert grid > anisotropy_law(etas) + 1e-3  # the defect term is needed
-        assert isotropy_scan(etas) >= grid
+        assert isotropy_scan(coefficients(etas)) >= grid
 
     def test_residual_formula_is_the_matrix_max_norm(self):
         # The machine's clones have y = 0; random Bloch vectors exercise every term of the formula.
@@ -512,7 +513,7 @@ class TestIsotropyScan:
 
     def test_exactly_on_circle_is_flat(self):
         for phi in (0.2, np.pi / 4, 1.3):
-            assert isotropy_scan((np.cos(phi), np.sin(phi))) <= 1e-10
+            assert isotropy_scan(coefficients((np.cos(phi), np.sin(phi)))) <= 1e-10
 
 
 def circle_stack(n):
@@ -535,10 +536,10 @@ class TestBatchedIsotropyScan:
     @pytest.mark.parametrize("case", CASES)
     def test_every_row_equals_its_single_pair_call(self, case):
         etas = np.asarray(self.CASES[case])
-        worst = isotropy_scan(etas)
+        worst = isotropy_scan(coefficients(etas))
         assert np.shape(worst) == etas.shape[:-1]
         for index in np.ndindex(etas.shape[:-1]):
-            alone = isotropy_scan(tuple(etas[index]))
+            alone = isotropy_scan(coefficients(tuple(etas[index])))
             assert isinstance(alone, np.floating) and np.ndim(alone) == 0
             assert worst[index] == alone
 
@@ -561,31 +562,31 @@ class TestBatchedIsotropyScan:
     @pytest.mark.parametrize("bad", [(1.2, 0.3), (np.nan, 0.5)])
     def test_bad_row_raises_as_alone(self, bad):
         with pytest.raises(ValueError) as alone:
-            isotropy_scan(bad)
+            isotropy_scan(coefficients(bad))
         etas = circle_stack(129)
         etas[-1] = bad
         with pytest.raises(ValueError) as stacked:
-            isotropy_scan(etas)
+            isotropy_scan(coefficients(etas))
         assert str(stacked.value) == str(alone.value)
 
     def test_memory_of_the_sweep_stays_small(self):
         etas = circle_stack(129)
-        assert peak_bytes(lambda: isotropy_scan(etas)) < 500_000
+        assert peak_bytes(lambda: isotropy_scan(coefficients(etas))) < 500_000
 
 
 class TestMachineCovariance:
     def test_symmetric_quarter_turn(self):
-        assert covariance_check_machine((SYMMETRIC_ETA, SYMMETRIC_ETA), 0.0, np.pi / 2) <= 1e-10
+        assert covariance_check_machine(coefficients((SYMMETRIC_ETA, SYMMETRIC_ETA)), 0.0, np.pi / 2) <= 1e-10
 
     def test_endpoint(self):
-        assert covariance_check_machine((1, 0), 1.1, 2.3) <= 1e-10
+        assert covariance_check_machine(coefficients((1, 0)), 1.1, 2.3) <= 1e-10
 
     def test_zero_rotation(self):
-        assert covariance_check_machine((0.6, 0.8), 0.4, 0.0) <= 1e-15
+        assert covariance_check_machine(coefficients((0.6, 0.8)), 0.4, 0.0) <= 1e-15
 
     def test_off_circle_rejected(self):
         with pytest.raises(ValueError):
-            covariance_check_machine((0.5, 0.5), 0.0, 1.0)
+            covariance_check_machine(coefficients((0.5, 0.5)), 0.0, 1.0)
 
 
 def test_machine_no_signalling():

@@ -73,8 +73,7 @@ def transpose_the_readout(monkeypatch):
     # Reading P[b, a] for P[a, b]: for a Hermitian basis that is the conjugate of every read-out.
     for basis, readout in ((pauli.PAULI_BASIS, pauli._PAULI_READOUT), (pauli._ONE_QUBIT_BASIS, pauli._BLOCH_READOUT)):
         assert np.array_equal(pauli._readout_matrix(basis.swapaxes(-2, -1)), readout.conj())
-    for module, name in ((pauli, "_PAULI_READOUT"), (pauli, "_BLOCH_READOUT"), (pauli, "_PAIR_READOUT"),
-                         (cloner, "_MAP_READOUT")):
+    for module, name in ((pauli, "_PAULI_READOUT"), (pauli, "_BLOCH_READOUT"), (cloner, "_MAP_READOUT")):
         monkeypatch.setattr(module, name, getattr(module, name).conj())
 
 

@@ -11,7 +11,7 @@ import circleclone
 
 from circleclone import cloner, nosignalling
 from circleclone.cloner import clone, coefficients, reduced_clones
-from circleclone.linalg import is_psd
+from circleclone.linalg import PSD_TOL, is_psd
 from circleclone.nosignalling import (
     DEFAULT_BUDGET,
     DEFAULT_RADIUS_TOL,
@@ -374,6 +374,21 @@ class TestFeasibility:
             assert verdict is expected, (etas, budget)
             if etas != (0.8, 0.8):
                 assert verdict is not False, (etas, budget)
+
+    # Synthetic brackets at the edges of the undecided band: real solves reach it only at a few budgets.
+    @pytest.mark.parametrize(("lower", "upper", "verdict"), [
+        (-1e-8, 5e-10, None),  # straddles -PSD_TOL, with the upper end below +PSD_TOL
+        (-1.0, -PSD_TOL, None),  # an upper end at -PSD_TOL proves nothing
+        (-1.0, -2e-9, False),
+        (-PSD_TOL, 1.0, True),
+    ])
+    def test_verdict_at_the_edges_of_the_undecided_band(self, monkeypatch, lower, upper, verdict):
+        def bracket(etas, budget):
+            return nosignalling.Bracket(np.float64(lower), np.float64(upper), np.zeros(len(FREE_PARAMETERS)),
+                                        np.full((4, 4), np.nan), np.int64(1))
+
+        monkeypatch.setattr(nosignalling, "eigenvalue_bracket", bracket)
+        assert feasibility((0.6, 0.8)) is verdict
 
     def test_takes_one_pair(self):
         with pytest.raises(ValueError, match="one pair .*eigenvalue_bracket takes a stack"):

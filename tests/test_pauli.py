@@ -184,15 +184,6 @@ class TestOneReadout:
         vectors = rng.uniform(-0.5, 0.5, (30, 3))
         assert np.max(np.abs(density_to_bloch(bloch_to_density(vectors)) - vectors)) <= 1e-16
 
-    def test_pair_readout_is_the_nine_correlation_columns(self):
-        columns = pauli._PAULI_READOUT.reshape(16, 4, 4)[:, 1:, 1:].reshape(16, 9)
-        assert np.array_equal(pauli._PAIR_READOUT, columns)
-        # The constant as it was built before the one basis, from the nine sigma_j (x) sigma_k:
-        # row 4b + a, column 3j + k; equal bit for bit.
-        pairs = np.stack([np.stack([kron(sj, sk) for sk in PAULI_STACK]) for sj in PAULI_STACK])
-        before = pairs.transpose(3, 2, 0, 1).reshape(16, 9)
-        assert np.array_equal(np.ascontiguousarray(pauli._PAIR_READOUT).view(np.uint64), before.view(np.uint64))
-
     def test_decomposition_matches_the_trace_of_each_product(self):
         rng = np.random.default_rng(24)
         rho = rng.uniform(-1, 1, (200, 4, 4)) + 1j * rng.uniform(-1, 1, (200, 4, 4))

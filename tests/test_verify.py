@@ -282,7 +282,7 @@ class TestSampleStream:
         worst = 0.0
         for _ in range(200):
             phi = rng.uniform(0, np.pi / 2)
-            report = cloner._clone_report(rng.uniform(0, 2 * np.pi), cloner._circle_coefficients(phi))
+            report = cloner.clone_report(rng.uniform(0, 2 * np.pi), cloner._circle_coefficients(phi))
             worst = max(worst, abs(report.fidelity_o - (1 + np.cos(phi)) / 2),
                         abs(report.fidelity_b - (1 + np.sin(phi)) / 2))
         return worst
@@ -293,7 +293,7 @@ class TestSampleStream:
         for _ in range(500):
             theta = rng.uniform(0, 2 * np.pi)
             phi = rng.uniform(0, np.pi / 2)
-            lowest = min(lowest, cloner._clone_report(theta, cloner._circle_coefficients(phi)).ppt_min_eigenvalue)
+            lowest = min(lowest, cloner.clone_report(theta, cloner._circle_coefficients(phi)).ppt_min_eigenvalue)
         return lowest
 
     @staticmethod
@@ -302,7 +302,7 @@ class TestSampleStream:
         for _ in range(200):
             theta = rng.uniform(0, 2 * np.pi)
             phi = rng.uniform(0, np.pi / 2)
-            report = cloner._clone_report(theta, cloner._circle_coefficients(phi))
+            report = cloner.clone_report(theta, cloner._circle_coefficients(phi))
             worst = max(worst, abs((2 * report.fidelity_o - 1) ** 2 + (2 * report.fidelity_b - 1) ** 2 - 1))
         return worst
 
