@@ -263,6 +263,13 @@ class TestCloner:
             else:
                 assert isinstance(value, float) and np.ndim(value) == 0, field
 
+    def test_clone_report_bad_row(self):
+        # The machine takes valid amplitudes; the angle is clone_report's own input to reject.
+        etas = circle_etas(N)
+        thetas = with_bad_row(RNG.uniform(0, 2 * np.pi, N), np.nan)
+        assert_same_error(lambda: clone_report(np.nan, coefficients(etas[3])),
+                          lambda: clone_report(thetas, coefficients(etas)))
+
     def test_covariance_check_machine(self):
         etas, thetas, betas = circle_etas(N), RNG.uniform(0, 2 * np.pi, N), RNG.uniform(0, 2 * np.pi, N)
         assert_rows_match(covariance_check_machine(coefficients(etas), thetas, betas),
@@ -455,8 +462,13 @@ SHAPED_ARGUMENTS = {
     "eigenvalue_bracket": (eigenvalue_bracket, (2,), [0.5]),
     "feasibility": (feasibility, (2,), [0.5, 0.5, 0.5]),
     "coefficients": (coefficients, (2,), [0.6]),
+    # The machine functions take amplitudes; their rows are the call path from reduction factors to each one.
+    "clone_report": (lambda etas: clone_report(0.3, coefficients(etas)), (2,), [0.6, 0.8, 0.0]),
+    "isotropy_scan": (lambda etas: isotropy_scan(coefficients(etas)), (2,), np.full((2, 3), 0.5)),
     "reduced_clones": (reduced_clones, (8,), np.ones(16) / 4),
     "partial_transpose_second": (partial_transpose_second, (4, 4), np.eye(2) / 2),
+    "covariance_check_machine": (lambda etas: covariance_check_machine(coefficients(etas), 0.1, 0.2), (2,),
+                                 [0.6, 0.8, 0.0]),
 }
 
 
