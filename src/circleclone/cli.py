@@ -18,17 +18,92 @@ FIDELITY_SWEEP_HEADER = "phi,eta1,eta2,fidelity_o,fidelity_b,ppt_min_eig,isotrop
 
 
 def format_number(x: float) -> str:
-    """Fixed (positional) notation with 10 significant digits, locale independent."""
+    """One number in fixed (positional) notation, locale independent, in integer arithmetic on its exact ratio.
+
+    The value is rounded to 10 significant digits, half to even on its exact binary value. Trailing zeros of those
+    10 digits stay when the value lies above the rounded one; when it was rounded up or is exact they are dropped,
+    and the fraction is padded with zeros up to ``9 - max(E, 0)`` digits, where ``10**E <= |rounded| < 10**(E + 1)``.
+    So 0.1 prints as ``0.1000000000``, 0.5 as ``0.500000000``, -1.25e-17 as ``-0.0000000000000000125`` and
+    123456789012.0 as ``123456789000.``. Zero (either sign) prints as ``0.000000000``; NaN and infinities as
+    ``nan``. ``format_cells`` prints whole tables by the same rule.
+    """
     x = float(x)
     if not math.isfinite(x):
         return "nan"
     if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return np.format_float_positional(x, precision=10, unique=False, fractional=False, trim="k")
+        return "0.000000000"
+    numerator, denominator = abs(x).as_integer_ratio()
+    exponent = math.floor(math.log10(abs(x)))  # off by at most one; the loop makes it exact
+    while True:
+        shift = 9 - exponent  # |x| * 10**shift = scaled / scale
+        scaled, scale = numerator * 10**max(shift, 0), denominator * 10**max(-shift, 0)
+        digits, remainder = divmod(scaled, scale)
+        if digits < 10**9:
+            exponent -= 1
+        elif digits >= 10**10:
+            exponent += 1
+        else:
+            break
+    excess = 2 * remainder - scale
+    rounded_up = excess > 0 or (excess == 0 and digits % 2 == 1)
+    if rounded_up:
+        digits += 1
+        if digits == 10**10:
+            digits, exponent = 10**9, exponent + 1
+    text = str(digits).rstrip("0") if rounded_up or remainder == 0 else str(digits)
+    if exponent >= 0:
+        whole, fraction = text[:exponent + 1].ljust(exponent + 1, "0"), text[exponent + 1:]
+    else:
+        whole, fraction = "0", "0" * (-exponent - 1) + text
+    return ("-" if x < 0 else "") + whole + "." + fraction.ljust(9 - max(exponent, 0), "0")
 
 
-def _write_csv(path: str | None, header: str, rows: list[list[float]]) -> None:
-    lines = [header] + [",".join(format_number(value) for value in row) for row in rows]
+def format_cells(values: np.ndarray) -> list[str]:
+    """Every value of a float array, in row-major order, as ``format_number`` prints it.
+
+    One ``"%.*f"`` call prints every cell to 10 significant digits, with ``E`` from ``log10``. A cell below 1
+    whose last digit is 0 then loses its trailing zeros when the value is not above the printed one. Non-finite
+    values, values of 1e9 and more, and values so near a power of ten that ``log10`` could miss ``E`` or the
+    rounding could carry into the next power go through ``format_number``; zero and the exact powers 1, 10, ...,
+    1e8 need not.
+    """
+    flat = np.ravel(values) + 0.0  # + 0.0 turns -0.0 into 0.0
+    magnitude = np.abs(flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log = np.log10(magnitude)
+        nearest = np.rint(log)
+        power = np.maximum(nearest, 0.0)
+        far = np.abs(log - nearest) > 1e-9
+        exact = (magnitude == 10.0**power) | (magnitude == 0.0)
+        fast = (far | exact) & (log < 9)
+        exponent = np.where(far, np.floor(log), power)
+        precision = np.where(fast, 9 - exponent, 0.0).astype(int)
+    arguments = [0] * (2 * flat.size)
+    arguments[::2] = precision.tolist()
+    arguments[1::2] = np.where(fast, flat, 0.0).tolist()
+    cells = ("%.*f\n" * flat.size % tuple(arguments)).splitlines()
+    for k in np.flatnonzero(~fast).tolist():
+        cells[k] = format_number(flat[k])
+    for k in np.flatnonzero(fast & (exponent < 0)).tolist():
+        cell = cells[k]
+        if cell[-1] != "0":
+            continue
+        value, printed = abs(float(flat[k])), abs(float(cell))
+        whole, fraction = cell.split(".")
+        if value == printed:  # float(cell) is the double nearest the printed decimal; only a tie needs integers
+            numerator, denominator = value.as_integer_ratio()
+            above = numerator * 10**len(fraction) > int(fraction) * denominator
+        else:
+            above = value > printed
+        if not above:
+            cells[k] = whole + "." + fraction.rstrip("0").ljust(9, "0")
+    return cells
+
+
+def _write_csv(path: str | None, header: str, table: np.ndarray) -> None:
+    cells = format_cells(table)
+    width = table.shape[1]
+    lines = [header] + [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         binary = getattr(sys.stdout, "buffer", None)
@@ -108,12 +183,12 @@ def _cmd_bound_sweep(args: argparse.Namespace) -> int:
           f"radius_tol={args.radius_tol:g}", file=sys.stderr)
     phi, cos_phi, sin_phi = _directions(args.n_phi)
     bracket = radius_bracket(phi, radius_tol=args.radius_tol, budget=args.budget)
-    columns = (phi, cos_phi, sin_phi, bracket.lower, bracket.upper, bracket.iterations)
-    rows = []
-    for phi_k, cos_k, sin_k, found, upper, iterations in zip(*(column.tolist() for column in columns)):
-        print(f"phi={phi_k:.6f}  radius=[{found:.9f}, {upper:.9f}]  "
-              f"iterations={iterations}  width={upper - found:.3e}", file=sys.stderr)
-        rows.append([phi_k, found * cos_k, found * sin_k, found, 1.0, abs(found - 1.0)])
+    found = bracket.lower
+    for phi_k, found_k, upper, iterations in zip(phi.tolist(), found.tolist(), bracket.upper.tolist(),
+                                                 bracket.iterations.tolist()):
+        print(f"phi={phi_k:.6f}  radius=[{found_k:.9f}, {upper:.9f}]  "
+              f"iterations={iterations}  width={upper - found_k:.3e}", file=sys.stderr)
+    rows = np.stack([phi, found * cos_phi, found * sin_phi, found, np.ones_like(found), np.abs(found - 1.0)], axis=-1)
     _write_csv(args.out, BOUND_SWEEP_HEADER, rows)
     return 0
 
@@ -127,7 +202,7 @@ def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
     fidelity = cloner._fidelities(probe_theta, maps)[1]
     lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(probe_theta, coeffs)))
     columns = [phi, cos_phi, sin_phi, fidelity[:, 0], fidelity[:, 1], lowest, cloner._isotropy_supremum(maps)]
-    _write_csv(args.out, FIDELITY_SWEEP_HEADER, np.stack(columns, axis=-1).tolist())
+    _write_csv(args.out, FIDELITY_SWEEP_HEADER, np.stack(columns, axis=-1))
     return 0
 
 

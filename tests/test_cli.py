@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from circleclone import cloner
-from circleclone.cli import BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, _directions, format_number, main
+from circleclone.cli import BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, _directions, format_cells, format_number, main
 from circleclone.cloner import clone_report, coefficients, isotropy_scan
 
 SYMMETRIC_ETA = repr(2**-0.5)
@@ -40,6 +40,34 @@ def parse_report_value(output, label):
     return float(match.group(1))
 
 
+def numpy_positional(x):
+    """The reference for every printed cell: numpy's exact positional formatter at 10 significant digits."""
+    if not np.isfinite(x):
+        return "nan"
+    return np.format_float_positional(x + 0.0, precision=10, unique=False, fractional=False, trim="k")
+
+
+def oracle_sample():
+    """A seeded sample of 162,198 doubles, each of either sign, over every class the fast rule and the exact route
+    split between."""
+    rng = np.random.default_rng(33)
+    powers = 10.0 ** np.arange(-25, 13)
+    decimals = np.round(rng.uniform(1, 10, 6000), 9) * 10.0 ** rng.integers(-20, 12, 6000)
+    classes = [
+        rng.uniform(-1, 1, 20000),
+        rng.choice([-1.0, 1.0], 30000) * 10.0 ** rng.uniform(-25, 12, 30000),
+        np.arange(1024, 10240) / 1024 * 2.0 ** rng.integers(-60, 30, 9216),  # exact values, dyadic ties among them
+        (10 - rng.uniform(1e-10, 1e-9, 2000)) * 10.0 ** rng.integers(-20, 10, 2000),  # carries, 9.99999999951
+        np.repeat(powers, 20) * (1 + rng.uniform(-3e-9, 3e-9, 20 * powers.size)),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        decimals, np.nextafter(decimals, 0), np.nextafter(decimals, np.inf),
+        rng.uniform(0, 2.0**-1022, 1000),  # subnormals
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e9, 999999999.5, 1234567890.5],
+    ]
+    values = np.concatenate(classes)
+    return np.concatenate([values, -values])
+
+
 class TestFormatNumber:
     def test_ten_significant_digits(self):
         assert format_number(1.0) == "1.000000000"
@@ -53,6 +81,28 @@ class TestFormatNumber:
 
     def test_negative_zero_normalized(self):
         assert format_number(-0.0) == "0.000000000"
+
+    # Exact values and values rounded up drop their trailing zeros; a value above its rounding keeps them.
+    @pytest.mark.parametrize(("value", "text"), [
+        (0.5, "0.500000000"),
+        (0.1, "0.1000000000"),
+        (0.2, "0.2000000000"),
+        (0.051984173097764125, "0.0519841731"),
+        (1.0009765625, "1.000976562"),  # an exact tie, rounded to the even digit
+        (9.99999999951, "10.00000000"),  # the rounding carries into the next power of ten
+        (-1.25e-17, "-0.0000000000000000125"),
+        (123456789012.0, "123456789000."),
+        (float("inf"), "nan"),
+    ])
+    def test_pinned_cells(self, value, text):
+        assert format_number(value) == text
+        assert format_cells(np.array([[value, value]])) == [text, text]
+
+    def test_agrees_with_numpy_positional_formatter(self):
+        values = oracle_sample()
+        expected = [numpy_positional(value) for value in values.tolist()]
+        assert format_cells(values.reshape(-1, 2)) == expected
+        assert [format_number(value) for value in values[::4].tolist()] == expected[::4]
 
 
 class TestCloneCommand:
@@ -198,6 +248,29 @@ class TestBoundSweepCommand:
         assert main(["bound-sweep", "--n-phi", str(n_phi), "--budget", str(budget)]) == 0
         assert capsys.readouterr().err.splitlines()[1:] == expected
 
+    # The default nine-direction sweep's iterates: the barrier's box terms move these ends, not the verdicts. Each end
+    # is pinned to 1.5e-9 of its printed literal, so the last printed digit may differ between numpy versions.
+    def test_nine_direction_brackets(self, capsys):
+        expected = [
+            ("0.000000", 1.000000000, 1.000000000, 4),
+            ("0.196350", 0.999829233, 1.000064380, 10),
+            ("0.392699", 0.999741634, 1.000238892, 10),
+            ("0.589049", 0.999695001, 1.000433295, 10),
+            ("0.785398", 0.999679163, 1.000521970, 10),
+            ("0.981748", 0.999695001, 1.000433295, 10),
+            ("1.178097", 0.999741634, 1.000238892, 10),
+            ("1.374447", 0.999829233, 1.000064380, 10),
+            ("1.570796", 1.000000000, 1.000000000, 4),
+        ]
+        assert main(["bound-sweep", "--n-phi", "9"]) == 0
+        progress = capsys.readouterr().err.splitlines()[1:]
+        assert len(progress) == len(expected)
+        for line, (phi, lower, upper, iterations) in zip(progress, expected):
+            match = re.fullmatch(rf"phi={phi}  radius=\[([0-9.]+), ([0-9.]+)\]  iterations=([0-9]+)  width=\S+", line)
+            assert match, line
+            assert int(match[3]) == iterations, line
+            assert abs(float(match[1]) - lower) <= 1.5e-9 and abs(float(match[2]) - upper) <= 1.5e-9, line
+
     def test_unwritable_path_exits_2(self, capsys):
         assert main(["bound-sweep", "--n-phi", "2", "--budget", "400",
                      "--out", "/nonexistent-dir/never/x.csv"]) == 2
@@ -232,9 +305,11 @@ class TestFidelitySweepCommand:
             assert row[5] >= -1e-10  # separable all along the circle
             assert row[6] <= 1e-10
 
-    def test_no_scientific_notation_in_cells(self, tmp_path):
+    # At 129 points the ppt_min_eig column holds values near 1e-17.
+    @pytest.mark.parametrize("n_points", ["3", "129"])
+    def test_no_scientific_notation_in_cells(self, n_points, tmp_path):
         out = tmp_path / "fid.csv"
-        assert main(["fidelity-sweep", "--n-points", "3", "--out", str(out)]) == 0
+        assert main(["fidelity-sweep", "--n-points", n_points, "--out", str(out)]) == 0
         body = out.read_text(encoding="utf-8").split("\n", 1)[1]
         assert "e" not in body and "E" not in body
 
