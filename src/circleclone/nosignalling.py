@@ -28,6 +28,11 @@ GAP_TOL = 1e-10
 # decrement is below CENTRED_DECREMENT.
 BARRIER_GROWTH = 300.0
 CENTRED_DECREMENT = 1.0
+# The share of I / n mixed into every face certificate, and the entries of
+# its fit (a, b, corner) that make up X = [[a, corner], [corner, b]] (see
+# _face_certificate).
+_FACE_SHARE = 1e-12
+_FIT_MATRIX = np.array([[0, 2], [2, 1]])
 
 # Order of the free correlation-tensor entries once the no-signalling
 # constraints t_zz = t_xx and t_zx = -t_xz are imposed.
@@ -265,12 +270,15 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     A stack of problems F0 (..., n, n), G (..., n, n) and x0 (...), which
     broadcast to one batch shape, shares the slopes A_i (k, n, n) and runs in
     lockstep: every iterate makes one eigen-decomposition of all the S, one of
-    all the S^-1/2 G S^-1/2 and one solve of all the Newton systems.  Each row
-    stops on its own by the rules above and leaves the stack; row by row, the
-    arithmetic is that of the solve of its problem alone.  The problem is
-    real: F0, the A_i and G are real symmetric, and complex input is rejected.
+    all the S^-1/2 G S^-1/2 and one solve of all the Newton systems, and a
+    centred one also a 3x3 solve and a 2x2 eigen-decomposition for the face
+    fit of each centred row.  Each row stops on its own by the rules above and
+    leaves the stack; row by row, the arithmetic is that of the solve of its
+    problem alone.  The problem is real: F0, the A_i and G are real
+    symmetric, and complex input is rejected.
     """
-    _require(isinstance(budget, (int, np.integer)) and budget >= 1, budget, "budget must be a positive integer, got {}")
+    _require(isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1, budget,
+             "budget must be a positive integer, got {}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if any(np.iscomplexobj(part) for part in (f0, slopes, g, x0)):
@@ -291,15 +299,21 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     certificate = np.full((problems, size, size), np.nan)
     results = Bracket(lower.copy(), upper.copy(), best_free.copy(), certificate.copy(),
                       np.zeros(problems, dtype=int))
-    flat_slopes, diagonal = slopes.reshape(count, -1), np.arange(count)
+    # Per-solve constants: the slopes flattened for the step from f to S, the
+    # Hessian's box entries as a stride along its flattened rows, and the
+    # share of I / n mixed into each face certificate.
+    flat_slopes, box_entries = slopes.reshape(count, -1), slice(None, count * (count + 2), count + 2)
+    floor = (_FACE_SHARE / size) * np.eye(size)
     for iterate in range(1, budget + 1):
         if not len(rows):
             break
         slack, vectors = np.linalg.eigh(f0 + (free @ flat_slopes).reshape(-1, size, size) + x[:, None, None] * g)
         # Where rounding carried x past the boundary, S is no longer positive
-        # definite: that row stops, and a stand-in slack keeps its arithmetic finite.
+        # definite: that row stops, and a stand-in slack keeps its arithmetic
+        # finite.  The masks below apply only on iterates that have such a row.
         definite = slack[:, 0] > 0.0
-        inverse = 1.0 / np.where(definite[:, None], slack, 1.0)
+        indefinite = not definite.all()
+        inverse = 1.0 / (np.where(definite[:, None], slack, 1.0) if indefinite else slack)
         total = inverse.sum(axis=-1)
         if iterate == 1:
             s = total
@@ -310,47 +324,67 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         root = np.sqrt(inverse)
         blocks = projected * (root[:, :, None] * root[:, None, :])[:, None]
         best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -1])[:, 0]
-        better = definite & (best_x > lower)
+        better = best_x > lower
+        if indefinite:
+            better &= definite
         lower = np.where(better, best_x, lower)
         best_free = np.where(better[:, None], free, best_free)
-        w = (vectors * (inverse / total[:, None])[:, None, :]) @ adjoint
+        # W = V D V^T / Tr D, computed as the transpose of V (V D)^T / Tr D: the
+        # same products, summed in the same order, and _traces flattens it as a view.
+        w = (vectors @ (vectors * (inverse / total[:, None])[:, None, :]).swapaxes(-2, -1)).swapaxes(-2, -1)
         traces = _traces(w, terms)
-        bound = np.where(definite, _dual_bound(w, f0, traces), np.inf)
+        bound = _dual_bound(w, f0, traces)
+        if indefinite:
+            bound = np.where(definite, bound, np.inf)
         better = bound < upper
-        upper = np.where(better, bound, upper)
-        certificate = np.where(better[:, None, None], w, certificate)
+        if better.any():
+            upper = np.where(better, bound, upper)
+            certificate = np.where(better[:, None, None], w, certificate)
 
         # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
         flat = blocks.reshape(len(rows), count + 1, -1)
         hessian = flat @ flat.swapaxes(-2, -1)
         gradient = -total[:, None] * traces
         gradient[:, count] -= s
-        gradient[:, :count] += 2 * free / (1 - free**2)
-        hessian[:, diagonal, diagonal] += 2 * (1 + free**2) / (1 - free**2) ** 2
+        square = free**2
+        gap = 1 - square
+        gradient[:, :count] += 2 * free / gap
+        hessian.reshape(len(rows), -1)[:, box_entries] += 2 * (1 + square) / gap**2
         step = -_newton_solve(hessian, gradient)
         decrement = np.sqrt(np.maximum(-np.einsum("li,li->l", gradient, step), 0.0))
-        centred = definite & (decrement < CENTRED_DECREMENT)
+        centred = decrement < CENTRED_DECREMENT
+        if indefinite:
+            centred &= definite
         if centred.any():
-            face = _face_certificate(vectors[centred], projected[centred])
+            # Every row, as a view, where every row is centred; else a copy of the
+            # centred ones.  F0 and the terms are read C-ordered: until a row
+            # stops they are strided views, and BLAS sums those in another order.
+            picked = slice(None) if centred.all() else centred
+            face = _face_certificate(vectors[picked], projected[picked], floor)
             bound = np.full(len(rows), np.inf)
-            bound[centred] = _dual_bound(face, f0[centred], _traces(face, terms[centred]))
+            bound[picked] = _dual_bound(face, np.ascontiguousarray(f0[picked]),
+                                        _traces(face, np.ascontiguousarray(terms[picked])))
             better = bound < upper
             upper = np.where(better, bound, upper)
-            certificate[better] = face[better[centred]]
+            certificate[better] = face[better[picked]]
+            s = np.where(centred, s * BARRIER_GROWTH, s)
         damping = np.where(decrement < 0.25, 1.0, 1.0 / (1.0 + decrement))
         candidate, moved = free + damping[:, None] * step[:, :count], x + damping * step[:, count]
         # A step that is not finite, leaves the box, or leaves x where it is
         # though the iterate is not centred: the Newton system has lost its precision.
         lost = ~(np.isfinite(step).all(axis=-1) & (np.abs(candidate) < 1.0).all(axis=-1)) | ((moved == x) & ~centred)
-        stop = ~definite | (upper - lower <= tol) | lost
+        stop = (upper - lower <= tol) | lost
+        if indefinite:
+            stop |= ~definite
         free, x = candidate, moved
-        s = np.where(centred, s * BARRIER_GROWTH, s)
         if iterate == budget:
             stop[:] = True
         if stop.any():
             done = rows[stop]
             results.lower[done], results.upper[done], results.iterations[done] = lower[stop], upper[stop], iterate
             results.free[done], results.certificate[done] = best_free[stop], certificate[stop]
+            if stop.all():
+                break
             keep = ~stop
             rows, f0, g, terms, x, free, s, lower, upper, best_free, certificate = (
                 part[keep] for part in (rows, f0, g, terms, x, free, s, lower, upper, best_free, certificate))
@@ -366,12 +400,13 @@ def _dual_bound(w: np.ndarray, f0: np.ndarray, traces: np.ndarray) -> np.ndarray
     row where Tr(W G) < 0 fails, so that its W proves nothing.
     """
     certified = traces[:, -1] < 0.0
-    bound = ((_traces(w, f0[:, None])[:, 0] + np.abs(traces[:, :-1]).sum(axis=-1))
-             / np.where(certified, -traces[:, -1], 1.0))
-    return np.where(certified, bound, np.inf)
+    numerator = _traces(w, f0[:, None])[:, 0] + np.abs(traces[:, :-1]).sum(axis=-1)
+    if certified.all():
+        return numerator / -traces[:, -1]
+    return np.where(certified, numerator / np.where(certified, -traces[:, -1], 1.0), np.inf)
 
 
-def _face_certificate(vectors: np.ndarray, projected: np.ndarray) -> np.ndarray:
+def _face_certificate(vectors: np.ndarray, projected: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """A unit-trace positive definite W on the face of the two smallest eigenvalues of S, one per row.
 
     An optimal W has W S = 0 at the optimum, where S of the north-pole
@@ -382,25 +417,30 @@ def _face_certificate(vectors: np.ndarray, projected: np.ndarray) -> np.ndarray:
     squares to Tr(X Y_i) = 0 and Tr(X Y_G) = -1, clips it to positive
     semidefinite and takes W = V2 X V2^T / Tr X.  A rank-2 W has computed
     eigenvalues of either sign at the rounding level, so W is mixed with a
-    1e-12 share of I / n: the mix is PSD (any convex mix of PSD certificates
-    is a certificate), its computed eigenvalues stay positive and its bound
-    moves by about 1e-12.
+    _FACE_SHARE = 1e-12 share of I / n, given as ``floor`` = (_FACE_SHARE / n) I:
+    the mix is PSD (any convex mix of PSD certificates is a certificate), its
+    computed eigenvalues stay positive and its bound moves by about 1e-12.
     A row whose fit is singular or whose clipped X is zero gets NaN.
     """
-    y = projected[..., :2, :2]
-    design = np.stack([y[..., 0, 0], y[..., 1, 1], 2 * y[..., 0, 1]], axis=-1)
+    # The design (rows, k + 1, 3): (Y_j[0, 0], Y_j[1, 1], 2 Y_j[0, 1]) for every B_j.
+    design = np.empty(projected.shape[:-2] + (3,))
+    design[..., 0], design[..., 1] = projected[..., 0, 0], projected[..., 1, 1]
+    np.multiply(projected[..., 0, 1], 2, out=design[..., 2])
     fit = _newton_solve(design.swapaxes(-2, -1) @ design, -design[:, -1])
     valid = np.isfinite(fit).all(axis=-1)
-    a, b, corner = _components(np.where(valid[:, None], fit, 0.0))
-    values, turn = np.linalg.eigh(_stack_last([[a, corner], [corner, b]], 2))
+    invalid = not valid.all()
+    if invalid:
+        fit = np.where(valid[:, None], fit, 0.0)
+    values, turn = np.linalg.eigh(np.take(fit, _FIT_MATRIX, axis=-1))
     values = np.maximum(values, 0.0)
     weight = values.sum(axis=-1)
     valid &= weight > 0.0
+    invalid = not valid.all()
     basis = vectors[..., :2] @ turn
-    face = (basis * (values / np.where(valid, weight, 1.0)[:, None])[:, None, :]) @ basis.swapaxes(-2, -1)
-    size, share = vectors.shape[-1], 1e-12
-    mixed = (1.0 - share) * face + (share / size) * np.eye(size)
-    return np.where(valid[:, None, None], mixed, np.nan)
+    scaled = basis * (values / (np.where(valid, weight, 1.0) if invalid else weight)[:, None])[:, None, :]
+    # Computed as its transpose, as minimize's W is.
+    mixed = ((1.0 - _FACE_SHARE) * (basis @ scaled.swapaxes(-2, -1)) + floor).swapaxes(-2, -1)
+    return np.where(valid[:, None, None], mixed, np.nan) if invalid else mixed
 
 
 def _traces(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -455,7 +495,7 @@ def feasibility(etas, budget: int = DEFAULT_BUDGET) -> bool | None:
     (the budget ran out, or the optimum lies within the solver's resolution of
     it).  The numbers behind a verdict are the bracket's: ``lower``, attained
     by the witness constrain_tensor(bracket.free); ``upper``, proved by
-    ``certificate``; and ``iterations``, one eigen-decomposition each.
+    ``certificate``; and ``iterations``, the barrier iterates of minimize.
     """
     if np.ndim(etas) > 1:
         raise ValueError(f"feasibility takes one pair (eta1, eta2), got shape {np.shape(etas)}; "

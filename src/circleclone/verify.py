@@ -21,6 +21,10 @@ import numpy as np
 from . import cloner, linalg, nosignalling, pauli
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     """Reproducibility knobs shared by the CLI commands."""
@@ -30,12 +34,12 @@ class RunConfig:
     samples: int = 0  # 0 = every check uses its own documented sample count
 
     def __post_init__(self) -> None:
-        # The same rules as the CLI's argument types.
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        # The same rules as the CLI's argument types; a bool is an Integral, but no count.
+        if not (_is_count(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (isinstance(self.budget, numbers.Integral) and self.budget > 0):
+        if not (_is_count(self.budget) and self.budget > 0):
             raise ValueError(f"budget must be a positive integer, got {self.budget!r}")
-        if not (isinstance(self.samples, numbers.Integral) and (self.samples == 0 or self.samples >= 2)):
+        if not (_is_count(self.samples) and (self.samples == 0 or self.samples >= 2)):
             raise ValueError(f"samples must be 0 (per-check defaults) or an integer of at least 2, got {self.samples!r}")
 
 

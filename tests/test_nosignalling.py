@@ -26,6 +26,7 @@ from circleclone.nosignalling import (
     RIGHT,
     UP,
     UP_SLOPES,
+    _FACE_SHARE,
     _dual_bound,
     _face_certificate,
     _newton_solve,
@@ -432,6 +433,14 @@ class TestCertificates:
         assert np.all(bracket.lower <= bracket.upper) and np.all(bracket.upper - bracket.lower <= GAP_TOL)
         assert np.all(np.abs(bracket.lower[:len(circle)]) <= GAP_TOL)
 
+    def test_verify_circle_points_are_pinned(self):
+        # verify's on_circle_feasibility solve, at phi = 0, pi/4 and pi/3: iterations exactly, each end to 1e-14.
+        phi = np.array([0.0, np.pi / 4, np.pi / 3])
+        bracket = eigenvalue_bracket(np.stack([np.cos(phi), np.sin(phi)], axis=-1))
+        np.testing.assert_array_equal(bracket.iterations, [1, 28, 26])
+        assert np.max(np.abs(bracket.lower - [0.0, -8.2904e-12, -3.4623e-11])) <= 1e-14
+        assert np.max(np.abs(bracket.upper - [2.5e-13, 7.8098e-11, 5.6235e-11])) <= 1e-14
+
     def test_feasible_witness_is_positive(self):
         phi, radius = np.meshgrid(np.linspace(0, np.pi / 2, 7), (0.5, 0.999, 1.0), indexing="ij")
         points = np.stack([radius * np.cos(phi), radius * np.sin(phi)], axis=-1).reshape(-1, 2)
@@ -503,7 +512,7 @@ class TestMaxRadius:
         with pytest.raises(ValueError, match="got 2.0"):
             radius_bracket([0.0, 2.0, np.nan])
 
-    @pytest.mark.parametrize("budget", [2.5, 0, -3, "5"])
+    @pytest.mark.parametrize("budget", [2.5, 0, -3, "5", True])
     def test_rejects_a_budget_that_is_not_a_positive_integer(self, budget):
         with pytest.raises(ValueError, match="budget must be a positive integer"):
             radius_bracket(0.3, 1e-3, budget)
@@ -534,6 +543,35 @@ class TestMaxRadius:
         bracket = radius_bracket(np.linspace(0, np.pi / 2, 33), radius_tol=1e-8)
         assert np.all(bracket.lower <= 1 + 1e-15) and np.all(1 <= bracket.upper)
         assert np.all(bracket.upper - bracket.lower <= 1e-8)
+
+    # The same sweep's iterates, pinned: iterations exactly, each end to 1e-12. Directions phi and pi/2 - phi (eta1
+    # and eta2 swapped) give the same bracket to within 6e-16, so the first 17 rows pin all 33.
+    TIGHT_BRACKETS = [
+        (1.00000000000000, 1.00000000000100, 4),
+        (0.99999999939887, 1.00000000003444, 22),
+        (0.99999999890070, 1.00000000013872, 22),
+        (0.99999999848497, 1.00000000031609, 22),
+        (0.99999999813622, 1.00000000056394, 22),
+        (0.99999999784263, 1.00000000087534, 22),
+        (0.99999999759506, 1.00000000123981, 22),
+        (0.99999999738636, 1.00000000164422, 22),
+        (0.99999999721090, 1.00000000207354, 22),
+        (0.99999999706423, 1.00000000251150, 22),
+        (0.99999999694287, 1.00000000294100, 22),
+        (0.99999999684407, 1.00000000334458, 22),
+        (0.99999999676576, 1.00000000370496, 22),
+        (0.99999999670633, 1.00000000400573, 22),
+        (0.99999999666465, 1.00000000423236, 22),
+        (0.99999999663994, 1.00000000437333, 22),
+        (0.99999999663175, 1.00000000442118, 22),
+    ]
+
+    def test_tight_tolerance_brackets_are_pinned(self):
+        bracket = radius_bracket(np.linspace(0, np.pi / 2, 33), radius_tol=1e-8)
+        expected = np.array(self.TIGHT_BRACKETS + self.TIGHT_BRACKETS[-2::-1])
+        np.testing.assert_array_equal(bracket.iterations, expected[:, 2])
+        assert np.max(np.abs(bracket.lower - expected[:, 0])) <= 1e-12
+        assert np.max(np.abs(bracket.upper - expected[:, 1])) <= 1e-12
 
     @pytest.mark.parametrize("radius_tol", [1e-3, 1e-6])
     def test_every_bracket_is_at_most_radius_tol_wide(self, radius_tol):
@@ -677,18 +715,42 @@ class TestRealSolve:
             g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
             assert_certified(bracket.upper[k], bracket.certificate[k], a0, slopes, g)
 
-    def test_face_certificate_of_a_real_stack(self):
-        # S just inside the optimum of the eigenvalue problem at (0.6, 0.8), in real arithmetic:
-        # its two smallest eigenvalues are nearly zero, where the face certificate is made.
-        bracket = eigenvalue_bracket((0.6, 0.8))
-        s = (_up_matrix(0.6, 0.8, bracket.free) - (bracket.lower - 1e-9) * np.eye(4)).real
+    FLOOR = (_FACE_SHARE / 4) * np.eye(4)
+    TERMS = np.concatenate([REAL_SLOPES, -np.eye(4)[None]])
+
+    def near_optimum(self, etas):
+        """Eigenvectors of S just inside the optimum of the eigenvalue problem at etas, and V^T B V for every term B.
+
+        Real arithmetic; the two smallest eigenvalues of S are nearly zero, where the face certificate is made.
+        """
+        bracket = eigenvalue_bracket(etas)
+        s = (_up_matrix(*etas, bracket.free) - (bracket.lower - 1e-9) * np.eye(4)).real
         _, vectors = np.linalg.eigh(s)
-        terms = np.concatenate([REAL_SLOPES, -np.eye(4)[None]])
-        projected = vectors.T @ terms @ vectors
-        face = _face_certificate(vectors[None], projected[None])
+        return vectors, vectors.T @ self.TERMS @ vectors
+
+    def test_face_certificate_of_a_real_stack(self):
+        vectors, projected = self.near_optimum((0.6, 0.8))
+        face = _face_certificate(vectors[None], projected[None], self.FLOOR)
         assert face.dtype == np.float64 and np.isfinite(face).all()
         assert np.linalg.eigvalsh(face[0])[0] >= 0.0
         assert abs(np.trace(face[0]) - 1.0) <= 1e-12
         a0 = _up_matrix(0.6, 0.8, np.zeros(7)).real
-        bound = _dual_bound(face, a0[None], _traces(face, terms[None]))[0]
-        assert bracket.lower <= bound <= bracket.lower + 1e-8
+        bound = _dual_bound(face, a0[None], _traces(face, self.TERMS[None]))[0]
+        lower = eigenvalue_bracket((0.6, 0.8)).lower
+        assert lower <= bound <= lower + 1e-8
+
+    def test_face_certificate_rows_that_certify_nothing(self):
+        # Row 1's design is zero, so its least-squares system is singular (the stack's solve falls back to one
+        # system at a time); row 3's fit is X = -I / 2 (Y_1 = diag(1, -1), Y_2 = [[0, 1], [1, 0]], Y_3 = 0 and
+        # Y_G = I ask for a = b, corner = 0 and a + b = -1), which clips to zero weight.  Both come out NaN, and
+        # every other row is bit for bit its one-row call.
+        clipped = np.zeros((4, 4, 4))
+        clipped[:, :2, :2] = [np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)), np.eye(2)]
+        rows = [self.near_optimum((0.6, 0.8)), (np.eye(4), np.zeros((4, 4, 4))),
+                self.near_optimum((0.8, 0.8)), (np.eye(4), clipped), self.near_optimum((0.3, 0.4))]
+        vectors, projected = (np.array(part) for part in zip(*rows))
+        face = _face_certificate(vectors, projected, self.FLOOR)
+        assert np.isnan(face[[1, 3]]).all()
+        for k in (0, 2, 4):
+            alone = _face_certificate(vectors[k:k + 1], projected[k:k + 1], self.FLOOR)[0]
+            assert np.isfinite(alone).all() and face[k].tobytes() == alone.tobytes(), k

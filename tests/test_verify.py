@@ -41,6 +41,9 @@ class TestRunConfig:
         {"samples": 2.5},
         {"seed": -1},
         {"seed": 1.5},
+        {"seed": True},
+        {"budget": True},
+        {"samples": False},
     ], ids=lambda settings: ",".join(f"{key}={value}" for key, value in settings.items()))
     def test_rejects_what_the_cli_rejects(self, settings):
         with pytest.raises(ValueError):
