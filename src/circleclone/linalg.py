@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -85,11 +86,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _integers(values, name: str) -> list[int]:
-    """One integer or a sequence of them as a list of ints; anything else is a bad factorization."""
-    array = np.asarray(values)
-    if array.ndim > 1 or (array.size and not np.issubdtype(array.dtype, np.integer)):
+    """One integer or a sequence of them as a list of ints; anything else, a bool included, is a bad factorization."""
+    entries = np.asarray(values, dtype=object)
+    if entries.ndim > 1 or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in entries.flat):
         raise ValueError(f"bad factorization: {name}={values!r} must be an integer or a sequence of integers")
-    return array.reshape(-1).tolist()
+    return [int(v) for v in entries.flat]
 
 
 def partial_trace(rho: np.ndarray, keep: int | Sequence[int], dims: Sequence[int]) -> np.ndarray:

@@ -273,9 +273,10 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     all the S^-1/2 G S^-1/2 and one solve of all the Newton systems, and a
     centred one also a 3x3 solve and a 2x2 eigen-decomposition for the face
     fit of each centred row.  Each row stops on its own by the rules above and
-    leaves the stack; row by row, the arithmetic is that of the solve of its
-    problem alone.  The problem is real: F0, the A_i and G are real
-    symmetric, and complex input is rejected.
+    leaves the stack, and each row of the result is bit for bit the solve of
+    its problem alone: F0 and the terms are laid out once per solve.  The
+    problem is real: F0, the A_i and G are real symmetric, and complex input
+    is rejected.
     """
     _require(isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1, budget,
              "budget must be a positive integer, got {}")
@@ -290,9 +291,9 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     # The live stack: one row per problem still iterating; `rows` are their
     # positions in the results, written as each row stops.
     rows = np.arange(problems)
-    f0 = np.broadcast_to(f0, shape + (size, size)).reshape(problems, size, size)
-    g = np.broadcast_to(g, shape + (size, size)).reshape(problems, size, size)
-    terms = np.concatenate([np.broadcast_to(slopes, (problems,) + slopes.shape), g[:, None]], axis=1)
+    f0 = np.ascontiguousarray(np.broadcast_to(f0, shape + (size, size)).reshape(problems, size, size))
+    terms = np.empty((problems, count + 1, size, size))  # (A_1, ..., A_k, G) of every row
+    terms[:, :count], terms[:, count] = slopes, np.broadcast_to(g, shape + (size, size)).reshape(f0.shape)
     x = np.broadcast_to(x0, shape).reshape(problems)
     free = best_free = np.zeros((problems, count))
     lower, upper = np.full(problems, -np.inf), np.full(problems, np.inf)
@@ -307,7 +308,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     for iterate in range(1, budget + 1):
         if not len(rows):
             break
-        slack, vectors = np.linalg.eigh(f0 + (free @ flat_slopes).reshape(-1, size, size) + x[:, None, None] * g)
+        slack, vectors = np.linalg.eigh(f0 + (free @ flat_slopes).reshape(f0.shape) + x[:, None, None] * terms[:, -1])
         # Where rounding carried x past the boundary, S is no longer positive
         # definite: that row stops, and a stand-in slack keeps its arithmetic
         # finite.  The masks below apply only on iterates that have such a row.
@@ -356,14 +357,11 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         if indefinite:
             centred &= definite
         if centred.any():
-            # Every row, as a view, where every row is centred; else a copy of the
-            # centred ones.  F0 and the terms are read C-ordered: until a row
-            # stops they are strided views, and BLAS sums those in another order.
+            # Every row, as a view, where every row is centred; else a copy of the centred ones.
             picked = slice(None) if centred.all() else centred
             face = _face_certificate(vectors[picked], projected[picked], floor)
             bound = np.full(len(rows), np.inf)
-            bound[picked] = _dual_bound(face, np.ascontiguousarray(f0[picked]),
-                                        _traces(face, np.ascontiguousarray(terms[picked])))
+            bound[picked] = _dual_bound(face, f0[picked], _traces(face, terms[picked]))
             better = bound < upper
             upper = np.where(better, bound, upper)
             certificate[better] = face[better[picked]]
@@ -386,8 +384,8 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
             if stop.all():
                 break
             keep = ~stop
-            rows, f0, g, terms, x, free, s, lower, upper, best_free, certificate = (
-                part[keep] for part in (rows, f0, g, terms, x, free, s, lower, upper, best_free, certificate))
+            rows, f0, terms, x, free, s, lower, upper, best_free, certificate = (
+                part[keep] for part in (rows, f0, terms, x, free, s, lower, upper, best_free, certificate))
     return Bracket(results.lower.reshape(shape)[()], results.upper.reshape(shape)[()],
                    results.free.reshape(shape + (count,)), results.certificate.reshape(shape + (size, size)),
                    results.iterations.reshape(shape)[()])
@@ -481,7 +479,7 @@ def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     give one solve of the stack, one row per pair.
     """
     eta1, eta2 = _validate_etas(etas)
-    a0 = _up_matrix(eta1, eta2, np.zeros(np.shape(eta1) + (len(FREE_PARAMETERS),))).real
+    a0 = ORIGIN + eta1[..., None, None] * ETA_SLOPES[0] + eta2[..., None, None] * ETA_SLOPES[1]
     x0 = np.linalg.eigvalsh(a0)[..., 0] - 1.0
     return _seven_entries(minimize(a0, REAL_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL))
 

@@ -73,8 +73,8 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     of the subsystems; any other factorization raises ValueError.
     """
     rho = np.asarray(rho, dtype=complex)
-    dims, keep = np.asarray(dims).tolist(), np.atleast_1d(keep).tolist()
-    if not (all(isinstance(i, numbers.Integral) for i in dims + keep) and all(d > 0 for d in dims)
+    dims, keep = np.asarray(dims, dtype=object).tolist(), np.atleast_1d(np.asarray(keep, dtype=object)).tolist()
+    if not (all(_is_count(i) for i in dims + keep) and all(d > 0 for d in dims)
             and rho.shape[-2:] == (math.prod(dims),) * 2 and len(set(keep)) == len(keep)
             and set(keep) <= set(range(len(dims)))):
         raise ValueError(f"dims {dims} and keep {keep} do not factor a matrix of shape {rho.shape}")

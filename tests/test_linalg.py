@@ -75,7 +75,10 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize("keep, dims, named", [(0, [2.5, 2], r"dims=\[2\.5, 2\]"), (0.5, [2, 2], "keep=0.5"),
                                                    ([0, 1.0], [2, 2], r"keep=\[0, 1\.0\]"),
-                                                   ([[0]], [2, 2], r"keep=\[\[0\]\]")])
+                                                   ([[0]], [2, 2], r"keep=\[\[0\]\]"),
+                                                   # a bool is no subsystem, even where numpy would read it as 1
+                                                   (0, [True, 4], r"dims=\[True, 4\]"),
+                                                   ([0, True], [2, 2], r"keep=\[0, True\]")])
     def test_rejects_a_subsystem_that_is_not_an_integer(self, keep, dims, named):
         with pytest.raises(ValueError, match=f"bad factorization: {named} must be an integer"):
             partial_trace(np.eye(4), keep, dims)

@@ -597,6 +597,15 @@ def assert_certified(upper, w, a0, slopes, g):
     assert abs(bound - upper) <= 1e-12
 
 
+BRACKET_FIELDS = ("lower", "upper", "free", "certificate", "iterations")
+
+
+def assert_row_is_its_solve(stacked, k, alone):
+    """Row k of a stacked Bracket equals the one-row Bracket ``alone`` in all five fields, bit for bit."""
+    for field in BRACKET_FIELDS:
+        assert np.array_equal(getattr(stacked, field)[k], getattr(alone, field), equal_nan=True), (k, field)
+
+
 class TestLockstep:
     # Eigenvalue rows (G = -I) at a feasible point and at (0.8, 0.8), radius
     # rows (G = B(phi)) along three rays, all solved to GAP_TOL, and an
@@ -628,8 +637,7 @@ class TestLockstep:
         for k in range(len(x0)):
             alone = minimize(f0[k], REAL_SLOPES, g[k], x0[k], DEFAULT_BUDGET, GAP_TOL)
             assert np.ndim(alone.lower) == 0 and alone.free.shape == (3,)
-            assert stacked.iterations[k] == alone.iterations
-            assert stacked.lower[k] == alone.lower or abs(stacked.lower[k] - alone.lower) <= 1e-15
+            assert_row_is_its_solve(stacked, k, alone)
             if np.isfinite(alone.upper):
                 assert_certified(stacked.upper[k], stacked.certificate[k], f0[k], slopes, g[k])
         # The start above the boundary stops at once with nothing bracketed,
@@ -649,9 +657,35 @@ class TestLockstep:
         a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))).real for etas in self.POINTS])
         stacked = minimize(a0, REAL_SLOPES, -np.eye(4), np.linalg.eigvalsh(a0)[:, 0] - 1.0, DEFAULT_BUDGET, GAP_TOL)
         brackets = eigenvalue_bracket(self.POINTS)
-        np.testing.assert_array_equal(brackets.iterations, stacked.iterations)
-        assert np.max(np.abs(brackets.lower - stacked.lower)) <= 1e-15
+        for field in ("lower", "upper", "certificate", "iterations"):
+            assert np.array_equal(getattr(brackets, field), getattr(stacked, field)), field
+        assert np.array_equal(brackets.free[:, REAL_PARAMETERS], stacked.free)
         assert feasibility(self.POINTS[0]) is True and feasibility(self.POINTS[1]) is False
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-8])
+    @pytest.mark.parametrize("n", [2, 3, 9, 33])
+    def test_every_stacked_ray_is_its_own_solve(self, n, tol):
+        # F0 and the terms are laid out once per solve, so a row's sums do not
+        # depend on the rows beside it or on when they stop.
+        phi = np.linspace(0, np.pi / 2, n)
+        stacked = radius_bracket(phi, tol)
+        for k in range(n):
+            assert_row_is_its_solve(stacked, k, radius_bracket(phi[k], tol))
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5])
+    def test_every_stacked_pair_is_its_own_solve(self, pairs):
+        etas = np.random.default_rng(pairs).uniform(0, 1, (pairs, 2))
+        stacked = eigenvalue_bracket(etas)
+        for k in range(pairs):
+            assert_row_is_its_solve(stacked, k, eigenvalue_bracket(etas[k]))
+
+    def test_a0_is_the_north_pole_output_at_zero_entries(self):
+        # eigenvalue_bracket's A0 = ORIGIN + eta1 E1 + eta2 E2, the same bits as
+        # the entrywise assembly, on seeded pairs and the unit-square corners.
+        etas = np.concatenate([np.random.default_rng(5).uniform(0, 1, (20000, 2)),
+                               [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]])
+        a0 = ORIGIN + etas[:, 0, None, None] * ETA_SLOPES[0] + etas[:, 1, None, None] * ETA_SLOPES[1]
+        assert a0.tobytes() == positivity_matrix_up(etas, np.zeros((3, 3))).real.tobytes()
 
     @pytest.mark.parametrize("part", ["F0", "slopes", "G", "x0"])
     def test_rejects_complex_input(self, part):

@@ -89,8 +89,10 @@ class TestReferencePartialTrace:
         (np.zeros((4, 4)), -1, [2, 2]),
         (np.zeros((4, 4)), (0, 0), [2, 2]),
         (np.zeros((4, 4)), 0.0, [2, 2]),
+        (np.zeros((4, 4)), 0, [True, 4]),  # a bool is no dimension, though True * 4 is the size 4
+        (np.zeros((4, 4)), True, [2, 2]),
     ], ids=["too-small", "product-mismatch", "not-a-matrix", "zero-dim", "float-dim", "keep-past-the-end",
-            "negative-keep", "repeated-keep", "float-keep"])
+            "negative-keep", "repeated-keep", "float-keep", "bool-dim", "bool-keep"])
     def test_rejects_a_bad_factorization(self, rho, keep, dims):
         with pytest.raises(ValueError):
             reference_partial_trace(rho, keep, dims)
