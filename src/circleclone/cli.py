@@ -18,54 +18,28 @@ FIDELITY_SWEEP_HEADER = "phi,eta1,eta2,fidelity_o,fidelity_b,ppt_min_eig,isotrop
 
 
 def format_number(x: float) -> str:
-    """One number in fixed (positional) notation, locale independent, in integer arithmetic on its exact ratio.
+    """One number as every output cell prints it: numpy's ``format_float_positional`` at 10 significant digits.
 
-    The value is rounded to 10 significant digits, half to even on its exact binary value. Trailing zeros of those
-    10 digits stay when the value lies above the rounded one; when it was rounded up or is exact they are dropped,
-    and the fraction is padded with zeros up to ``9 - max(E, 0)`` digits, where ``10**E <= |rounded| < 10**(E + 1)``.
-    So 0.1 prints as ``0.1000000000``, 0.5 as ``0.500000000``, -1.25e-17 as ``-0.0000000000000000125`` and
-    123456789012.0 as ``123456789000.``. Zero (either sign) prints as ``0.000000000``; NaN and infinities as
-    ``nan``. ``format_cells`` prints whole tables by the same rule.
+    That is the exact (Dragon4) rounding of the binary value, half to even, in fixed notation and locale
+    independent, with ``unique=False, fractional=False, trim="k"``: 0.1 prints as ``0.1000000000``, 0.5 as
+    ``0.500000000``, -1.25e-17 as ``-0.0000000000000000125`` and 123456789012.0 as ``123456789000.``. Zero of
+    either sign prints as ``0.000000000``; NaN and infinities as ``nan``.
     """
-    x = float(x)
+    x = float(x) + 0.0  # + 0.0 turns -0.0 into 0.0
     if not math.isfinite(x):
         return "nan"
-    if x == 0.0:
-        return "0.000000000"
-    numerator, denominator = abs(x).as_integer_ratio()
-    exponent = math.floor(math.log10(abs(x)))  # off by at most one; the loop makes it exact
-    while True:
-        shift = 9 - exponent  # |x| * 10**shift = scaled / scale
-        scaled, scale = numerator * 10**max(shift, 0), denominator * 10**max(-shift, 0)
-        digits, remainder = divmod(scaled, scale)
-        if digits < 10**9:
-            exponent -= 1
-        elif digits >= 10**10:
-            exponent += 1
-        else:
-            break
-    excess = 2 * remainder - scale
-    rounded_up = excess > 0 or (excess == 0 and digits % 2 == 1)
-    if rounded_up:
-        digits += 1
-        if digits == 10**10:
-            digits, exponent = 10**9, exponent + 1
-    text = str(digits).rstrip("0") if rounded_up or remainder == 0 else str(digits)
-    if exponent >= 0:
-        whole, fraction = text[:exponent + 1].ljust(exponent + 1, "0"), text[exponent + 1:]
-    else:
-        whole, fraction = "0", "0" * (-exponent - 1) + text
-    return ("-" if x < 0 else "") + whole + "." + fraction.ljust(9 - max(exponent, 0), "0")
+    return np.format_float_positional(x, precision=10, unique=False, fractional=False, trim="k")
 
 
 def format_cells(values: np.ndarray) -> list[str]:
     """Every value of a float array, in row-major order, as ``format_number`` prints it.
 
-    One ``"%.*f"`` call prints every cell to 10 significant digits, with ``E`` from ``log10``. A cell below 1
-    whose last digit is 0 then loses its trailing zeros when the value is not above the printed one. Non-finite
-    values, values of 1e9 and more, and values so near a power of ten that ``log10`` could miss ``E`` or the
-    rounding could carry into the next power go through ``format_number``; zero and the exact powers 1, 10, ...,
-    1e8 need not.
+    This is the fast path for whole tables. One ``"%.*f"`` call prints every cell to 10 significant digits, with
+    ``E`` from ``log10``. A cell below 1 whose last digit is 0 then loses its trailing zeros when the value lies
+    below the printed decimal, and keeps them when it lies above. The cells a float compare cannot settle go to
+    ``format_number``: a value equal to the double nearest its printed decimal (a tie or an exact value),
+    non-finite values, values of 1e9 and more, and values so near a power of ten that ``log10`` could miss ``E`` or
+    the rounding could carry into the next power; zero and the exact powers 1, 10, ..., 1e8 need not.
     """
     flat = np.ravel(values) + 0.0  # + 0.0 turns -0.0 into 0.0
     magnitude = np.abs(flat)
@@ -89,13 +63,10 @@ def format_cells(values: np.ndarray) -> list[str]:
         if cell[-1] != "0":
             continue
         value, printed = abs(float(flat[k])), abs(float(cell))
-        whole, fraction = cell.split(".")
-        if value == printed:  # float(cell) is the double nearest the printed decimal; only a tie needs integers
-            numerator, denominator = value.as_integer_ratio()
-            above = numerator * 10**len(fraction) > int(fraction) * denominator
-        else:
-            above = value > printed
-        if not above:
+        if value == printed:  # the value may lie on either side of the printed decimal, or on it
+            cells[k] = format_number(flat[k])
+        elif value < printed:
+            whole, fraction = cell.split(".")
             cells[k] = whole + "." + fraction.rstrip("0").ljust(9, "0")
     return cells
 
@@ -231,8 +202,11 @@ FINITE = _checked(float, math.isfinite, "finite")
 POSITIVE = _checked(float, lambda x: math.isfinite(x) and x > 0, "positive and finite")
 UNIT_INTERVAL = _checked(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 POSITIVE_COUNT = _checked(int, lambda n: n > 0, "positive")
-AT_LEAST_TWO = _checked(int, lambda n: n >= 2, "at least 2")
-SAMPLE_OVERRIDE = _checked(int, lambda n: n == 0 or n >= 2, "0 (per-check defaults) or at least 2")
+# A run holds 2-5 kB per point, direction or sample, so a count at this cap stays under about 0.5 GB.
+_MAX_COUNT = 100_000
+SIZE = _checked(int, lambda n: 2 <= n <= _MAX_COUNT, f"from 2 to {_MAX_COUNT}")
+SAMPLE_OVERRIDE = _checked(int, lambda n: n == 0 or 2 <= n <= _MAX_COUNT,
+                           f"0 (per-check defaults) or from 2 to {_MAX_COUNT}")
 SEED = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
@@ -248,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=SEED, default=0)
     verify.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
     verify.add_argument("--samples", type=SAMPLE_OVERRIDE, default=0,
-                        help="override every sampled check's sample count (0 = per-check defaults)")
+                        help=f"override every sampled check's sample count, at most {_MAX_COUNT} "
+                             "(0 = per-check defaults)")
     verify.set_defaults(func=_cmd_verify)
 
     clone_cmd = sub.add_parser("clone", help="one cloning run with full diagnostics")
@@ -259,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     clone_cmd.set_defaults(func=_cmd_clone)
 
     bound = sub.add_parser("bound-sweep", help="recover the attainable boundary radius over directions")
-    bound.add_argument("--n-phi", type=AT_LEAST_TWO, required=True, dest="n_phi")
+    bound.add_argument("--n-phi", type=SIZE, required=True, dest="n_phi",
+                       help=f"number of directions, from 2 to {_MAX_COUNT}")
     bound.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
     bound.add_argument("--seed", type=SEED, default=0, help="accepted for compatibility; the sweep is deterministic")
     bound.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
@@ -268,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     bound.set_defaults(func=_cmd_bound_sweep)
 
     fidelity = sub.add_parser("fidelity-sweep", help="fidelities and separability along the optimal circle")
-    fidelity.add_argument("--n-points", type=AT_LEAST_TWO, required=True, dest="n_points")
+    fidelity.add_argument("--n-points", type=SIZE, required=True, dest="n_points",
+                          help=f"number of points on the circle, from 2 to {_MAX_COUNT}")
     fidelity.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
-    fidelity.add_argument("--samples", type=AT_LEAST_TWO, default=64,
+    fidelity.add_argument("--samples", type=SIZE, default=64,
                           help="accepted for compatibility; the isotropy residual is exact and does not depend on it")
     fidelity.set_defaults(func=_cmd_fidelity_sweep)
 

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circleclone import cloner
-from circleclone.cli import BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, _directions, format_cells, format_number, main
+from circleclone import cli, cloner
+from circleclone.cli import (BOUND_SWEEP_HEADER, FIDELITY_SWEEP_HEADER, _directions, build_parser, format_cells,
+                              format_number, main)
 from circleclone.cloner import clone_report, coefficients, isotropy_scan
 
 SYMMETRIC_ETA = repr(2**-0.5)
@@ -103,6 +104,15 @@ class TestFormatNumber:
         expected = [numpy_positional(value) for value in values.tolist()]
         assert format_cells(values.reshape(-1, 2)) == expected
         assert [format_number(value) for value in values[::4].tolist()] == expected[::4]
+
+    # The bulk pass settles every cell of a sweep but the two exact 0.5 fidelities at the axes.
+    @pytest.mark.parametrize(("command", "calls"), [(["fidelity-sweep", "--n-points", "129"], 2),
+                                                    (["bound-sweep", "--n-phi", "9"], 0)], ids=["fidelity", "bound"])
+    def test_the_bulk_pass_hands_over_only_what_it_cannot_settle(self, command, calls, monkeypatch):
+        handed = []
+        monkeypatch.setattr(cli, "format_number", lambda x: handed.append(x) or format_number(x))
+        assert main(command) == 0
+        assert len(handed) == calls, handed
 
 
 class TestCloneCommand:
@@ -385,6 +395,29 @@ def test_directions_equal_the_scalar_generator_bit_for_bit():
     for n in range(2, 401):
         expected = np.array(list(scalar_directions(n))).T
         assert np.stack(_directions(n)).tobytes() == expected.tobytes(), n
+
+
+COUNT_OPTIONS = pytest.mark.parametrize("option", [["fidelity-sweep", "--n-points"], ["bound-sweep", "--n-phi"],
+                                                   ["verify", "--samples"]], ids=" ".join)
+
+
+# Each count is capped before anything is allocated: 1e20 and the cap + 1 end in one line and exit code 2.
+@COUNT_OPTIONS
+@pytest.mark.parametrize("count", ["99999999999999999999", "100001"])
+def test_over_large_count_exits_2_with_one_line(option, count, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(option + [count])
+    assert excinfo.value.code == 2
+    assert_one_line_error(capsys.readouterr().err)
+
+
+@COUNT_OPTIONS
+def test_count_cap_is_accepted_and_stated_in_the_help(option, capsys):
+    assert 100000 in vars(build_parser().parse_args(option + ["100000"])).values()  # parsed only; nothing runs
+    with pytest.raises(SystemExit) as excinfo:
+        main([option[0], "--help"])
+    assert excinfo.value.code == 0
+    assert "100000" in capsys.readouterr().out
 
 
 class TestVerifyCommand:
