@@ -28,11 +28,9 @@ GAP_TOL = 1e-10
 # decrement is below CENTRED_DECREMENT.
 BARRIER_GROWTH = 300.0
 CENTRED_DECREMENT = 1.0
-# The share of I / n mixed into every face certificate, and the entries of
-# its fit (a, b, corner) that make up X = [[a, corner], [corner, b]] (see
-# _face_certificate).
-_FACE_SHARE = 1e-12
-_FIT_MATRIX = np.array([[0, 2], [2, 1]])
+# The share of I / n mixed into every face certificate (see _face_certificate):
+# no certificate minimize tries has an eigenvalue below _FLOOR_SHARE / n.
+_FLOOR_SHARE = 1e-12
 
 # Order of the free correlation-tensor entries once the no-signalling
 # constraints t_zz = t_xx and t_zx = -t_xz are imposed.
@@ -220,12 +218,17 @@ ETA_SLOPES = np.array([_up_matrix(*unit, np.zeros(len(FREE_PARAMETERS))) for uni
 # t_yx, t_yz and t_zy are purely imaginary.  Complex conjugation maps S(f) to
 # S(f'), f' being f with those four entries negated, so S(f) and S(f') are
 # PSD together, and the mean of f and f', with the four entries zero, is as
-# good as f.  The brackets are therefore solved in real arithmetic over the
-# three real entries, and report the four others as exact zeros; a real
-# symmetric W has Tr(W A_i) = 0 for every imaginary slope, so their
-# certificates prove the bound over all seven.
-REAL_PARAMETERS = [0, 1, 2]
-REAL_SLOPES = UP_SLOPES[REAL_PARAMETERS].real
+# good as f.  Conjugation by Z (x) Z = diag(1, -1, -1, 1) likewise negates
+# t_xz, t_yz and t_zy: their entries lie between {|00>, |11>} and {|01>, |10>},
+# where it flips signs, and all others within, where it keeps them.  With the
+# five entries zero, S is real and X-shaped: the brackets solve its two 2x2
+# blocks, M[_BLOCKS] (..., 2, 2, 2) of M (..., 4, 4), over t_xx and t_yy, and
+# report the five others as exact zeros.  A real X-shaped W has Tr(W A_i) = 0
+# for the imaginary slopes and the off-block t_xz: it proves the bound over all seven.
+REAL_PARAMETERS = [0, 2]
+_PAIRS = np.array([[0, 3], [1, 2]])
+_BLOCKS = (..., _PAIRS[:, :, None], _PAIRS[:, None, :])
+REAL_SLOPES = UP_SLOPES[REAL_PARAMETERS].real[_BLOCKS]
 
 
 @dataclass(frozen=True)
@@ -237,8 +240,8 @@ class Bracket:
     in a row that certified no bound (there ``upper`` is inf); W is real
     symmetric (float64), as every problem minimize solves is real.  Fields take
     the batch shape: ``lower``, ``upper`` and ``iterations`` (...), ``free``
-    (..., k), ``certificate`` (..., n, n); a single problem gives numpy
-    scalars.  eigenvalue_bracket and radius_bracket give ``free`` (..., 7).
+    (..., k), ``certificate`` (..., b, m, m), W's blocks; a single problem gives
+    numpy scalars.  The brackets give ``free`` (..., 7) and W (..., 4, 4).
     """
 
     lower: np.ndarray
@@ -249,7 +252,7 @@ class Bracket:
 
 
 def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int, tol: float) -> Bracket:
-    """Barrier (Newton) solve of  max x  s.t.  S = F0 + sum_i f_i A_i + x G >= 0,  |f_i| <= 1.
+    """Barrier (Newton) solve of  max x  s.t.  S = F0 + sum_i f_i A_i + x G >= 0,  |f_i| <= 1,  S block diagonal.
 
     Minimizes  -s x - log det S - sum_i log(1 - f_i^2)  by damped Newton steps
     from f = 0 and x = x0; s starts at Tr S^-1 (centred in x when G = -I) and
@@ -258,25 +261,26 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     at its entries, x + 1 / lambda_max(-S^-1/2 G S^-1/2); above, when
     Tr(W G) < 0, by (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) for a positive
     semidefinite W, since Tr(W S) >= 0 at every feasible point and every
-    |f_i| <= 1.  Every iterate tries W = S^-1 / Tr S^-1, and every centred
-    iterate also the face-reduced W of _face_certificate, which stays accurate
-    near the optimum, where S is nearly singular and S^-1 / Tr S^-1 is not.
+    |f_i| <= 1.  Every iterate tries W = S^-1 / Tr S^-1 (unless an eigenvalue
+    of it lies below _FLOOR_SHARE / n: it is then PSD only to within rounding),
+    and every centred iterate also the face-reduced W of _face_certificate,
+    which stays accurate near the optimum, where S is nearly singular.
     The solve stops once the certified upper - lower <= tol, or after
     ``budget`` iterates; it also stops where precision runs out: S is no
     longer positive definite, or the Newton step is singular, not finite,
     leaves the box, or leaves x where it is at an iterate that is not
     centred.  ``tol`` must be positive and finite.
 
-    A stack of problems F0 (..., n, n), G (..., n, n) and x0 (...), which
-    broadcast to one batch shape, shares the slopes A_i (k, n, n) and runs in
-    lockstep: every iterate makes one eigen-decomposition of all the S, one of
-    all the S^-1/2 G S^-1/2 and one solve of all the Newton systems, and a
-    centred one also a 3x3 solve and a 2x2 eigen-decomposition for the face
-    fit of each centred row.  Each row stops on its own by the rules above and
-    leaves the stack, and each row of the result is bit for bit the solve of
-    its problem alone: F0 and the terms are laid out once per solve.  The
-    problem is real: F0, the A_i and G are real symmetric, and complex input
-    is rejected.
+    Every matrix is block diagonal, given as its b diagonal m x m blocks.  A
+    stack of problems F0 (..., b, m, m), G (..., b, m, m) and x0 (...), which
+    broadcast to one batch shape, shares the slopes A_i (k, b, m, m) and runs
+    in lockstep: every iterate makes one eigen-decomposition of all the blocks
+    of S, one of all those of S^-1/2 G S^-1/2 and one solve of all the Newton
+    systems, and a centred one also a b x b solve for the face fit of each
+    centred row.  Each row stops on its own by the rules above and leaves the
+    stack, and each row of the result is bit for bit the solve of its problem
+    alone: F0 and the terms are laid out once per solve.  The problem is real:
+    F0, the A_i and G are real symmetric, and complex input is rejected.
     """
     _require(isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1, budget,
              "budget must be a positive integer, got {}")
@@ -285,62 +289,61 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     if any(np.iscomplexobj(part) for part in (f0, slopes, g, x0)):
         raise ValueError("minimize solves real problems only: F0, the slopes, G and x0 must be real")
     f0, slopes, g, x0 = (np.asarray(part, dtype=float) for part in (f0, slopes, g, x0))
-    shape = np.broadcast_shapes(f0.shape[:-2], g.shape[:-2], x0.shape)
-    size, count = f0.shape[-1], len(slopes)
+    shape = np.broadcast_shapes(f0.shape[:-3], g.shape[:-3], x0.shape)
+    layout, count = slopes.shape[1:], len(slopes)
     problems = int(np.prod(shape))
     # The live stack: one row per problem still iterating; `rows` are their
     # positions in the results, written as each row stops.
     rows = np.arange(problems)
-    f0 = np.ascontiguousarray(np.broadcast_to(f0, shape + (size, size)).reshape(problems, size, size))
-    terms = np.empty((problems, count + 1, size, size))  # (A_1, ..., A_k, G) of every row
-    terms[:, :count], terms[:, count] = slopes, np.broadcast_to(g, shape + (size, size)).reshape(f0.shape)
+    f0 = np.ascontiguousarray(np.broadcast_to(f0, shape + layout).reshape((problems,) + layout))
+    terms = np.empty((problems, count + 1) + layout)  # (A_1, ..., A_k, G) of every row
+    terms[:, :count], terms[:, count] = slopes, np.broadcast_to(g, shape + layout).reshape(f0.shape)
     x = np.broadcast_to(x0, shape).reshape(problems)
     free = best_free = np.zeros((problems, count))
     lower, upper = np.full(problems, -np.inf), np.full(problems, np.inf)
-    certificate = np.full((problems, size, size), np.nan)
+    certificate = np.full(f0.shape, np.nan)
     results = Bracket(lower.copy(), upper.copy(), best_free.copy(), certificate.copy(),
                       np.zeros(problems, dtype=int))
     # Per-solve constants: the slopes flattened for the step from f to S, the
     # Hessian's box entries as a stride along its flattened rows, and the
-    # share of I / n mixed into each face certificate.
+    # floor of every certificate's eigenvalues, _FLOOR_SHARE / n, as a block of I / n.
     flat_slopes, box_entries = slopes.reshape(count, -1), slice(None, count * (count + 2), count + 2)
-    floor = (_FACE_SHARE / size) * np.eye(size)
+    share = _FLOOR_SHARE / (layout[0] * layout[1])
+    floor = share * np.eye(layout[1])
     for iterate in range(1, budget + 1):
         if not len(rows):
             break
-        slack, vectors = np.linalg.eigh(f0 + (free @ flat_slopes).reshape(f0.shape) + x[:, None, None] * terms[:, -1])
+        slack, vectors = np.linalg.eigh(f0 + (free @ flat_slopes).reshape(f0.shape)
+                                        + x[:, None, None, None] * terms[:, -1])
         # Where rounding carried x past the boundary, S is no longer positive
-        # definite: that row stops, and a stand-in slack keeps its arithmetic
-        # finite.  The masks below apply only on iterates that have such a row.
-        definite = slack[:, 0] > 0.0
+        # definite: that row stops, and a stand-in slack keeps its arithmetic finite.
+        definite = (slack[..., 0] > 0.0).all(axis=-1)
         indefinite = not definite.all()
-        inverse = 1.0 / (np.where(definite[:, None], slack, 1.0) if indefinite else slack)
-        total = inverse.sum(axis=-1)
+        inverse = 1.0 / (np.where(definite[:, None, None], slack, 1.0) if indefinite else slack)
+        total = inverse.sum(axis=(-2, -1))
         if iterate == 1:
             s = total
         # V^T B V for every B of (A_1, ..., G), in the eigenbasis V of S, and
-        # S^-1/2 B S^-1/2 from it.
+        # S^-1/2 B S^-1/2 from it, block by block.
         adjoint = vectors.swapaxes(-2, -1)
         projected = adjoint[:, None] @ terms @ vectors[:, None]
         root = np.sqrt(inverse)
-        blocks = projected * (root[:, :, None] * root[:, None, :])[:, None]
-        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -1])[:, 0]
-        better = best_x > lower
-        if indefinite:
-            better &= definite
+        blocks = projected * (root[..., :, None] * root[..., None, :])[:, None]
+        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -1])[..., 0].min(axis=-1)
+        better = definite & (best_x > lower)
         lower = np.where(better, best_x, lower)
         best_free = np.where(better[:, None], free, best_free)
         # W = V D V^T / Tr D, computed as the transpose of V (V D)^T / Tr D: the
         # same products, summed in the same order, and _traces flattens it as a view.
-        w = (vectors @ (vectors * (inverse / total[:, None])[:, None, :]).swapaxes(-2, -1)).swapaxes(-2, -1)
+        w = (vectors @ (vectors * (inverse / total[:, None, None])[..., None, :]).swapaxes(-2, -1)).swapaxes(-2, -1)
         traces = _traces(w, terms)
         bound = _dual_bound(w, f0, traces)
-        if indefinite:
-            bound = np.where(definite, bound, np.inf)
-        better = bound < upper
+        better = definite & (bound < upper)
         if better.any():
+            # A W with an eigenvalue below the floor is PSD only to within rounding, and proves nothing.
+            better &= inverse.min(axis=(-2, -1)) >= share * total
             upper = np.where(better, bound, upper)
-            certificate = np.where(better[:, None, None], w, certificate)
+            certificate = np.where(better[:, None, None, None], w, certificate)
 
         # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
         flat = blocks.reshape(len(rows), count + 1, -1)
@@ -353,9 +356,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         hessian.reshape(len(rows), -1)[:, box_entries] += 2 * (1 + square) / gap**2
         step = -_newton_solve(hessian, gradient)
         decrement = np.sqrt(np.maximum(-np.einsum("li,li->l", gradient, step), 0.0))
-        centred = decrement < CENTRED_DECREMENT
-        if indefinite:
-            centred &= definite
+        centred = definite & (decrement < CENTRED_DECREMENT)
         if centred.any():
             # Every row, as a view, where every row is centred; else a copy of the centred ones.
             picked = slice(None) if centred.all() else centred
@@ -371,9 +372,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         # A step that is not finite, leaves the box, or leaves x where it is
         # though the iterate is not centred: the Newton system has lost its precision.
         lost = ~(np.isfinite(step).all(axis=-1) & (np.abs(candidate) < 1.0).all(axis=-1)) | ((moved == x) & ~centred)
-        stop = (upper - lower <= tol) | lost
-        if indefinite:
-            stop |= ~definite
+        stop = ~definite | (upper - lower <= tol) | lost
         free, x = candidate, moved
         if iterate == budget:
             stop[:] = True
@@ -387,7 +386,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
             rows, f0, terms, x, free, s, lower, upper, best_free, certificate = (
                 part[keep] for part in (rows, f0, terms, x, free, s, lower, upper, best_free, certificate))
     return Bracket(results.lower.reshape(shape)[()], results.upper.reshape(shape)[()],
-                   results.free.reshape(shape + (count,)), results.certificate.reshape(shape + (size, size)),
+                   results.free.reshape(shape + (count,)), results.certificate.reshape(shape + layout),
                    results.iterations.reshape(shape)[()])
 
 
@@ -405,49 +404,39 @@ def _dual_bound(w: np.ndarray, f0: np.ndarray, traces: np.ndarray) -> np.ndarray
 
 
 def _face_certificate(vectors: np.ndarray, projected: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """A unit-trace positive definite W on the face of the two smallest eigenvalues of S, one per row.
+    """A unit-trace positive definite W = sum_b w_b u_b u_b^T, u_b the first eigenvector of block b of S, per row.
 
-    An optimal W has W S = 0 at the optimum, where S of the north-pole
-    problems has two zero eigenvalues, so near it W lives on their
-    eigenvectors V2, the first two columns of ``vectors`` (rows, n, n).  With
-    Y_j = V2^T B_j V2, sliced out of ``projected`` (rows, k + 1, n, n) for B
-    of (A_1, ..., G), fits a real symmetric 2x2 X, three unknowns, by least
-    squares to Tr(X Y_i) = 0 and Tr(X Y_G) = -1, clips it to positive
-    semidefinite and takes W = V2 X V2^T / Tr X.  A rank-2 W has computed
-    eigenvalues of either sign at the rounding level, so W is mixed with a
-    _FACE_SHARE = 1e-12 share of I / n, given as ``floor`` = (_FACE_SHARE / n) I:
-    the mix is PSD (any convex mix of PSD certificates is a certificate), its
-    computed eigenvalues stay positive and its bound moves by about 1e-12.
-    A row whose fit is singular or whose clipped X is zero gets NaN.
+    An optimal W has W S = 0 at the optimum, where each block of S of the
+    north-pole problems has a zero eigenvalue; near it W lives on the u_b, the
+    first columns of ``vectors`` (rows, b, m, m).  The weights are fitted by
+    least squares to Tr(W A_i) = 0 and Tr(W G) = -1, with Tr(u_b u_b^T B) the
+    [0, 0] entries of ``projected`` (rows, k + 1, b, m, m) for B of (A_1, ...,
+    G), clipped to non-negative and scaled to sum to 1.  Such a W has computed
+    eigenvalues of either sign at the rounding level, so it is mixed with a
+    _FLOOR_SHARE = 1e-12 share of I / n, ``floor`` = (_FLOOR_SHARE / n) I in
+    each block: the mix is PSD, its computed eigenvalues stay positive and its
+    bound moves by about 1e-12.  A row whose fit is singular or whose clipped
+    weights are all zero gets NaN.
     """
-    # The design (rows, k + 1, 3): (Y_j[0, 0], Y_j[1, 1], 2 Y_j[0, 1]) for every B_j.
-    design = np.empty(projected.shape[:-2] + (3,))
-    design[..., 0], design[..., 1] = projected[..., 0, 0], projected[..., 1, 1]
-    np.multiply(projected[..., 0, 1], 2, out=design[..., 2])
-    fit = _newton_solve(design.swapaxes(-2, -1) @ design, -design[:, -1])
-    valid = np.isfinite(fit).all(axis=-1)
+    design = projected[..., 0, 0]  # (rows, k + 1, b)
+    weights = np.maximum(_newton_solve(design.swapaxes(-2, -1) @ design, -design[:, -1]), 0.0)
+    total = weights.sum(axis=-1)
+    valid = total > 0.0  # a singular fit is NaN, and fails this too
     invalid = not valid.all()
-    if invalid:
-        fit = np.where(valid[:, None], fit, 0.0)
-    values, turn = np.linalg.eigh(np.take(fit, _FIT_MATRIX, axis=-1))
-    values = np.maximum(values, 0.0)
-    weight = values.sum(axis=-1)
-    valid &= weight > 0.0
-    invalid = not valid.all()
-    basis = vectors[..., :2] @ turn
-    scaled = basis * (values / (np.where(valid, weight, 1.0) if invalid else weight)[:, None])[:, None, :]
-    # Computed as its transpose, as minimize's W is.
-    mixed = ((1.0 - _FACE_SHARE) * (basis @ scaled.swapaxes(-2, -1)) + floor).swapaxes(-2, -1)
-    return np.where(valid[:, None, None], mixed, np.nan) if invalid else mixed
+    first = vectors[..., 0]
+    outer = first[..., :, None] * first[..., None, :]
+    weights /= (np.where(valid, total, 1.0) if invalid else total)[:, None]
+    mixed = (1.0 - _FLOOR_SHARE) * (weights[..., None, None] * outer) + floor
+    return np.where(valid[:, None, None, None], mixed, np.nan) if invalid else mixed
 
 
 def _traces(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr(W B) for every B of a stack b (..., k, n, n), with W (..., n, n); (..., k).
+    """Tr(W B) for every B of a stack b (..., k, b, m, m) and W (..., b, m, m), all given as their blocks; (..., k).
 
-    A matmul of the flattened matrices: its sums for one row do not depend on
+    A matmul of the flattened blocks: its sums for one row do not depend on
     how many rows the stack holds (einsum's do, in the last bit).
     """
-    return (b.reshape(b.shape[:-2] + (-1,)) @ w.swapaxes(-2, -1).reshape(w.shape[:-2] + (-1, 1)))[..., 0]
+    return (b.reshape(b.shape[:-3] + (-1,)) @ w.swapaxes(-2, -1).reshape(w.shape[:-3] + (-1, 1)))[..., 0]
 
 
 def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
@@ -464,24 +453,30 @@ def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
         return steps
 
 
-def _seven_entries(bracket: Bracket) -> Bracket:
-    """A solve over the REAL_PARAMETERS widened to all seven free entries, the four others exact zeros."""
+def _full_problem(bracket: Bracket) -> Bracket:
+    """A block solve over the REAL_PARAMETERS widened to all seven free entries and a 4x4 certificate.
+
+    The five other entries and the certificate's entries off its blocks are exact zeros (NaN where it is NaN).
+    """
     free = np.zeros(bracket.free.shape[:-1] + (len(FREE_PARAMETERS),))
     free[..., REAL_PARAMETERS] = bracket.free
-    return replace(bracket, free=free)
+    certified = ~np.isnan(bracket.certificate).any(axis=(-3, -2, -1))
+    certificate = np.where(certified[..., None, None], np.zeros((4, 4)), np.nan)
+    certificate[_BLOCKS] = bracket.certificate
+    return replace(bracket, free=free, certificate=certificate)
 
 
 def eigenvalue_bracket(etas, budget: int = DEFAULT_BUDGET) -> Bracket:
     """Bracket the largest minimum eigenvalue of the north-pole output over the seven free entries.
 
-    The solve of minimize over the REAL_SLOPES (see there) with G = -I from
-    x = lambda_min(A0) - 1, to a gap of GAP_TOL.  Reduction factors (..., 2)
-    give one solve of the stack, one row per pair.
+    The solve of minimize on the two blocks, over the REAL_SLOPES (see there),
+    with G = -I from x = lambda_min(A0) - 1, to a gap of GAP_TOL.  Reduction
+    factors (..., 2) give one solve of the stack, one row per pair.
     """
     eta1, eta2 = _validate_etas(etas)
-    a0 = ORIGIN + eta1[..., None, None] * ETA_SLOPES[0] + eta2[..., None, None] * ETA_SLOPES[1]
-    x0 = np.linalg.eigvalsh(a0)[..., 0] - 1.0
-    return _seven_entries(minimize(a0, REAL_SLOPES, -np.eye(a0.shape[-1]), x0, budget, GAP_TOL))
+    a0 = (ORIGIN + eta1[..., None, None] * ETA_SLOPES[0] + eta2[..., None, None] * ETA_SLOPES[1])[_BLOCKS]
+    x0 = np.linalg.eigvalsh(a0)[..., 0].min(axis=-1) - 1.0
+    return _full_problem(minimize(a0, REAL_SLOPES, -np.eye(2), x0, budget, GAP_TOL))
 
 
 def feasibility(etas, budget: int = DEFAULT_BUDGET) -> bool | None:
@@ -510,18 +505,18 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
     """Bracket the largest feasible radius along each ray (r cos(phi), r sin(phi)), from one barrier solve.
 
     Along the ray the north-pole output is A00 + r B(phi) + sum_i f_i A_i, with
-    B(phi) = cos(phi) E1 + sin(phi) E2: minimize over the REAL_SLOPES with
-    G = B(phi), from r = 0 until the certified bracket is at most
-    ``radius_tol`` wide (or precision runs out, which takes a ``radius_tol`` of
-    1e-12 or less).  Its lower end is attained by its free entries.  Directions
-    (...) give one solve of the stack, each row stopping on its own.  The
-    boundary is the unit circle.
+    B(phi) = cos(phi) E1 + sin(phi) E2: minimize on the two blocks, over the
+    REAL_SLOPES, with G = B(phi), from r = 0 until the certified bracket is at
+    most ``radius_tol`` wide (or precision runs out, which takes a
+    ``radius_tol`` of 1e-12 or less).  Its lower end is attained by its free
+    entries.  Directions (...) give one solve of the stack, each row stopping
+    on its own.  The boundary is the unit circle.
     """
     phi = np.asarray(phi, dtype=float)
     _require((phi >= 0.0) & (phi <= np.pi / 2), phi, "direction must lie in [0, pi/2], got {}")
     direction = (np.cos(phi)[..., None, None] * ETA_SLOPES[0]
-                 + np.sin(phi)[..., None, None] * ETA_SLOPES[1])
-    return _seven_entries(minimize(ORIGIN, REAL_SLOPES, direction, 0.0, budget, radius_tol))
+                 + np.sin(phi)[..., None, None] * ETA_SLOPES[1])[_BLOCKS]
+    return _full_problem(minimize(ORIGIN[_BLOCKS], REAL_SLOPES, direction, 0.0, budget, radius_tol))
 
 
 def max_radius(phi: float, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DEFAULT_BUDGET) -> float:

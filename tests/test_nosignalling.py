@@ -26,7 +26,8 @@ from circleclone.nosignalling import (
     RIGHT,
     UP,
     UP_SLOPES,
-    _FACE_SHARE,
+    _BLOCKS,
+    _FLOOR_SHARE,
     _dual_bound,
     _face_certificate,
     _newton_solve,
@@ -582,9 +583,15 @@ class TestMaxRadius:
     def test_unreachable_tolerance_stops_on_precision_loss(self):
         # No bracket can be certified 1e-16 wide: each direction stops once its Newton
         # step no longer moves the radius, not at the budget, and still holds 1.
-        bracket = radius_bracket(np.linspace(0, np.pi / 2, 9), radius_tol=1e-16)
+        phi = np.linspace(0, np.pi / 2, 9)
+        bracket = radius_bracket(phi, radius_tol=1e-16)
         assert np.all(bracket.iterations <= 100), bracket.iterations
         assert np.all(bracket.lower <= 1 + 1e-15) and np.all(1 <= bracket.upper)
+        # Near the optimum S is nearly singular; no certificate has an eigenvalue below the rounding level.
+        a0, slopes = north_pole_terms((0.0, 0.0))
+        for k, direction in enumerate(phi):
+            g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
+            assert_certified(bracket.upper[k], bracket.certificate[k], a0, slopes, g)
 
 
 def assert_certified(upper, w, a0, slopes, g):
@@ -595,6 +602,13 @@ def assert_certified(upper, w, a0, slopes, g):
     bound = ((np.trace(w @ a0).real + sum(abs(np.trace(w @ a).real) for a in slopes))
              / -np.trace(w @ g).real)
     assert abs(bound - upper) <= 1e-12
+
+
+def laid_out(blocks):
+    """The 4x4 matrices (..., 4, 4) whose two 2x2 blocks are ``blocks`` (..., 2, 2, 2), zero off the blocks."""
+    full = np.zeros(np.shape(blocks)[:-3] + (4, 4))
+    full[_BLOCKS] = blocks
+    return full
 
 
 BRACKET_FIELDS = ("lower", "upper", "free", "certificate", "iterations")
@@ -611,13 +625,13 @@ class TestLockstep:
     # rows (G = B(phi)) along three rays, all solved to GAP_TOL, and an
     # eigenvalue row started above the boundary, where S is not positive
     # definite: their solves stop at iterates 29, 28, 4, 28, 28 and 1.  The
-    # rows are real, as minimize takes them: the real parts of the north-pole
-    # terms, solved over the REAL_SLOPES.
+    # rows are real and block diagonal, as minimize takes them: the two blocks
+    # of the real parts of the north-pole terms, solved over the REAL_SLOPES.
     POINTS = np.array([(0.3, 0.4), (0.8, 0.8), (0.6, 0.8)])
     DIRECTIONS = np.array([0.0, np.pi / 8, np.pi / 4])
 
     def stack(self):
-        """F0, G and x0 of the rows: the first two points, the rays, then the last point."""
+        """F0, G (4x4) and x0 of the rows: the first two points, the rays, then the last point."""
         a0 = [positivity_matrix_up(etas, np.zeros((3, 3))).real for etas in self.POINTS]
         x0 = [np.linalg.eigvalsh(a)[0] - 1.0 for a in a0]
         x0[-1] += 1.5
@@ -630,16 +644,17 @@ class TestLockstep:
 
     def test_each_row_is_its_own_solve(self):
         f0, g, x0 = self.stack()
+        assert np.array_equal(laid_out(f0[_BLOCKS]), f0) and np.array_equal(laid_out(g[_BLOCKS]), g)  # X-shaped
         slopes = north_pole_terms((0.0, 0.0))[1]  # all seven A_i, the same in every row
-        stacked = minimize(f0, REAL_SLOPES, g, x0, DEFAULT_BUDGET, GAP_TOL)
+        stacked = minimize(f0[_BLOCKS], REAL_SLOPES, g[_BLOCKS], x0, DEFAULT_BUDGET, GAP_TOL)
         assert len(set(stacked.iterations.tolist())) >= 3, stacked.iterations
-        assert stacked.certificate.dtype == np.float64
+        assert stacked.certificate.dtype == np.float64 and stacked.certificate.shape == (6, 2, 2, 2)
         for k in range(len(x0)):
-            alone = minimize(f0[k], REAL_SLOPES, g[k], x0[k], DEFAULT_BUDGET, GAP_TOL)
-            assert np.ndim(alone.lower) == 0 and alone.free.shape == (3,)
+            alone = minimize(f0[k][_BLOCKS], REAL_SLOPES, g[k][_BLOCKS], x0[k], DEFAULT_BUDGET, GAP_TOL)
+            assert np.ndim(alone.lower) == 0 and alone.free.shape == (2,)
             assert_row_is_its_solve(stacked, k, alone)
             if np.isfinite(alone.upper):
-                assert_certified(stacked.upper[k], stacked.certificate[k], f0[k], slopes, g[k])
+                assert_certified(stacked.upper[k], laid_out(stacked.certificate[k]), f0[k], slopes, g[k])
         # The start above the boundary stops at once with nothing bracketed,
         # and none of its stand-in arithmetic reaches the other rows.
         assert stacked.iterations[-1] == 1
@@ -654,12 +669,14 @@ class TestLockstep:
         np.testing.assert_array_equal(steps[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
 
     def test_eigenvalue_bracket_takes_the_stack(self):
-        a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))).real for etas in self.POINTS])
-        stacked = minimize(a0, REAL_SLOPES, -np.eye(4), np.linalg.eigvalsh(a0)[:, 0] - 1.0, DEFAULT_BUDGET, GAP_TOL)
+        a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))).real for etas in self.POINTS])[_BLOCKS]
+        x0 = np.linalg.eigvalsh(a0)[..., 0].min(axis=-1) - 1.0
+        stacked = minimize(a0, REAL_SLOPES, -np.eye(2), x0, DEFAULT_BUDGET, GAP_TOL)
         brackets = eigenvalue_bracket(self.POINTS)
-        for field in ("lower", "upper", "certificate", "iterations"):
+        for field in ("lower", "upper", "iterations"):
             assert np.array_equal(getattr(brackets, field), getattr(stacked, field)), field
         assert np.array_equal(brackets.free[:, REAL_PARAMETERS], stacked.free)
+        assert np.array_equal(brackets.certificate, laid_out(stacked.certificate))
         assert feasibility(self.POINTS[0]) is True and feasibility(self.POINTS[1]) is False
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-8])
@@ -689,17 +706,19 @@ class TestLockstep:
 
     @pytest.mark.parametrize("part", ["F0", "slopes", "G", "x0"])
     def test_rejects_complex_input(self, part):
-        # minimize solves real problems only: the brackets pass it the real parts and the REAL_SLOPES.
-        problem = {"F0": ORIGIN, "slopes": REAL_SLOPES, "G": ETA_SLOPES[0], "x0": np.zeros(1)}
+        # minimize solves real problems only: the brackets pass it the blocks of the real parts and the REAL_SLOPES.
+        problem = {"F0": ORIGIN[_BLOCKS], "slopes": REAL_SLOPES, "G": ETA_SLOPES[0][_BLOCKS], "x0": np.zeros(1)}
         problem[part] = problem[part] + 0j
         with pytest.raises(ValueError, match="real problems only"):
             minimize(problem["F0"], problem["slopes"], problem["G"], problem["x0"], DEFAULT_BUDGET, 1e-3)
 
 
 class TestRealSolve:
-    """The brackets solve the real problem on t_xx, t_xz and t_yy; each is checked on the full seven-entry one."""
+    """The brackets solve the real X-shaped problem on t_xx and t_yy; each is checked on the full seven-entry one."""
 
-    IMAGINARY = [k for k in range(len(FREE_PARAMETERS)) if k not in REAL_PARAMETERS]
+    IMAGINARY = [3, 4, 5, 6]  # t_xy, t_yx, t_yz and t_zy
+    DROPPED = [k for k in range(len(FREE_PARAMETERS)) if k not in REAL_PARAMETERS]
+    ZZ = np.outer([1, -1, -1, 1], [1, -1, -1, 1])  # conjugation by Z (x) Z = diag(1, -1, -1, 1), entrywise
 
     def test_conjugation_negates_the_imaginary_entries(self):
         rng = np.random.default_rng(23)
@@ -709,19 +728,35 @@ class TestRealSolve:
         np.testing.assert_array_equal(_up_matrix(etas[:, 0], etas[:, 1], mirrored),
                                       _up_matrix(etas[:, 0], etas[:, 1], free).conj())
 
-    def test_kept_slopes_are_real_and_dropped_slopes_imaginary(self):
-        assert [FREE_PARAMETERS[k] for k in REAL_PARAMETERS] == ["t_xx", "t_xz", "t_yy"]
+    def test_z_z_conjugation_negates_t_xz_t_yz_and_t_zy(self):
+        rng = np.random.default_rng(29)
+        etas, free = rng.uniform(0, 1, (50, 2)), rng.uniform(-1, 1, (50, 7))
+        mirrored = free.copy()
+        mirrored[:, [1, 5, 6]] *= -1
+        np.testing.assert_array_equal(_up_matrix(etas[:, 0], etas[:, 1], mirrored),
+                                      _up_matrix(etas[:, 0], etas[:, 1], free) * self.ZZ)
+
+    def test_kept_slopes_are_real_and_x_shaped(self):
+        assert [FREE_PARAMETERS[k] for k in REAL_PARAMETERS] == ["t_xx", "t_yy"]
         assert not UP_SLOPES[REAL_PARAMETERS].imag.any() and UP_SLOPES[REAL_PARAMETERS].real.any(axis=(1, 2)).all()
         assert not UP_SLOPES[self.IMAGINARY].real.any() and UP_SLOPES[self.IMAGINARY].imag.any(axis=(1, 2)).all()
+        # Z (x) Z keeps the entries within the blocks and negates those between them.
+        for k, slope in enumerate(UP_SLOPES):
+            np.testing.assert_array_equal(slope * self.ZZ, -slope if k in (1, 5, 6) else slope)
         assert REAL_SLOPES.dtype == ORIGIN.dtype == ETA_SLOPES.dtype == np.float64
-        np.testing.assert_array_equal(REAL_SLOPES, UP_SLOPES[REAL_PARAMETERS].real)
+        assert REAL_SLOPES.shape == (2, 2, 2, 2)
+        np.testing.assert_array_equal(laid_out(REAL_SLOPES), UP_SLOPES[REAL_PARAMETERS].real)
+        np.testing.assert_array_equal(laid_out(ORIGIN[_BLOCKS]), ORIGIN)
+        np.testing.assert_array_equal(laid_out(ETA_SLOPES[_BLOCKS]), ETA_SLOPES)
         # ORIGIN and ETA_SLOPES are the whole of A00, E1 and E2: their imaginary parts are zero.
         np.testing.assert_array_equal(ORIGIN, _up_matrix(0.0, 0.0, np.zeros(7)))
         np.testing.assert_array_equal(ETA_SLOPES, [_up_matrix(*unit, np.zeros(7)) - ORIGIN for unit in np.eye(2)])
 
     def assert_real_bracket(self, bracket):
-        assert bracket.free.dtype == np.float64 and not bracket.free[..., self.IMAGINARY].any()
-        assert bracket.certificate.dtype == np.float64
+        # The five dropped entries, t_xz among them, and the certificates' entries off the blocks are exact zeros.
+        assert bracket.free.dtype == np.float64 and (bracket.free[..., self.DROPPED] == 0.0).all()
+        assert bracket.certificate.dtype == np.float64 and bracket.certificate.shape[-2:] == (4, 4)
+        np.testing.assert_array_equal(bracket.certificate, laid_out(bracket.certificate[_BLOCKS]))
 
     def test_eigenvalue_bracket_holds_the_full_problem(self):
         etas = np.random.default_rng(0).uniform(0, 1, (200, 2))
@@ -749,42 +784,105 @@ class TestRealSolve:
             g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
             assert_certified(bracket.upper[k], bracket.certificate[k], a0, slopes, g)
 
-    FLOOR = (_FACE_SHARE / 4) * np.eye(4)
-    TERMS = np.concatenate([REAL_SLOPES, -np.eye(4)[None]])
+    def test_a_bracket_that_certified_nothing_is_nan_on_and_off_the_blocks(self):
+        bracket = radius_bracket(np.array([0.0, np.pi / 4]), budget=1)
+        assert np.isinf(bracket.upper).all() and np.isnan(bracket.certificate).all()
+
+    FLOOR = (_FLOOR_SHARE / 4) * np.eye(2)
+    TERMS = np.concatenate([REAL_SLOPES, -np.broadcast_to(np.eye(2), (1, 2, 2, 2))])
 
     def near_optimum(self, etas):
-        """Eigenvectors of S just inside the optimum of the eigenvalue problem at etas, and V^T B V for every term B.
+        """Eigenvectors of S's blocks just inside the eigenvalue optimum at etas, and V^T B V for every term B.
 
-        Real arithmetic; the two smallest eigenvalues of S are nearly zero, where the face certificate is made.
+        Real arithmetic; each block of S has a nearly zero eigenvalue, where the face certificate is made.
         """
         bracket = eigenvalue_bracket(etas)
-        s = (_up_matrix(*etas, bracket.free) - (bracket.lower - 1e-9) * np.eye(4)).real
+        s = (_up_matrix(*etas, bracket.free) - (bracket.lower - 1e-9) * np.eye(4)).real[_BLOCKS]
         _, vectors = np.linalg.eigh(s)
-        return vectors, vectors.T @ self.TERMS @ vectors
+        return vectors, vectors.swapaxes(-2, -1) @ self.TERMS @ vectors
 
     def test_face_certificate_of_a_real_stack(self):
         vectors, projected = self.near_optimum((0.6, 0.8))
         face = _face_certificate(vectors[None], projected[None], self.FLOOR)
-        assert face.dtype == np.float64 and np.isfinite(face).all()
-        assert np.linalg.eigvalsh(face[0])[0] >= 0.0
-        assert abs(np.trace(face[0]) - 1.0) <= 1e-12
-        a0 = _up_matrix(0.6, 0.8, np.zeros(7)).real
+        assert face.dtype == np.float64 and face.shape == (1, 2, 2, 2) and np.isfinite(face).all()
+        assert np.linalg.eigvalsh(laid_out(face[0]))[0] >= 0.0
+        assert abs(np.trace(laid_out(face[0])) - 1.0) <= 1e-12
+        a0 = _up_matrix(0.6, 0.8, np.zeros(7)).real[_BLOCKS]
         bound = _dual_bound(face, a0[None], _traces(face, self.TERMS[None]))[0]
         lower = eigenvalue_bracket((0.6, 0.8)).lower
         assert lower <= bound <= lower + 1e-8
 
     def test_face_certificate_rows_that_certify_nothing(self):
         # Row 1's design is zero, so its least-squares system is singular (the stack's solve falls back to one
-        # system at a time); row 3's fit is X = -I / 2 (Y_1 = diag(1, -1), Y_2 = [[0, 1], [1, 0]], Y_3 = 0 and
-        # Y_G = I ask for a = b, corner = 0 and a + b = -1), which clips to zero weight.  Both come out NaN, and
-        # every other row is bit for bit its one-row call.
-        clipped = np.zeros((4, 4, 4))
-        clipped[:, :2, :2] = [np.diag([1.0, -1.0]), [[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)), np.eye(2)]
-        rows = [self.near_optimum((0.6, 0.8)), (np.eye(4), np.zeros((4, 4, 4))),
-                self.near_optimum((0.8, 0.8)), (np.eye(4), clipped), self.near_optimum((0.3, 0.4))]
+        # system at a time); in row 3, Tr(u_b u_b^T B) is (1, -1) for A_1, (0, 0) for A_2 and (1, 1) for G, which
+        # ask for w_1 = w_2 and w_1 + w_2 = -1: both weights -1/2 clip to zero.  Both rows come out NaN, and every
+        # other row is bit for bit its one-row call.
+        clipped = np.zeros((3, 2, 2, 2))
+        clipped[:, :, 0, 0] = [[1.0, -1.0], [0.0, 0.0], [1.0, 1.0]]
+        identity = np.broadcast_to(np.eye(2), (2, 2, 2))
+        rows = [self.near_optimum((0.6, 0.8)), (identity, np.zeros((3, 2, 2, 2))),
+                self.near_optimum((0.8, 0.8)), (identity, clipped), self.near_optimum((0.3, 0.4))]
         vectors, projected = (np.array(part) for part in zip(*rows))
         face = _face_certificate(vectors, projected, self.FLOOR)
         assert np.isnan(face[[1, 3]]).all()
         for k in (0, 2, 4):
             alone = _face_certificate(vectors[k:k + 1], projected[k:k + 1], self.FLOOR)[0]
             assert np.isfinite(alone).all() and face[k].tobytes() == alone.tobytes(), k
+
+
+def block_oracle(etas, steps=100):
+    """lambda*(eta) and its maximiser (c*, d*), by nested ternary search, sharing no code with minimize or LAPACK.
+
+    lambda* = max over (c, d) in [-1, 1]^2 of min((1 + c - hypot(A, c - d)) / 4, (1 - c - hypot(B, c + d)) / 4),
+    with A = eta1 + eta2 and B = eta1 - eta2: the smaller of the two blocks' smaller eigenvalues at t_xx = c and
+    t_yy = d.  Both are concave in (c, d), so the inner maximum over d is concave in c.
+    """
+    a, b = etas[..., 0] + etas[..., 1], etas[..., 0] - etas[..., 1]
+
+    def smaller(c, d):
+        return np.minimum(1 + c - np.hypot(a, c - d), 1 - c - np.hypot(b, c + d)) / 4
+
+    def ternary(value):
+        lo, hi = -np.ones(len(etas)), np.ones(len(etas))
+        for _ in range(steps):
+            left, right = (2 * lo + hi) / 3, (lo + 2 * hi) / 3
+            rising = value(left) < value(right)  # the maximum lies right of left
+            lo, hi = np.where(rising, left, lo), np.where(rising, hi, right)
+        return (lo + hi) / 2
+
+    def best_d(c):
+        return ternary(lambda d: smaller(c, d))
+
+    c = ternary(lambda c: smaller(c, best_d(c)))
+    d = best_d(c)
+    return smaller(c, d), c, d
+
+
+class TestBlockOracle:
+    """The closed-form optimum of the two blocks, found by search, checks the barrier solve independently."""
+
+    CIRCLE = np.linspace(0, np.pi / 2, 9)
+    ETAS = np.concatenate([np.random.default_rng(31).uniform(0, 1, (300, 2)),
+                           np.stack([np.cos(CIRCLE), np.sin(CIRCLE)], axis=-1)])
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return block_oracle(self.ETAS)
+
+    def test_every_eigenvalue_bracket_holds_the_oracle(self, oracle):
+        optimum, c, _ = oracle
+        bracket = eigenvalue_bracket(self.ETAS)
+        assert np.all(bracket.lower <= optimum) and np.all(optimum <= bracket.upper)
+        # On the circle the optimum is 0, at c* = eta1 eta2.
+        circle = self.ETAS[-len(self.CIRCLE):]
+        assert np.max(np.abs(optimum[-len(self.CIRCLE):])) <= 2e-16
+        assert np.max(np.abs(c[-len(self.CIRCLE):] - circle[:, 0] * circle[:, 1])) <= 2e-8
+
+    def test_both_blocks_are_active_at_d_zero(self, oracle):
+        # The box is not active at any of these pairs, so d* = 0 and the two smaller eigenvalues are equal:
+        # hypot(A, c*) - hypot(B, c*) = 2 c*.
+        _, c, d = oracle
+        a, b = self.ETAS[:, 0] + self.ETAS[:, 1], self.ETAS[:, 0] - self.ETAS[:, 1]
+        assert np.all(np.abs(c) < 1 - 1e-6)
+        assert np.max(np.abs(d)) <= 1e-7
+        assert np.max(np.abs(np.hypot(a, c) - np.hypot(b, c) - 2 * c)) <= 1e-7
