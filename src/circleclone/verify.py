@@ -384,7 +384,8 @@ def check_fidelity_law(config: RunConfig, rng) -> CheckResult:
 def check_separability_ppt(config: RunConfig, rng) -> CheckResult:
     theta, phi = _uniform(rng, _count(config, 500), ANGLE, QUARTER).T
     lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(theta, cloner._circle_coefficients(phi))))
-    return CheckResult(float(np.min(lowest)), -1e-10, direction=">=")
+    # The law is two-sided: on the circle the lowest eigenvalue of the partial transpose is 0, not just >= 0.
+    return CheckResult(float(np.max(np.abs(lowest))), 1e-10)
 
 
 def check_bound_attainment(config: RunConfig, rng) -> CheckResult:
