@@ -27,7 +27,7 @@ def _is_count(value) -> bool:
 
 @dataclass
 class RunConfig:
-    """Reproducibility knobs shared by the CLI commands."""
+    """The ``verify`` command's reproducibility knobs."""
 
     seed: int = 0
     budget: int = nosignalling.DEFAULT_BUDGET
@@ -287,27 +287,22 @@ def _soundness_attempts(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def check_bound_soundness(config: RunConfig, rng) -> CheckResult:
     # A rejection sampler: attempts run until `target` are accepted, or give
-    # up after `limit`.  Attempts are evaluated in blocks from one snapshot
-    # of the generator, which is then left where the attempt-by-attempt loop
-    # stops: just after the target-th accepted attempt.  About 91% of
-    # attempts are accepted, so the first block is a quarter over the target;
-    # each later one doubles.
+    # up after `limit`.  Attempts are evaluated in blocks, each appending fresh
+    # draws to the attempts before it, so the check measures the first
+    # `target` accepted attempts, as the attempt-by-attempt loop does.  About
+    # 91% of attempts are accepted, so the first block is a quarter over the
+    # target; each later one doubles the attempts drawn.
     target = _count(config, 200)
     limit = 50 * target
-    start = rng.bit_generator.state
-    rows = target + target // 4
+    draws = rng.random((target + target // 4, 10))
     while True:
-        excess, accepted = _soundness_attempts(rng.random((rows, 10)))
+        excess, accepted = _soundness_attempts(draws)
         starved = np.count_nonzero(accepted) < target
-        if not starved or rows == limit:
+        if not starved or len(draws) == limit:
             break
-        rng.bit_generator.state = start
-        rows = min(2 * rows, limit)
-    used = limit if starved else int(np.flatnonzero(accepted)[target - 1]) + 1
-    rng.bit_generator.state = start
-    rng.random((used, 10))
+        draws = np.concatenate([draws, rng.random((min(len(draws), limit - len(draws)), 10))])
     # A starved sampler surfaces as a failure.
-    worst = np.inf if starved else float(np.max(excess[:used][accepted[:used]]))
+    worst = np.inf if starved else float(np.max(excess[accepted][:target]))
     return CheckResult(worst, 1e-8)
 
 
@@ -428,13 +423,16 @@ CHECKS = tuple(check for name, check in globals().items() if name.startswith("ch
 
 
 def run_verification(config: RunConfig) -> list[CheckResult]:
-    """Run every check with one seeded generator; results in definition order, named after their functions."""
-    rng = np.random.default_rng(config.seed)
+    """Run every check with a generator of its own; results in definition order, named after their functions."""
     results = []
     for check in CHECKS:
+        name = check.__name__.removeprefix("check_")
+        # Seeded by the seed and the name's bytes (never hash(), which varies between runs), so a check
+        # draws the same numbers whatever other checks run, and in whatever order.
+        rng = np.random.default_rng([config.seed, int.from_bytes(name.encode(), "little")])
         start = time.perf_counter()
         result = check(config, rng)
         result.seconds = time.perf_counter() - start
-        result.name = check.__name__.removeprefix("check_")
+        result.name = name
         results.append(result)
     return results

@@ -668,6 +668,24 @@ class TestLockstep:
         assert np.isnan(steps[1]).all()
         np.testing.assert_array_equal(steps[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
 
+    @pytest.mark.parametrize(("call", "batch"), [
+        (lambda: eigenvalue_bracket(np.zeros((0, 2))), (0,)),
+        (lambda: radius_bracket(np.zeros(0)), (0,)),
+        (lambda: radius_bracket(np.zeros((2, 0))), (2, 0)),
+    ], ids=["no-pairs", "no-rays", "two-rows-of-no-rays"])
+    def test_an_empty_stack_stops_before_its_first_iterate(self, monkeypatch, call, batch):
+        # minimize leaves its loop once no row is live; without that exit an
+        # empty stack would run all DEFAULT_BUDGET iterates on empty arrays.
+        systems = []
+        monkeypatch.setattr(nosignalling, "_newton_solve",
+                            lambda hessian, gradient: systems.append(len(hessian)) or _newton_solve(hessian, gradient))
+        bracket = call()
+        assert systems == []
+        for field, shape in [("lower", batch), ("upper", batch), ("iterations", batch),
+                             ("free", batch + (7,)), ("certificate", batch + (4, 4))]:
+            assert getattr(bracket, field).shape == shape, field
+        assert bracket.iterations.dtype.kind == "i" and bracket.certificate.dtype == np.float64
+
     def test_eigenvalue_bracket_takes_the_stack(self):
         a0 = np.array([positivity_matrix_up(etas, np.zeros((3, 3))).real for etas in self.POINTS])[_BLOCKS]
         x0 = np.linalg.eigvalsh(a0)[..., 0].min(axis=-1) - 1.0

@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +80,31 @@ class TestRegistry:
         results = run_verification(RunConfig(samples=2))
         assert [result.name for result in results] == [check.__name__.removeprefix("check_")
                                                        for check in verify.CHECKS]
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_each_check_draws_from_its_own_generator(self, monkeypatch, seed):
+        # A check measures the same value whatever runs before it: in reverse
+        # order, or alone with the generator keyed by the seed and its name.
+        config = RunConfig(seed=seed)
+        measured = {result.name: result.measured for result in run_verification(config)}
+        for check in verify.CHECKS:
+            name = check.__name__.removeprefix("check_")
+            rng = np.random.default_rng([seed, int.from_bytes(name.encode(), "little")])
+            assert check(config, rng).measured == measured[name], name
+        monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[::-1])
+        assert {result.name: result.measured for result in run_verification(config)} == measured
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # A generator keyed by hash(name) would draw differently under each PYTHONHASHSEED.
+        src, outputs = str(Path(__file__).resolve().parents[1] / "src"), []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-m", "circleclone", "verify", "--seed", "3"], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stdout + run.stderr
+            # The per-check seconds stripped, as the golden verify outputs are.
+            outputs.append(re.sub(r", [0-9.]+s\)$", ")", run.stdout, flags=re.MULTILINE))
+        assert outputs[0] == outputs[1]
 
 
 class TestReferencePartialTrace:
@@ -499,5 +529,7 @@ class TestSampleStream:
             assert measured == expected
         else:
             assert abs(measured - expected) <= 1e-15
-        # Both leave the generator at the same point of its stream.
-        assert batched.random() == looped.random()
+        # Both leave the generator at the same point of its stream, but for
+        # bound_soundness, whose blocks may draw past the attempt its loop stops at.
+        if check is not check_bound_soundness:
+            assert batched.random() == looped.random()
