@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+from typing import TextIO
 
 import numpy as np
 
@@ -71,12 +73,24 @@ def format_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _write_csv(path: str | None, header: str, table: np.ndarray) -> None:
+def _open_out(path: str | None) -> contextlib.AbstractContextManager[TextIO | None]:
+    """The ``--out`` target as a context: a new UTF-8 file, or None for stdout (no path, or ``-``).
+
+    A sweep opens it before it prints or computes anything, so a path that cannot be written ends the run at once,
+    with one line on stderr.
+    """
+    if path is None or path == "-":
+        return contextlib.nullcontext()
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_csv(handle: TextIO | None, header: str, table: np.ndarray) -> None:
+    """The table as CSV under ``header``, to the file ``handle`` of ``_open_out``, or to stdout when it is None."""
     cells = format_cells(table)
     width = table.shape[1]
     lines = [header] + [",".join(cells[k:k + width]) for k in range(0, len(cells), width)]
     text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
+    if handle is None:
         binary = getattr(sys.stdout, "buffer", None)
         if binary is None:  # an in-memory text stream (io.StringIO) takes all of the text in one write
             sys.stdout.write(text)
@@ -88,8 +102,7 @@ def _write_csv(path: str | None, header: str, table: np.ndarray) -> None:
         while data:
             data = data[binary.write(data):]
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        handle.write(text)
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -150,30 +163,33 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound_sweep(args: argparse.Namespace) -> int:
-    print(f"bound sweep  n_phi={args.n_phi}  seed={args.seed}  budget={args.budget}  "
-          f"radius_tol={args.radius_tol:g}", file=sys.stderr)
-    phi, cos_phi, sin_phi = _directions(args.n_phi)
-    bracket = radius_bracket(phi, radius_tol=args.radius_tol, budget=args.budget)
-    found = bracket.lower
-    for phi_k, found_k, upper, iterations in zip(phi.tolist(), found.tolist(), bracket.upper.tolist(),
-                                                 bracket.iterations.tolist()):
-        print(f"phi={phi_k:.6f}  radius=[{found_k:.9f}, {upper:.9f}]  "
-              f"iterations={iterations}  width={upper - found_k:.3e}", file=sys.stderr)
-    rows = np.stack([phi, found * cos_phi, found * sin_phi, found, np.ones_like(found), np.abs(found - 1.0)], axis=-1)
-    _write_csv(args.out, BOUND_SWEEP_HEADER, rows)
+    with _open_out(args.out) as out:
+        print(f"bound sweep  n_phi={args.n_phi}  seed={args.seed}  budget={args.budget}  "
+              f"radius_tol={args.radius_tol:g}", file=sys.stderr)
+        phi, cos_phi, sin_phi = _directions(args.n_phi)
+        bracket = radius_bracket(phi, radius_tol=args.radius_tol, budget=args.budget)
+        found = bracket.lower
+        for phi_k, found_k, upper, iterations in zip(phi.tolist(), found.tolist(), bracket.upper.tolist(),
+                                                     bracket.iterations.tolist()):
+            print(f"phi={phi_k:.6f}  radius=[{found_k:.9f}, {upper:.9f}]  "
+                  f"iterations={iterations}  width={upper - found_k:.3e}", file=sys.stderr)
+        rows = np.stack([phi, found * cos_phi, found * sin_phi, found, np.ones_like(found), np.abs(found - 1.0)],
+                        axis=-1)
+        _write_csv(out, BOUND_SWEEP_HEADER, rows)
     return 0
 
 
 def _cmd_fidelity_sweep(args: argparse.Namespace) -> int:
-    phi, cos_phi, sin_phi = _directions(args.n_points)
-    probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
-    # The four columns clone_report would give, from its read-outs alone: one set of Bloch maps, one joint output.
-    coeffs = cloner.coefficients(np.stack([cos_phi, sin_phi], axis=-1))
-    maps = cloner._bloch_maps(coeffs)
-    fidelity = cloner._fidelities(probe_theta, maps)[1]
-    lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(probe_theta, coeffs)))
-    columns = [phi, cos_phi, sin_phi, fidelity[:, 0], fidelity[:, 1], lowest, cloner._isotropy_supremum(maps)]
-    _write_csv(args.out, FIDELITY_SWEEP_HEADER, np.stack(columns, axis=-1))
+    with _open_out(args.out) as out:
+        phi, cos_phi, sin_phi = _directions(args.n_points)
+        probe_theta = 0.9  # any non-cardinal angle; on-circle results are angle independent
+        # The four columns clone_report would give, from its read-outs alone: one set of Bloch maps, one joint output.
+        coeffs = cloner.coefficients(np.stack([cos_phi, sin_phi], axis=-1))
+        maps = cloner._bloch_maps(coeffs)
+        fidelity = cloner._fidelities(probe_theta, maps)[1]
+        lowest = cloner._ppt_min_eigenvalue(cloner._joint_output(cloner.clone(probe_theta, coeffs)))
+        columns = [phi, cos_phi, sin_phi, fidelity[:, 0], fidelity[:, 1], lowest, cloner._isotropy_supremum(maps)]
+        _write_csv(out, FIDELITY_SWEEP_HEADER, np.stack(columns, axis=-1))
     return 0
 
 
@@ -210,52 +226,84 @@ SAMPLE_OVERRIDE = _checked(int, lambda n: n == 0 or 2 <= n <= _MAX_COUNT,
 SEED = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=SEED, default=0)
+    parser.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
+    parser.add_argument("--samples", type=SAMPLE_OVERRIDE, default=0,
+                        help=f"override every sampled check's sample count, at most {_MAX_COUNT} "
+                             "(0 = per-check defaults)")
+    parser.set_defaults(func=_cmd_verify)
+
+
+def _clone_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--theta", type=FINITE, required=True, help="input angle on the x-z circle")
+    parser.add_argument("--eta1", type=UNIT_INTERVAL, required=True)
+    parser.add_argument("--eta2", type=UNIT_INTERVAL, required=True)
+    parser.add_argument("--degrees", action="store_true", help="interpret --theta in degrees")
+    parser.set_defaults(func=_cmd_clone)
+
+
+def _bound_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n-phi", type=SIZE, required=True, dest="n_phi",
+                        help=f"number of directions, from 2 to {_MAX_COUNT}")
+    parser.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
+    parser.add_argument("--seed", type=SEED, default=0, help="accepted for compatibility; the sweep is deterministic")
+    parser.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
+    parser.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET,
+                        help="solver iterations allowed per direction")
+    parser.set_defaults(func=_cmd_bound_sweep)
+
+
+def _fidelity_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n-points", type=SIZE, required=True, dest="n_points",
+                        help=f"number of points on the circle, from 2 to {_MAX_COUNT}")
+    parser.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
+    parser.add_argument("--samples", type=SIZE, default=64,
+                        help="accepted for compatibility; the isotropy residual is exact and does not depend on it")
+    parser.set_defaults(func=_cmd_fidelity_sweep)
+
+
+# Each command: its one-line summary in the top-level help, and the adder that defines its arguments.
+COMMANDS = {
+    "verify": ("run the full invariant suite", _verify_arguments),
+    "clone": ("one cloning run with full diagnostics", _clone_arguments),
+    "bound-sweep": ("recover the attainable boundary radius over directions", _bound_arguments),
+    "fidelity-sweep": ("fidelities and separability along the optimal circle", _fidelity_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full tree: the top-level parser and one subparser per command."""
     parser = _Parser(
         prog="circleclone",
         description="Asymmetric 1-to-2 cloning of great-circle qubits: "
                     "optimal machine simulation and no-signalling feasibility bound.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run the full invariant suite")
-    verify.add_argument("--seed", type=SEED, default=0)
-    verify.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET)
-    verify.add_argument("--samples", type=SAMPLE_OVERRIDE, default=0,
-                        help=f"override every sampled check's sample count, at most {_MAX_COUNT} "
-                             "(0 = per-check defaults)")
-    verify.set_defaults(func=_cmd_verify)
-
-    clone_cmd = sub.add_parser("clone", help="one cloning run with full diagnostics")
-    clone_cmd.add_argument("--theta", type=FINITE, required=True, help="input angle on the x-z circle")
-    clone_cmd.add_argument("--eta1", type=UNIT_INTERVAL, required=True)
-    clone_cmd.add_argument("--eta2", type=UNIT_INTERVAL, required=True)
-    clone_cmd.add_argument("--degrees", action="store_true", help="interpret --theta in degrees")
-    clone_cmd.set_defaults(func=_cmd_clone)
-
-    bound = sub.add_parser("bound-sweep", help="recover the attainable boundary radius over directions")
-    bound.add_argument("--n-phi", type=SIZE, required=True, dest="n_phi",
-                       help=f"number of directions, from 2 to {_MAX_COUNT}")
-    bound.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
-    bound.add_argument("--seed", type=SEED, default=0, help="accepted for compatibility; the sweep is deterministic")
-    bound.add_argument("--radius-tol", type=POSITIVE, default=DEFAULT_RADIUS_TOL, dest="radius_tol")
-    bound.add_argument("--budget", type=POSITIVE_COUNT, default=DEFAULT_BUDGET,
-                       help="solver iterations allowed per direction")
-    bound.set_defaults(func=_cmd_bound_sweep)
-
-    fidelity = sub.add_parser("fidelity-sweep", help="fidelities and separability along the optimal circle")
-    fidelity.add_argument("--n-points", type=SIZE, required=True, dest="n_points",
-                          help=f"number of points on the circle, from 2 to {_MAX_COUNT}")
-    fidelity.add_argument("--out", type=str, default=None, help="CSV path (default: stdout)")
-    fidelity.add_argument("--samples", type=SIZE, default=64,
-                          help="accepted for compatibility; the isotropy residual is exact and does not depend on it")
-    fidelity.set_defaults(func=_cmd_fidelity_sweep)
-
+    for name, (summary, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one run, parsed by the named command's parser alone.
+
+    That parser is built as the tree builds its subparser for the command, and it sees exactly the arguments the
+    tree hands that subparser. The full tree is built only where it prints or reports something the subparser
+    cannot: when ``argv[0]`` names no command (top-level help, no command, an unknown one), and when the command
+    leaves arguments over, which the tree reports as unrecognized under the top-level prog.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = _Parser(prog=f"circleclone {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter shutdown

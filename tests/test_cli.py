@@ -26,6 +26,16 @@ def assert_one_line_error(err):
     assert err.count("\n") == 1 and "error" in err and "Traceback" not in err, err
 
 
+def assert_unwritable_out_fails_first(command, monkeypatch, capsys):
+    """An ``--out`` that cannot be opened ends ``command`` with exit code 2 and one stderr line, before any work."""
+    monkeypatch.setattr(cli, "_directions", lambda n: pytest.fail("the sweep computed before it opened --out"))
+    for path in ["/nonexistent-dir/never/x.csv", ""]:
+        assert main(command + ["--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_error(captured.err)
+
+
 def assert_same_csv_twice(args, tmp_path):
     """Run ``args`` twice, each writing its CSV to a file; both must hold the same bytes. Returns the rows."""
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
@@ -281,10 +291,8 @@ class TestBoundSweepCommand:
             assert int(match[3]) == iterations, line
             assert abs(float(match[1]) - lower) <= 1.5e-9 and abs(float(match[2]) - upper) <= 1.5e-9, line
 
-    def test_unwritable_path_exits_2(self, capsys):
-        assert main(["bound-sweep", "--n-phi", "2", "--budget", "400",
-                     "--out", "/nonexistent-dir/never/x.csv"]) == 2
-        assert "error" in capsys.readouterr().err
+    def test_unwritable_path_exits_2(self, monkeypatch, capsys):
+        assert_unwritable_out_fails_first(["bound-sweep", "--n-phi", "2", "--budget", "400"], monkeypatch, capsys)
 
     @pytest.mark.parametrize("options", [["--n-phi", "3", "--budget", "500", "--seed", "7"], ["--n-phi", "9"]],
                              ids=" ".join)
@@ -333,6 +341,9 @@ class TestFidelitySweepCommand:
             main(["fidelity-sweep", "--n-points", "1"])
         assert excinfo.value.code == 2
         assert_one_line_error(capsys.readouterr().err)
+
+    def test_unwritable_path_exits_2(self, monkeypatch, capsys):
+        assert_unwritable_out_fails_first(["fidelity-sweep", "--n-points", "3"], monkeypatch, capsys)
 
     def test_cells_match_one_report_per_direction(self, tmp_path):
         out = tmp_path / "fid.csv"
@@ -395,6 +406,67 @@ def test_directions_equal_the_scalar_generator_bit_for_bit():
     for n in range(2, 401):
         expected = np.array(list(scalar_directions(n))).T
         assert np.stack(_directions(n)).tobytes() == expected.tobytes(), n
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_request:
+        code = exit_request.code
+    return (code, *capsys.readouterr())
+
+
+CLONE = ["clone", "--theta", "0.9", "--eta1", "0.6", "--eta2", "0.8"]
+
+
+# main parses with the named command's parser alone; the full tree must print and exit exactly as that does.
+@pytest.mark.parametrize("argv", [
+    ["verify", "-h"], ["clone", "--help"], ["bound-sweep", "-h"], ["fidelity-sweep", "--help"], ["verify", "--he"],
+    # one per argument type: not a number, not finite, out of [0, 1], not positive, not a positive count, a size
+    # below 2 or above the cap, a bad sample override, a negative seed
+    ["clone", "--theta", "x", "--eta1", "0.6", "--eta2", "0.8"],
+    ["clone", "--theta", "inf", "--eta1", "0.6", "--eta2", "0.8"],
+    ["clone", "--theta", "0.9", "--eta1", "1.5", "--eta2", "0.8"],
+    ["bound-sweep", "--n-phi", "2", "--radius-tol", "0"],
+    ["verify", "--budget", "2.5"],
+    ["fidelity-sweep", "--n-points", "1"], ["bound-sweep", "--n-phi", "100001"],
+    ["verify", "--samples", "1"], ["verify", "--seed", "-1"],
+    ["clone", "--theta", "0.9", "--eta1", "0.6"], ["bound-sweep"], ["verify", "--seed"],
+    ["verify", "--bogus"], CLONE + ["--bogus"], CLONE + ["extra"],
+    ["clone", "--", "--theta", "0.9"], CLONE + ["--"], CLONE + ["--", "extra"],
+    ["clone", "--the", "0.9", "--eta1", "0.6", "--eta2", "0.8", "--deg"], CLONE + ["--theta=-1"],
+    ["fidelity-sweep", "--n-points", "3", "--out=-"], ["bound-sweep", "--n-phi", "2", "--budget", "1", "--out=-"],
+], ids=" ".join)
+def test_the_command_parser_and_the_full_tree_agree(argv, monkeypatch, capsys):
+    direct = run_main(argv, capsys)
+    monkeypatch.setattr(cli, "_parse_args", lambda args: build_parser().parse_args(args))
+    assert run_main(argv, capsys) == direct
+
+
+TREE = ["circleclone"] + [f"circleclone {name}" for name in cli.COMMANDS]
+
+
+@pytest.mark.parametrize(("argv", "progs"), [
+    (CLONE, ["circleclone clone"]),
+    (["fidelity-sweep", "--n-points", "3"], ["circleclone fidelity-sweep"]),
+    (["verify", "--samples", "1"], ["circleclone verify"]),
+    (["-h"], TREE),
+    (["nope"], TREE),
+    # an argument the command leaves over is reported by the tree, under the top-level prog
+    (CLONE + ["extra"], ["circleclone clone"] + TREE),
+], ids=["clone", "fidelity-sweep", "bad value", "top-level help", "unknown command", "left-over argument"])
+def test_a_command_run_builds_only_its_own_parser(argv, progs, monkeypatch, capsys):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    run_main(argv, capsys)
+    assert built == progs
 
 
 COUNT_OPTIONS = pytest.mark.parametrize("option", [["fidelity-sweep", "--n-points"], ["bound-sweep", "--n-phi"],

@@ -1,8 +1,9 @@
-"""Golden outputs: fifteen command-line outputs, pinned byte for byte.
+"""Golden outputs: twenty command-line outputs, pinned byte for byte.
 
 Each case runs one command in-process and compares what it prints with its file under ``tests/golden/``; the two
 long fidelity sweeps are pinned by their SHA-256 in ``tests/golden/SHA256SUMS``. A ``bound-sweep`` output is its
-stderr report followed by its CSV, as ``2>&1`` writes them, and ``verify``'s per-check seconds are stripped. An
+stderr report followed by its CSV, as ``2>&1`` writes them, and ``verify``'s per-check seconds are stripped. The
+help texts are printed 80 columns wide. An
 intended output change rewrites every file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -13,8 +14,10 @@ and the rewritten files are reviewed as part of that change.
 import contextlib
 import hashlib
 import io
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,7 +30,7 @@ REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 # The tight-tolerance and one-iterate sweeps pin the barrier solver's arithmetic, the 1e-12 sweep also its
 # one-system-at-a-time fallback for a singular Newton system, the two-iterate sweep the upper ends proved by the
 # S^-1 / Tr S^-1 certificate, the clone reports every clone_report field, rounding noise included, and the long
-# fidelity sweeps the CSV writer on many cells.
+# fidelity sweeps the CSV writer on many cells, and the help files every command's arguments.
 OUTPUTS = {
     "bound-sweep-9.txt": "bound-sweep --n-phi 9",
     "bound-sweep-33-tight.txt": "bound-sweep --n-phi 33 --radius-tol 1e-8",
@@ -44,6 +47,11 @@ OUTPUTS = {
     "verify-0.txt": "verify --seed 0",
     "verify-3.txt": "verify --seed 3",
     "verify-11.txt": "verify --seed 11",
+    "help.txt": "--help",
+    "verify-help.txt": "verify --help",
+    "clone-help.txt": "clone --help",
+    "bound-sweep-help.txt": "bound-sweep --help",
+    "fidelity-sweep-help.txt": "fidelity-sweep --help",
 }
 DIGESTED = ("fidelity-sweep-1001.csv", "fidelity-sweep-20000.csv")
 
@@ -51,10 +59,13 @@ _SECONDS = re.compile(r", [0-9.]+s\)$", re.MULTILINE)
 
 
 def run(command: str) -> str:
-    """What ``circleclone <command>`` prints, stderr first, with verify's per-check seconds stripped."""
+    """What ``circleclone <command>`` prints at COLUMNS=80, stderr first, with verify's per-check seconds stripped."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(command.split())
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(command.split())
+        except SystemExit as exit_request:  # --help exits once it has printed
+            status = exit_request.code
     assert status == 0, f"circleclone {command} exited {status}:\n{err.getvalue()}{out.getvalue()}"
     return _SECONDS.sub(")", err.getvalue() + out.getvalue())
 

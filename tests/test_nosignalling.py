@@ -228,6 +228,16 @@ class TestNoSignallingResidual:
             constrained = abs(t[0, 0] - t[2, 2]) < 1e-13 and abs(t[0, 2] + t[2, 0]) < 1e-13
             assert (residual <= 1e-12) == constrained
 
+    def test_equals_half_the_larger_constraint_gap(self):
+        # The law: max(|t_xx - t_zz|, |t_xz + t_zx|) / 2, on 2000 seeded pairs and tensors, half of them constrained.
+        rng = np.random.default_rng(2000)
+        etas = rng.uniform(0, 1, (2000, 2))
+        t = rng.uniform(-1, 1, (2000, 3, 3))
+        t[1000:] = constrain_tensor(free_parameters(t[1000:]))
+        law = np.maximum(np.abs(t[:, 0, 0] - t[:, 2, 2]), np.abs(t[:, 0, 2] + t[:, 2, 0])) / 2
+        assert np.all(law[1000:] == 0.0)
+        np.testing.assert_allclose(no_signalling_residual(etas, t), law, rtol=0, atol=4.5e-16)
+
 
 class TestPositivityMatrixUp:
     def test_isotropic_point(self):
@@ -451,6 +461,35 @@ class TestCertificates:
             assert bracket.upper[k] >= -1e-9
             witness = constrain_tensor(bracket.free[k])
             assert np.linalg.eigvalsh(positivity_matrix_up(etas, witness))[0] >= -1e-9
+
+
+def circle_certificate(e):
+    """W(e) = (1/4) [[(1-e1)(1-e2), 0, 0, -e1 e2], [0, (1-e1)(1+e2), -e1 e2, 0], [0, -e1 e2, (1+e1)(1-e2), 0],
+    [-e1 e2, 0, 0, (1+e1)(1+e2)]] for directions e (..., 2): for a unit e it proves e . eta <= 1."""
+    e1, e2 = np.moveaxis(np.asarray(e, dtype=float), -1, 0)
+    w = np.zeros(np.shape(e1) + (4, 4))
+    w[..., range(4), range(4)] = np.stack([(1 - e1) * (1 - e2), (1 - e1) * (1 + e2),
+                                           (1 + e1) * (1 - e2), (1 + e1) * (1 + e2)], axis=-1)
+    w[..., range(4), range(3, -1, -1)] = -(e1 * e2)[..., None]
+    return w / 4
+
+
+class TestCircleCertificate:
+    def test_identities_on_unit_directions(self):
+        # Tr W = 1, Tr(W A_i) = 0 and Tr(W E_k) = -e_k / 4, so Tr(W S) = (1 - e . eta) / 4; W is PSD for unit e.
+        angle = np.random.default_rng(500).uniform(0, 2 * np.pi, 500)
+        e = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        w = circle_certificate(e)
+        assert np.max(np.abs(np.trace(w, axis1=-2, axis2=-1) - 1.0)) <= 4.5e-16
+        assert np.max(np.abs(np.einsum("nab,iba->ni", w, UP_SLOPES))) <= 4.5e-16
+        assert np.max(np.abs(np.einsum("nab,kba->nk", w, ETA_SLOPES) + e / 4)) <= 4.5e-16
+        assert np.linalg.eigvalsh(w)[:, 0].min() >= -4.5e-16
+
+    def test_the_solver_certificates_are_the_circle_certificate(self):
+        # At bound-sweep's nine directions and radius_tol 1e-8; 1.55e-9 measured.
+        phi = np.linspace(0, np.pi / 2, 9)
+        certificate = radius_bracket(phi, 1e-8).certificate
+        assert np.max(np.abs(certificate - circle_certificate(np.stack([np.cos(phi), np.sin(phi)], axis=-1)))) <= 2e-9
 
 
 def test_import_leaves_scipy_out():
