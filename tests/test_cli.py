@@ -429,7 +429,7 @@ CLONE = ["clone", "--theta", "0.9", "--eta1", "0.6", "--eta2", "0.8"]
     ["clone", "--theta", "inf", "--eta1", "0.6", "--eta2", "0.8"],
     ["clone", "--theta", "0.9", "--eta1", "1.5", "--eta2", "0.8"],
     ["bound-sweep", "--n-phi", "2", "--radius-tol", "0"],
-    ["verify", "--budget", "2.5"],
+    ["verify", "--budget", "0"],
     ["fidelity-sweep", "--n-points", "1"], ["bound-sweep", "--n-phi", "100001"],
     ["verify", "--samples", "1"], ["verify", "--seed", "-1"],
     ["clone", "--theta", "0.9", "--eta1", "0.6"], ["bound-sweep"], ["verify", "--seed"],
