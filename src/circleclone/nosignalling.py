@@ -263,8 +263,9 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     semidefinite W, since Tr(W S) >= 0 at every feasible point and every
     |f_i| <= 1.  Every iterate tries W = S^-1 / Tr S^-1 (unless an eigenvalue
     of it lies below _FLOOR_SHARE / n: it is then PSD only to within rounding),
-    and every centred iterate also the face-reduced W of _face_certificate,
-    which stays accurate near the optimum, where S is nearly singular.
+    formed only in the rows whose upper end it lowers, and every centred
+    iterate also the face-reduced W of _face_certificate, which stays
+    accurate near the optimum, where S is nearly singular.
     The solve stops once the certified upper - lower <= tol, or after
     ``budget`` iterates; it also stops where precision runs out: S is no
     longer positive definite, or the Newton step is singular, not finite,
@@ -275,12 +276,13 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     stack of problems F0 (..., b, m, m), G (..., b, m, m) and x0 (...), which
     broadcast to one batch shape, shares the slopes A_i (k, b, m, m) and runs
     in lockstep: every iterate makes one eigen-decomposition of all the blocks
-    of S, one of all those of S^-1/2 G S^-1/2 and one solve of all the Newton
-    systems, and a centred one also a b x b solve for the face fit of each
-    centred row.  Each row stops on its own by the rules above and leaves the
-    stack, and each row of the result is bit for bit the solve of its problem
-    alone: F0 and the terms are laid out once per solve.  The problem is real:
-    F0, the A_i and G are real symmetric, and complex input is rejected.
+    of S, one _project of all the terms, whence every trace the gradient and
+    both bounds use, one eigen-decomposition of all the S^-1/2 G S^-1/2 and
+    one solve of all the Newton systems, and a centred one also a b x b solve
+    for the face fit of each centred row.  Each row stops on its own by the
+    rules above and leaves the stack, and each row of the result is bit for
+    bit the solve of its problem alone.  The problem is real: F0, the A_i and
+    G are real symmetric, and complex input is rejected.
     """
     _require(isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1, budget,
              "budget must be a positive integer, got {}")
@@ -295,26 +297,25 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     # The live stack: one row per problem still iterating; `rows` are their
     # positions in the results, written as each row stops.
     rows = np.arange(problems)
-    f0 = np.ascontiguousarray(np.broadcast_to(f0, shape + layout).reshape((problems,) + layout))
-    terms = np.empty((problems, count + 1) + layout)  # (A_1, ..., A_k, G) of every row
-    terms[:, :count], terms[:, count] = slopes, np.broadcast_to(g, shape + layout).reshape(f0.shape)
+    terms = np.empty(shape + (count + 2,) + layout)  # (A_1, ..., A_k, G, F0) of every row
+    terms[..., :count, :, :, :], terms[..., count, :, :, :], terms[..., -1, :, :, :] = slopes, g, f0
+    terms = terms.reshape((problems, count + 2) + layout)
     x = np.broadcast_to(x0, shape).reshape(problems)
     free = best_free = np.zeros((problems, count))
     lower, upper = np.full(problems, -np.inf), np.full(problems, np.inf)
-    certificate = np.full(f0.shape, np.nan)
+    certificate = np.full((problems,) + layout, np.nan)
     results = Bracket(lower.copy(), upper.copy(), best_free.copy(), certificate.copy(),
                       np.zeros(problems, dtype=int))
     # Per-solve constants: the slopes flattened for the step from f to S, the
     # Hessian's box entries as a stride along its flattened rows, and the
-    # floor of every certificate's eigenvalues, _FLOOR_SHARE / n, as a block of I / n.
+    # floor of every certificate's eigenvalues, _FLOOR_SHARE / n.
     flat_slopes, box_entries = slopes.reshape(count, -1), slice(None, count * (count + 2), count + 2)
     share = _FLOOR_SHARE / (layout[0] * layout[1])
-    floor = share * np.eye(layout[1])
     for iterate in range(1, budget + 1):
         if not len(rows):
             break
-        slack, vectors = np.linalg.eigh(f0 + (free @ flat_slopes).reshape(f0.shape)
-                                        + x[:, None, None, None] * terms[:, -1])
+        slack, vectors = np.linalg.eigh(terms[:, -1] + (free @ flat_slopes).reshape((-1,) + layout)
+                                        + x[:, None, None, None] * terms[:, -2])
         # Where rounding carried x past the boundary, S is no longer positive
         # definite: that row stops, and a stand-in slack keeps its arithmetic finite.
         definite = (slack[..., 0] > 0.0).all(axis=-1)
@@ -323,32 +324,26 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         total = inverse.sum(axis=(-2, -1))
         if iterate == 1:
             s = total
-        # V^T B V for every B of (A_1, ..., G), in the eigenbasis V of S, and
-        # S^-1/2 B S^-1/2 from it, block by block.
-        adjoint = vectors.swapaxes(-2, -1)
-        projected = adjoint[:, None] @ terms @ vectors[:, None]
-        root = np.sqrt(inverse)
-        blocks = projected * (root[..., :, None] * root[..., None, :])[:, None]
-        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -1])[..., 0].min(axis=-1)
+        projected, blocks, traces = _project(vectors, inverse, terms)
+        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -2])[..., 0].min(axis=-1)
         better = definite & (best_x > lower)
         lower = np.where(better, best_x, lower)
         best_free = np.where(better[:, None], free, best_free)
-        # W = V D V^T / Tr D, computed as the transpose of V (V D)^T / Tr D: the
-        # same products, summed in the same order, and _traces flattens it as a view.
-        w = (vectors @ (vectors * (inverse / total[:, None, None])[..., None, :]).swapaxes(-2, -1)).swapaxes(-2, -1)
-        traces = _traces(w, terms)
-        bound = _dual_bound(w, f0, traces)
+        bound = _dual_bound(traces)
         better = definite & (bound < upper)
         if better.any():
             # A W with an eigenvalue below the floor is PSD only to within rounding, and proves nothing.
             better &= inverse.min(axis=(-2, -1)) >= share * total
             upper = np.where(better, bound, upper)
-            certificate = np.where(better[:, None, None, None], w, certificate)
+            # W = V D V^T, D the eigenvalues of S^-1 over Tr S^-1, in the rows whose upper end it lowers.
+            lowered = slice(None) if better.all() else better
+            v, d = vectors[lowered], inverse[lowered] / total[lowered, None, None]
+            certificate[lowered] = (v * d[..., None, :]) @ v.swapaxes(-2, -1)
 
-        # Newton step in (f, x); Hessian blocks Tr(S^-1 B_j S^-1 B_k).
-        flat = blocks.reshape(len(rows), count + 1, -1)
+        # Newton step in (f, x): gradient -Tr(S^-1 B), Hessian blocks Tr(S^-1 B_j S^-1 B_k), B of (A_1, ..., G).
+        flat = blocks[:, :-1].reshape(len(rows), count + 1, -1)
         hessian = flat @ flat.swapaxes(-2, -1)
-        gradient = -total[:, None] * traces
+        gradient = -traces[:, :-1]
         gradient[:, count] -= s
         square = free**2
         gap = 1 - square
@@ -360,9 +355,9 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         if centred.any():
             # Every row, as a view, where every row is centred; else a copy of the centred ones.
             picked = slice(None) if centred.all() else centred
-            face = _face_certificate(vectors[picked], projected[picked], floor)
+            face, face_traces = _face_certificate(vectors[picked], projected[picked], share)
             bound = np.full(len(rows), np.inf)
-            bound[picked] = _dual_bound(face, f0[picked], _traces(face, terms[picked]))
+            bound[picked] = _dual_bound(face_traces)
             better = bound < upper
             upper = np.where(better, bound, upper)
             certificate[better] = face[better[picked]]
@@ -383,60 +378,65 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
             if stop.all():
                 break
             keep = ~stop
-            rows, f0, terms, x, free, s, lower, upper, best_free, certificate = (
-                part[keep] for part in (rows, f0, terms, x, free, s, lower, upper, best_free, certificate))
+            rows, terms, x, free, s, lower, upper, best_free, certificate = (
+                part[keep] for part in (rows, terms, x, free, s, lower, upper, best_free, certificate))
     return Bracket(results.lower.reshape(shape)[()], results.upper.reshape(shape)[()],
                    results.free.reshape(shape + (count,)), results.certificate.reshape(shape + layout),
                    results.iterations.reshape(shape)[()])
 
 
-def _dual_bound(w: np.ndarray, f0: np.ndarray, traces: np.ndarray) -> np.ndarray:
-    """The upper end (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) proved by each row's W.
+def _project(vectors: np.ndarray, inverse: np.ndarray, terms: np.ndarray) -> tuple[np.ndarray, ...]:
+    """V^T B V, S^-1/2 B S^-1/2 and Tr(S^-1 B) for B of terms (rows, t, b, m, m), S^-1 = V diag(inverse) V^T."""
+    projected = vectors.swapaxes(-2, -1)[:, None] @ terms @ vectors[:, None]
+    root = np.sqrt(inverse)
+    blocks = projected * (root[..., :, None] * root[..., None, :])[:, None]
+    return projected, blocks, blocks.trace(axis1=-2, axis2=-1).sum(axis=-1)
 
-    ``traces`` (rows, k + 1) are the Tr(W B) for B of (A_1, ..., G); inf in a
-    row where Tr(W G) < 0 fails, so that its W proves nothing.
+
+def _dual_bound(traces: np.ndarray) -> np.ndarray:
+    """The upper end (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) proved by each row's positive semidefinite W.
+
+    ``traces`` (rows, k + 2) are its Tr(W B) for B of (A_1, ..., A_k, G, F0); W's scale cancels, so the
+    traces of S^-1 prove what S^-1 / Tr S^-1 does.  inf in a row where Tr(W G) < 0 fails: its W proves nothing.
     """
-    certified = traces[:, -1] < 0.0
-    numerator = _traces(w, f0[:, None])[:, 0] + np.abs(traces[:, :-1]).sum(axis=-1)
+    certified = traces[:, -2] < 0.0
+    numerator = traces[:, -1] + np.abs(traces[:, :-2]).sum(axis=-1)
     if certified.all():
-        return numerator / -traces[:, -1]
-    return np.where(certified, numerator / np.where(certified, -traces[:, -1], 1.0), np.inf)
+        return numerator / -traces[:, -2]
+    return np.where(certified, numerator / np.where(certified, -traces[:, -2], 1.0), np.inf)
 
 
-def _face_certificate(vectors: np.ndarray, projected: np.ndarray, floor: np.ndarray) -> np.ndarray:
+def _face_certificate(vectors: np.ndarray, projected: np.ndarray, share: float) -> tuple[np.ndarray, np.ndarray]:
     """A unit-trace positive definite W = sum_b w_b u_b u_b^T, u_b the first eigenvector of block b of S, per row.
 
     An optimal W has W S = 0 at the optimum, where each block of S of the
     north-pole problems has a zero eigenvalue; near it W lives on the u_b, the
     first columns of ``vectors`` (rows, b, m, m).  The weights are fitted by
     least squares to Tr(W A_i) = 0 and Tr(W G) = -1, with Tr(u_b u_b^T B) the
-    [0, 0] entries of ``projected`` (rows, k + 1, b, m, m) for B of (A_1, ...,
-    G), clipped to non-negative and scaled to sum to 1.  Such a W has computed
-    eigenvalues of either sign at the rounding level, so it is mixed with a
-    _FLOOR_SHARE = 1e-12 share of I / n, ``floor`` = (_FLOOR_SHARE / n) I in
-    each block: the mix is PSD, its computed eigenvalues stay positive and its
-    bound moves by about 1e-12.  A row whose fit is singular or whose clipped
-    weights are all zero gets NaN.
+    [0, 0] entries of ``projected`` (rows, k + 2, b, m, m), the V^T B V of
+    _project, clipped to non-negative and scaled to sum to 1.  Such a W has
+    computed eigenvalues of either sign at the rounding level, so it is mixed
+    with a _FLOOR_SHARE = 1e-12 share of I / n, ``share`` = _FLOOR_SHARE / n:
+    the mix is PSD, its computed eigenvalues stay positive and its bound moves
+    by about 1e-12.  Returns W and its Tr(W B) (rows, k + 2), read off the same
+    ``projected`` as (1 - _FLOOR_SHARE) sum_b w_b Tr(u_b u_b^T B) + share Tr B.
+    A row whose fit is singular or whose clipped weights are all zero gets NaN.
     """
-    design = projected[..., 0, 0]  # (rows, k + 1, b)
-    weights = np.maximum(_newton_solve(design.swapaxes(-2, -1) @ design, -design[:, -1]), 0.0)
+    design = projected[..., 0, 0]  # (rows, k + 2, b)
+    fit = design[:, :-1]
+    weights = np.maximum(_newton_solve(fit.swapaxes(-2, -1) @ fit, -fit[:, -1]), 0.0)
     total = weights.sum(axis=-1)
     valid = total > 0.0  # a singular fit is NaN, and fails this too
     invalid = not valid.all()
     first = vectors[..., 0]
     outer = first[..., :, None] * first[..., None, :]
     weights /= (np.where(valid, total, 1.0) if invalid else total)[:, None]
-    mixed = (1.0 - _FLOOR_SHARE) * (weights[..., None, None] * outer) + floor
-    return np.where(valid[:, None, None, None], mixed, np.nan) if invalid else mixed
-
-
-def _traces(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tr(W B) for every B of a stack b (..., k, b, m, m) and W (..., b, m, m), all given as their blocks; (..., k).
-
-    A matmul of the flattened blocks: its sums for one row do not depend on
-    how many rows the stack holds (einsum's do, in the last bit).
-    """
-    return (b.reshape(b.shape[:-3] + (-1,)) @ w.swapaxes(-2, -1).reshape(w.shape[:-3] + (-1, 1)))[..., 0]
+    mixed = (1.0 - _FLOOR_SHARE) * (weights[..., None, None] * outer) + share * np.eye(vectors.shape[-1])
+    traces = ((1.0 - _FLOOR_SHARE) * (design * weights[:, None]).sum(axis=-1)
+              + share * projected.trace(axis1=-2, axis2=-1).sum(axis=-1))
+    if invalid:
+        return np.where(valid[:, None, None, None], mixed, np.nan), np.where(valid[:, None], traces, np.nan)
+    return mixed, traces
 
 
 def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:

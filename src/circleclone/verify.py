@@ -67,8 +67,8 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
 
     Kept separate from linalg.partial_trace on purpose; the two routes share
     no code and are compared against each other by the oracle checks.
-    Leading axes are batch axes: each index sum adds whole columns
-    rho[..., row, col] of a (..., D, D) stack, so the loops run once per call.
+    Leading axes are batch axes: each traced index adds one gathered kept x
+    kept block of the whole (..., D, D) stack, in order from zero.
     ``dims`` must be positive integers with product D, and ``keep`` a subset
     of the subsystems; any other factorization raises ValueError.
     """
@@ -94,15 +94,11 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     out = np.zeros(rho.shape[:-2] + (kept_dim, kept_dim), dtype=complex)
     traced_indices = list(itertools.product(*[range(dims[i]) for i in traced]))
     # itertools.product runs through the kept indices in C order, so its count is the flat index.
-    # flats[k][i]: the flat index of kept index k joined with the i-th traced index.
-    flats = [[flat(kept_index, traced_index) for traced_index in traced_indices]
-             for kept_index in itertools.product(*[range(dims[k]) for k in keep])]
-    for row_out, rows in enumerate(flats):
-        for col_out, cols in enumerate(flats):
-            total = 0.0 + 0.0j
-            for row, col in zip(rows, cols):
-                total += rho[..., row, col]
-            out[..., row_out, col_out] = total
+    # flats[k, i]: the flat index of kept index k joined with the i-th traced index.
+    flats = np.array([[flat(kept_index, traced_index) for traced_index in traced_indices]
+                      for kept_index in itertools.product(*[range(dims[k]) for k in keep])])
+    for i in range(len(traced_indices)):
+        out += rho[..., flats[:, None, i], flats[None, :, i]]
     return out
 
 

@@ -50,10 +50,9 @@ def swap_rho_o_and_rho_b(monkeypatch):
 
 
 def drop_the_absolute_value_in_the_dual_bound(monkeypatch):
-    def signed(w, f0, traces):
-        certified = traces[:, -1] < 0.0
-        bound = ((nosignalling._traces(w, f0[:, None])[:, 0] + traces[:, :-1].sum(axis=-1))
-                 / np.where(certified, -traces[:, -1], 1.0))
+    def signed(traces):
+        certified = traces[:, -2] < 0.0
+        bound = (traces[:, -1] + traces[:, :-2].sum(axis=-1)) / np.where(certified, -traces[:, -2], 1.0)
         return np.where(certified, bound, np.inf)
 
     monkeypatch.setattr(nosignalling, "_dual_bound", signed)
@@ -157,9 +156,9 @@ def mix_white_noise_into_the_ppt_input(monkeypatch):
 
 
 def scale_the_certificate(monkeypatch):
-    # The bound a certificate proves does not change when it is scaled.
+    # The bound a certificate proves does not change when it, and so each of its traces, is scaled.
     dual = nosignalling._dual_bound
-    monkeypatch.setattr(nosignalling, "_dual_bound", lambda w, f0, traces: dual(3 * w, f0, 3 * traces))
+    monkeypatch.setattr(nosignalling, "_dual_bound", lambda traces: dual(3 * traces))
 
 
 def grow_the_barrier_by_100(monkeypatch):

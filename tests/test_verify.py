@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import re
 import subprocess
@@ -133,6 +134,37 @@ class TestReferencePartialTrace:
         np.testing.assert_array_equal(reference_partial_trace(rho, np.int64(1), (np.int64(2), 2)),
                                       [[10, 12], [18, 20]])
         np.testing.assert_array_equal(reference_partial_trace(rho, (), [2, 2]), [[30]])
+
+    @staticmethod
+    def entrywise(rho, keep, dims):
+        """The partial trace one output entry at a time, each a sum over the traced indices in order from zero."""
+        traced = [i for i in range(len(dims)) if i not in keep]
+        kept = list(itertools.product(*[range(dims[k]) for k in keep]))
+
+        def flat(kept_index, traced_index):
+            index = [0] * len(dims)
+            for subsystem, value in zip(list(keep) + traced, kept_index + traced_index):
+                index[subsystem] = value
+            return int(np.ravel_multi_index(index, dims))
+
+        out = np.zeros(rho.shape[:-2] + (len(kept),) * 2, dtype=complex)
+        for (r, row), (c, col) in itertools.product(enumerate(kept), repeat=2):
+            total = 0.0 + 0.0j
+            for traced_index in itertools.product(*[range(dims[t]) for t in traced]):
+                total += rho[..., flat(row, traced_index), flat(col, traced_index)]
+            out[..., r, c] = total
+        return out
+
+    @pytest.mark.parametrize(("keep", "dims"), [
+        ((0,), [2, 2, 2]), ((1,), [2, 2, 2]), ((0, 1), [2, 2, 2]), ((0, 2), [2, 2, 2]), ((), [2, 3]), ((1,), [3, 2]),
+        ((0, 2), [2, 3, 2]), ((0, 1, 2), [2, 3, 2]),
+    ])
+    def test_block_gather_is_the_entrywise_sum_bit_for_bit(self, keep, dims):
+        n = int(np.prod(dims))
+        draws = np.random.default_rng(n + len(keep)).normal(size=(2, 5, n, n))
+        rho = draws[0] + 1j * draws[1]
+        expected = self.entrywise(rho, keep, dims)
+        assert reference_partial_trace(rho, keep, dims).tobytes() == expected.tobytes()
 
 
 class TestBoundSoundness:
