@@ -28,8 +28,8 @@ GAP_TOL = 1e-10
 # decrement is below CENTRED_DECREMENT.
 BARRIER_GROWTH = 300.0
 CENTRED_DECREMENT = 1.0
-# The share of I / n mixed into every face certificate (see _face_certificate):
-# no certificate minimize tries has an eigenvalue below _FLOOR_SHARE / n.
+# The largest share of I / n mixed into a face certificate (see _face_certificate):
+# minimize sizes this floor from its tolerance.
 _FLOOR_SHARE = 1e-12
 
 # Order of the free correlation-tensor entries once the no-signalling
@@ -262,7 +262,8 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     Tr(W G) < 0, by (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) for a positive
     semidefinite W, since Tr(W S) >= 0 at every feasible point and every
     |f_i| <= 1.  Every iterate tries W = S^-1 / Tr S^-1 (unless an eigenvalue
-    of it lies below _FLOOR_SHARE / n: it is then PSD only to within rounding),
+    of it lies below floor / n, floor = min(_FLOOR_SHARE, max(tol / 100,
+    1e-15)): it is then PSD only to within rounding),
     formed only in the rows whose upper end it lowers, and every centred
     iterate also the face-reduced W of _face_certificate, which stays
     accurate near the optimum, where S is nearly singular.
@@ -308,9 +309,12 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
                       np.zeros(problems, dtype=int))
     # Per-solve constants: the slopes flattened for the step from f to S, the
     # Hessian's box entries as a stride along its flattened rows, and the
-    # floor of every certificate's eigenvalues, _FLOOR_SHARE / n.
+    # floor of every certificate's eigenvalues, floor / n.  The floor lifts an
+    # upper end by about itself: a hundredth of the tolerance, but at least
+    # 1e-15, below which the face mix is no longer exactly PSD.
     flat_slopes, box_entries = slopes.reshape(count, -1), slice(None, count * (count + 2), count + 2)
-    share = _FLOOR_SHARE / (layout[0] * layout[1])
+    floor = min(_FLOOR_SHARE, max(tol / 100, 1e-15))
+    share = floor / (layout[0] * layout[1])
     for iterate in range(1, budget + 1):
         if not len(rows):
             break
@@ -355,7 +359,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         if centred.any():
             # Every row, as a view, where every row is centred; else a copy of the centred ones.
             picked = slice(None) if centred.all() else centred
-            face, face_traces = _face_certificate(vectors[picked], projected[picked], share)
+            face, face_traces = _face_certificate(vectors[picked], projected[picked], floor)
             bound = np.full(len(rows), np.inf)
             bound[picked] = _dual_bound(face_traces)
             better = bound < upper
@@ -406,7 +410,7 @@ def _dual_bound(traces: np.ndarray) -> np.ndarray:
     return np.where(certified, numerator / np.where(certified, -traces[:, -2], 1.0), np.inf)
 
 
-def _face_certificate(vectors: np.ndarray, projected: np.ndarray, share: float) -> tuple[np.ndarray, np.ndarray]:
+def _face_certificate(vectors: np.ndarray, projected: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """A unit-trace positive definite W = sum_b w_b u_b u_b^T, u_b the first eigenvector of block b of S, per row.
 
     An optimal W has W S = 0 at the optimum, where each block of S of the
@@ -416,10 +420,10 @@ def _face_certificate(vectors: np.ndarray, projected: np.ndarray, share: float) 
     [0, 0] entries of ``projected`` (rows, k + 2, b, m, m), the V^T B V of
     _project, clipped to non-negative and scaled to sum to 1.  Such a W has
     computed eigenvalues of either sign at the rounding level, so it is mixed
-    with a _FLOOR_SHARE = 1e-12 share of I / n, ``share`` = _FLOOR_SHARE / n:
-    the mix is PSD, its computed eigenvalues stay positive and its bound moves
-    by about 1e-12.  Returns W and its Tr(W B) (rows, k + 2), read off the same
-    ``projected`` as (1 - _FLOOR_SHARE) sum_b w_b Tr(u_b u_b^T B) + share Tr B.
+    with a ``floor`` share of I / n, n = b m: the mix is PSD, its computed
+    eigenvalues stay positive and its bound moves by about ``floor``.  Returns
+    W and its Tr(W B) (rows, k + 2), read off the same ``projected`` as
+    (1 - floor) sum_b w_b Tr(u_b u_b^T B) + (floor / n) Tr B.
     A row whose fit is singular or whose clipped weights are all zero gets NaN.
     """
     design = projected[..., 0, 0]  # (rows, k + 2, b)
@@ -431,8 +435,9 @@ def _face_certificate(vectors: np.ndarray, projected: np.ndarray, share: float) 
     first = vectors[..., 0]
     outer = first[..., :, None] * first[..., None, :]
     weights /= (np.where(valid, total, 1.0) if invalid else total)[:, None]
-    mixed = (1.0 - _FLOOR_SHARE) * (weights[..., None, None] * outer) + share * np.eye(vectors.shape[-1])
-    traces = ((1.0 - _FLOOR_SHARE) * (design * weights[:, None]).sum(axis=-1)
+    share = floor / (vectors.shape[-3] * vectors.shape[-1])
+    mixed = (1.0 - floor) * (weights[..., None, None] * outer) + share * np.eye(vectors.shape[-1])
+    traces = ((1.0 - floor) * (design * weights[:, None]).sum(axis=-1)
               + share * projected.trace(axis1=-2, axis2=-1).sum(axis=-1))
     if invalid:
         return np.where(valid[:, None, None, None], mixed, np.nan), np.where(valid[:, None], traces, np.nan)
@@ -508,7 +513,7 @@ def radius_bracket(phi, radius_tol: float = DEFAULT_RADIUS_TOL, budget: int = DE
     B(phi) = cos(phi) E1 + sin(phi) E2: minimize on the two blocks, over the
     REAL_SLOPES, with G = B(phi), from r = 0 until the certified bracket is at
     most ``radius_tol`` wide (or precision runs out, which takes a
-    ``radius_tol`` of 1e-12 or less).  Its lower end is attained by its free
+    ``radius_tol`` of 1e-14 or less).  Its lower end is attained by its free
     entries.  Directions (...) give one solve of the stack, each row stopping
     on its own.  The boundary is the unit circle.
     """

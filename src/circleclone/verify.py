@@ -10,7 +10,6 @@ forms) so that agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -68,7 +67,9 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
     Kept separate from linalg.partial_trace on purpose; the two routes share
     no code and are compared against each other by the oracle checks.
     Leading axes are batch axes: each traced index adds one gathered kept x
-    kept block of the whole (..., D, D) stack, in order from zero.
+    kept block of the whole (..., D, D) stack, in order from zero.  The
+    gather table is np.arange(D) laid out as the subsystems, kept ones
+    first, and flattened to kept x traced.
     ``dims`` must be positive integers with product D, and ``keep`` a subset
     of the subsystems; any other factorization raises ValueError.
     """
@@ -80,24 +81,11 @@ def reference_partial_trace(rho: np.ndarray, keep, dims) -> np.ndarray:
         raise ValueError(f"dims {dims} and keep {keep} do not factor a matrix of shape {rho.shape}")
     keep = sorted(keep)
     traced = [i for i in range(len(dims)) if i not in keep]
-
-    def flat(kept_index, traced_index):
-        index_by_subsystem = [0] * len(dims)
-        for subsystem, index in zip(keep + traced, kept_index + traced_index):
-            index_by_subsystem[subsystem] = index
-        value = 0
-        for i, d in enumerate(dims):
-            value = value * d + index_by_subsystem[i]
-        return value
-
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
+    kept_dim = math.prod(dims[k] for k in keep)
+    # flats[k, i]: the flat index of kept index k joined with traced index i, both counted in C order.
+    flats = np.arange(math.prod(dims)).reshape(dims).transpose(keep + traced).reshape(kept_dim, -1)
     out = np.zeros(rho.shape[:-2] + (kept_dim, kept_dim), dtype=complex)
-    traced_indices = list(itertools.product(*[range(dims[i]) for i in traced]))
-    # itertools.product runs through the kept indices in C order, so its count is the flat index.
-    # flats[k, i]: the flat index of kept index k joined with the i-th traced index.
-    flats = np.array([[flat(kept_index, traced_index) for traced_index in traced_indices]
-                      for kept_index in itertools.product(*[range(dims[k]) for k in keep])])
-    for i in range(len(traced_indices)):
+    for i in range(flats.shape[1]):
         out += rho[..., flats[:, None, i], flats[None, :, i]]
     return out
 

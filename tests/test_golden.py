@@ -28,8 +28,8 @@ DIGESTS = GOLDEN / "SHA256SUMS"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 
 # The tight-tolerance and one-iterate sweeps pin the barrier solver's arithmetic, the 1e-12 sweep also its
-# one-system-at-a-time fallback for a singular Newton system, the two-iterate sweep the upper ends proved by the
-# S^-1 / Tr S^-1 certificate, the clone reports every clone_report field, rounding noise included, and the long
+# certificate floor sized to the tolerance, on which every row meets it, the two-iterate sweep the upper ends proved
+# by the S^-1 / Tr S^-1 certificate, the clone reports every clone_report field, rounding noise included, and the long
 # fidelity sweeps the CSV writer on many cells, and the help files every command's arguments.
 OUTPUTS = {
     "bound-sweep-9.txt": "bound-sweep --n-phi 9",

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import circleclone
 
 from circleclone import cloner, nosignalling
+from circleclone.cli import _directions
 from circleclone.cloner import clone, coefficients, reduced_clones
 from circleclone.linalg import PSD_TOL, is_psd
 from circleclone.nosignalling import (
@@ -632,6 +634,30 @@ class TestMaxRadius:
             g = positivity_matrix_up((np.cos(direction), np.sin(direction)), np.zeros((3, 3))) - a0
             assert_certified(bracket.upper[k], bracket.certificate[k], a0, slopes, g)
 
+    @pytest.fixture(scope="class")
+    def sweeps(self):
+        """bound-sweep --n-phi 129 at --radius-tol 1e-12 and at 1e-16."""
+        phi = _directions(129)[0]
+        return {tol: radius_bracket(phi, radius_tol=tol) for tol in (1e-12, 1e-16)}
+
+    def test_the_1e_12_sweep_meets_its_tolerance(self, sweeps):
+        # The certificate floor, a hundredth of the tolerance, lifts each upper end by far less than the tolerance,
+        # so every row stops on its certified width, not on precision loss, and holds 1.
+        bracket = sweeps[1e-12]
+        assert np.all(bracket.upper - bracket.lower <= 1e-12)
+        assert np.all(bracket.lower <= 1) and np.all(1 <= bracket.upper)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-16])
+    def test_every_certificate_is_exactly_psd(self, sweeps, tol):
+        # In exact arithmetic, by the two 2x2 blocks of each X-shaped W.  The floor's 1e-15 clamp keeps it so at
+        # 1e-16; a floor of tol / 100 there leaves 106 of the 129 certificates indefinite.
+        for w in sweeps[tol].certificate:
+            np.testing.assert_array_equal(w, laid_out(w[_BLOCKS]))
+            np.testing.assert_array_equal(w, w.T)
+            for block in w[_BLOCKS]:
+                (a, b), (_, d) = ([Fraction(entry) for entry in row] for row in block)
+                assert a >= 0 and d >= 0 and a * d - b * b >= 0, block
+
 
 def assert_certified(upper, w, a0, slopes, g):
     """``upper`` is the bound (Tr(W A0) + sum_i |Tr(W A_i)|) / -Tr(W G) of a PSD unit-trace W."""
@@ -845,8 +871,6 @@ class TestRealSolve:
         bracket = radius_bracket(np.array([0.0, np.pi / 4]), budget=1)
         assert np.isinf(bracket.upper).all() and np.isnan(bracket.certificate).all()
 
-    SHARE = _FLOOR_SHARE / 4  # _FLOOR_SHARE / n, n = 4 for the two 2x2 blocks
-
     def terms(self, etas):
         """(A_1, A_2, G, F0) of the eigenvalue problem at etas as minimize lays them out: the REAL_SLOPES, -I, A0."""
         a0 = _up_matrix(*etas, np.zeros(7)).real[_BLOCKS]
@@ -864,7 +888,7 @@ class TestRealSolve:
 
     def test_face_certificate_of_a_real_stack(self):
         vectors, projected = self.near_optimum((0.6, 0.8))
-        face, traces = _face_certificate(vectors[None], projected[None], self.SHARE)
+        face, traces = _face_certificate(vectors[None], projected[None], _FLOOR_SHARE)
         assert face.dtype == np.float64 and face.shape == (1, 2, 2, 2) and np.isfinite(face).all()
         assert traces.shape == (1, 4) and np.isfinite(traces).all()
         assert np.linalg.eigvalsh(laid_out(face[0]))[0] >= 0.0
@@ -884,11 +908,11 @@ class TestRealSolve:
         rows = [self.near_optimum((0.6, 0.8)), (identity, np.zeros((4, 2, 2, 2))),
                 self.near_optimum((0.8, 0.8)), (identity, clipped), self.near_optimum((0.3, 0.4))]
         vectors, projected = (np.array(part) for part in zip(*rows))
-        face, traces = _face_certificate(vectors, projected, self.SHARE)
+        face, traces = _face_certificate(vectors, projected, _FLOOR_SHARE)
         assert np.isnan(face[[1, 3]]).all() and np.isnan(traces[[1, 3]]).all()
         for k in (0, 2, 4):
             alone, alone_traces = (part[0] for part in _face_certificate(vectors[k:k + 1], projected[k:k + 1],
-                                                                         self.SHARE))
+                                                                         _FLOOR_SHARE))
             assert np.isfinite(alone).all() and face[k].tobytes() == alone.tobytes(), k
             assert traces[k].tobytes() == alone_traces.tobytes(), k
 
@@ -896,7 +920,7 @@ class TestRealSolve:
         # The traces read off V^T B V, floor included, are Tr(W B) of the returned W, B in the original basis.
         points = [(0.6, 0.8), (0.8, 0.8), (0.3, 0.4), (0.9, 0.1), (0.0, 1.0)]
         vectors, projected = (np.array(part) for part in zip(*map(self.near_optimum, points)))
-        face, traces = _face_certificate(vectors, projected, self.SHARE)
+        face, traces = _face_certificate(vectors, projected, _FLOOR_SHARE)
         terms = np.array([self.terms(etas) for etas in points])
         # Worst error measured here and over 40 more pairs: 2.2e-16.  The floor moves a trace of G = -I by 1e-12,
         # and of F0 by 2.5e-13.
@@ -995,3 +1019,36 @@ class TestBlockOracle:
         assert np.all(np.abs(c) < 1 - 1e-6)
         assert np.max(np.abs(d)) <= 1e-7
         assert np.max(np.abs(np.hypot(a, c) - np.hypot(b, c) - 2 * c)) <= 1e-7
+
+
+class TestClosedFormOptimum:
+    """lambda*(eta) = (1 - r) / 4, r = hypot(eta1, eta2), attained at t_xx = eta1 eta2 / r, t_yy = 0 and proved by
+    W(eta / r): S there is r S_circle(eta / r) + (1 - r) I / 4, and Tr(W(eta / r) S) = (1 - r) / 4 for every free
+    choice.  Inside the disk and outside it alike, it checks every eigenvalue bracket without a search."""
+
+    CIRCLE = np.linspace(0, np.pi / 2, 9)
+    ETAS = np.concatenate([np.random.default_rng(1).uniform(0, 1, (396, 2)),
+                           np.stack([np.cos(CIRCLE), np.sin(CIRCLE)], axis=-1)])
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        radius = np.hypot(self.ETAS[:, 0], self.ETAS[:, 1])
+        return radius, eigenvalue_bracket(self.ETAS)
+
+    def test_every_bracket_holds_the_optimum(self, solved):
+        radius, bracket = solved
+        assert (radius > 1.05).sum() >= 50 and (radius < 0.95).sum() >= 200  # both sides of the circle
+        optimum = (1 - radius) / 4
+        assert np.all(bracket.lower <= optimum) and np.all(optimum <= bracket.upper)
+
+    def test_the_witness_is_the_closed_form(self, solved):
+        # Worst measured here: 3.5e-10 in t_xx and 1.4e-10 in t_yy, over these 405 pairs.
+        radius, bracket = solved
+        t_xx, t_yy = bracket.free[:, REAL_PARAMETERS].T
+        assert np.max(np.abs(t_xx - self.ETAS[:, 0] * self.ETAS[:, 1] / radius)) <= 2e-9
+        assert np.max(np.abs(t_yy)) <= 1e-9
+
+    def test_the_certificate_is_the_circle_certificate(self, solved):
+        # Worst measured here: 5.5e-9, over these 405 pairs.
+        radius, bracket = solved
+        assert np.max(np.abs(bracket.certificate - circle_certificate(self.ETAS / radius[:, None]))) <= 3e-8
