@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .linalg import PSD_TOL, _components, _require, _shaped, _stack_last
 from .pauli import PauliDecomposition, _angles, _rotate_pair, _turn, _validate_etas, rotate_bloch
@@ -268,10 +269,10 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     iterate also the face-reduced W of _face_certificate, which stays
     accurate near the optimum, where S is nearly singular.
     The solve stops once the certified upper - lower <= tol, or after
-    ``budget`` iterates; it also stops where precision runs out: S is no
-    longer positive definite, or the Newton step is singular, not finite,
-    leaves the box, or leaves x where it is at an iterate that is not
-    centred.  ``tol`` must be positive and finite.
+    ``budget`` iterates; it also stops where precision runs out: a LAPACK
+    step fails in a row (NaN), S is no longer positive definite, or the
+    Newton step is not finite, leaves the box, or leaves x where it is at an
+    iterate that is not centred.  ``tol`` must be positive and finite.
 
     Every matrix is block diagonal, given as its b diagonal m x m blocks.  A
     stack of problems F0 (..., b, m, m), G (..., b, m, m) and x0 (...), which
@@ -283,14 +284,14 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     for the face fit of each centred row.  Each row stops on its own by the
     rules above and leaves the stack, and each row of the result is bit for
     bit the solve of its problem alone.  The problem is real: F0, the A_i and
-    G are real symmetric, and complex input is rejected.
+    G are real symmetric, and complex or non-finite input is rejected.
     """
     _require(isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1, budget,
              "budget must be a positive integer, got {}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    if any(np.iscomplexobj(part) for part in (f0, slopes, g, x0)):
-        raise ValueError("minimize solves real problems only: F0, the slopes, G and x0 must be real")
+    if any(np.iscomplexobj(part) or not np.isfinite(part).all() for part in (f0, slopes, g, x0)):
+        raise ValueError("minimize solves real problems only: F0, the slopes, G and x0 must be real and finite")
     f0, slopes, g, x0 = (np.asarray(part, dtype=float) for part in (f0, slopes, g, x0))
     shape = np.broadcast_shapes(f0.shape[:-3], g.shape[:-3], x0.shape)
     layout, count = slopes.shape[1:], len(slopes)
@@ -318,10 +319,10 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     for iterate in range(1, budget + 1):
         if not len(rows):
             break
-        slack, vectors = np.linalg.eigh(terms[:, -1] + (free @ flat_slopes).reshape((-1,) + layout)
-                                        + x[:, None, None, None] * terms[:, -2])
-        # Where rounding carried x past the boundary, S is no longer positive
-        # definite: that row stops, and a stand-in slack keeps its arithmetic finite.
+        slack, vectors = _lapack(_umath_linalg.eigh_lo, terms[:, -1] + (free @ flat_slopes).reshape((-1,) + layout)
+                                 + x[:, None, None, None] * terms[:, -2])
+        # Where rounding carried x past the boundary, or LAPACK failed (NaN), S is not
+        # positive definite: that row stops, and a stand-in slack keeps its arithmetic finite.
         definite = (slack[..., 0] > 0.0).all(axis=-1)
         indefinite = not definite.all()
         inverse = 1.0 / (np.where(definite[:, None, None], slack, 1.0) if indefinite else slack)
@@ -329,7 +330,7 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         if iterate == 1:
             s = total
         projected, blocks, traces = _project(vectors, inverse, terms)
-        best_x = x + 1.0 / -np.linalg.eigvalsh(blocks[:, -2])[..., 0].min(axis=-1)
+        best_x = x + 1.0 / -_lapack(_umath_linalg.eigvalsh_lo, blocks[:, -2])[..., 0].min(axis=-1)
         better = definite & (best_x > lower)
         lower = np.where(better, best_x, lower)
         best_free = np.where(better[:, None], free, best_free)
@@ -445,17 +446,14 @@ def _face_certificate(vectors: np.ndarray, projected: np.ndarray, floor: float) 
 
 
 def _newton_solve(hessian: np.ndarray, gradient: np.ndarray) -> np.ndarray:
-    """Solutions of a stack of linear systems; NaN in a row whose system is singular in floating point."""
-    try:
-        return np.linalg.solve(hessian, gradient[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        steps = np.full_like(gradient, np.nan)
-        for row, (h, v) in enumerate(zip(hessian, gradient)):
-            try:
-                steps[row] = np.linalg.solve(h, v)
-            except np.linalg.LinAlgError:
-                pass
-        return steps
+    """Solutions of a stack of linear systems from one LAPACK call; NaN in each row singular in floating point."""
+    return _lapack(_umath_linalg.solve, hessian, gradient[..., None])[..., 0]
+
+
+def _lapack(kernel, *operands):
+    """numpy's batched LAPACK gufunc ``kernel`` on ``operands``: a row whose call fails is NaN, with no warning."""
+    with np.errstate(invalid="ignore"):
+        return kernel(*operands)
 
 
 def _full_problem(bracket: Bracket) -> Bracket:

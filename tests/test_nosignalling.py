@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,8 +33,10 @@ from circleclone.nosignalling import (
     _FLOOR_SHARE,
     _dual_bound,
     _face_certificate,
+    _lapack,
     _newton_solve,
     _project,
+    _umath_linalg,
     _up_matrix,
     bound_rhs,
     build_joint_output,
@@ -733,6 +736,65 @@ class TestLockstep:
         assert np.isnan(steps[1]).all()
         np.testing.assert_array_equal(steps[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
 
+    def test_eigen_kernels_are_numpys(self):
+        # On the iterate's S and S^-1/2 G S^-1/2 blocks (rows, 2, 2, 2); numpy must still ship these gufuncs.
+        a = np.random.default_rng(11).normal(size=(50, 2, 2, 2))
+        a += a.swapaxes(-2, -1)
+        slack, vectors = _lapack(_umath_linalg.eigh_lo, a)
+        expected_slack, expected_vectors = np.linalg.eigh(a)
+        assert slack.tobytes() == expected_slack.tobytes() and vectors.tobytes() == expected_vectors.tobytes()
+        assert _lapack(_umath_linalg.eigvalsh_lo, a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 2], ids=["newton-step", "face-fit"])
+    def test_solve_kernel_is_numpys_and_a_singular_row_is_nan(self, n):
+        rng = np.random.default_rng(n)
+        root = rng.normal(size=(50, n, n))
+        systems, right = root @ root.swapaxes(-2, -1) + np.eye(n), rng.normal(size=(50, n))
+        assert _newton_solve(systems, right).tobytes() == np.linalg.solve(systems, right[..., None])[..., 0].tobytes()
+        systems[7] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = _newton_solve(systems, right)
+        assert np.isnan(steps[7]).all() and np.isfinite(np.delete(steps, 7, axis=0)).all()
+        rest = np.delete(systems, 7, axis=0), np.delete(right, 7, axis=0)[..., None]
+        assert np.delete(steps, 7, axis=0).tobytes() == np.linalg.solve(*rest)[..., 0].tobytes()
+
+    class FailingRow:
+        """nosignalling's kernel module, but the eigh_lo call of one iterate returns NaN in one row, as failed LAPACK."""
+
+        def __init__(self, iterate, row):
+            self.iterate, self.row, self.calls = iterate, row, 0
+
+        def __getattr__(self, name):
+            return getattr(_umath_linalg, name)
+
+        def eigh_lo(self, a):
+            self.calls += 1
+            slack, vectors = _umath_linalg.eigh_lo(a)
+            if self.calls == self.iterate:
+                slack[self.row] = vectors[self.row] = np.nan
+            return slack, vectors
+
+    @pytest.mark.parametrize(("iterate", "row"), [(2, 0), (5, 2), (12, 4)])
+    def test_a_failed_kernel_row_stops_alone(self, monkeypatch, iterate, row):
+        etas = np.random.default_rng(5).uniform(0, 1, (5, 2))
+        failing = self.FailingRow(iterate, row)
+        monkeypatch.setattr(nosignalling, "_umath_linalg", failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = eigenvalue_bracket(etas)
+        monkeypatch.undo()
+        # No row stops before the failing iterate, so the failing row is at its own position in the stack.
+        others = [k for k in range(len(etas)) if k != row]
+        assert failing.calls > iterate and stacked.iterations[others].min() > iterate
+        # It stops there with the bracket its earlier iterates made; NaN slack is not definite.
+        had = eigenvalue_bracket(etas[row], budget=iterate - 1)
+        assert stacked.iterations[row] == iterate
+        for field in ("lower", "upper", "free", "certificate"):
+            assert np.array_equal(getattr(stacked, field)[row], getattr(had, field), equal_nan=True), field
+        for k in others:
+            assert_row_is_its_solve(stacked, k, eigenvalue_bracket(etas[k]))
+
     @pytest.mark.parametrize(("call", "batch"), [
         (lambda: eigenvalue_bracket(np.zeros((0, 2))), (0,)),
         (lambda: radius_bracket(np.zeros(0)), (0,)),
@@ -787,12 +849,26 @@ class TestLockstep:
         a0 = ORIGIN + etas[:, 0, None, None] * ETA_SLOPES[0] + etas[:, 1, None, None] * ETA_SLOPES[1]
         assert a0.tobytes() == positivity_matrix_up(etas, np.zeros((3, 3))).real.tobytes()
 
+    @staticmethod
+    def ray_problem():
+        """The inputs minimize takes for the ray phi = 0, as the brackets pass them."""
+        return {"F0": ORIGIN[_BLOCKS], "slopes": REAL_SLOPES, "G": ETA_SLOPES[0][_BLOCKS], "x0": np.zeros(1)}
+
     @pytest.mark.parametrize("part", ["F0", "slopes", "G", "x0"])
     def test_rejects_complex_input(self, part):
         # minimize solves real problems only: the brackets pass it the blocks of the real parts and the REAL_SLOPES.
-        problem = {"F0": ORIGIN[_BLOCKS], "slopes": REAL_SLOPES, "G": ETA_SLOPES[0][_BLOCKS], "x0": np.zeros(1)}
+        problem = self.ray_problem()
         problem[part] = problem[part] + 0j
         with pytest.raises(ValueError, match="real problems only"):
+            minimize(problem["F0"], problem["slopes"], problem["G"], problem["x0"], DEFAULT_BUDGET, 1e-3)
+
+    @pytest.mark.parametrize(("part", "entry"), [("F0", np.nan), ("slopes", np.inf), ("G", np.nan), ("x0", -np.inf)])
+    def test_rejects_non_finite_input(self, part, entry):
+        # Unchecked, a NaN in F0 or G bracketed [-inf, inf] after one iterate, and x0 = -inf warned in the step.
+        problem = self.ray_problem()
+        problem[part] = problem[part].copy()
+        problem[part].flat[0] = entry
+        with pytest.raises(ValueError, match="must be real and finite"):
             minimize(problem["F0"], problem["slopes"], problem["G"], problem["x0"], DEFAULT_BUDGET, 1e-3)
 
 
