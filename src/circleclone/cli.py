@@ -171,8 +171,10 @@ def _cmd_bound_sweep(args: argparse.Namespace) -> int:
         found = bracket.lower
         for phi_k, found_k, upper, iterations in zip(phi.tolist(), found.tolist(), bracket.upper.tolist(),
                                                      bracket.iterations.tolist()):
-            print(f"phi={phi_k:.6f}  radius=[{found_k:.9f}, {upper:.9f}]  "
-                  f"iterations={iterations}  width={upper - found_k:.3e}", file=sys.stderr)
+            width = upper - found_k
+            # A row the budget or precision loss stopped wider than the tolerance (inf and NaN too) says so.
+            print(f"phi={phi_k:.6f}  radius=[{found_k:.9f}, {upper:.9f}]  iterations={iterations}  "
+                  f"width={width:.3e}{'' if width <= args.radius_tol else '  unconverged'}", file=sys.stderr)
         rows = np.stack([phi, found * cos_phi, found * sin_phi, found, np.ones_like(found), np.abs(found - 1.0)],
                         axis=-1)
         _write_csv(out, BOUND_SWEEP_HEADER, rows)

@@ -262,12 +262,12 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     at its entries, x + 1 / lambda_max(-S^-1/2 G S^-1/2); above, when
     Tr(W G) < 0, by (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) for a positive
     semidefinite W, since Tr(W S) >= 0 at every feasible point and every
-    |f_i| <= 1.  Every iterate tries W = S^-1 / Tr S^-1 (unless an eigenvalue
-    of it lies below floor / n, floor = min(_FLOOR_SHARE, max(tol / 100,
-    1e-15)): it is then PSD only to within rounding),
-    formed only in the rows whose upper end it lowers, and every centred
-    iterate also the face-reduced W of _face_certificate, which stays
-    accurate near the optimum, where S is nearly singular.
+    |f_i| <= 1.  W is the face-reduced certificate of _face_certificate,
+    mixed with a floor = min(_FLOOR_SHARE, max(tol / 100, 1e-15)) share of
+    I / n; it stays accurate near the optimum, where S is nearly singular.
+    It is fitted in every centred row, and in every definite row at the
+    budget's last iterate, so a row the budget cuts off still ends with an
+    upper end wherever that fit certifies one.
     The solve stops once the certified upper - lower <= tol, or after
     ``budget`` iterates; it also stops where precision runs out: a LAPACK
     step fails in a row (NaN), S is no longer positive definite, or the
@@ -279,9 +279,9 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
     broadcast to one batch shape, shares the slopes A_i (k, b, m, m) and runs
     in lockstep: every iterate makes one eigen-decomposition of all the blocks
     of S, one _project of all the terms, whence every trace the gradient and
-    both bounds use, one eigen-decomposition of all the S^-1/2 G S^-1/2 and
-    one solve of all the Newton systems, and a centred one also a b x b solve
-    for the face fit of each centred row.  Each row stops on its own by the
+    the face fit use, one eigen-decomposition of all the S^-1/2 G S^-1/2 and
+    one solve of all the Newton systems, and one that fits a face also a
+    b x b solve for each of its rows.  Each row stops on its own by the
     rules above and leaves the stack, and each row of the result is bit for
     bit the solve of its problem alone.  The problem is real: F0, the A_i and
     G are real symmetric, and complex or non-finite input is rejected.
@@ -310,12 +310,12 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
                       np.zeros(problems, dtype=int))
     # Per-solve constants: the slopes flattened for the step from f to S, the
     # Hessian's box entries as a stride along its flattened rows, and the
-    # floor of every certificate's eigenvalues, floor / n.  The floor lifts an
-    # upper end by about itself: a hundredth of the tolerance, but at least
-    # 1e-15, below which the face mix is no longer exactly PSD.
+    # share of I / n in every certificate, which floors its eigenvalues at
+    # floor / n.  The floor lifts an upper end by about itself: a hundredth of
+    # the tolerance, but at least 1e-15, below which the mix is no longer
+    # exactly PSD.
     flat_slopes, box_entries = slopes.reshape(count, -1), slice(None, count * (count + 2), count + 2)
     floor = min(_FLOOR_SHARE, max(tol / 100, 1e-15))
-    share = floor / (layout[0] * layout[1])
     for iterate in range(1, budget + 1):
         if not len(rows):
             break
@@ -326,24 +326,13 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         definite = (slack[..., 0] > 0.0).all(axis=-1)
         indefinite = not definite.all()
         inverse = 1.0 / (np.where(definite[:, None, None], slack, 1.0) if indefinite else slack)
-        total = inverse.sum(axis=(-2, -1))
         if iterate == 1:
-            s = total
+            s = inverse.sum(axis=(-2, -1))
         projected, blocks, traces = _project(vectors, inverse, terms)
         best_x = x + 1.0 / -_lapack(_umath_linalg.eigvalsh_lo, blocks[:, -2])[..., 0].min(axis=-1)
         better = definite & (best_x > lower)
         lower = np.where(better, best_x, lower)
         best_free = np.where(better[:, None], free, best_free)
-        bound = _dual_bound(traces)
-        better = definite & (bound < upper)
-        if better.any():
-            # A W with an eigenvalue below the floor is PSD only to within rounding, and proves nothing.
-            better &= inverse.min(axis=(-2, -1)) >= share * total
-            upper = np.where(better, bound, upper)
-            # W = V D V^T, D the eigenvalues of S^-1 over Tr S^-1, in the rows whose upper end it lowers.
-            lowered = slice(None) if better.all() else better
-            v, d = vectors[lowered], inverse[lowered] / total[lowered, None, None]
-            certificate[lowered] = (v * d[..., None, :]) @ v.swapaxes(-2, -1)
 
         # Newton step in (f, x): gradient -Tr(S^-1 B), Hessian blocks Tr(S^-1 B_j S^-1 B_k), B of (A_1, ..., G).
         flat = blocks[:, :-1].reshape(len(rows), count + 1, -1)
@@ -357,16 +346,19 @@ def minimize(f0: np.ndarray, slopes: np.ndarray, g: np.ndarray, x0, budget: int,
         step = -_newton_solve(hessian, gradient)
         decrement = np.sqrt(np.maximum(-np.einsum("li,li->l", gradient, step), 0.0))
         centred = definite & (decrement < CENTRED_DECREMENT)
-        if centred.any():
-            # Every row, as a view, where every row is centred; else a copy of the centred ones.
-            picked = slice(None) if centred.all() else centred
+        # The budget's last iterate fits a face in every definite row: a row cut off before it was centred
+        # can still end with a certified upper end.
+        facing = definite if iterate == budget else centred
+        if facing.any():
+            # Every row, as a view, where every row faces; else a copy of the facing ones.
+            picked = slice(None) if facing.all() else facing
             face, face_traces = _face_certificate(vectors[picked], projected[picked], floor)
             bound = np.full(len(rows), np.inf)
             bound[picked] = _dual_bound(face_traces)
             better = bound < upper
             upper = np.where(better, bound, upper)
             certificate[better] = face[better[picked]]
-            s = np.where(centred, s * BARRIER_GROWTH, s)
+            s = np.where(centred, s * BARRIER_GROWTH, s)  # every centred row faces
         damping = np.where(decrement < 0.25, 1.0, 1.0 / (1.0 + decrement))
         candidate, moved = free + damping[:, None] * step[:, :count], x + damping * step[:, count]
         # A step that is not finite, leaves the box, or leaves x where it is
@@ -401,8 +393,8 @@ def _project(vectors: np.ndarray, inverse: np.ndarray, terms: np.ndarray) -> tup
 def _dual_bound(traces: np.ndarray) -> np.ndarray:
     """The upper end (Tr(W F0) + sum_i |Tr(W A_i)|) / -Tr(W G) proved by each row's positive semidefinite W.
 
-    ``traces`` (rows, k + 2) are its Tr(W B) for B of (A_1, ..., A_k, G, F0); W's scale cancels, so the
-    traces of S^-1 prove what S^-1 / Tr S^-1 does.  inf in a row where Tr(W G) < 0 fails: its W proves nothing.
+    ``traces`` (rows, k + 2) are its Tr(W B) for B of (A_1, ..., A_k, G, F0), as _face_certificate returns
+    them; W's scale cancels.  inf in a row where Tr(W G) < 0 fails, NaN included: its W proves nothing.
     """
     certified = traces[:, -2] < 0.0
     numerator = traces[:, -1] + np.abs(traces[:, :-2]).sum(axis=-1)

@@ -256,17 +256,34 @@ class TestBoundSweepCommand:
             assert 1 <= iterations <= max_iterations, line
         assert captured.out.startswith(BOUND_SWEEP_HEADER + "\n")
 
-    # A budget of one or two iterates stops every bracket at the budget; the brackets it leaves are exact.
+    # A budget of one or two iterates stops every bracket by then, and the last iterate's face fit proves each upper
+    # end it can; the brackets it leaves are exact, and only those wider than --radius-tol are marked. At budget 1,
+    # S = I/4 has tied eigenvalues, and the face on eigh's basis for them proves an upper end at pi/2 but not at 0.
     @pytest.mark.parametrize(("n_phi", "budget", "expected"), [
-        (2, 1, ["phi=0.000000  radius=[1.000000000, inf]  iterations=1  width=inf",
-                "phi=1.570796  radius=[1.000000000, inf]  iterations=1  width=inf"]),
-        (3, 2, ["phi=0.000000  radius=[1.000000000, 2.250000000]  iterations=2  width=1.250e+00",
-                "phi=0.785398  radius=[0.707106781, 2.250000000]  iterations=2  width=1.543e+00",
-                "phi=1.570796  radius=[1.000000000, 2.250000000]  iterations=2  width=1.250e+00"]),
+        (2, 1, ["phi=0.000000  radius=[1.000000000, inf]  iterations=1  width=inf  unconverged",
+                "phi=1.570796  radius=[1.000000000, 2.000000000]  iterations=1  width=1.000e+00  unconverged"]),
+        (3, 2, ["phi=0.000000  radius=[1.000000000, 1.000000000]  iterations=2  width=1.000e-12",
+                "phi=0.785398  radius=[0.707106781, 1.414213562]  iterations=2  width=7.071e-01  unconverged",
+                "phi=1.570796  radius=[1.000000000, 1.000000000]  iterations=2  width=1.000e-12"]),
     ])
     def test_small_budget_brackets(self, n_phi, budget, expected, capsys):
         assert main(["bound-sweep", "--n-phi", str(n_phi), "--budget", str(budget)]) == 0
         assert capsys.readouterr().err.splitlines()[1:] == expected
+
+    def test_rows_that_lose_precision_are_marked(self, capsys):
+        # At 1e-14, 21 of the 129 rows stop on precision loss wider than the tolerance, one with its lower end
+        # above 1; exactly those lines end in "unconverged", and the CSV is the one an unmarked run writes.
+        tol = 1e-14
+        bracket = cli.radius_bracket(_directions(129)[0], radius_tol=tol)
+        wide = ~(bracket.upper - bracket.lower <= tol)
+        assert wide.sum() == 21 and (bracket.lower[wide] > 1).sum() == (bracket.lower > 1).sum() == 1
+        assert main(["bound-sweep", "--n-phi", "129", "--radius-tol", "1e-14"]) == 0
+        captured = capsys.readouterr()
+        progress = captured.err.splitlines()[1:]
+        assert len(progress) == 129
+        assert [line.endswith("  unconverged") for line in progress] == wide.tolist()
+        assert all(line.count("unconverged") <= 1 for line in progress)
+        assert captured.out.startswith(BOUND_SWEEP_HEADER + "\n") and "unconverged" not in captured.out
 
     # The default nine-direction sweep's iterates: the barrier's box terms move these ends, not the verdicts. Each end
     # is pinned to 1.5e-9 of its printed literal, so the last printed digit may differ between numpy versions.

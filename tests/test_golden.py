@@ -28,9 +28,10 @@ DIGESTS = GOLDEN / "SHA256SUMS"
 REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 
 # The tight-tolerance and one-iterate sweeps pin the barrier solver's arithmetic, the 1e-12 sweep also its
-# certificate floor sized to the tolerance, on which every row meets it, the two-iterate sweep the upper ends proved
-# by the S^-1 / Tr S^-1 certificate, the clone reports every clone_report field, rounding noise included, and the long
-# fidelity sweeps the CSV writer on many cells, and the help files every command's arguments.
+# certificate floor sized to the tolerance, on which every row meets it, the one- and two-iterate sweeps the upper
+# ends the face fit at the budget's last iterate proves, and the "unconverged" mark of the rows it leaves wider than
+# the tolerance, the clone reports every clone_report field, rounding noise included, and the long fidelity sweeps
+# the CSV writer on many cells, and the help files every command's arguments.
 OUTPUTS = {
     "bound-sweep-9.txt": "bound-sweep --n-phi 9",
     "bound-sweep-33-tight.txt": "bound-sweep --n-phi 33 --radius-tol 1e-8",

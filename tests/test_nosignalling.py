@@ -787,11 +787,18 @@ class TestLockstep:
         # No row stops before the failing iterate, so the failing row is at its own position in the stack.
         others = [k for k in range(len(etas)) if k != row]
         assert failing.calls > iterate and stacked.iterations[others].min() > iterate
-        # It stops there with the bracket its earlier iterates made; NaN slack is not definite.
+        # It stops there, as its one-row solve failing at the same iterate does; NaN slack is not definite.
+        alone = self.FailingRow(iterate, 0)
+        monkeypatch.setattr(nosignalling, "_umath_linalg", alone)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_row_is_its_solve(stacked, row, eigenvalue_bracket(etas[row]))
+        monkeypatch.undo()
+        assert stacked.iterations[row] == iterate and alone.calls == iterate
+        # Its witness is the one its earlier iterates found; a budget of iterate - 1 would also fit a last face.
         had = eigenvalue_bracket(etas[row], budget=iterate - 1)
-        assert stacked.iterations[row] == iterate
-        for field in ("lower", "upper", "free", "certificate"):
-            assert np.array_equal(getattr(stacked, field)[row], getattr(had, field), equal_nan=True), field
+        for field in ("lower", "free"):
+            assert np.array_equal(getattr(stacked, field)[row], getattr(had, field)), field
         for k in others:
             assert_row_is_its_solve(stacked, k, eigenvalue_bracket(etas[k]))
 
@@ -1128,3 +1135,29 @@ class TestClosedFormOptimum:
         # Worst measured here: 5.5e-9, over these 405 pairs.
         radius, bracket = solved
         assert np.max(np.abs(bracket.certificate - circle_certificate(self.ETAS / radius[:, None]))) <= 3e-8
+
+
+class TestBudgetCutBrackets:
+    """A solve the budget cuts off fits a face in every definite row at its last iterate, so it ends certified."""
+
+    def test_every_budget_holds_the_truth_and_proves_its_upper_end(self):
+        # The truth is 1 for the radius and (1 - r) / 4 for the eigenvalue (TestClosedFormOptimum).
+        phi = _directions(33)[0]
+        etas = np.random.default_rng(43).uniform(0, 1, (60, 2))
+        optimum = (1 - np.hypot(etas[:, 0], etas[:, 1])) / 4
+        origin, slopes = north_pole_terms((0.0, 0.0))
+        rays = [positivity_matrix_up((np.cos(p), np.sin(p)), np.zeros((3, 3))) - origin for p in phi]
+        points = [north_pole_terms(point) for point in etas]
+        certified = 0
+        for budget in range(1, 41):
+            radius, eigenvalue = radius_bracket(phi, 1e-3, budget), eigenvalue_bracket(etas, budget)
+            assert np.all(radius.lower <= 1) and np.all(1 <= radius.upper), budget
+            assert np.all(eigenvalue.lower <= optimum) and np.all(optimum <= eigenvalue.upper), budget
+            for k in np.flatnonzero(np.isfinite(radius.upper)):
+                assert_certified(radius.upper[k], radius.certificate[k], origin, slopes, rays[k])
+            for k in np.flatnonzero(np.isfinite(eigenvalue.upper)):
+                assert_certified(eigenvalue.upper[k], eigenvalue.certificate[k], *points[k], -np.eye(4))
+            certified += np.isfinite(radius.upper).sum() + np.isfinite(eigenvalue.upper).sum()
+        # Only budget 1 leaves rows uncertified, every ray but phi = pi/2: S = I / 4 has tied eigenvalues there,
+        # and the face on eigh's basis for them proves no bound along those rays.
+        assert certified == 40 * (len(phi) + len(etas)) - (len(phi) - 1)
